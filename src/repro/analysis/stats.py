@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.core.types import Type
-from repro.inference.fusion import fuse_all
+from repro.inference.fusion import fuse_multiset
 from repro.inference.infer import infer_type
 
 __all__ = [
@@ -125,8 +125,9 @@ def succinctness_row(values: Sequence[Any], label: str) -> SuccinctnessRow:
     """Infer, fuse and measure — one full table row from raw values."""
     types = [infer_type(v) for v in values]
     stats = TypeStatistics.from_types(types)
-    distinct = list(dict.fromkeys(types))
-    fused = fuse_all(distinct)
+    # Not fuse_all over the distinct types: Fuse is not idempotent on
+    # positional arrays, and the row must match fusing every record.
+    fused = fuse_multiset(types)
     return SuccinctnessRow(
         label=label,
         record_count=stats.count,

@@ -16,6 +16,9 @@ suite checks with hypothesis).
 
 from __future__ import annotations
 
+import re
+from typing import Iterable
+
 from repro.core.types import (
     ArrayType,
     BasicType,
@@ -26,7 +29,7 @@ from repro.core.types import (
     UnionType,
 )
 
-__all__ = ["print_type", "pretty_print"]
+__all__ = ["print_type", "print_types", "pretty_print"]
 
 #: Printed form of the empty type.  Chosen to be ASCII-friendly.
 EMPTY_SYMBOL = "(empty)"
@@ -39,50 +42,73 @@ EMPTY_SYMBOL = "(empty)"
 #: terminals.
 _KEY_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t",
                 "\r": "\\r"}
+_ESCAPED = re.compile(r'[\\"\x00-\x1f]')
+
+#: A bare identifier: ``[\w$-]`` is exactly ``str.isalnum()`` plus
+#: ``_$-``, the parser's identifier characters.
+_BARE_KEY = re.compile(r"[\w$-]+")
 
 
 def _key_syntax(name: str) -> str:
     """Quote a record key unless it is a bare identifier."""
-    if name and all(c.isalnum() or c in "_-$" for c in name) and not name[0].isdigit():
+    if _BARE_KEY.fullmatch(name) and not name[0].isdigit():
         return name
-    out = ['"']
-    for c in name:
-        escape = _KEY_ESCAPES.get(c)
-        if escape is not None:
-            out.append(escape)
-        elif ord(c) < 0x20:
-            out.append(f"\\u{ord(c):04x}")
-        else:
-            out.append(c)
-    out.append('"')
-    return "".join(out)
+    return '"' + _ESCAPED.sub(_escape, name) + '"'
+
+
+def _escape(match: re.Match) -> str:
+    c = match.group()
+    return _KEY_ESCAPES.get(c) or f"\\u{ord(c):04x}"
 
 
 def print_type(t: Type) -> str:
     """Render ``t`` on a single line in the paper's concrete syntax."""
-    if isinstance(t, BasicType):
-        return t.name
-    if isinstance(t, EmptyType):
-        return EMPTY_SYMBOL
+    return _render(t, {})
+
+
+def print_types(types: Iterable[Type]) -> list[str]:
+    """``[print_type(t) for t in types]``, rendering each distinct subtree
+    object once over the whole batch."""
+    types = list(types)  # the memo keys on id(): keep every node alive
+    memo: dict[int, str] = {}
+    return [_render(t, memo) for t in types]
+
+
+def _render(t: Type, memo: dict[int, str]) -> str:
+    """:func:`print_type`, memoised on node (and field) identity."""
+    text = memo.get(id(t))
+    if text is not None:
+        return text
     if isinstance(t, RecordType):
         parts = []
         for field in t.fields:
-            rendered = print_type(field.type)
-            if isinstance(field.type, UnionType):
-                rendered = f"({rendered})"
-            mark = "?" if field.optional else ""
-            parts.append(f"{_key_syntax(field.name)}: {rendered}{mark}")
-        return "{" + ", ".join(parts) + "}"
-    if isinstance(t, ArrayType):
-        return "[" + ", ".join(print_type(e) for e in t.elements) + "]"
-    if isinstance(t, StarArrayType):
-        body = print_type(t.body)
-        if isinstance(t.body, UnionType):
-            return f"[({body})*]"
-        return f"[{body}*]"
-    if isinstance(t, UnionType):
-        return " + ".join(print_type(m) for m in t.members)
-    raise TypeError(f"not a type: {t!r}")
+            part = memo.get(id(field))
+            if part is None:
+                rendered = _render(field.type, memo)
+                if isinstance(field.type, UnionType):
+                    rendered = f"({rendered})"
+                mark = "?" if field.optional else ""
+                part = f"{_key_syntax(field.name)}: {rendered}{mark}"
+                memo[id(field)] = part
+            parts.append(part)
+        text = "{" + ", ".join(parts) + "}"
+    elif isinstance(t, BasicType):
+        text = t.name
+    elif isinstance(t, EmptyType):
+        text = EMPTY_SYMBOL
+    elif isinstance(t, ArrayType):
+        text = "[" + ", ".join(_render(e, memo) for e in t.elements) + "]"
+    elif isinstance(t, StarArrayType):
+        body = _render(t.body, memo)
+        text = (
+            f"[({body})*]" if isinstance(t.body, UnionType) else f"[{body}*]"
+        )
+    elif isinstance(t, UnionType):
+        text = " + ".join(_render(m, memo) for m in t.members)
+    else:
+        raise TypeError(f"not a type: {t!r}")
+    memo[id(t)] = text
+    return text
 
 
 def pretty_print(t: Type, indent: int = 2, _level: int = 0) -> str:

@@ -22,9 +22,15 @@ String-literal keys support the escapes the printer emits: ``\\\\``,
 character stands for itself.  The printer never leaves a raw control
 character in its output, so a printed type always occupies exactly one
 line.
+
+The parser makes one pass over regex tokens and hash-conses every node it
+builds through a pool: structurally equal subtrees come out as one shared
+object, and a repeated subtree costs a dict hit instead of a constructor.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.core.errors import TypeSyntaxError
 from repro.core.types import (
@@ -38,6 +44,7 @@ from repro.core.types import (
     STR,
     StarArrayType,
     Type,
+    UnionType,
     make_union,
 )
 
@@ -45,179 +52,194 @@ __all__ = ["parse_type"]
 
 _BASIC = {"Null": NULL, "Bool": BOOL, "Num": NUM, "Str": STR}
 
+#: One token per match, after optional whitespace: an identifier
+#: (``[\w$-]`` is exactly ``str.isalnum()`` plus ``_$-``), a quoted key
+#: that closes within the source, or any other single character.  A
+#: lone ``"`` token opens a key that never closes.
+_TOKEN = re.compile(r'\s*([\w$-]+|"[^"\\]*(?:\\.[^"\\]*)*"|\S)', re.S)
 
-class _Parser:
-    """Recursive-descent parser over a raw source string."""
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-
-    # -- low-level helpers -------------------------------------------------
-
-    def error(self, message: str) -> TypeSyntaxError:
-        return TypeSyntaxError(message, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.source) and self.source[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.source):
-            return ""
-        return self.source[self.pos]
-
-    def eat(self, char: str) -> None:
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}")
-        self.pos += 1
-
-    def try_eat(self, char: str) -> bool:
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
-
-    def read_word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.source):
-            c = self.source[self.pos]
-            if c.isalnum() or c in "_-$":
-                self.pos += 1
-            else:
-                break
-        if self.pos == start:
-            raise self.error("expected an identifier")
-        return self.source[start:self.pos]
-
-    #: Escape sequences with a meaning beyond "the next char verbatim";
-    #: mirrors the printer's key escapes so quoted keys round-trip.
-    _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
-
-    def read_string(self) -> str:
-        self.eat('"')
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.source):
-                raise self.error("unterminated string literal")
-            c = self.source[self.pos]
-            self.pos += 1
-            if c == '"':
-                return "".join(out)
-            if c == "\\":
-                if self.pos >= len(self.source):
-                    raise self.error("unterminated escape")
-                escaped = self.source[self.pos]
-                self.pos += 1
-                if escaped == "u":
-                    digits = self.source[self.pos:self.pos + 4]
-                    if len(digits) < 4 or any(
-                        d not in "0123456789abcdefABCDEF" for d in digits
-                    ):
-                        raise self.error(
-                            "\\u escape needs four hex digits"
-                        )
-                    out.append(chr(int(digits, 16)))
-                    self.pos += 4
-                else:
-                    out.append(self._ESCAPES.get(escaped, escaped))
-            else:
-                out.append(c)
-
-    # -- grammar rules -----------------------------------------------------
-
-    def parse_type(self) -> Type:
-        terms = [self.parse_term()]
-        while self.try_eat("+"):
-            terms.append(self.parse_term())
-        if len(terms) == 1:
-            return terms[0]
-        return make_union(terms)
-
-    def parse_term(self) -> Type:
-        c = self.peek()
-        if c == "{":
-            return self.parse_record()
-        if c == "[":
-            return self.parse_array()
-        if c == "(":
-            # Either "(empty)" or a parenthesised type.
-            saved = self.pos
-            self.eat("(")
-            if self.peek().isalpha():
-                word_start = self.pos
-                word = self.read_word()
-                if word == "empty" and self.try_eat(")"):
-                    return EMPTY
-                self.pos = word_start
-            inner = self.parse_type()
-            self.eat(")")
-            return inner
-        if c.isalpha():
-            word = self.read_word()
-            if word in _BASIC:
-                return _BASIC[word]
-            raise self.error(f"unknown type name {word!r}")
-        if c == "":
-            raise self.error("unexpected end of input")
-        # Restore a sensible error position for stray characters.
-        self.skip_ws()
-        raise self.error(f"unexpected character {c!r}")
-
-    def parse_record(self) -> RecordType:
-        self.eat("{")
-        fields: list[Field] = []
-        if self.try_eat("}"):
-            return RecordType(fields)
-        while True:
-            fields.append(self.parse_field())
-            if self.try_eat(","):
-                continue
-            self.eat("}")
-            return RecordType(fields)
-
-    def parse_field(self) -> Field:
-        if self.peek() == '"':
-            name = self.read_string()
-        else:
-            name = self.read_word()
-        self.eat(":")
-        # A full union is allowed without parentheses, as the paper writes
-        # record types (e.g. "B: Num + Bool"); a trailing "?" marks the
-        # whole field optional.
-        t = self.parse_type()
-        optional = self.try_eat("?")
-        return Field(name, t, optional=optional)
-
-    def parse_array(self) -> Type:
-        self.eat("[")
-        if self.try_eat("]"):
-            return ArrayType(())
-        elements = [self.parse_type()]
-        if self.try_eat("*"):
-            self.eat("]")
-            return StarArrayType(elements[0])
-        while self.try_eat(","):
-            elements.append(self.parse_type())
-        self.eat("]")
-        return ArrayType(elements)
+#: One backslash escape in a quoted key: ``\uXXXX``, a ``\u`` without
+#: four hex digits, any other escaped character, or a backslash that
+#: ends the source.
+_ESCAPE = re.compile(r"\\(?:u([0-9a-fA-F]{4})|(u)|(.)|\Z)", re.S)
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
 
-def parse_type(source: str) -> Type:
+def parse_type(source: str, pool: dict | None = None) -> Type:
     """Parse a type from its concrete syntax.
 
     >>> from repro.core.printer import print_type
     >>> print_type(parse_type("{a: Num, b: (Str + Null)?}"))
     '{a: Num, b: (Null + Str)?}'
 
+    Calls that share a ``pool`` (a dict the caller owns, initially empty)
+    share structurally equal subtrees as one object; without one, only
+    within this call.  A pool keeps every type it built alive, so give it
+    the lifetime of one load, as :func:`repro.store.load_checkpoint` does.
+
+    >>> pool = {}
+    >>> a = parse_type("{a: [Num*]}", pool)
+    >>> parse_type("[Str, {a: [Num*]}]", pool).elements[1] is a
+    True
+
     Raises :class:`repro.core.errors.TypeSyntaxError` on malformed input or
     trailing garbage.
     """
-    parser = _Parser(source)
-    t = parser.parse_type()
-    parser.skip_ws()
-    if parser.pos != len(source):
-        raise parser.error("trailing characters after type")
+    # Pool keys never collide across kinds: a record is keyed by its
+    # Field tuple, a field by (name, id(type), optional) (the field keeps
+    # its type alive, so the id is never recycled), a star by its body,
+    # and unions and arrays by their members behind a "+" or "[" tag.
+    pool = {} if pool is None else pool
+    tokens = _TOKEN.findall(source)
+    end = len(tokens)
+    tokens.append("")  # end of input; no real token is empty
+    i = 0
+
+    def fail(message: str, index: int, after: bool = False):
+        return TypeSyntaxError(message, _position(source, index, after))
+
+    def expect(char: str) -> None:
+        nonlocal i
+        if tokens[i] != char:
+            raise fail(f"expected {char!r}", i)
+        i += 1
+
+    def union() -> Type:
+        # type := term ('+' term)*, with the term rule inline.
+        nonlocal i
+        terms = None
+        while True:
+            tok = tokens[i]
+            i += 1
+            t = _BASIC.get(tok)
+            if t is not None:
+                pass
+            elif tok == "{":
+                t = record()
+            elif tok == "[":
+                t = array()
+            elif tok == "(":
+                if tokens[i] == "empty" and tokens[i + 1] == ")":
+                    i += 2
+                    t = EMPTY
+                else:
+                    t = union()
+                    expect(")")
+            elif tok[:1].isalpha():
+                raise fail(f"unknown type name {tok!r}", i - 1, after=True)
+            elif not tok:
+                raise fail("unexpected end of input", i - 1)
+            else:
+                raise fail(f"unexpected character {tok[0]!r}", i - 1)
+            if tokens[i] != "+":
+                break
+            i += 1
+            terms = terms or ["+"]
+            terms.append(t)
+        if terms is None:
+            return t
+        terms.append(t)
+        key = tuple(terms)
+        u = pool.get(key)
+        if u is None:
+            u = make_union(key[1:])
+            if isinstance(u, UnionType):
+                u = pool.setdefault(("+", *u.members), u)
+            pool[key] = u
+        return u
+
+    def record() -> RecordType:
+        # '{' [field (',' field)*] '}', with the field rule inline.
+        nonlocal i
+        fields = []
+        while tokens[i] != "}" or fields:
+            name = tokens[i]
+            if name[:1] == '"':
+                name = _quoted_key(source, name, i)
+            elif not name or not (name[0].isalnum() or name[0] in "_$-"):
+                raise fail("expected an identifier", i)
+            if tokens[i + 1] != ":":
+                raise fail("expected ':'", i + 1)
+            i += 2
+            t = union()
+            optional = tokens[i] == "?"
+            if optional:
+                i += 1
+            key = (name, id(t), optional)
+            f = pool.get(key)
+            if f is None:
+                f = pool[key] = Field(name, t, optional)
+            fields.append(f)
+            if tokens[i] != ",":
+                break
+            i += 1  # a field must follow, even before "}"
+        expect("}")
+        key = tuple(fields)
+        r = pool.get(key)
+        if r is None:
+            r = RecordType(key)
+            r = pool[key] = pool.setdefault(r.fields, r)
+        return r
+
+    def array() -> Type:
+        nonlocal i
+        elements = ["["]
+        if tokens[i] != "]":
+            elements.append(union())
+            if tokens[i] == "*":
+                i += 1
+                expect("]")
+                s = pool.get(elements[1])
+                if s is None:
+                    s = pool[elements[1]] = StarArrayType(elements[1])
+                return s
+            while tokens[i] == ",":
+                i += 1
+                elements.append(union())
+        expect("]")
+        key = tuple(elements)
+        a = pool.get(key)
+        if a is None:
+            a = pool[key] = ArrayType(key[1:])
+        return a
+
+    t = union()
+    if i != end:
+        raise fail("trailing characters after type", i)
     return t
+
+
+def _position(source: str, index: int, after: bool = False) -> int:
+    """Where token ``index`` starts (ends, with ``after``) in ``source``;
+    ``len(source)`` at the end of input.  Only errors pay for this."""
+    for number, match in enumerate(_TOKEN.finditer(source)):
+        if number == index:
+            return match.end(1) if after else match.start(1)
+    return len(source)
+
+
+def _quoted_key(source: str, token: str, index: int) -> str:
+    """The key that ``token`` (token ``index`` of ``source``, starting
+    with ``"``) stands for, with its escapes decoded."""
+    closed = len(token) > 1
+    if closed and "\\" not in token:
+        return token[1:-1]
+    start = _position(source, index) + 1
+    body = token[1:-1] if closed else source[start:]
+
+    def unescape(match: re.Match) -> str:
+        digits, bad_u, char = match.groups()
+        if digits is not None:
+            return chr(int(digits, 16))
+        if char is not None:
+            return _ESCAPES.get(char, char)
+        raise TypeSyntaxError(
+            "\\u escape needs four hex digits" if bad_u
+            else "unterminated escape",
+            start + match.end(),
+        )
+
+    name = _ESCAPE.sub(unescape, body)
+    if not closed:
+        raise TypeSyntaxError("unterminated string literal", len(source))
+    return name

@@ -21,8 +21,9 @@ stops being a one-shot batch job:
   their checkpoints merge in any order or grouping to the same schema.
 
 Serialization is the existing concrete type syntax
-(:func:`repro.core.printer.print_type` /
-:func:`repro.core.type_parser.parse_type`), which round-trips exactly.
+(:func:`repro.core.printer.print_types` /
+:func:`repro.core.type_parser.parse_type`), which round-trips exactly;
+a save prints and a load parses each distinct subtree once.
 Every file is written deterministically — canonical (sorted) type form,
 distinct types sorted by printed form, manifest keys sorted, no
 timestamps — so checkpointing the same data twice, on any backend,
@@ -45,7 +46,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.core.errors import TypeSyntaxError
-from repro.core.printer import print_type
+from repro.core.printer import print_type, print_types
 from repro.core.type_parser import parse_type
 from repro.core.types import Type
 from repro.engine.faults import crash_point
@@ -316,10 +317,10 @@ def _distinct_bytes(distinct_types: Sequence[Type]) -> bytes:
     distinct types is order-free, so sorting makes the file independent
     of partition arrival order (and therefore of backend and batch
     split).  ``print_type`` never emits a raw newline (control
-    characters in record keys are escaped), so lines and types are in
-    bijection.
+    characters in record keys are escaped), so ``"\\n"``-terminated
+    lines and types are in bijection.
     """
-    lines = sorted(print_type(t) for t in distinct_types)
+    lines = sorted(print_types(distinct_types))
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
@@ -443,6 +444,13 @@ def build_manifest(
     an update pass overrides it with the cumulative count carried over
     from the previous checkpoint.
     """
+    return _manifest(
+        summary, _schema_bytes(summary.schema), sources, skipped_count
+    )
+
+
+def _manifest(summary, schema_bytes, sources, skipped_count):
+    """:func:`build_manifest` over schema bytes a save already printed."""
     stats_payload = _stats_bytes(summary)
     return CheckpointManifest(
         format_version=FORMAT_VERSION,
@@ -451,9 +459,7 @@ def build_manifest(
         skipped_count=(
             summary.skipped_count if skipped_count is None else skipped_count
         ),
-        schema_sha256=hashlib.sha256(
-            _schema_bytes(summary.schema)
-        ).hexdigest(),
+        schema_sha256=hashlib.sha256(schema_bytes).hexdigest(),
         sources=_normalize_sources(sources),
         stats_mode=None if stats_payload is None else summary.stats.mode,
         stats_sha256=(
@@ -507,8 +513,9 @@ def save_checkpoint(
             f"and holds no checkpoint (missing {MANIFEST_FILE})"
         )
     summary = _scrub_partial_stats(summary)
+    schema_bytes = _schema_bytes(summary.schema)
     stats_payload = _stats_bytes(summary)
-    manifest = build_manifest(summary, sources, skipped_count)
+    manifest = _manifest(summary, schema_bytes, sources, skipped_count)
     manifest_bytes = (
         json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n"
     ).encode("utf-8")
@@ -518,7 +525,7 @@ def save_checkpoint(
             prefix=target.name + _TMP_INFIX, dir=parent
         ))
         try:
-            _write_file(staging, SCHEMA_FILE, _schema_bytes(summary.schema))
+            _write_file(staging, SCHEMA_FILE, schema_bytes)
             _write_file(
                 staging, DISTINCT_FILE, _distinct_bytes(summary.distinct_types)
             )
@@ -636,15 +643,16 @@ def load_checkpoint(
     raise :class:`CheckpointFormatError`; a missing directory or file
     raises :class:`CheckpointNotFoundError`.
 
-    The returned summary's types are parsed fresh; they are *not*
-    interned into any live accumulator.  That is fine for every merge
-    path — structural equality drives deduplication across process
-    boundaries already — and
+    The schema and every distinct type share one parse pool that lives
+    for this load only: structurally equal subtrees across all of them
+    are one object, built once.  No live accumulator's interner is
+    involved;
     :meth:`~repro.inference.kernel.PartitionAccumulator.add_summary`
-    interns them on the way in when a live accumulator adopts them.
+    interns the types on the way in when a live accumulator adopts them.
     """
     target = Path(directory)
     manifest = load_manifest(target)
+    pool: dict = {}  # see parse_type
 
     schema_bytes = _read_file(target, SCHEMA_FILE)
     digest = hashlib.sha256(schema_bytes).hexdigest()
@@ -655,7 +663,7 @@ def load_checkpoint(
             f"{manifest.schema_sha256[:12]}…, file hashes to {digest[:12]}…",
         )
     try:
-        schema = parse_type(schema_bytes.decode("utf-8").strip())
+        schema = parse_type(schema_bytes.decode("utf-8").strip(), pool)
     except (UnicodeDecodeError, TypeSyntaxError) as exc:
         raise CheckpointCorruptError(
             str(target), f"unparseable schema: {exc}"
@@ -663,8 +671,12 @@ def load_checkpoint(
 
     distinct_bytes = _read_file(target, DISTINCT_FILE)
     try:
-        lines = distinct_bytes.decode("utf-8").splitlines()
-        distinct = tuple(parse_type(line) for line in lines if line.strip())
+        # "\n" is the only terminator the writer emits; a record key may
+        # hold U+2028 or another character str.splitlines() breaks at.
+        lines = distinct_bytes.decode("utf-8").split("\n")
+        distinct = tuple(
+            parse_type(line, pool) for line in lines if line.strip()
+        )
     except (UnicodeDecodeError, TypeSyntaxError) as exc:
         raise CheckpointCorruptError(
             str(target), f"unparseable distinct-types file: {exc}"

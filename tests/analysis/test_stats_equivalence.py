@@ -8,7 +8,7 @@ and the succinctness row computed from the run are *equal* — not merely
 close — to what the original value-walking implementations produce.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.report import build_report
@@ -22,6 +22,7 @@ record_lists = st.lists(json_records, min_size=1, max_size=12)
 
 class TestSuccinctnessEquivalence:
     @given(values=record_lists)
+    @example(values=[{"_": []}, {"_": []}])  # Fuse is not idempotent here
     @settings(max_examples=40)
     def test_row_from_run_equals_row_from_values(self, values):
         direct = succinctness_row(values, label="x")

@@ -1,21 +1,23 @@
 """Unit tests for the type syntax parser (repro.core.type_parser)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import TypeSyntaxError
-from repro.core.printer import print_type
+from repro.core.errors import TypeSyntaxError, TypeSystemError
+from repro.core.printer import print_type, print_types
 from repro.core.type_parser import parse_type
 from repro.core.types import (
     ArrayType,
     BOOL,
     EMPTY,
+    Field,
     NULL,
     NUM,
+    RecordType,
     STR,
     StarArrayType,
-    UnionType,
+    Type,
     make_array,
     make_record,
     make_star,
@@ -33,6 +35,10 @@ class TestBasicParsing:
 
     def test_empty(self):
         assert parse_type("(empty)") == EMPTY
+
+    def test_empty_with_inner_whitespace(self):
+        assert parse_type("( empty )") == EMPTY
+        assert parse_type("[(\n empty\t)*]") == make_star(EMPTY)
 
     def test_union(self):
         assert parse_type("Num + Str") == make_union([NUM, STR])
@@ -71,6 +77,10 @@ class TestRecordParsing:
         # The reader is permissive on input; the printer quotes such keys.
         assert parse_type("{3x: Num}") == make_record({"3x": NUM})
 
+    @pytest.mark.parametrize("key", ["é", "x²", "ключ", "日本", "$a-b_c"])
+    def test_bare_unicode_keys(self, key):
+        assert parse_type(f"{{{key}: Num}}") == make_record({key: NUM})
+
     def test_nested_records(self):
         t = parse_type("{a: {b: {c: Null}}}")
         assert t.field("a").type.field("b").type.field("c").type == NULL
@@ -106,27 +116,50 @@ class TestArrayParsing:
         assert parse_type("[[Num*]]") == make_array(make_star(NUM))
 
 
+#: Malformed inputs; each must raise, with the reference parser's
+#: message and position.
+MALFORMED = [
+    "", "Foo", "{a Num}", "{a:}", "[Num", "{a: Num", "Num +", "(Num",
+    "Num Str", "{a: Num}}", "[Num*", '{"a: Num}', "{: Num}",
+    "(empty", "(empty + Num)", "{a: Num,}", "[Num*, Str]", "3", "{a: 3}",
+    '{"a\\u00": Num}', '{"a\\uzzzz": Num}', '{"a\\', '{"a\\u12', "Num?",
+    '["a"]', "{a: Num}  x", "{a: Num-x}", "{a:: Num}", "[,]", "+",
+]
+
+
 class TestErrors:
-    @pytest.mark.parametrize("text", [
-        "", "Foo", "{a Num}", "{a:}", "[Num", "{a: Num", "Num +", "(Num",
-        "Num Str", "{a: Num}}", "[Num*", '{"a: Num}', "{: Num}",
-    ])
+    @pytest.mark.parametrize("text", MALFORMED)
     def test_malformed_inputs_raise(self, text):
         with pytest.raises(TypeSyntaxError):
             parse_type(text)
 
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_message_and_position_match_reference(self, text):
+        with pytest.raises(TypeSyntaxError) as ours:
+            parse_type(text)
+        with pytest.raises(TypeSyntaxError) as reference:
+            reference_parse(text)
+        assert ours.value.position == reference.value.position
+        assert str(ours.value) == str(reference.value)
+
     def test_error_carries_position(self):
         with pytest.raises(TypeSyntaxError) as exc_info:
             parse_type("{a: Zzz}")
-        assert exc_info.value.position is not None
+        assert exc_info.value.position == 7  # just past the unknown name
 
     def test_trailing_garbage(self):
-        with pytest.raises(TypeSyntaxError, match="trailing"):
+        with pytest.raises(TypeSyntaxError, match="trailing") as exc_info:
             parse_type("Num xyz")
+        assert exc_info.value.position == 4
 
     def test_unknown_name_mentions_it(self):
         with pytest.raises(TypeSyntaxError, match="Zzz"):
             parse_type("Zzz")
+
+    def test_unterminated_key_points_at_end(self):
+        with pytest.raises(TypeSyntaxError, match="unterminated") as exc_info:
+            parse_type('{"ab: Num}')
+        assert exc_info.value.position == len('{"ab: Num}')
 
 
 class TestRoundTrip:
@@ -188,3 +221,283 @@ class TestKeyEscapes:
         printed = print_type(t)
         assert "\n" not in printed
         assert parse_type(printed) == t
+
+
+def _subtrees(t: Type):
+    """Every node of ``t``, repeats included."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children())
+
+
+class TestHashConsing:
+    """One pool, one object per structurally distinct subtree."""
+
+    def test_repeats_within_one_parse_are_shared(self):
+        t = parse_type("[{a: [Num*], b: Str?}, {a: [Num*], b: Str?}]")
+        assert t.elements[0] is t.elements[1]
+
+    def test_shared_pool_shares_across_parses(self):
+        pool = {}
+        a = parse_type("{x: {y: [Num*], z: Str?}, w: Num + Str}", pool)
+        b = parse_type("[{y: [Num*], z: Str?}, Num + Str]", pool)
+        assert b.elements[0] is a.field("x").type
+        assert b.elements[1] is a.field("w").type
+
+    def test_source_order_does_not_split_the_pool(self):
+        pool = {}
+        a = parse_type("{b: Str + Num, a: Null}", pool)
+        b = parse_type("{a: Null, b: (Num + Str)}", pool)
+        assert a is b
+
+    def test_separate_pools_do_not_share(self):
+        text = "{a: [Num*]}"
+        assert parse_type(text) is not parse_type(text)
+
+    @given(st.lists(normal_types(), max_size=6))
+    def test_equal_subtrees_are_identical(self, types):
+        pool = {}
+        parsed = [parse_type(print_type(t), pool) for t in types]
+        assert parsed == types
+        canonical: dict[Type, Type] = {}
+        for root in parsed:
+            for node in _subtrees(root):
+                assert canonical.setdefault(node, node) is node
+
+
+class TestBatchPrinter:
+    @given(st.lists(normal_types(), max_size=8))
+    def test_equals_print_type_per_type(self, types):
+        assert print_types(types) == [print_type(t) for t in types]
+
+    @given(st.lists(normal_types(), max_size=8))
+    def test_equals_print_type_over_shared_subtrees(self, types):
+        pool = {}
+        parsed = [parse_type(print_type(t), pool) for t in types]
+        assert print_types(parsed) == [print_type(t) for t in types]
+
+    def test_accepts_an_iterator(self):
+        assert print_types(iter([NUM, make_star(STR)])) == ["Num", "[Str*]"]
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the character-level recursive-descent parser that the
+# tokenizing parser replaced.  It defines the accepted grammar, the error
+# messages and the error positions; the differential tests hold
+# parse_type to it.
+
+
+class _ReferenceParser:
+    """Recursive-descent parser over a raw source string."""
+
+    _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
+    _BASIC = {"Null": NULL, "Bool": BOOL, "Num": NUM, "Str": STR}
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.pos = 0
+
+    def error(self, message: str) -> TypeSyntaxError:
+        return TypeSyntaxError(message, self.pos)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.source) and self.source[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        if self.pos >= len(self.source):
+            return ""
+        return self.source[self.pos]
+
+    def eat(self, char: str) -> None:
+        if self.peek() != char:
+            raise self.error(f"expected {char!r}")
+        self.pos += 1
+
+    def try_eat(self, char: str) -> bool:
+        if self.peek() == char:
+            self.pos += 1
+            return True
+        return False
+
+    def read_word(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.source):
+            c = self.source[self.pos]
+            if c.isalnum() or c in "_-$":
+                self.pos += 1
+            else:
+                break
+        if self.pos == start:
+            raise self.error("expected an identifier")
+        return self.source[start:self.pos]
+
+    def read_string(self) -> str:
+        self.eat('"')
+        out: list[str] = []
+        while True:
+            if self.pos >= len(self.source):
+                raise self.error("unterminated string literal")
+            c = self.source[self.pos]
+            self.pos += 1
+            if c == '"':
+                return "".join(out)
+            if c == "\\":
+                if self.pos >= len(self.source):
+                    raise self.error("unterminated escape")
+                escaped = self.source[self.pos]
+                self.pos += 1
+                if escaped == "u":
+                    digits = self.source[self.pos:self.pos + 4]
+                    if len(digits) < 4 or any(
+                        d not in "0123456789abcdefABCDEF" for d in digits
+                    ):
+                        raise self.error("\\u escape needs four hex digits")
+                    out.append(chr(int(digits, 16)))
+                    self.pos += 4
+                else:
+                    out.append(self._ESCAPES.get(escaped, escaped))
+            else:
+                out.append(c)
+
+    def parse_type(self) -> Type:
+        terms = [self.parse_term()]
+        while self.try_eat("+"):
+            terms.append(self.parse_term())
+        if len(terms) == 1:
+            return terms[0]
+        return make_union(terms)
+
+    def parse_term(self) -> Type:
+        c = self.peek()
+        if c == "{":
+            return self.parse_record()
+        if c == "[":
+            return self.parse_array()
+        if c == "(":
+            self.eat("(")
+            if self.peek().isalpha():
+                word_start = self.pos
+                word = self.read_word()
+                if word == "empty" and self.try_eat(")"):
+                    return EMPTY
+                self.pos = word_start
+            inner = self.parse_type()
+            self.eat(")")
+            return inner
+        if c.isalpha():
+            word = self.read_word()
+            if word in self._BASIC:
+                return self._BASIC[word]
+            raise self.error(f"unknown type name {word!r}")
+        if c == "":
+            raise self.error("unexpected end of input")
+        self.skip_ws()
+        raise self.error(f"unexpected character {c!r}")
+
+    def parse_record(self) -> RecordType:
+        self.eat("{")
+        fields: list[Field] = []
+        if self.try_eat("}"):
+            return RecordType(fields)
+        while True:
+            fields.append(self.parse_field())
+            if self.try_eat(","):
+                continue
+            self.eat("}")
+            return RecordType(fields)
+
+    def parse_field(self) -> Field:
+        if self.peek() == '"':
+            name = self.read_string()
+        else:
+            name = self.read_word()
+        self.eat(":")
+        t = self.parse_type()
+        optional = self.try_eat("?")
+        return Field(name, t, optional=optional)
+
+    def parse_array(self) -> Type:
+        self.eat("[")
+        if self.try_eat("]"):
+            return ArrayType(())
+        elements = [self.parse_type()]
+        if self.try_eat("*"):
+            self.eat("]")
+            return StarArrayType(elements[0])
+        while self.try_eat(","):
+            elements.append(self.parse_type())
+        self.eat("]")
+        return ArrayType(elements)
+
+
+def reference_parse(source: str) -> Type:
+    parser = _ReferenceParser(source)
+    t = parser.parse_type()
+    parser.skip_ws()
+    if parser.pos != len(source):
+        raise parser.error("trailing characters after type")
+    return t
+
+
+#: Whitespace to splice in: ASCII, more of what ``str.isspace()``
+#: accepts, and line breaks that only ``str.splitlines()`` knows.
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0" + "".join(
+    map(chr, [0x2028, 0x2029, 0x3000])
+)
+#: Characters a mutation inserts or substitutes: the grammar's
+#: punctuation, escapes, identifier characters (ASCII, a Unicode letter
+#: and digit, ``_$-``) and whitespace.
+_MUTANTS = '{}[]()+,:?*"\\u0aN_$-é² \n\x00' + chr(0x2028)
+
+_keyed_records = st.builds(
+    lambda key, t: make_record([(key, t)]),
+    st.text(max_size=5), normal_types(max_leaves=4),
+)
+
+
+@st.composite
+def type_texts(draw):
+    """Printed types with random whitespace and, half the time, one
+    character deleted, replaced or inserted."""
+    t = draw(st.one_of(normal_types(), _keyed_records))
+    chars = list(print_type(t))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(chars)))
+        chars.insert(at, draw(st.sampled_from(_WHITESPACE)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(chars) - 1))
+        op = draw(st.sampled_from(["delete", "replace", "insert"]))
+        if op == "delete":
+            del chars[at]
+        elif op == "replace":
+            chars[at] = draw(st.sampled_from(_MUTANTS))
+        else:
+            chars.insert(at, draw(st.sampled_from(_MUTANTS)))
+    return "".join(chars)
+
+
+def _outcome(parse, text):
+    try:
+        return ("ok", parse(text))
+    except TypeSystemError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestDifferential:
+    @given(type_texts())
+    @settings(max_examples=400)
+    def test_agrees_with_reference_parser(self, text):
+        assert _outcome(parse_type, text) == _outcome(reference_parse, text)
+
+    @given(type_texts())
+    @settings(max_examples=100)
+    def test_shared_pool_agrees_with_reference_parser(self, text):
+        pool = {}
+        parse_type("{a: Num, b: [Str*], c: Num + Str}", pool)
+        ours = _outcome(lambda s: parse_type(s, pool), text)
+        assert ours == _outcome(reference_parse, text)

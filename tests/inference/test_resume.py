@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -92,13 +93,22 @@ def run_driver(dataset, journal, mode="bytes", backend="thread",
         env.pop(CRASH_POINT_ENV, None)
     # Capture through files, not pipes: a crash-killed driver can leave
     # orphaned pool workers holding inherited pipe FDs, which would make
-    # pipe-based capture block long after the driver is gone.
+    # pipe-based capture block long after the driver is gone.  The
+    # driver leads its own session, so those workers die with it below.
     with tempfile.TemporaryFile("w+") as out, \
             tempfile.TemporaryFile("w+") as err:
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-c", DRIVER, json.dumps(cfg)],
-            env=env, stdout=out, stderr=err, timeout=120,
+            env=env, stdout=out, stderr=err, start_new_session=True,
         )
+        try:
+            proc.wait(timeout=120)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
         out.seek(0)
         err.seek(0)
         return SimpleNamespace(

@@ -400,3 +400,15 @@ class TestSchemaWithEscapedKeys:
         printed = print_type(summary.schema)
         assert "\n" not in printed
         assert "\\n" in printed
+
+    @pytest.mark.parametrize("char", map(chr, [0x2028, 0x2029, 0x85]))
+    def test_keys_splitlines_would_break_round_trip(self, tmp_path, char):
+        # The printer leaves these raw; str.splitlines() breaks at them.
+        records = [{f"a{char}b": 1}, {"c": {char: "x"}}]
+        summary = accumulate_partition(records)
+        save_checkpoint(tmp_path / "c", summary)
+        loaded = load_checkpoint(tmp_path / "c")
+        assert loaded.summary.schema == summary.schema
+        assert set(loaded.summary.distinct_types) == set(
+            summary.distinct_types
+        )
