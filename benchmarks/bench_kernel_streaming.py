@@ -70,7 +70,6 @@ VARIANTS = ("quadpass-thread", "kernel-thread", "kernel-process")
 #: tokenize -> parse -> type pipeline on the thread pool.
 MAPFAST_VARIANTS = {
     "kernel-thread": ("strict", "thread"),
-    "tokens-thread": ("tokens", "thread"),
     "fast-thread": ("fast", "thread"),
     "fast-process": ("fast", "process"),
 }

@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="input ingestion model: 'bytes' ships byte-range split "
              "descriptors and workers read the file themselves (zero-copy "
              "driver), 'lines' reads and distributes lines at the driver, "
-             "'auto' picks bytes when --parallel is set (default: auto)",
+             "'auto' picks bytes when --parallel is set and FILE is a "
+             "regular file, not a pipe (default: auto)",
     )
     p_infer.add_argument(
         "--min-split-mb", type=float, metavar="MB", default=None,

@@ -7,9 +7,9 @@
 * :mod:`repro.inference.kernel` — the single-pass streaming kernel the
   pipelines run on: per-partition interning accumulator with memoized
   fusion, merged at the driver.
-* :mod:`repro.inference.typestream` — the fast map lane: typing records
-  *during* parsing (token walker and C-accelerated hook variants) with
-  strict-parser fallback for diagnostics.
+* :mod:`repro.inference.typestream` — the fast map lanes: typing records
+  *during* parsing (per-record stdlib decoder hooks, and the batched
+  bytes-native variant) with strict-parser fallback for diagnostics.
 * :mod:`repro.inference.counting` — the statistics enrichment sketched as
   future work in Section 7.
 * :mod:`repro.inference.statistics` — mergeable per-path statistics
@@ -65,10 +65,7 @@ from repro.inference.typestream import (
     PARSE_LANES,
     FastLaneMiss,
     HookTyper,
-    TokenTyper,
-    c_scanner_available,
     resolve_lane,
-    type_from_tokens,
 )
 
 from repro.inference.pipeline import (
@@ -91,8 +88,7 @@ __all__ = [
     "PhaseTimings", "merge_phase_timings",
     "accumulate_partition", "accumulate_ndjson_partition",
     "merge_summaries", "merge_summaries_full",
-    "PARSE_LANES", "FastLaneMiss", "TokenTyper", "HookTyper",
-    "c_scanner_available", "resolve_lane", "type_from_tokens",
+    "PARSE_LANES", "FastLaneMiss", "HookTyper", "resolve_lane",
     "StatisticsCollector", "FieldPresence", "ArrayLengthStats",
     "presence_report",
     "STATS_MODES", "MergeableStatistic", "StatsBundle",

@@ -74,7 +74,6 @@ from repro.inference.typestream import (
     FastLaneMiss,
     HookTyper,
     LineTypeCache,
-    make_typer,
     resolve_lane,
 )
 from repro.jsonio.blockscan import SplitBlockScanner
@@ -99,10 +98,8 @@ __all__ = [
     "WARM_STATE_NODE_LIMIT",
     "WIRE_FORMAT_VERSION",
     "WarmState",
+    "accumulate_ndjson_batch",
     "accumulate_ndjson_partition",
-    "accumulate_ndjson_partition_batch",
-    "accumulate_ndjson_split",
-    "accumulate_ndjson_split_batch",
     "accumulate_partition",
     "as_wire_payload",
     "decode_summary",
@@ -351,9 +348,9 @@ class PhaseTimings:
       fusion of the record's type into the running schema.
 
     ``lane`` records which resolved lane produced the numbers (``strict``,
-    ``tokens``, ``hooks``, ``bytes``; ``mixed`` after merging
-    heterogeneous partitions), so a benchmark delta can be attributed to
-    the right phase of the right implementation.  On the ``bytes`` lane
+    ``hooks``, ``bytes``; ``mixed`` after merging heterogeneous
+    partitions), so a benchmark delta can be attributed to the right
+    phase of the right implementation.  On the ``bytes`` lane
     the stages are batch-grained: ``parse_s`` covers the vectorized
     decode+type calls (cache probes included), ``fuse_s`` the observe
     loop.
@@ -1396,6 +1393,352 @@ def accumulate_partition(
 _BYTES_BATCH_CHARS = 1 << 20
 
 
+def _task_lane(parse_lane: str, stats_mode: str) -> str:
+    """The resolved lane an NDJSON map task runs; raises on an unknown one.
+
+    Statistics observe concrete values, which only the strict lane
+    materialises, so any ``stats_mode`` but ``off`` forces ``strict``.
+    Every lane produces the identical schema, so the downgrade is
+    invisible in the result.  The pipeline records this lane in journal
+    headers and cache signatures, so tasks and driver decide it alike.
+    """
+    lane = resolve_lane(parse_lane)
+    return "strict" if stats_mode != "off" else lane
+
+
+def _text_batches(numbered_lines: Iterable[tuple[int, str]]):
+    """Bytes-lane batches of already-decoded lines: ``(lines, numbered)``
+    pairs of about ``_BYTES_BATCH_CHARS`` characters each."""
+    numbered: list[tuple[int, str]] = []
+    pending = 0
+    for pair in numbered_lines:
+        numbered.append(pair)
+        pending += len(pair[1])
+        if pending >= _BYTES_BATCH_CHARS:
+            yield [line for _, line in numbered], numbered
+            numbered = []
+            pending = 0
+    if numbered:
+        yield [line for _, line in numbered], numbered
+
+
+def _decoded_lines(first: int, batch: list) -> Iterable[tuple[int, str]]:
+    """A block-scanner batch as the numbered text lines per-line
+    arbitration takes: decoded, stripped, blank lines dropped — what
+    :class:`~repro.jsonio.splits.SplitLineReader` yields for the same
+    bytes."""
+    for i, piece in enumerate(batch):
+        text = str(piece, "utf-8").strip() if piece else ""
+        if text:
+            yield first + i, text
+
+
+class _ItemPass:
+    """One work item streamed through one accumulator, on one lane.
+
+    Holds what the lane loops share: the quarantine list, the
+    strict-arbitration fallback, the typers (bound to the accumulator,
+    fed the warm key and line caches) and the per-stage clock buckets,
+    which advance only with ``collect_timings``.
+    """
+
+    def __init__(
+        self,
+        acc: PartitionAccumulator,
+        source: "str | None",
+        permissive: bool,
+        warm: "WarmState | None",
+        collect_timings: bool,
+    ) -> None:
+        self.acc = acc
+        self.source = source
+        self.permissive = permissive
+        self.warm = warm
+        self.perf = time.perf_counter if collect_timings else None
+        self.parse_s = self.type_s = self.fuse_s = 0.0
+        self.skipped: list[BadRecord] = []
+        self.hook_typer: "HookTyper | None" = None
+        self.batch_typer: "BytesBatchTyper | None" = None
+
+    def reject(self, line_number: int, line: str, exc: JsonError) -> None:
+        """Fail the task with ``exc`` (strict mode) or quarantine the line."""
+        if not self.permissive:
+            raise exc
+        self.skipped.append(
+            BadRecord(self.source or "<memory>", line_number, str(exc), line)
+        )
+
+    def arbitrate(self, line_number: int, line: str) -> "Type | None":
+        """The strict lane's verdict on a record a fast typer missed.
+
+        The record is re-parsed with :func:`repro.jsonio.parser.loads`,
+        so its error or quarantine entry (``None`` returned) is
+        byte-identical to a strict run's; a record strict accepts (the
+        lanes disagreed) is typed from its value.  Called only on a
+        miss: well-formed records never pay for it.
+        """
+        try:
+            value = loads(line, source=self.source, first_line=line_number)
+        except JsonError as exc:
+            self.reject(line_number, line, exc)
+            return None
+        return self.acc.type_value(value)
+
+    def strict(self, numbered: Iterable[tuple[int, str]]) -> None:
+        """Parse each record into a value tree, type it, fuse it."""
+        acc = self.acc
+        type_value, observe, stats = acc.type_value, acc.observe, acc.stats
+        source, perf = self.source, self.perf
+        parse_s = type_s = fuse_s = 0.0
+        for line_number, line in numbered:
+            if perf is not None:
+                t0 = perf()
+            try:
+                value = loads(line, source=source, first_line=line_number)
+            except JsonError as exc:
+                if perf is not None:
+                    parse_s += perf() - t0
+                self.reject(line_number, line, exc)
+                continue
+            if perf is None:
+                t = type_value(value)
+                observe(t)
+            else:
+                t1 = perf()
+                t = type_value(value)
+                t2 = perf()
+                observe(t)
+                parse_s += t1 - t0
+                type_s += t2 - t1
+                fuse_s += perf() - t2
+            # Outside the timed stages on purpose: statistics are a
+            # fourth concern and must not skew the parse / type / fuse
+            # attribution the timings report.
+            if stats is not None:
+                stats.observe(value, t.size)
+        self.parse_s += parse_s
+        self.type_s += type_s
+        self.fuse_s += fuse_s
+
+    def hooks(self, numbered: Iterable[tuple[int, str]]) -> None:
+        """Type each record during its C parse, with no value tree."""
+        if self.hook_typer is None:
+            self.hook_typer = HookTyper(
+                self.acc,
+                key_cache=(self.warm.key_cache if self.warm is not None
+                           else None),
+            )
+        type_document = self.hook_typer.type_document
+        observe = self.acc.observe
+        perf = self.perf
+        parse_s = fuse_s = 0.0
+        for line_number, line in numbered:
+            if perf is not None:
+                t0 = perf()
+            try:
+                t = type_document(line)
+            except (FastLaneMiss, JsonError):
+                t = self.arbitrate(line_number, line)
+                if t is None:
+                    if perf is not None:
+                        parse_s += perf() - t0
+                    continue
+            if perf is None:
+                observe(t)
+            else:
+                t1 = perf()
+                observe(t)
+                parse_s += t1 - t0
+                fuse_s += perf() - t1
+        self.parse_s += parse_s
+        self.fuse_s += fuse_s
+
+    def batches(self, batches, raw: bool) -> None:
+        """The bytes lane: type each whole batch in one C decode.
+
+        ``batches`` yields ``(batch, numbered)`` pairs: the lines the
+        batch typer takes (raw byte slices when ``raw``, text otherwise)
+        and the same lines numbered as text.  A batch the fast path
+        rejects runs through :meth:`hooks` line by line, so errors,
+        quarantine entries and the schema match every other lane.
+        """
+        warm = self.warm
+        typer = self.batch_typer = BytesBatchTyper(
+            self.acc,
+            key_cache=warm.key_cache if warm is not None else None,
+            line_cache=warm.line_cache if warm is not None else None,
+        )
+        type_batch = typer.type_lines if raw else typer.type_text_lines
+        observe = self.acc.observe
+        perf = self.perf
+        for batch, numbered in batches:
+            if perf is not None:
+                t0 = perf()
+            try:
+                types = type_batch(batch)
+            except FastLaneMiss:
+                if perf is not None:
+                    self.parse_s += perf() - t0
+                self.hooks(numbered)
+                continue
+            if perf is not None:
+                t1 = perf()
+            for t in types:
+                if t is not None:
+                    observe(t)
+            if perf is not None:
+                self.parse_s += t1 - t0
+                self.fuse_s += perf() - t1
+
+    def summary(
+        self, lane: str, line_count: int, bytes_read: int
+    ) -> PartitionSummary:
+        """The item's summary (worker telemetry is the task's to stamp)."""
+        acc = self.acc
+        typer = self.batch_typer
+        timings = None
+        if self.perf is not None:
+            timings = PhaseTimings(
+                lane=lane,
+                parse_s=self.parse_s,
+                type_s=self.type_s,
+                fuse_s=self.fuse_s,
+                records=acc.record_count,
+            )
+        return PartitionSummary(
+            schema=acc.schema,
+            record_count=acc.record_count,
+            distinct_types=acc.distinct_types(),
+            skipped=tuple(self.skipped),
+            timings=timings,
+            line_count=line_count,
+            bytes_read=bytes_read,
+            dedup_hits=typer.hits if typer is not None else 0,
+            dedup_misses=typer.misses if typer is not None else 0,
+            dedup_bytes_avoided=(
+                typer.bytes_avoided if typer is not None else 0
+            ),
+            stats=acc.stats,
+        )
+
+
+def _accumulate_item(
+    item: "FileSplit | Iterable[tuple[int, str]]",
+    source: "str | None",
+    permissive: bool,
+    lane: str,
+    collect_timings: bool,
+    warm: "WarmState | None",
+    stats_mode: str,
+) -> PartitionSummary:
+    """One work item's summary, never wire-encoded: the per-item step of
+    :func:`accumulate_ndjson_batch`, with the task's warm state.
+
+    A numbered-line chunk streams as given.  A
+    :class:`~repro.jsonio.splits.FileSplit` is read here, worker-side:
+    mmap-scanned into raw batches on the bytes lane, line by line
+    otherwise.  It reports split-local line numbers plus its
+    ``line_count`` and ``bytes_read``; a strict-mode error is
+    re-anchored to its absolute file line (one prefix read, on the
+    error path only), so its message matches a line-oriented run's.
+    """
+    split = item if isinstance(item, FileSplit) else None
+    run = _ItemPass(
+        PartitionAccumulator(warm, stats_mode=stats_mode),
+        split.path if split is not None else source,
+        permissive, warm, collect_timings,
+    )
+    reader = None
+    if split is not None and lane == "bytes":
+        reader = SplitBlockScanner(split, _BYTES_BATCH_CHARS)
+    elif split is not None:
+        reader = SplitLineReader(split)
+    lines = item if reader is None else reader
+    try:
+        if lane == "strict":
+            run.strict(lines)
+        elif lane == "hooks":
+            run.hooks(lines)
+        elif reader is None:
+            run.batches(_text_batches(item), raw=False)
+        else:
+            run.batches(
+                ((batch, _decoded_lines(first, batch))
+                 for first, batch in reader),
+                raw=True,
+            )
+    except JsonSyntaxError as exc:
+        if split is None or split.offset == 0:
+            raise
+        base = count_lines_before(split.path, split.offset)
+        raise exc.relocate(split.path, exc.line + base) from None
+    if reader is None:
+        return run.summary(lane, 0, 0)
+    return run.summary(lane, reader.line_count, reader.bytes_read)
+
+
+def accumulate_ndjson_batch(
+    items: "Sequence[FileSplit | Iterable[tuple[int, str]]]",
+    source: str | None = None,
+    permissive: bool = False,
+    parse_lane: str = "auto",
+    collect_timings: bool = False,
+    warm_generation: "int | None" = None,
+    wire: bool = False,
+    stats_mode: str = "off",
+) -> "PartitionSummary | bytes":
+    """Stream a batch of NDJSON work items as *one* task.
+
+    The one map task of :func:`repro.inference.pipeline.infer_ndjson_file`.
+    A work item is a byte-range
+    :class:`~repro.jsonio.splits.FileSplit` — the driver ships only the
+    descriptor and the worker reads its own range (see
+    :mod:`repro.jsonio.splits` for the boundary rules) — or a chunk of
+    ``(absolute line number, text)`` pairs read by the driver, whose
+    records come from ``source``.  Unbatched dispatch sends a batch of
+    one; batched dispatch folds several items per task so per-task
+    overhead (dispatch, result shipping, a driver-side merge per item)
+    does not dominate small items.
+
+    The warm state is claimed once per task and every item streams
+    through its own accumulator over it.  Split-local quarantine line
+    numbers are re-based against the running line count of the batch
+    (an intra-batch prefix sum), and the partials merge with
+    :func:`merge_summary_group` — the same associative merge the driver
+    would apply, so any grouping gives identical results (Theorem 5.5).
+    The merged ``line_count`` is the batch total, which the driver's
+    cross-task prefix sum then anchors absolutely.  In strict mode the
+    first malformed record raises with its absolute file line.
+
+    ``parse_lane``, ``collect_timings`` and ``stats_mode`` are as in
+    :func:`accumulate_ndjson_partition`; ``warm_generation`` enables the
+    worker's warm kernel state (see :class:`WarmState`); ``wire=True``
+    returns the summary wire-encoded (see :func:`encode_summary`).
+    """
+    lane = _task_lane(parse_lane, stats_mode)
+    warm = warm_state_for(warm_generation)
+    partials: list[PartitionSummary] = []
+    base = 0
+    for item in items:
+        summary = _accumulate_item(
+            item, source, permissive, lane, collect_timings, warm,
+            stats_mode,
+        )
+        if summary.skipped and base:
+            summary = replace(
+                summary, skipped=rebase_bad_records(summary.skipped, base)
+            )
+        base += summary.line_count
+        partials.append(summary)
+    # A batch of one is its own merge: skip the re-fuse and stats copy.
+    merged = replace(
+        partials[0] if len(partials) == 1 else merge_summary_group(partials),
+        worker=_worker_name(),
+        warm_reused=warm.reused if warm is not None else None,
+    )
+    return encode_summary(merged) if wire else merged
+
+
 def accumulate_ndjson_partition(
     numbered_lines: Iterable[tuple[int, str]],
     source: str | None = None,
@@ -1405,14 +1748,14 @@ def accumulate_ndjson_partition(
     warm_generation: "int | None" = None,
     wire: bool = False,
     stats_mode: str = "off",
-    _warm: "WarmState | None" = None,
 ) -> "PartitionSummary | bytes":
     """Parse and stream one partition of raw NDJSON lines in a single pass.
 
     ``numbered_lines`` pairs each record's text with its absolute file
     line number, so parsing *inside the partition* (in parallel, possibly
     in another process) still produces errors and quarantine entries that
-    point at the right line of the right file.
+    point at the right line of the right file.  A batch of one for
+    :func:`accumulate_ndjson_batch`.
 
     ``parse_lane`` selects the map-phase implementation (see
     :func:`repro.inference.typestream.resolve_lane`): on a fast lane each
@@ -1435,479 +1778,22 @@ def accumulate_ndjson_partition(
 
     ``warm_generation`` enables the worker's warm kernel state (see
     :class:`WarmState`); ``wire=True`` returns the wire-encoded summary.
-    ``_warm`` is internal: batch/split wrappers that already claimed the
-    warm state for this task pass it through so the claim (and its
-    telemetry) happens exactly once.
 
     ``stats_mode`` other than ``off`` collects per-path statistics,
     which need materialised values — the lane is forced to ``strict``.
     Every lane produces the identical schema, so a stats-on run's
     schema equals the stats-off run's on any lane.
     """
-    lane = resolve_lane(parse_lane)
-    if stats_mode != "off":
-        lane = "strict"
-    warm = _warm if _warm is not None else warm_state_for(warm_generation)
-    acc = PartitionAccumulator(warm, stats_mode=stats_mode)
-    skipped: list[BadRecord] = []
-    parse_s = type_s = fuse_s = 0.0
-    dedup_hits = dedup_misses = dedup_bytes_avoided = 0
-
-    def quarantine(line_number: int, line: str, exc: JsonError) -> None:
-        skipped.append(
-            BadRecord(source or "<memory>", line_number, str(exc), line)
-        )
-
-    if lane == "bytes":
-        # Vectorized lane over already-decoded text: batch the lines,
-        # type each batch in one C decode through the batch typer, and
-        # arbitrate any batch it rejects per line — hook typer first,
-        # strict re-parse for the final verdict — so errors, quarantine
-        # entries and the schema are identical to every other lane.
-        typer = BytesBatchTyper(
-            acc,
-            key_cache=warm.key_cache if warm is not None else None,
-            line_cache=warm.line_cache if warm is not None else None,
-        )
-        observe = acc.observe
-        fallback: "HookTyper | None" = None
-        perf = time.perf_counter if collect_timings else None
-        numbers: list[int] = []
-        lines: list[str] = []
-        pending = 0
-
-        def flush() -> None:
-            nonlocal parse_s, fuse_s, fallback
-            t0 = perf() if perf is not None else 0.0
-            try:
-                types = typer.type_text_lines(lines)
-            except FastLaneMiss:
-                # Per-line arbitration, identical to the fast lane's.
-                if fallback is None:
-                    fallback = HookTyper(
-                        acc,
-                        key_cache=(warm.key_cache if warm is not None
-                                   else None),
-                    )
-                type_document = fallback.type_document
-                types = []
-                append = types.append
-                for line_number, line in zip(numbers, lines):
-                    try:
-                        t = type_document(line)
-                    except (FastLaneMiss, JsonError):
-                        try:
-                            value = loads(line, source=source,
-                                          first_line=line_number)
-                        except JsonError as exc:
-                            if not permissive:
-                                raise
-                            quarantine(line_number, line, exc)
-                            continue
-                        t = acc.type_value(value)
-                    append(t)
-            t1 = perf() if perf is not None else 0.0
-            for t in types:
-                observe(t)
-            if perf is not None:
-                parse_s += t1 - t0
-                fuse_s += perf() - t1
-
-        for line_number, line in numbered_lines:
-            numbers.append(line_number)
-            lines.append(line)
-            pending += len(line)
-            if pending >= _BYTES_BATCH_CHARS:
-                flush()
-                numbers.clear()
-                lines.clear()
-                pending = 0
-        if lines:
-            flush()
-        dedup_hits = typer.hits
-        dedup_misses = typer.misses
-        dedup_bytes_avoided = typer.bytes_avoided
-    elif lane == "strict":
-        if collect_timings:
-            perf = time.perf_counter
-            for line_number, line in numbered_lines:
-                t0 = perf()
-                try:
-                    value = loads(line, source=source,
-                                  first_line=line_number)
-                except JsonError as exc:
-                    parse_s += perf() - t0
-                    if not permissive:
-                        raise
-                    quarantine(line_number, line, exc)
-                    continue
-                t1 = perf()
-                t = acc.type_value(value)
-                t2 = perf()
-                acc.observe(t)
-                t3 = perf()
-                parse_s += t1 - t0
-                type_s += t2 - t1
-                fuse_s += t3 - t2
-                # Outside the three timed stages on purpose: statistics
-                # are a fourth concern and must not skew the parse /
-                # type / fuse attribution the timings report.
-                if acc.stats is not None:
-                    acc.stats.observe(value, t.size)
-        else:
-            add = acc.add
-            for line_number, line in numbered_lines:
-                try:
-                    value = loads(line, source=source,
-                                  first_line=line_number)
-                except JsonError as exc:
-                    if not permissive:
-                        raise
-                    quarantine(line_number, line, exc)
-                    continue
-                add(value)
-    else:
-        typer = make_typer(
-            lane, acc,
-            key_cache=warm.key_cache if warm is not None else None,
-        )
-        type_document = typer.type_document
-        observe = acc.observe
-        if collect_timings:
-            perf = time.perf_counter
-            for line_number, line in numbered_lines:
-                t0 = perf()
-                try:
-                    t = type_document(line)
-                except (FastLaneMiss, JsonError):
-                    # Diagnostics lane: re-parse strictly so the error (or
-                    # quarantine entry) is byte-identical to a strict run.
-                    # Costs a double parse on malformed records only.
-                    try:
-                        value = loads(line, source=source,
-                                      first_line=line_number)
-                    except JsonError as exc:
-                        parse_s += perf() - t0
-                        if not permissive:
-                            raise
-                        quarantine(line_number, line, exc)
-                        continue
-                    # The lanes disagreed on acceptance: defer to strict.
-                    t = acc.type_value(value)
-                t1 = perf()
-                observe(t)
-                t2 = perf()
-                parse_s += t1 - t0
-                fuse_s += t2 - t1
-        else:
-            for line_number, line in numbered_lines:
-                try:
-                    t = type_document(line)
-                except (FastLaneMiss, JsonError):
-                    # Same strict-arbitration fallback as above, untimed.
-                    try:
-                        value = loads(line, source=source,
-                                      first_line=line_number)
-                    except JsonError as exc:
-                        if not permissive:
-                            raise
-                        quarantine(line_number, line, exc)
-                        continue
-                    t = acc.type_value(value)
-                observe(t)
-
-    summary = acc.summary()
-    timings = None
-    if collect_timings:
-        timings = PhaseTimings(
-            lane=lane,
-            parse_s=parse_s,
-            type_s=type_s,
-            fuse_s=fuse_s,
-            records=summary.record_count,
-        )
-    summary = PartitionSummary(
-        schema=summary.schema,
-        record_count=summary.record_count,
-        distinct_types=summary.distinct_types,
-        skipped=tuple(skipped),
-        timings=timings,
-        worker=_worker_name(),
-        warm_reused=warm.reused if warm is not None else None,
-        dedup_hits=dedup_hits,
-        dedup_misses=dedup_misses,
-        dedup_bytes_avoided=dedup_bytes_avoided,
-        stats=acc.stats,
-    )
-    return encode_summary(summary) if wire else summary
-
-
-def _accumulate_split(
-    split: FileSplit,
-    permissive: bool,
-    parse_lane: str,
-    collect_timings: bool,
-    warm: "WarmState | None",
-    stats_mode: str = "off",
-) -> PartitionSummary:
-    """One split's summary (plain, never wire-encoded), with an already
-    claimed warm state; shared by the single-split and batch tasks."""
-    # Statistics need materialised values, so a stats-on split always
-    # takes the line-reader path (the lane is forced to strict below).
-    if resolve_lane(parse_lane) == "bytes" and stats_mode == "off":
-        return _accumulate_split_bytes(
-            split, permissive, collect_timings, warm
-        )
-    reader = SplitLineReader(split)
-    try:
-        summary = accumulate_ndjson_partition(
-            reader,
-            source=split.path,
-            permissive=permissive,
-            parse_lane=parse_lane,
-            collect_timings=collect_timings,
-            stats_mode=stats_mode,
-            _warm=warm,
-        )
-    except JsonSyntaxError as exc:
-        if split.offset == 0:
-            raise
-        base = count_lines_before(split.path, split.offset)
-        raise exc.relocate(split.path, exc.line + base) from None
-    return replace(
-        summary, line_count=reader.line_count, bytes_read=reader.bytes_read
-    )
-
-
-def _accumulate_split_bytes(
-    split: FileSplit,
-    permissive: bool,
-    collect_timings: bool,
-    warm: "WarmState | None",
-) -> PartitionSummary:
-    """The bytes lane's split task: mmap scan, batch type, zero decode.
-
-    The zero-copy hot path of the lane: the block scanner hands out raw
-    line slices of the mapped file, the batch typer feeds whole batches
-    through one C ``json`` decode (probing the warm duplicate-line cache
-    first), and only batches the fast path rejects — malformed records,
-    whitespace-padded or non-UTF-8 lines, surrogate escapes — fall back
-    to the per-line text path: decode + strip + hook typer + strict
-    re-parse, byte-identical errors, quarantine entries (split-local
-    line numbers, as ever) and schema included.
-    """
-    acc = PartitionAccumulator(warm)
-    typer = BytesBatchTyper(
-        acc,
-        key_cache=warm.key_cache if warm is not None else None,
-        line_cache=warm.line_cache if warm is not None else None,
-    )
-    skipped: list[BadRecord] = []
-    observe = acc.observe
-    fallback: "HookTyper | None" = None
-    parse_s = fuse_s = 0.0
-    perf = time.perf_counter if collect_timings else None
-    scanner = SplitBlockScanner(split, _BYTES_BATCH_CHARS)
-    source = split.path
-    try:
-        for first, batch in scanner:
-            t0 = perf() if perf is not None else 0.0
-            try:
-                types = typer.type_lines(batch)
-            except FastLaneMiss:
-                # Per-line arbitration over the whole batch, mirroring
-                # the text lane line for line: decode, strip, drop
-                # blanks, hook typer, strict re-parse as the verdict.
-                if fallback is None:
-                    fallback = HookTyper(
-                        acc,
-                        key_cache=(warm.key_cache if warm is not None
-                                   else None),
-                    )
-                type_document = fallback.type_document
-                types = []
-                append = types.append
-                for i, piece in enumerate(batch):
-                    text = str(piece, "utf-8").strip() if piece else ""
-                    if not text:
-                        continue
-                    line_number = first + i
-                    try:
-                        t = type_document(text)
-                    except (FastLaneMiss, JsonError):
-                        try:
-                            value = loads(text, source=source,
-                                          first_line=line_number)
-                        except JsonError as exc:
-                            if not permissive:
-                                raise
-                            skipped.append(BadRecord(
-                                source, line_number, str(exc), text
-                            ))
-                            continue
-                        t = acc.type_value(value)
-                    append(t)
-            t1 = perf() if perf is not None else 0.0
-            for t in types:
-                if t is not None:
-                    observe(t)
-            if perf is not None:
-                parse_s += t1 - t0
-                fuse_s += perf() - t1
-    except JsonSyntaxError as exc:
-        if split.offset == 0:
-            raise
-        base = count_lines_before(split.path, split.offset)
-        raise exc.relocate(split.path, exc.line + base) from None
-    summary = acc.summary()
-    timings = None
-    if collect_timings:
-        timings = PhaseTimings(
-            lane="bytes",
-            parse_s=parse_s,
-            type_s=0.0,
-            fuse_s=fuse_s,
-            records=summary.record_count,
-        )
-    return PartitionSummary(
-        schema=summary.schema,
-        record_count=summary.record_count,
-        distinct_types=summary.distinct_types,
-        skipped=tuple(skipped),
-        timings=timings,
-        line_count=scanner.line_count,
-        bytes_read=scanner.bytes_read,
-        worker=_worker_name(),
-        warm_reused=warm.reused if warm is not None else None,
-        dedup_hits=typer.hits,
-        dedup_misses=typer.misses,
-        dedup_bytes_avoided=typer.bytes_avoided,
-    )
-
-
-def accumulate_ndjson_split(
-    split: FileSplit,
-    permissive: bool = False,
-    parse_lane: str = "auto",
-    collect_timings: bool = False,
-    warm_generation: "int | None" = None,
-    wire: bool = False,
-    stats_mode: str = "off",
-) -> "PartitionSummary | bytes":
-    """Read one byte-range split worker-side and stream it in a single pass.
-
-    The zero-copy counterpart of :func:`accumulate_ndjson_partition`: the
-    driver ships only the :class:`~repro.jsonio.splits.FileSplit`
-    descriptor; this task opens the file itself, seeks to the split's
-    offset and parses exactly the lines the split owns (see
-    :mod:`repro.jsonio.splits` for the boundary rules).  The summary's
-    ``line_count`` and ``bytes_read`` report what was read; quarantined
-    records carry *split-local* line numbers for the driver to re-base.
-
-    In strict mode a malformed record fails the task with the error
-    re-anchored to its absolute file line: the worker counts the lines
-    preceding the split's offset (one extra prefix read, on the error
-    path only) so the message is identical to a line-oriented run's.
-
-    ``warm_generation`` / ``wire`` / ``stats_mode`` as in
-    :func:`accumulate_ndjson_partition`.
-    """
-    warm = warm_state_for(warm_generation)
-    summary = _accumulate_split(
-        split, permissive, parse_lane, collect_timings, warm,
+    return accumulate_ndjson_batch(
+        [numbered_lines],
+        source=source,
+        permissive=permissive,
+        parse_lane=parse_lane,
+        collect_timings=collect_timings,
+        warm_generation=warm_generation,
+        wire=wire,
         stats_mode=stats_mode,
     )
-    return encode_summary(summary) if wire else summary
-
-
-def accumulate_ndjson_split_batch(
-    splits: Sequence[FileSplit],
-    permissive: bool = False,
-    parse_lane: str = "auto",
-    collect_timings: bool = False,
-    warm_generation: "int | None" = None,
-    wire: bool = False,
-    stats_mode: str = "off",
-) -> "PartitionSummary | bytes":
-    """Stream a contiguous batch of byte-range splits as *one* task.
-
-    Batched dispatch: at high partition counts, per-task overhead
-    (dispatch, a summary per split, a driver-side merge per split)
-    dominates small splits.  This task folds its batch locally — every
-    split streams through the worker's (shared, possibly warm)
-    accumulator state and the partial summaries merge on the worker —
-    so the driver sees one summary per *batch*.
-
-    Quarantine stays exact: each split reports split-local line numbers,
-    which are re-based here against the running line count of the
-    *batch* (an intra-batch prefix sum); the merged summary's
-    ``line_count`` is the batch total, so the driver's usual cross-task
-    prefix sum then anchors them absolutely.  In strict mode the first
-    malformed record raises with its absolute file line, exactly as the
-    unbatched task would.  The local merge is
-    :func:`merge_summary_group` — the same associative merge the driver
-    (or the tree reduce) would have applied, so results are identical
-    to unbatched dispatch in every grouping (Theorem 5.5).
-    """
-    warm = warm_state_for(warm_generation)
-    partials: list[PartitionSummary] = []
-    base = 0
-    for split in splits:
-        summary = _accumulate_split(
-            split, permissive, parse_lane, collect_timings, warm,
-            stats_mode=stats_mode,
-        )
-        if summary.skipped and base:
-            summary = replace(
-                summary,
-                skipped=rebase_bad_records(summary.skipped, base),
-            )
-        base += summary.line_count
-        partials.append(summary)
-    merged = replace(
-        merge_summary_group(partials),
-        worker=_worker_name(),
-        warm_reused=warm.reused if warm is not None else None,
-    )
-    return encode_summary(merged) if wire else merged
-
-
-def accumulate_ndjson_partition_batch(
-    parts: Sequence[Iterable[tuple[int, str]]],
-    source: str | None = None,
-    permissive: bool = False,
-    parse_lane: str = "auto",
-    collect_timings: bool = False,
-    warm_generation: "int | None" = None,
-    wire: bool = False,
-    stats_mode: str = "off",
-) -> "PartitionSummary | bytes":
-    """Line-mode twin of :func:`accumulate_ndjson_split_batch`.
-
-    ``parts`` is a sequence of numbered-line partitions; their line
-    numbers are already absolute (the driver numbered the whole file),
-    so no re-basing is needed — the partials simply merge locally and
-    one summary returns per batch.
-    """
-    warm = warm_state_for(warm_generation)
-    partials = [
-        accumulate_ndjson_partition(
-            part,
-            source=source,
-            permissive=permissive,
-            parse_lane=parse_lane,
-            collect_timings=collect_timings,
-            stats_mode=stats_mode,
-            _warm=warm,
-        )
-        for part in parts
-    ]
-    merged = replace(
-        merge_summary_group(partials),
-        worker=_worker_name(),
-        warm_reused=warm.reused if warm is not None else None,
-    )
-    return encode_summary(merged) if wire else merged
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,9 @@ materialise-then-multi-pass implementation is kept, byte for byte, behind
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
+import stat
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -47,10 +49,9 @@ from repro.inference.kernel import (
     PartitionAccumulator,
     PartitionSummary,
     PhaseTimings,
+    _task_lane,
+    accumulate_ndjson_batch,
     accumulate_ndjson_partition,
-    accumulate_ndjson_partition_batch,
-    accumulate_ndjson_split,
-    accumulate_ndjson_split_batch,
     accumulate_partition,
     as_wire_payload,
     decode_summary,
@@ -65,7 +66,6 @@ from repro.inference.statistics import (
     resolve_stats_mode,
     stats_if_complete,
 )
-from repro.inference.typestream import resolve_lane
 from repro.jsonio.errors import ErrorRateExceeded
 from repro.jsonio.ndjson import (
     BadRecord,
@@ -787,8 +787,7 @@ def _run_journaled_tasks(
     the merge and closes it; on every error path here the journal is
     closed before the exception propagates.
 
-    Without a ``journal_path`` this degrades to a plain dispatch (and
-    ``resume`` is rejected — there is nothing to resume from).
+    Without a ``journal_path`` this degrades to a plain dispatch.
     """
     journal = None
     replayed: dict[int, bytes] = {}
@@ -812,10 +811,6 @@ def _run_journaled_tasks(
             journal = RunJournal.create(
                 journal_path, _journal_header(plan_desc, signature, total)
             )
-    elif resume:
-        raise ValueError(
-            "resume=True requires journal_path (nothing to resume from)"
-        )
 
     remaining = [i for i in range(total) if i not in replayed]
     entries: list = [None] * total
@@ -865,14 +860,26 @@ def _run_journaled_tasks(
     return entries, journal
 
 
-def resolve_split_mode(split_mode: str, context: Context | None) -> str:
+def _splittable(path: "str | Path | None") -> bool:
+    """Whether byte-range splits can be planned over ``path``: only a
+    regular file has a size to split (``None`` stands for one)."""
+    return path is None or stat.S_ISREG(os.stat(path).st_mode)
+
+
+def resolve_split_mode(
+    split_mode: str,
+    context: Context | None,
+    path: "str | Path | None" = None,
+) -> str:
     """Resolve an ingestion ``split_mode`` to ``"bytes"`` or ``"lines"``.
 
     ``"auto"`` picks byte-range splits whenever a :class:`Context` is
-    available — the workers read their own byte ranges, so the driver
-    never materialises the file and ships only descriptors — and the
-    streaming line reader otherwise (the sequential path is already
-    zero-copy: it feeds the accumulator straight off the file iterator).
+    available and ``path`` is a regular file — the workers read their
+    own byte ranges, so the driver never materialises the file and ships
+    only descriptors — and the streaming line reader otherwise (the
+    sequential path is already zero-copy: it feeds the accumulator
+    straight off the file iterator).  A pipe or other non-regular
+    source reports no size to split, so it always takes lines.
     """
     if split_mode not in SPLIT_MODES:
         raise ValueError(
@@ -880,7 +887,8 @@ def resolve_split_mode(split_mode: str, context: Context | None) -> str:
             f"{SPLIT_MODES}"
         )
     if split_mode == "auto":
-        return "bytes" if context is not None else "lines"
+        splittable = context is not None and _splittable(path)
+        return "bytes" if splittable else "lines"
     return split_mode
 
 
@@ -933,7 +941,8 @@ def infer_ndjson_file(
     * ``"lines"`` — the original model: the driver reads the file,
       numbers every line, and distributes the line lists.  Kept as the
       executable reference the byte-split differential tests compare
-      against (and the only model for already-open streams).
+      against, and the path for pipes and other non-regular sources,
+      which have no size to split (``"bytes"`` raises on them).
 
     Both modes produce identical results — schema, counts, error
     diagnostics and quarantine sidecars, absolute line numbers included;
@@ -1052,16 +1061,12 @@ def infer_ndjson_file(
     # Resolve once at the driver (raising early on an unknown lane or
     # mode) so every partition — local or on a worker process — runs the
     # same implementation and reports a stable lane name in its timings.
-    lane = resolve_lane(parse_lane)
+    lane = _task_lane(parse_lane, stats_mode)
     stats_mode = resolve_stats_mode(stats_mode)
-    if stats_mode != "off":
-        # Statistics observe concrete values, which only the strict lane
-        # materialises.  Lane choice never changes the schema, so this
-        # downgrade is invisible in the result.
-        lane = "strict"
-    mode = resolve_split_mode(split_mode, context)
+    mode = resolve_split_mode(split_mode, context, path)
     cache, cache_read, cache_write = _resolve_cache(summary_cache, cache_mode)
-    if cache is not None and split_mode == "auto" and context is None:
+    if (cache is not None and split_mode == "auto" and context is None
+            and _splittable(path)):
         # The sequential default is the streaming line path, which has no
         # per-partition unit to key; byte splits give the cache one, at
         # identical results (the split-equivalence guarantee).
@@ -1069,9 +1074,9 @@ def infer_ndjson_file(
     cache_signature = None
     if cache is not None:
         if mode == "lines" and context is None:
-            # Explicit lines mode without a context streams the file as
-            # one journal task; there is nothing partition-shaped to
-            # cache, so the run is simply uncached.
+            # Lines mode without a context streams the file as one
+            # journal task; there is nothing partition-shaped to cache,
+            # so the run is simply uncached.
             cache = None
         else:
             from repro.store.summarycache import config_signature
@@ -1123,8 +1128,7 @@ def infer_ndjson_file(
         return desc
 
     start = time.perf_counter()
-    journal = None
-    #: Partition index -> cached wire payload, for this run's plan.
+    #: Work-item index -> cached wire payload, for this run's plan.
     hit_payloads: dict[int, bytes] = {}
     #: Whole-plan cache key (run-level entry), when a cache is active.
     run_key: "str | None" = None
@@ -1136,258 +1140,162 @@ def infer_ndjson_file(
         update_from is None and checkpoint_to is None
         and journal_path is None
     )
-    if mode == "bytes":
-        splits = plan_splits(
-            source,
-            num_partitions
-            or (context.default_parallelism if context is not None else 1),
-            min_split_bytes,
-            stable=cache is not None,
+    task_options = dict(
+        source=source, permissive=permissive, parse_lane=lane,
+        collect_timings=collect_timings, warm_generation=warm_generation,
+        wire=wire, stats_mode=stats_mode,
+    )
+    if mode == "lines" and context is None:
+        # Feed the accumulator straight off the file iterator: the
+        # sequential path never materialises the line list, keeping
+        # memory constant however massive the input.  As a single
+        # journal task: either it completed before the crash (and
+        # resume replays it without re-reading the file) or it runs
+        # from the start.
+        task = partial(accumulate_ndjson_partition, **task_options)
+        entries, journal = _run_journaled_tasks(
+            lambda _item: task(iter_numbered_lines(path)),
+            [None], _plan_desc([["stream"]]), None,
+            journal_path, resume, stop_event,
         )
-        split_digests: "list[str] | None" = None
-        if cache is not None and splits:
-            # Probe the plan before dispatch: one hash pass over the
-            # file (memory bandwidth, no typing) keys every split.
-            from repro.jsonio.blockscan import digest_splits
+    else:
+        # Only planning differs by split mode: the work items, their
+        # content digests, and how the input-bytes telemetry sizes them.
+        count = num_partitions or (
+            context.default_parallelism if context is not None else 1
+        )
+        if mode == "bytes":
+            items = plan_splits(
+                source, count, min_split_bytes, stable=cache is not None
+            )
 
-            split_digests = digest_splits(source, splits)
-            run_key = _run_level_key(split_digests)
+            def describe(split) -> list[int]:
+                return [split.offset, split.length]
+
+            def digest_items() -> list[str]:
+                # One hash pass over the file (memory bandwidth, no
+                # typing) keys every split.
+                from repro.jsonio.blockscan import digest_splits
+
+                return digest_splits(source, items)
+
+            def shipped_bytes(misses: list) -> int:
+                # The entire driver-to-worker input payload: the
+                # pickled descriptors.  Compare with input_bytes_read.
+                return len(pickle.dumps(misses))
+
+            def hit_bytes(index: int, summary: PartitionSummary) -> int:
+                return summary.bytes_read
+        else:
+            items = split_evenly(list(iter_numbered_lines(path)), count)
+
+            def describe(part) -> list[int]:
+                return [part[0][0] if part else -1, len(part)]
+
+            def digest_items() -> list[str]:
+                return [_digest_numbered_lines(part) for part in items]
+
+            def shipped_bytes(misses: list) -> int:
+                # Approximate payload the driver hands to the tasks: the
+                # text of every dispatched record.
+                return sum(len(text) for part in misses for _, text in part)
+
+            def hit_bytes(index: int, summary: PartitionSummary) -> int:
+                return sum(len(text) for _, text in items[index])
+
+        digests: "list[str] | None" = None
+        if cache is not None and items:
+            digests = digest_items()
+            run_key = _run_level_key(digests)
             if cache_read and run_replay_ok:
                 replayed = _replay_run_entry(
-                    cache, run_key, cache_signature, stats, len(splits),
+                    cache, run_key, cache_signature, stats, len(items),
                     bad_records_path, max_error_rate, start,
                 )
                 if replayed is not None:
                     return replayed
             if cache_read:
-                for index, digest in enumerate(split_digests):
+                for index, digest in enumerate(digests):
                     payload = cache.get(digest, cache_signature)
                     if payload is not None:
                         hit_payloads[index] = payload
-        miss_indices = [
-            i for i in range(len(splits)) if i not in hit_payloads
-        ]
-        miss_splits = [splits[i] for i in miss_indices]
+        miss_indices = [i for i in range(len(items)) if i not in hit_payloads]
+        misses = [items[i] for i in miss_indices]
         if stats is not None:
-            # The entire driver-to-worker input payload: the pickled
-            # descriptors (cache hits never ship).  Compare with
-            # input_bytes_read below.
-            stats.input_bytes_shipped += len(pickle.dumps(miss_splits))
-        # Batching folds several splits into one returned summary; cache
-        # entries are per-split, so a cache-active run dispatches
+            # Cache hits never ship.
+            stats.input_bytes_shipped += shipped_bytes(misses)
+        # Batching folds several items into one returned summary; cache
+        # entries are per item, so a cache-active run dispatches
         # unbatched (results are identical either way — Theorem 5.5).
-        batches = (
-            _plan_batches(miss_splits, parallelism, batch_size)
-            if context is not None and cache is None else None
-        )
-        if batches is not None:
-            task = partial(
-                accumulate_ndjson_split_batch, permissive=permissive,
-                parse_lane=lane, collect_timings=collect_timings,
-                warm_generation=warm_generation, wire=wire,
-                stats_mode=stats_mode,
-            )
-            work_items = batches
-            descriptors = [
-                [[s.offset, s.length] for s in batch] for batch in batches
-            ]
-        else:
-            task = partial(
-                accumulate_ndjson_split, permissive=permissive,
-                parse_lane=lane, collect_timings=collect_timings,
-                warm_generation=warm_generation, wire=wire,
-                stats_mode=stats_mode,
-            )
-            work_items = miss_splits
-            descriptors = [[[s.offset, s.length]] for s in miss_splits]
+        batches = None
+        if context is not None and cache is None:
+            batches = _plan_batches(misses, parallelism, batch_size)
+        if batches is None:
+            batches = [[item] for item in misses]
         miss_results, journal = _run_journaled_tasks(
-            task, work_items, _plan_desc(descriptors), scheduler,
-            journal_path, resume, stop_event,
+            partial(accumulate_ndjson_batch, **task_options), batches,
+            _plan_desc([[describe(item) for item in b] for b in batches]),
+            scheduler, journal_path, resume, stop_event,
         )
-        if cache_write and split_digests is not None:
+        if cache_write and digests is not None:
             stored = 0
             for local, index in enumerate(miss_indices):
                 if cache.put(
-                    split_digests[index], cache_signature,
+                    digests[index], cache_signature,
                     as_wire_payload(miss_results[local]),
                 ):
                     stored += 1
             if stats is not None:
                 stats.cache_stores += stored
+        entries = miss_results
         if hit_payloads:
-            summaries: list = [None] * len(splits)
+            entries = [None] * len(items)
             for index, payload in hit_payloads.items():
-                summaries[index] = payload
+                entries[index] = payload
             for local, index in enumerate(miss_indices):
-                summaries[index] = miss_results[local]
-        else:
-            summaries = miss_results
-        # Partial replay decodes "light" when nothing downstream needs
-        # the distinct-type *set* (no checkpoint write, no incremental
-        # fold, no journal) — see _materialize_partition_results.
-        summaries, light_digests = _materialize_partition_results(
-            summaries, hit_payloads, stats,
-            wire_active=wire or journal_path is not None,
-            light=run_replay_ok,
+                entries[index] = miss_results[local]
+    # Partial replay decodes "light" when nothing downstream needs the
+    # distinct-type *set* (no checkpoint write, no incremental fold, no
+    # journal) — see _materialize_partition_results.
+    summaries, light_digests = _materialize_partition_results(
+        entries, hit_payloads, stats,
+        wire_active=wire or journal_path is not None,
+        light=run_replay_ok,
+    )
+    if hit_payloads:
+        summaries = [
+            _scrub_replayed_telemetry(summary)
+            if index in hit_payloads else summary
+            for index, summary in enumerate(summaries)
+        ]
+    if stats is not None:
+        if cache is not None:
+            # A cache is only ever active on the partitioned flow.
+            stats.cache_hits += len(hit_payloads)
+            stats.cache_misses += len(miss_indices)
+            stats.cache_bytes_skipped += sum(
+                hit_bytes(index, summaries[index]) for index in hit_payloads
+            )
+        stats.input_bytes_read += sum(
+            summary.bytes_read
+            for index, summary in enumerate(summaries)
+            if index not in hit_payloads
         )
-        if hit_payloads:
-            summaries = [
-                _scrub_replayed_telemetry(summary)
-                if index in hit_payloads else summary
-                for index, summary in enumerate(summaries)
-            ]
-        if stats is not None:
-            if cache is not None:
-                stats.cache_hits += len(hit_payloads)
-                stats.cache_misses += len(miss_indices)
-                stats.cache_bytes_skipped += sum(
-                    summaries[index].bytes_read for index in hit_payloads
-                )
-            stats.input_bytes_read += sum(
-                summary.bytes_read
-                for index, summary in enumerate(summaries)
-                if index not in hit_payloads
+    # Byte-split workers only know split-local line numbers; a prefix sum
+    # over the line counts re-anchors quarantined records to their
+    # absolute file lines before anything downstream sees them.  Cache
+    # entries store split-local numbers too, so hits and misses rebase
+    # uniformly; line chunks are numbered absolutely and count no lines.
+    rebased = []
+    base = 0
+    for summary in summaries:
+        if summary.skipped and base:
+            summary = replace(
+                summary, skipped=rebase_bad_records(summary.skipped, base)
             )
-        # Workers only know split-local line numbers; a prefix sum over
-        # the split line counts re-anchors quarantined records to their
-        # absolute file lines before anything downstream sees them.
-        # Cache entries store split-local numbers too, so hits and
-        # misses rebase uniformly.
-        rebased = []
-        base = 0
-        for summary in summaries:
-            if summary.skipped:
-                summary = replace(
-                    summary,
-                    skipped=rebase_bad_records(summary.skipped, base),
-                )
-            base += summary.line_count
-            rebased.append(summary)
-        summaries = rebased
-    else:
-        task = partial(
-            accumulate_ndjson_partition, source=source,
-            permissive=permissive, parse_lane=lane,
-            collect_timings=collect_timings,
-            warm_generation=warm_generation, wire=wire,
-            stats_mode=stats_mode,
-        )
-        if context is None:
-            # Feed the accumulator straight off the file iterator: the
-            # sequential path never materialises the line list, keeping
-            # memory constant however massive the input.  As a single
-            # journal task: either it completed before the crash (and
-            # resume replays it without re-reading the file) or it runs
-            # from the start.
-            summaries, journal = _run_journaled_tasks(
-                lambda _item: task(iter_numbered_lines(path)),
-                [None], _plan_desc([["stream"]]), None,
-                journal_path, resume, stop_event,
-            )
-        else:
-            lines = list(iter_numbered_lines(path))
-            parts = split_evenly(
-                lines, num_partitions or context.default_parallelism
-            )
-            part_digests: "list[str] | None" = None
-            if cache is not None and parts:
-                part_digests = [
-                    _digest_numbered_lines(part) for part in parts
-                ]
-                run_key = _run_level_key(part_digests)
-                if cache_read and run_replay_ok:
-                    replayed = _replay_run_entry(
-                        cache, run_key, cache_signature, stats,
-                        len(parts), bad_records_path, max_error_rate,
-                        start,
-                    )
-                    if replayed is not None:
-                        return replayed
-                if cache_read:
-                    for index, digest in enumerate(part_digests):
-                        payload = cache.get(digest, cache_signature)
-                        if payload is not None:
-                            hit_payloads[index] = payload
-            miss_indices = [
-                i for i in range(len(parts)) if i not in hit_payloads
-            ]
-            miss_parts = [parts[i] for i in miss_indices]
-            if stats is not None:
-                # Approximate payload the driver hands to the partition
-                # tasks: the text of every dispatched record (cache hits
-                # never ship).
-                stats.input_bytes_shipped += sum(
-                    len(text) for part in miss_parts for _, text in part
-                )
-            # Per-partition cache entries require unbatched dispatch,
-            # exactly as on the bytes path.
-            batches = (
-                _plan_batches(miss_parts, parallelism, batch_size)
-                if cache is None else None
-            )
-
-            def _part_desc(part: list) -> list[int]:
-                return [part[0][0] if part else -1, len(part)]
-
-            if batches is not None:
-                task = partial(
-                    accumulate_ndjson_partition_batch, source=source,
-                    permissive=permissive, parse_lane=lane,
-                    collect_timings=collect_timings,
-                    warm_generation=warm_generation, wire=wire,
-                    stats_mode=stats_mode,
-                )
-                work_items = batches
-                descriptors = [
-                    [_part_desc(part) for part in batch] for batch in batches
-                ]
-            else:
-                work_items = miss_parts
-                descriptors = [[_part_desc(part)] for part in miss_parts]
-            miss_results, journal = _run_journaled_tasks(
-                task, work_items, _plan_desc(descriptors), scheduler,
-                journal_path, resume, stop_event,
-            )
-            if cache_write and part_digests is not None:
-                stored = 0
-                for local, index in enumerate(miss_indices):
-                    if cache.put(
-                        part_digests[index], cache_signature,
-                        as_wire_payload(miss_results[local]),
-                    ):
-                        stored += 1
-                if stats is not None:
-                    stats.cache_stores += stored
-            if hit_payloads:
-                summaries = [None] * len(parts)
-                for index, payload in hit_payloads.items():
-                    summaries[index] = payload
-                for local, index in enumerate(miss_indices):
-                    summaries[index] = miss_results[local]
-            else:
-                summaries = miss_results
-            if stats is not None and cache is not None:
-                stats.cache_hits += len(hit_payloads)
-                stats.cache_misses += len(miss_indices)
-                stats.cache_bytes_skipped += sum(
-                    len(text)
-                    for index in hit_payloads
-                    for _, text in parts[index]
-                )
-        # Partial replay decodes "light" when nothing downstream needs
-        # the distinct-type *set* (no checkpoint write, no incremental
-        # fold, no journal) — see _materialize_partition_results.
-        summaries, light_digests = _materialize_partition_results(
-            summaries, hit_payloads, stats,
-            wire_active=wire or journal_path is not None,
-            light=run_replay_ok,
-        )
-        if hit_payloads:
-            summaries = [
-                _scrub_replayed_telemetry(summary)
-                if index in hit_payloads else summary
-                for index, summary in enumerate(summaries)
-            ]
+        base += summary.line_count
+        rebased.append(summary)
+    summaries = rebased
     map_seconds = time.perf_counter() - start
     _note_summary_telemetry(stats, summaries)
 

@@ -1,24 +1,22 @@
-"""The map-phase fast lane: type JSON text without materialising values.
+"""The map-phase fast lanes: type JSON text without materialising values.
 
 The strict pipeline runs three pure-Python stages per record — tokenize,
 parse into Python objects, then type those objects (Fig. 4) — and the
 intermediate value tree exists only to be typed and thrown away.  This
 module removes it, in two flavours selected by :func:`resolve_lane`:
 
-* :class:`TokenTyper` (lane ``"tokens"``) — a recursive-descent walker
-  over :func:`repro.jsonio.tokenizer.tokenize` events that emits types
-  *during* parsing: every atom token maps straight to a basic-type
-  singleton, every object/array closes into an interned
-  ``RecordType``/``ArrayType`` through the accumulator's construction
-  pools.  One pass, no value tree, same grammar and duplicate-key
-  rejection as the strict parser.
-* :class:`HookTyper` (lane ``"hooks"``) — the C-accelerated variant: a
-  single prebuilt :class:`json.JSONDecoder` whose ``object_pairs_hook`` /
+* :class:`HookTyper` (lane ``"hooks"``) — a single prebuilt
+  :class:`json.JSONDecoder` whose ``object_pairs_hook`` /
   ``parse_int`` / ``parse_float`` / ``parse_constant`` hooks build
-  interned type nodes directly while the stdlib C scanner does the
-  lexing.  Numbers are never converted (both hooks return the ``Num``
-  singleton unconditionally), objects never become dicts, and only
-  strings are materialised (the C scanner decodes them natively).
+  interned type nodes directly while the stdlib scanner does the lexing
+  (C-accelerated by ``_json``, which CPython ships; the stdlib's
+  pure-Python scanner drives the same hooks where it is missing).
+  Numbers are never converted (both hooks return the ``Num`` singleton
+  unconditionally), objects never become dicts, and only strings are
+  materialised (the scanner decodes them natively).
+* :class:`BytesBatchTyper` (lane ``"bytes"``) — the same hooks over
+  whole batches of raw lines joined into one document, with a
+  duplicate-line type cache (:class:`LineTypeCache`).
 
 Both lanes are *optimistic*: they handle well-formed records at full
 speed and bail out on anything else — a syntax error, a non-standard
@@ -44,13 +42,10 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterator
 
 from repro.core.errors import InvalidTypeError
 from repro.core.types import BOOL, NULL, NUM, RecordType, STR, Type
-from repro.jsonio.errors import DuplicateKeyError, JsonSyntaxError
 from repro.jsonio.keycache import KeyCache
-from repro.jsonio.tokenizer import Token, TokenType, tokenize
 
 __all__ = [
     "PARSE_LANES",
@@ -58,24 +53,19 @@ __all__ = [
     "FastLaneMiss",
     "HookTyper",
     "LineTypeCache",
-    "TokenTyper",
-    "c_scanner_available",
-    "make_typer",
     "resolve_lane",
-    "type_from_tokens",
 ]
 
 #: The public values of the ``parse_lane`` knob.  ``auto`` lets the
-#: library choose (currently: the fastest lane available), ``fast``
-#: requests the no-value-tree lane explicitly, ``bytes`` the vectorized
-#: bytes-native batch lane, ``strict`` forces the original
-#: tokenize -> parse -> type pipeline.
+#: library choose (currently: the hook lane), ``fast`` requests the
+#: no-value-tree lane explicitly, ``bytes`` the vectorized bytes-native
+#: batch lane, ``strict`` forces the original tokenize -> parse -> type
+#: pipeline.
 PARSE_LANES = ("auto", "fast", "bytes", "strict")
 
-#: Resolved (internal) lane names; "hooks" and "tokens" may also be passed
-#: to :func:`resolve_lane` directly to pin one implementation (used by the
-#: benchmarks and tests).
-RESOLVED_LANES = ("hooks", "tokens", "bytes", "strict")
+#: Resolved (internal) lane names; "hooks" may also be passed to
+#: :func:`resolve_lane` directly (used by the benchmarks and tests).
+RESOLVED_LANES = ("hooks", "bytes", "strict")
 
 
 class FastLaneMiss(ValueError):
@@ -92,177 +82,38 @@ class FastLaneMiss(ValueError):
     """
 
 
-def c_scanner_available() -> bool:
-    """Whether the stdlib ``json`` C scanner (``_json``) is importable.
-
-    The hook lane is only worth selecting when the C scanner does the
-    lexing; with the pure-Python fallback scanner the token walker is the
-    better fast lane.
-    """
-    try:
-        from json import scanner
-    except ImportError:  # pragma: no cover - stdlib always has it
-        return False
-    return getattr(scanner, "c_make_scanner", None) is not None
-
-
 def resolve_lane(parse_lane: str) -> str:
     """Map the public ``parse_lane`` knob to a concrete implementation.
 
     ``strict`` stays strict.  ``fast`` and ``auto`` both resolve to the
-    C-accelerated ``"hooks"`` lane when the stdlib C scanner is available
-    and to the pure-Python ``"tokens"`` walker otherwise — ``auto`` is the
-    pipelines' default and is kept distinct from ``fast`` so future
-    heuristics (e.g. preferring strict for diagnostics-heavy permissive
-    runs) can change its choice without an API break.  The resolved names
-    ``"hooks"`` and ``"tokens"`` pass through, letting benchmarks pin one
-    implementation.
+    ``"hooks"`` lane — ``auto`` is the pipelines' default and is kept
+    distinct from ``fast`` so future heuristics (e.g. preferring strict
+    for diagnostics-heavy permissive runs) can change its choice without
+    an API break.  The resolved name ``"hooks"`` passes through.
 
     ``bytes`` resolves to itself: the vectorized bytes-native lane
     (:class:`BytesBatchTyper` fed by the
     :class:`~repro.jsonio.blockscan.SplitBlockScanner`) is opt-in for
     now — it shares the strict-fallback equivalence contract with the
-    per-line fast lanes but batches records through one decoder call.
+    per-line hook lane but batches records through one decoder call.
 
     >>> resolve_lane("strict")
     'strict'
-    >>> resolve_lane("auto") in ("hooks", "tokens")
-    True
+    >>> resolve_lane("auto")
+    'hooks'
     >>> resolve_lane("bytes")
     'bytes'
     """
     if parse_lane == "strict":
         return "strict"
     if parse_lane in ("auto", "fast"):
-        return "hooks" if c_scanner_available() else "tokens"
-    if parse_lane in ("bytes", "hooks", "tokens"):
+        return "hooks"
+    if parse_lane in ("bytes", "hooks"):
         return parse_lane
     raise ValueError(
         f"unknown parse_lane {parse_lane!r}; expected one of "
         f"{PARSE_LANES} (or a resolved lane in {RESOLVED_LANES})"
     )
-
-
-# ---------------------------------------------------------------------------
-# Lane "tokens": type directly from tokenizer events
-
-#: Atom tokens map straight onto the basic-type singletons (Fig. 4's four
-#: base rules, fused into the lexer's classification).
-_ATOM_TYPES = {
-    TokenType.STRING: STR,
-    TokenType.NUMBER: NUM,
-    TokenType.TRUE: BOOL,
-    TokenType.FALSE: BOOL,
-    TokenType.NULL: NULL,
-}
-
-
-class TokenTyper:
-    """Types one JSON document per call, straight off the token stream.
-
-    Bound to a :class:`~repro.inference.kernel.PartitionAccumulator`: all
-    emitted nodes go through the accumulator's interner and construction
-    pools, so the result is the *canonical* type object — pointer-equal to
-    what ``interner.intern(infer_type(loads(text)))`` would return.
-
-    Grammar and positions mirror :mod:`repro.jsonio.parser` rule for rule
-    (same tokenizer, same expectation points), including duplicate-key
-    rejection at the offending key token.  Callers treat any raised
-    :class:`~repro.jsonio.errors.JsonError` as a fast-lane miss and
-    re-parse strictly for relocated (source, absolute-line) diagnostics.
-    """
-
-    __slots__ = ("_field", "_record", "_array", "_key")
-
-    def __init__(self, acc, key_cache: KeyCache | None = None) -> None:
-        self._field = acc.interner.field
-        self._record = acc.record_type
-        self._array = acc.array_type
-        # Bounded key dedup: repeated field names share one string without
-        # sys.intern's process-global, immortal pinning.  Per-typer (i.e.
-        # per-partition) by default; a warm worker passes its own cache so
-        # the sharing survives across that worker's partitions.
-        self._key = (key_cache or KeyCache()).share
-
-    def type_document(self, text: str) -> Type:
-        """The interned type of ``text``; raises ``JsonSyntaxError``."""
-        tokens = tokenize(text)
-        t, token = self._value(next(tokens), tokens)
-        if token.type != TokenType.EOF:
-            raise JsonSyntaxError(
-                f"expected 'eof', found {token.type!r}",
-                token.line, token.column,
-            )
-        return t
-
-    def _value(
-        self, token: Token, tokens: Iterator[Token]
-    ) -> tuple[Type, Token]:
-        """Type one value starting at ``token``; returns the next token."""
-        atom = _ATOM_TYPES.get(token.type)
-        if atom is not None:
-            return atom, next(tokens)
-        if token.type == TokenType.LBRACE:
-            return self._object(tokens)
-        if token.type == TokenType.LBRACKET:
-            return self._array_value(tokens)
-        raise JsonSyntaxError(
-            f"unexpected token {token.type!r}", token.line, token.column
-        )
-
-    def _object(self, tokens: Iterator[Token]) -> tuple[Type, Token]:
-        token = next(tokens)
-        if token.type == TokenType.RBRACE:
-            return self._record(()), next(tokens)
-        fields = []
-        seen: set[str] = set()
-        field = self._field
-        share_key = self._key
-        while True:
-            if token.type != TokenType.STRING:
-                raise JsonSyntaxError(
-                    f"expected 'string', found {token.type!r}",
-                    token.line, token.column,
-                )
-            key = share_key(token.value)
-            if key in seen:
-                raise DuplicateKeyError(key, token.line, token.column)
-            seen.add(key)
-            token = next(tokens)
-            if token.type != TokenType.COLON:
-                raise JsonSyntaxError(
-                    f"expected ':', found {token.type!r}",
-                    token.line, token.column,
-                )
-            t, token = self._value(next(tokens), tokens)
-            fields.append(field(key, t))
-            if token.type == TokenType.COMMA:
-                token = next(tokens)
-                continue
-            if token.type != TokenType.RBRACE:
-                raise JsonSyntaxError(
-                    f"expected '}}', found {token.type!r}",
-                    token.line, token.column,
-                )
-            return self._record(tuple(fields)), next(tokens)
-
-    def _array_value(self, tokens: Iterator[Token]) -> tuple[Type, Token]:
-        token = next(tokens)
-        if token.type == TokenType.RBRACKET:
-            return self._array(()), next(tokens)
-        elements = []
-        while True:
-            t, token = self._value(token, tokens)
-            elements.append(t)
-            if token.type == TokenType.COMMA:
-                token = next(tokens)
-                continue
-            if token.type != TokenType.RBRACKET:
-                raise JsonSyntaxError(
-                    f"expected ']', found {token.type!r}",
-                    token.line, token.column,
-                )
-            return self._array(tuple(elements)), next(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -622,42 +473,3 @@ class BytesBatchTyper:
         if value is None:
             return NULL
         return value  # already a Type from a nested hook
-
-
-_TYPERS = {"tokens": TokenTyper, "hooks": HookTyper}
-
-
-def make_typer(
-    lane: str, acc, key_cache: KeyCache | None = None
-) -> TokenTyper | HookTyper:
-    """Instantiate the typer for a resolved fast lane, bound to ``acc``.
-
-    ``key_cache`` substitutes a caller-owned key-dedup cache (a warm
-    worker's) for the typer's default per-partition one.
-    """
-    try:
-        return _TYPERS[lane](acc, key_cache)
-    except KeyError:
-        raise ValueError(
-            f"no fast-lane typer for lane {lane!r}; expected one of "
-            f"{tuple(_TYPERS)}"
-        ) from None
-
-
-def type_from_tokens(text: str, acc=None) -> Type:
-    """Type one JSON document straight from its token stream.
-
-    Convenience wrapper over :class:`TokenTyper` for one-off use and the
-    differential tests; for whole partitions build one typer and reuse it.
-    With an accumulator, the result is canonical in *its* interner —
-    pointer-equal to ``acc.interner.intern(infer_type(loads(text)))``.
-
-    >>> from repro.core.printer import print_type
-    >>> print_type(type_from_tokens('{"a": [1, "x"]}'))
-    '{a: [Num, Str]}'
-    """
-    if acc is None:
-        from repro.inference.kernel import PartitionAccumulator
-
-        acc = PartitionAccumulator()
-    return TokenTyper(acc).type_document(text)

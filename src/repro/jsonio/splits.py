@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -104,7 +105,8 @@ def plan_splits(
     reduced so no split falls below ``min_split_bytes`` (one split
     minimum).  An empty file yields an empty plan.  Only ``os.stat`` is
     consulted — planning a terabyte file costs the same as planning a
-    kilobyte one.
+    kilobyte one.  A pipe, socket or device reports no usable size, so
+    anything but a regular file raises :class:`ValueError`.
 
     With ``stable=True`` the boundaries are quantized instead of scaled:
     every split but the last spans exactly ``chunk`` bytes, where
@@ -123,7 +125,14 @@ def plan_splits(
     if min_split_bytes < 1:
         raise ValueError("min_split_bytes must be >= 1")
     source = str(path)
-    size = os.stat(source).st_size
+    st = os.stat(source)
+    if not stat.S_ISREG(st.st_mode):
+        raise ValueError(
+            f"cannot plan byte-range splits over {source!r}: not a regular "
+            f"file (a pipe or device has no size to split); read it with "
+            f"split_mode='lines'"
+        )
+    size = st.st_size
     if size == 0:
         return []
     num = max(1, min(num_splits, size // min_split_bytes))

@@ -21,10 +21,7 @@ import pytest
 
 from repro.engine import Context
 from repro.engine.scheduler import BACKENDS
-from repro.inference.kernel import (
-    accumulate_ndjson_partition_batch,
-    accumulate_ndjson_split_batch,
-)
+from repro.inference.kernel import accumulate_ndjson_batch
 from repro.inference.pipeline import _plan_batches, infer_ndjson_file
 from repro.jsonio.errors import JsonSyntaxError
 from repro.jsonio.splits import plan_splits
@@ -112,10 +109,7 @@ class TestStrictDiagnostics:
 
 class TestBatchTasks:
     def test_split_batch_equals_per_split(self, tmp_path):
-        from repro.inference.kernel import (
-            accumulate_ndjson_split,
-            merge_summary_group,
-        )
+        from repro.inference.kernel import merge_summary_group
         from repro.jsonio.splits import rebase_bad_records
 
         path = tmp_path / "dirty.ndjson"
@@ -124,11 +118,11 @@ class TestBatchTasks:
         lines[89] = "[un"
         path.write_text("\n".join(lines) + "\n")
         splits = plan_splits(path, 6, min_split_bytes=1)
-        batched = accumulate_ndjson_split_batch(splits, permissive=True)
+        batched = accumulate_ndjson_batch(splits, permissive=True)
         partials = []
         base = 0
         for split in splits:
-            summary = accumulate_ndjson_split(split, permissive=True)
+            summary = accumulate_ndjson_batch([split], permissive=True)
             if summary.skipped:
                 from dataclasses import replace
 
@@ -146,9 +140,7 @@ class TestBatchTasks:
             [(1, '{"a": 1}'), (2, "bad")],
             [(3, '{"a": 2}'), (4, '{"a": "x"}')],
         ]
-        summary = accumulate_ndjson_partition_batch(
-            parts, permissive=True
-        )
+        summary = accumulate_ndjson_batch(parts, permissive=True)
         assert summary.record_count == 3
         assert [b.line_number for b in summary.skipped] == [2]
 
@@ -173,3 +165,110 @@ class TestAutoPolicy:
         batches = _plan_batches(list(range(10)), 2, batch_size=4)
         assert [len(b) for b in batches] == [4, 4, 2]
         assert [b for batch in batches for b in batch] == list(range(10))
+
+
+class TestDispatchPin:
+    """What any refactor of the partitioned dispatch path must not move.
+
+    Each configuration runs three jobs over one fixed dirty file, each
+    in a fresh thread Context with its own journal: uncached (batching
+    engages at ``batch_size=3``), then cold and warm against one
+    summary cache (which dispatches unbatched).  The journal header's
+    task plan and the scheduler counters are pinned as literals.
+    Relative paths keep the pickled split descriptors, and so
+    ``input_bytes_shipped``, independent of the temporary directory.
+    """
+
+    COUNTERS = (
+        "tasks_completed", "input_bytes_shipped", "input_bytes_read",
+        "cache_hits", "cache_misses", "cache_stores", "cache_bytes_skipped",
+        "summary_wire_bytes_encoded", "summary_wire_bytes_decoded",
+    )
+    BYTES_STABLE = [
+        [[0, 186]], [[186, 186]], [[372, 186]],
+        [[558, 186]], [[744, 186]], [[930, 185]],
+    ]
+    LINES = [[[1, 8]], [[9, 7]], [[17, 7]], [[24, 8]], [[33, 8]], [[42, 7]]]
+    #: (split_mode, batch_size) -> per job: (header tasks, counters).
+    EXPECTED = {
+        ("bytes", 1): [
+            ([[[0, 186]], [[186, 186]], [[372, 186]], [[558, 185]],
+              [[743, 186]], [[929, 186]]],
+             [6, 248, 1158, 0, 0, 0, 0, 0, 0]),
+            (BYTES_STABLE, [6, 248, 1156, 0, 6, 7, 0, 0, 0]),
+            ([], [0, 5, 0, 6, 0, 0, 1156, 1750, 1750]),
+        ],
+        ("bytes", 3): [
+            ([[[0, 186], [186, 186], [372, 186]],
+              [[558, 185], [743, 186], [929, 186]]],
+             [2, 248, 1158, 0, 0, 0, 0, 0, 0]),
+            (BYTES_STABLE, [6, 248, 1156, 0, 6, 7, 0, 0, 0]),
+            ([], [0, 5, 0, 6, 0, 0, 1156, 1750, 1750]),
+        ],
+        ("lines", 1): [
+            (LINES, [6, 1067, 0, 0, 0, 0, 0, 0, 0]),
+            (LINES, [6, 1067, 0, 0, 6, 7, 0, 0, 0]),
+            ([], [0, 0, 0, 6, 0, 0, 1067, 1754, 1754]),
+        ],
+        ("lines", 3): [
+            ([[[1, 8], [9, 7], [17, 7]], [[24, 8], [33, 8], [42, 7]]],
+             [2, 1067, 0, 0, 0, 0, 0, 0, 0]),
+            (LINES, [6, 1067, 0, 0, 6, 7, 0, 0, 0]),
+            ([], [0, 0, 0, 6, 0, 0, 1067, 1754, 1754]),
+        ],
+    }
+
+    @staticmethod
+    def _lines():
+        out = []
+        for i in range(1, 49):
+            if i % 11 == 0:
+                out.append("oops %d" % i)
+            elif i % 13 == 0:
+                out.append("")
+            elif i % 3 == 0:
+                out.append('{"id": %d, "tags": ["a", %d]}' % (i, i))
+            elif i % 3 == 1:
+                out.append('{"id": %d, "name": "n%d", "ok": true}' % (i, i))
+            else:
+                out.append("[%d, null]" % i)
+        return out
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("split_mode", ["bytes", "lines"])
+    def test_journal_plan_and_counters(
+        self, split_mode, batch_size, tmp_path, monkeypatch
+    ):
+        from repro.inference import kernel
+        from repro.store.journal import read_journal
+
+        monkeypatch.chdir(tmp_path)
+        # Summaries carry their worker's name (pid and thread name) into
+        # the wire payloads the cache stores; a fixed name keeps the
+        # wire-byte counters independent of the host's pid width.
+        monkeypatch.setattr(kernel, "_worker_name", lambda: "worker")
+        with open("dirty.ndjson", "w") as handle:
+            handle.write("\n".join(self._lines()) + "\n")
+        observed = []
+        for job, cache in enumerate([None, "cache", "cache"]):
+            journal = f"job{job}.journal"
+            with Context(parallelism=2, backend="thread") as ctx:
+                run = infer_ndjson_file(
+                    "dirty.ndjson", context=ctx, num_partitions=6,
+                    permissive=True, split_mode=split_mode,
+                    min_split_bytes=1, batch_size=batch_size,
+                    journal_path=journal, summary_cache=cache,
+                )
+            header = read_journal(journal).header
+            assert (header["split_mode"], header["parse_lane"],
+                    header["permissive"]) == (split_mode, "hooks", True)
+            assert [b.line_number for b in run.bad_records] == [
+                11, 22, 33, 44,
+            ]
+            assert (run.record_count, run.distinct_type_count) == (41, 3)
+            stats = ctx.scheduler.stats
+            observed.append((
+                header["tasks"],
+                [getattr(stats, name) for name in self.COUNTERS],
+            ))
+        assert observed == self.EXPECTED[(split_mode, batch_size)]

@@ -26,8 +26,8 @@ from repro.core.types import NUM, STR
 from repro.engine import Context
 from repro.inference.kernel import (
     PartitionAccumulator,
+    accumulate_ndjson_batch,
     accumulate_ndjson_partition,
-    accumulate_ndjson_split,
     decode_summary,
     encode_summary,
     merge_summary_group,
@@ -183,12 +183,12 @@ class TestLineTypeCache:
         path = tmp_path / "dups.ndjson"
         path.write_bytes(b'{"a": 1}\n{"b": "x"}\n' * 500)
         size = path.stat().st_size
-        cold = accumulate_ndjson_split(
-            FileSplit(str(path), 0, size), permissive=True,
+        cold = accumulate_ndjson_batch(
+            [FileSplit(str(path), 0, size)], permissive=True,
             parse_lane="bytes", warm_generation=101,
         )
-        warm = accumulate_ndjson_split(
-            FileSplit(str(path), 0, size), permissive=True,
+        warm = accumulate_ndjson_batch(
+            [FileSplit(str(path), 0, size)], permissive=True,
             parse_lane="bytes", warm_generation=101,
         )
         assert cold.dedup_hits == 0 and cold.dedup_misses == 1000
@@ -203,13 +203,13 @@ class TestLineTypeCache:
         path = tmp_path / "x.ndjson"
         path.write_bytes(b'{"a": 1}\n' * 10)
         size = path.stat().st_size
-        accumulate_ndjson_split(
-            FileSplit(str(path), 0, size), parse_lane="bytes",
+        accumulate_ndjson_batch(
+            [FileSplit(str(path), 0, size)], parse_lane="bytes",
             warm_generation=201,
         )
         assert len(warm_state_for(201).line_cache) == 1
-        fresh = accumulate_ndjson_split(
-            FileSplit(str(path), 0, size), parse_lane="bytes",
+        fresh = accumulate_ndjson_batch(
+            [FileSplit(str(path), 0, size)], parse_lane="bytes",
             warm_generation=202,
         )
         assert fresh.dedup_hits == 0 and fresh.dedup_misses == 10
@@ -244,8 +244,8 @@ class TestWireFormatV2:
     def test_roundtrip_preserves_dedup_counters(self, tmp_path):
         path = tmp_path / "x.ndjson"
         path.write_bytes(b'{"a": 1}\n' * 5)
-        summary = accumulate_ndjson_split(
-            FileSplit(str(path), 0, path.stat().st_size),
+        summary = accumulate_ndjson_batch(
+            [FileSplit(str(path), 0, path.stat().st_size)],
             parse_lane="bytes", warm_generation=301,
         )
         assert summary.dedup_misses == 5
@@ -260,8 +260,8 @@ class TestWireFormatV2:
         path.write_bytes(b'{"a": 1}\n' * 8)
         size = path.stat().st_size
         parts = [
-            accumulate_ndjson_split(
-                split, parse_lane="bytes", warm_generation=302
+            accumulate_ndjson_batch(
+                [split], parse_lane="bytes", warm_generation=302
             )
             for split in plan_splits(str(path), 2, min_split_bytes=1)
         ]

@@ -1,11 +1,11 @@
 """Two-lane map phase: fast lanes must be indistinguishable from strict.
 
 The contract under test (ISSUE 3): for any input, every resolved lane —
-``strict``, ``tokens`` (pure-Python token walker), ``hooks`` (C scanner
-with type-building hooks) — produces the same schema, the same record and
-distinct-type counts, the same quarantine entries with absolute file line
-numbers, and the same error diagnostics (message, source, line, column).
-The fast lanes may only ever *defer* to strict, never diverge from it.
+``strict`` and ``hooks`` (stdlib scanner with type-building hooks) —
+produces the same schema, the same record and distinct-type counts, the
+same quarantine entries with absolute file line numbers, and the same
+error diagnostics (message, source, line, column).  The fast lane may
+only ever *defer* to strict, never diverge from it.
 """
 
 from __future__ import annotations
@@ -23,16 +23,12 @@ from repro.inference.pipeline import infer_ndjson_file
 from repro.inference.typestream import (
     FastLaneMiss,
     HookTyper,
-    TokenTyper,
-    c_scanner_available,
-    make_typer,
     resolve_lane,
-    type_from_tokens,
 )
-from repro.jsonio.errors import DuplicateKeyError, JsonError, JsonSyntaxError
+from repro.jsonio.errors import DuplicateKeyError, JsonError
 
-ALL_LANES = ["strict", "tokens", "hooks", "fast", "auto"]
-RESOLVED = ["strict", "tokens", "hooks"]
+ALL_LANES = ["strict", "hooks", "fast", "auto"]
+RESOLVED = ["strict", "hooks"]
 
 
 def _numbered(lines):
@@ -94,14 +90,12 @@ class TestLaneEquivalence:
 
     @pytest.mark.parametrize("lane", RESOLVED[1:])
     def test_interned_pointer_equality_within_partition(self, lane):
-        if lane == "hooks" and not c_scanner_available():
-            pytest.skip("stdlib C scanner unavailable")
         from repro.inference.kernel import PartitionAccumulator
         from repro.inference.infer import infer_type
         from repro.jsonio.parser import loads
 
         acc = PartitionAccumulator()
-        typer = make_typer(lane, acc)
+        typer = HookTyper(acc)
         deferred = 0
         for line in GOOD_LINES:
             try:
@@ -236,18 +230,7 @@ class TestStrictErrorIdentity:
 
 
 class TestTypers:
-    def test_token_typer_rejects_duplicate_keys_at_key_token(self):
-        with pytest.raises(DuplicateKeyError) as info:
-            type_from_tokens('{"k": 1, "k": 2}')
-        assert (info.value.line, info.value.column) == (1, 10)
-
-    def test_token_typer_rejects_trailing_garbage(self):
-        with pytest.raises(JsonSyntaxError):
-            type_from_tokens('{"a": 1} {"b": 2}')
-
     def test_hook_typer_misses_on_nonstandard_constants(self):
-        if not c_scanner_available():
-            pytest.skip("stdlib C scanner unavailable")
         from repro.inference.kernel import PartitionAccumulator
 
         typer = HookTyper(PartitionAccumulator())
@@ -256,8 +239,6 @@ class TestTypers:
                 typer.type_document(text)
 
     def test_hook_typer_misses_on_duplicate_keys(self):
-        if not c_scanner_available():
-            pytest.skip("stdlib C scanner unavailable")
         from repro.inference.kernel import PartitionAccumulator
 
         typer = HookTyper(PartitionAccumulator())
@@ -268,8 +249,6 @@ class TestTypers:
         # The stdlib scanner would silently accept the lone ones; the
         # typer must never answer for any surrogate-escape-bearing
         # record (paired ones included — strict arbitrates them all).
-        if not c_scanner_available():
-            pytest.skip("stdlib C scanner unavailable")
         from repro.inference.kernel import PartitionAccumulator
 
         typer = HookTyper(PartitionAccumulator())
@@ -283,8 +262,6 @@ class TestTypers:
                 typer.type_document(text)
 
     def test_hook_typer_accepts_non_surrogate_escapes(self):
-        if not c_scanner_available():
-            pytest.skip("stdlib C scanner unavailable")
         from repro.core.printer import print_type as pt
         from repro.inference.kernel import PartitionAccumulator
 
@@ -294,35 +271,23 @@ class TestTypers:
         assert pt(typer.type_document('{"a": "\\u00d8\\u0041\\n"}')) == \
             "{a: Str}"
 
-    def test_type_from_tokens_doc_example(self):
-        assert print_type(type_from_tokens('{"a": [1, "x"]}')) == \
-            "{a: [Num, Str]}"
-
 
 class TestLaneResolution:
     def test_strict_stays_strict(self):
         assert resolve_lane("strict") == "strict"
 
     def test_fast_and_auto_pick_an_implementation(self):
-        expected = "hooks" if c_scanner_available() else "tokens"
-        assert resolve_lane("fast") == expected
-        assert resolve_lane("auto") == expected
+        assert resolve_lane("fast") == "hooks"
+        assert resolve_lane("auto") == "hooks"
 
     def test_resolved_names_pass_through(self):
         assert resolve_lane("hooks") == "hooks"
-        assert resolve_lane("tokens") == "tokens"
 
     def test_unknown_lane_rejected(self):
         with pytest.raises(ValueError, match="unknown parse_lane"):
             resolve_lane("warp")
         with pytest.raises(ValueError, match="unknown parse_lane"):
             accumulate_ndjson_partition([(1, "{}")], parse_lane="warp")
-
-    def test_make_typer_rejects_strict(self):
-        from repro.inference.kernel import PartitionAccumulator
-
-        with pytest.raises(ValueError, match="no fast-lane typer"):
-            make_typer("strict", PartitionAccumulator())
 
 
 class TestPhaseTimings:
@@ -363,7 +328,7 @@ class TestPhaseTimings:
             par = infer_ndjson_file(path, context=ctx, num_partitions=4,
                                     parse_lane="fast", collect_timings=True)
         assert par.phase_timings is not None
-        assert par.phase_timings.lane in ("hooks", "tokens")
+        assert par.phase_timings.lane == "hooks"
         assert par.phase_timings.records == par.record_count
 
     def test_merge_sums_and_tracks_lane(self):

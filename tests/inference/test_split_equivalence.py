@@ -8,7 +8,9 @@ byte-identical quarantine records — absolute line numbers and error
 strings included — on both scheduler backends.
 """
 
+import os
 import pickle
+import threading
 
 import pytest
 
@@ -16,7 +18,7 @@ from repro.core.printer import print_type
 from repro.engine import Context
 from repro.inference.kernel import (
     TREE_MERGE_THRESHOLD,
-    accumulate_ndjson_split,
+    accumulate_ndjson_batch,
 )
 from repro.inference.pipeline import (
     SPLIT_MODES,
@@ -194,8 +196,8 @@ class TestSplitTask:
         path = tmp_path / "f.ndjson"
         data = b'{"a":1}\n\n{"b":2}\n'
         path.write_bytes(data)
-        summary = accumulate_ndjson_split(
-            FileSplit(str(path), 0, len(data), 0)
+        summary = accumulate_ndjson_batch(
+            [FileSplit(str(path), 0, len(data), 0)]
         )
         assert summary.record_count == 2
         assert summary.line_count == 3
@@ -208,7 +210,7 @@ class TestSplitTask:
         offset = data.index(b"not json")
         split = FileSplit(str(path), offset, len(data) - offset, 1)
         with pytest.raises(JsonSyntaxError) as excinfo:
-            accumulate_ndjson_split(split)
+            accumulate_ndjson_batch([split])
         assert excinfo.value.line == 4
         assert excinfo.value.source == str(path)
 
@@ -222,6 +224,49 @@ class TestResolveSplitMode:
         assert resolve_split_mode("bytes", context=None) == "bytes"
         with pytest.raises(ValueError):
             resolve_split_mode("chunks", context=None)
+
+    @pytest.mark.parametrize(
+        "case", ["context-auto", "sequential-cache", "explicit-bytes"]
+    )
+    def test_pipe_never_takes_byte_splits(self, case, tmp_path):
+        """A FIFO reports ``st_size`` 0, so a byte-split plan over it
+        would be empty and the run would infer ``(empty)``.  Line chunks
+        (under a context) and the stream (without one) read it; an
+        explicit byte-split request is refused."""
+        fifo = tmp_path / "in.ndjson"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as handle:
+                handle.write(b'{"a": 1, "b": "x"}\n{"a": 2, "b": "y"}\n')
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            if case == "explicit-bytes":
+                with Context(parallelism=2) as ctx:
+                    with pytest.raises(ValueError, match="regular file"):
+                        infer_ndjson_file(fifo, context=ctx,
+                                          split_mode="bytes")
+                return
+            if case == "context-auto":
+                with Context(parallelism=2) as ctx:
+                    run = infer_ndjson_file(fifo, context=ctx)
+            else:
+                run = infer_ndjson_file(
+                    fifo, summary_cache=tmp_path / "cache"
+                )
+            assert print_type(run.schema) == "{a: Num, b: Str}"
+            assert run.record_count == 2
+        finally:
+            # If nothing read the pipe, hold a read end open so the
+            # writer's blocking open returns and it can finish.
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            try:
+                writer.join(timeout=10)
+            finally:
+                os.close(reader)
+            assert not writer.is_alive()
 
 
 class TestErrorPickling:

@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from repro.inference.kernel import (
     WIRE_FORMAT_VERSION,
     PartitionAccumulator,
+    accumulate_ndjson_batch,
     accumulate_ndjson_partition,
-    accumulate_ndjson_split,
     accumulate_partition,
     decode_summary,
     decode_summary_light,
@@ -112,11 +112,12 @@ class TestTaskEquivalence:
     def test_split_task_wire_equivalence(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
         write_corpus(path, make_corpus(600, seed=21))
-        for split in plan_splits(path, 4, min_split_bytes=1):
+        splits = plan_splits(path, 4, min_split_bytes=1)
+        for batch in [[split] for split in splits] + [splits]:
             wired = decode_summary(
-                accumulate_ndjson_split(split, wire=True)
+                accumulate_ndjson_batch(batch, wire=True)
             )
-            assert wired == accumulate_ndjson_split(split)
+            assert wired == accumulate_ndjson_batch(batch)
 
     def test_partition_task_wire_equivalence(self, tmp_path):
         lines = [

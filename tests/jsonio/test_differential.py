@@ -148,37 +148,20 @@ class TestAgreementOnAcceptance:
 
 
 class TestFastLanesMatchStrictTyping:
-    """The map-phase fast lanes against the strict parse-then-type path.
+    """The map-phase fast lane against the strict parse-then-type path.
 
-    For every JSON value the fast typers must produce the *same interned
+    For every JSON value the hook typer must produce the *same interned
     type object* (pointer equality within one accumulator) that
-    ``interner.intern(infer_type(loads(text)))`` yields, and must agree
-    with the strict parser about acceptance at the same positions.
+    ``interner.intern(infer_type(loads(text)))`` yields, and it must
+    leave every surrogate escape to the strict parser.
     """
-
-    @given(json_values())
-    def test_token_typer_pointer_equal(self, value):
-        from repro.inference.infer import infer_type
-        from repro.inference.kernel import PartitionAccumulator
-        from repro.inference.typestream import type_from_tokens
-
-        acc = PartitionAccumulator()
-        text = dumps(value)
-        fast = type_from_tokens(text, acc)
-        strict = acc.interner.intern(infer_type(loads(text)))
-        assert fast is strict
 
     @given(json_values())
     def test_hook_typer_pointer_equal(self, value):
         from repro.inference.infer import infer_type
         from repro.inference.kernel import PartitionAccumulator
-        from repro.inference.typestream import (
-            HookTyper,
-            c_scanner_available,
-        )
+        from repro.inference.typestream import HookTyper
 
-        if not c_scanner_available():  # pragma: no cover
-            pytest.skip("stdlib C scanner unavailable")
         acc = PartitionAccumulator()
         typer = HookTyper(acc)
         text = dumps(value)
@@ -202,44 +185,8 @@ class TestFastLanesMatchStrictTyping:
         between ``auto`` and ``strict``).
         """
         from repro.inference.kernel import PartitionAccumulator
-        from repro.inference.typestream import (
-            FastLaneMiss,
-            HookTyper,
-            c_scanner_available,
-        )
+        from repro.inference.typestream import FastLaneMiss, HookTyper
 
-        if not c_scanner_available():  # pragma: no cover
-            pytest.skip("stdlib C scanner unavailable")
         typer = HookTyper(PartitionAccumulator())
         with pytest.raises(FastLaneMiss):
             typer.type_document(text)
-
-    @given(st.text(max_size=25))
-    @example('{"a":1,"a":2}')
-    @example("[1,2,]")
-    @example("NaN")
-    @example('{"a": 1} {"b": 2}')
-    @example("")
-    @example('"\\ud800"')
-    @example('"\\ud83d\\ude00"')
-    def test_token_typer_acceptance_matches_strict(self, text):
-        """Same verdict *and the same position* as the strict parser."""
-        from repro.inference.typestream import type_from_tokens
-
-        try:
-            loads(text)
-            strict = ("ok", None)
-        except JsonError as exc:
-            strict = (type(exc).__name__, (exc.line, exc.column))
-        except RecursionError:
-            return  # pathological nesting; both recursive descents bail
-
-        try:
-            type_from_tokens(text)
-            fast = ("ok", None)
-        except JsonError as exc:
-            fast = (type(exc).__name__, (exc.line, exc.column))
-        except RecursionError:
-            return
-
-        assert fast == strict
