@@ -29,6 +29,7 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -191,7 +192,8 @@ def print_report(report: dict) -> None:
 
 def _crash_subprocess(cfg: dict, crash_point: str | None):
     """Run the driver, capturing through files (a crash-killed driver
-    can leave pool workers holding inherited pipe FDs)."""
+    can leave pool workers holding inherited pipe FDs).  The driver
+    leads its own session, so its orphaned pool workers die with it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
@@ -202,10 +204,18 @@ def _crash_subprocess(cfg: dict, crash_point: str | None):
         env.pop("REPRO_CRASH_POINT", None)
     with tempfile.TemporaryFile("w+") as out, \
             tempfile.TemporaryFile("w+") as err:
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-c", _DRIVER, json.dumps(cfg)],
-            env=env, stdout=out, stderr=err, timeout=300,
+            env=env, stdout=out, stderr=err, start_new_session=True,
         )
+        try:
+            proc.wait(timeout=300)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
         out.seek(0)
         err.seek(0)
         return proc.returncode, out.read(), err.read()

@@ -7,13 +7,13 @@ variant is ``backend x workers x pool``:
 * ``backend`` — ``thread`` / ``process`` scheduler backends.
 * ``workers`` — pool width (default sweep 1/2/4/8).
 * ``pool`` — ``cold`` is the seed dispatch path (one task per
-  partition, pickled summary returns, no warm worker state) and
-  ``warm`` is this PR's path: the pool is prestarted, per-worker kernel
-  state (interner, fusion memo, key cache) persists across tasks and
-  jobs, small partitions are folded worker-locally in batches, and on
-  the process backend summaries return in the compact wire format.
-  Warm variants measure the *second* job on the context — that is the
-  steady state a long-lived pool runs in.
+  partition, no warm worker state) and ``warm`` is the warm-pool path:
+  per-worker kernel state (interner, fusion memo, key cache) persists
+  across tasks and jobs and small partitions are folded worker-locally
+  in batches.  Both prestart the pool, and on the process backend both
+  return summaries in the compact wire format.  Warm variants measure
+  the *second* job on the context — that is the steady state a
+  long-lived pool runs in.
 
 Every variant runs in a fresh subprocess (no inherited heap or
 interpreter state) and reports wall-clock records/s plus the
@@ -36,7 +36,7 @@ Run standalone for the full-size measurement (writes
     python benchmarks/bench_scaling.py --n 100000
 
 or as the CI equivalence gate (small n, both corpora, exit non-zero
-unless the batched+warm+wire path matches the seed path exactly)::
+unless the batched+warm path matches the seed path exactly)::
 
     python benchmarks/bench_scaling.py --check --n 5000
 """
@@ -67,8 +67,7 @@ def _variant_kwargs(pool: str, workers: int) -> dict:
     """``infer_ndjson_file`` knobs for one pool flavour.
 
     ``cold`` pins the historical dispatch shape (one task per
-    partition, no wire encoding); ``warm`` leaves the new seams on
-    their defaults (auto batching, wire format on the process backend).
+    partition); ``warm`` leaves batching on its automatic default.
     Both plan ``8 x workers`` byte-range splits so the batcher has
     small partitions to fold.
     """
@@ -78,7 +77,7 @@ def _variant_kwargs(pool: str, workers: int) -> dict:
         min_split_bytes=1,
     )
     if pool == "cold":
-        kwargs.update(batch_size=1, wire_format="off")
+        kwargs.update(batch_size=1)
     return kwargs
 
 
@@ -301,7 +300,7 @@ def print_report(report: dict) -> None:
 
 
 def check_equivalence(n: int, workers: int = 2) -> bool:
-    """CI gate: batched+warm+wire equals the seed path, both backends.
+    """CI gate: batched+warm equals the seed path, both backends.
 
     Runs in-process (small ``n``) over both a homogeneous corpus
     (``github``) and the worst-case heterogeneous one (``mixed``),

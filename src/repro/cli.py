@@ -102,14 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
              "malformed, e.g. 0.01 for 1%%",
     )
     p_infer.add_argument(
-        "--parse-lane", choices=["auto", "fast", "bytes", "strict"],
+        "--parse-lane", choices=["auto", "fast", "strict"],
         default="auto",
         help="map-phase parser: 'fast' types records during parsing and "
-             "falls back to the strict parser only on errors, 'bytes' "
-             "mmap-scans raw line bytes and types whole batches in one "
-             "C decode with a duplicate-line type cache (same fallback, "
-             "identical results), 'strict' always uses the diagnostic "
-             "parser, 'auto' picks fast (default: auto)",
+             "falls back to the strict parser only on errors (identical "
+             "results), 'strict' always uses the diagnostic parser, "
+             "'auto' picks fast (default: auto)",
     )
     p_infer.add_argument(
         "--timings", action="store_true",
@@ -164,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-warm", action="store_true",
         help="do not keep per-worker kernel state (type interner, fusion "
              "memo, key cache) warm across tasks and jobs",
-    )
-    p_infer.add_argument(
-        "--wire-format", choices=["auto", "on", "off"], default="auto",
-        help="compact flat-table encoding for task-result summaries; "
-             "'auto' enables it on the process backend where results "
-             "cross the IPC boundary (default: auto)",
     )
     p_infer.add_argument(
         "--journal", metavar="PATH", default=None,
@@ -436,7 +428,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         update_from=update_from,
         checkpoint_to=args.checkpoint,
         batch_size=args.batch_size,
-        wire_format=args.wire_format,
         journal_path=args.journal,
         resume=args.resume,
         summary_cache=args.summary_cache,
@@ -516,16 +507,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                     f"summary wire: {stats.summary_wire_bytes_encoded:,} B "
                     f"encoded · {stats.summary_wire_bytes_decoded:,} B "
                     f"decoded",
-                    file=sys.stderr,
-                )
-            if stats.dedup_line_hits or stats.dedup_line_misses:
-                probed = stats.dedup_line_hits + stats.dedup_line_misses
-                rate = stats.dedup_line_hits / probed if probed else 0.0
-                print(
-                    f"line dedup: {stats.dedup_line_hits:,} hits · "
-                    f"{stats.dedup_line_misses:,} misses "
-                    f"({rate:.1%} hit rate) · "
-                    f"{stats.dedup_bytes_avoided:,} B never decoded",
                     file=sys.stderr,
                 )
             if stats.cache_hits or stats.cache_misses:

@@ -270,18 +270,11 @@ class SchedulerStats:
     warm_state_reuses: int = 0
     warm_state_builds: int = 0
     #: Compact summary wire format accounting (pipelines): bytes of
-    #: flat-table-encoded summaries produced by workers and decoded back
-    #: at the driver.  Zero when summaries travel as pickled object
-    #: graphs (thread backend, or ``wire_format=False``).
+    #: flat-table-encoded summaries decoded at the driver — process-backend
+    #: task results, journal replays and summary-cache hits.  Zero when
+    #: every summary arrived by reference (thread backend or in-line).
     summary_wire_bytes_encoded: int = 0
     summary_wire_bytes_decoded: int = 0
-    #: Bytes-lane duplicate-line type cache accounting (pipelines, from
-    #: summary telemetry): lines typed straight from the cache without
-    #: any parsing, lines that had to be parsed, and the raw input bytes
-    #: the hits never decoded.  Zero on every other parse lane.
-    dedup_line_hits: int = 0
-    dedup_line_misses: int = 0
-    dedup_bytes_avoided: int = 0
     #: Cross-run summary cache accounting (pipelines, from the driver's
     #: probe of :class:`repro.store.summarycache.SummaryCache`):
     #: partitions replayed from cache versus dispatched to workers,
@@ -322,9 +315,6 @@ class SchedulerStats:
         self.warm_state_builds = 0
         self.summary_wire_bytes_encoded = 0
         self.summary_wire_bytes_decoded = 0
-        self.dedup_line_hits = 0
-        self.dedup_line_misses = 0
-        self.dedup_bytes_avoided = 0
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_stores = 0

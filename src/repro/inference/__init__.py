@@ -7,9 +7,9 @@
 * :mod:`repro.inference.kernel` — the single-pass streaming kernel the
   pipelines run on: per-partition interning accumulator with memoized
   fusion, merged at the driver.
-* :mod:`repro.inference.typestream` — the fast map lanes: typing records
-  *during* parsing (per-record stdlib decoder hooks, and the batched
-  bytes-native variant) with strict-parser fallback for diagnostics.
+* :mod:`repro.inference.typestream` — the fast map lane: typing records
+  *during* parsing through stdlib decoder hooks, with strict-parser
+  fallback for diagnostics.
 * :mod:`repro.inference.counting` — the statistics enrichment sketched as
   future work in Section 7.
 * :mod:`repro.inference.statistics` — mergeable per-path statistics

@@ -69,14 +69,7 @@ from repro.inference.statistics import (
     create_stats_bundle,
     merge_stats,
 )
-from repro.inference.typestream import (
-    BytesBatchTyper,
-    FastLaneMiss,
-    HookTyper,
-    LineTypeCache,
-    resolve_lane,
-)
-from repro.jsonio.blockscan import SplitBlockScanner
+from repro.inference.typestream import FastLaneMiss, HookTyper, resolve_lane
 from repro.jsonio.errors import JsonError, JsonSyntaxError
 from repro.jsonio.keycache import KeyCache
 from repro.jsonio.ndjson import BadRecord
@@ -347,13 +340,10 @@ class PhaseTimings:
     * ``fuse_s`` — distinct-type tracking plus the memoized incremental
       fusion of the record's type into the running schema.
 
-    ``lane`` records which resolved lane produced the numbers (``strict``,
-    ``hooks``, ``bytes``; ``mixed`` after merging heterogeneous
-    partitions), so a benchmark delta can be attributed to the right
-    phase of the right implementation.  On the ``bytes`` lane
-    the stages are batch-grained: ``parse_s`` covers the vectorized
-    decode+type calls (cache probes included), ``fuse_s`` the observe
-    loop.
+    ``lane`` records which resolved lane produced the numbers (``strict``
+    or ``hooks``; ``mixed`` after merging heterogeneous partitions), so a
+    benchmark delta can be attributed to the right phase of the right
+    implementation.
     """
 
     lane: str = "strict"
@@ -449,14 +439,6 @@ class PartitionSummary:
     worker: str = field(default="", compare=False, repr=False)
     warm_reused: "bool | None" = field(default=None, compare=False,
                                        repr=False)
-    #: Telemetry of the bytes lane's duplicate-line type cache: lines
-    #: whose raw bytes hit a cached type (no parse at all), lines that
-    #: had to be parsed, and the raw bytes the hits avoided decoding.
-    #: Zero on every other lane.  Excluded from equality like ``worker``
-    #: — cache luck is not part of the result.
-    dedup_hits: int = field(default=0, compare=False, repr=False)
-    dedup_misses: int = field(default=0, compare=False, repr=False)
-    dedup_bytes_avoided: int = field(default=0, compare=False, repr=False)
     #: Optional mergeable per-path statistics
     #: (:class:`repro.inference.statistics.StatsBundle`).  ``None`` when
     #: the run had ``stats="off"`` — the default, which keeps the hot
@@ -508,8 +490,7 @@ class WarmState:
     """
 
     __slots__ = ("generation", "interner", "memo", "record_pool",
-                 "array_pool", "key_cache", "line_cache", "tasks_served",
-                 "reused")
+                 "array_pool", "key_cache", "tasks_served", "reused")
 
     def __init__(self, generation: int) -> None:
         self.generation = generation
@@ -518,12 +499,6 @@ class WarmState:
         self.record_pool: dict[tuple[Field, ...], Type] = {}
         self.array_pool: dict[tuple[Type, ...], Type] = {}
         self.key_cache = KeyCache()
-        # The bytes lane's duplicate-line type cache.  Deliberately *in*
-        # the warm state, next to the interner its values are canonical
-        # in: a cached type is only sound to reuse while that interner is
-        # alive, so the cache rides the same generation tag and is
-        # dropped with the rest of the state on driver-side invalidation.
-        self.line_cache = LineTypeCache()
         #: Tasks this state has served (including the one that built it).
         self.tasks_served = 0
         #: Whether the *current* task found this state already built —
@@ -819,7 +794,11 @@ class PartitionAccumulator:
 # from the start instead of a second structural interning pass.
 
 #: Version tag leading every encoded payload; bump on layout changes.
-#: v2 appended the bytes lane's dedup-cache telemetry counters; v3
+#: v2 appended three telemetry slots, the counters of a duplicate-line
+#: type cache that has since been removed (``dedup_hits``,
+#: ``dedup_misses``, ``dedup_bytes_avoided``): encoders write ``0`` into
+#: each and decoders ignore them, so frames stay byte-identical and
+#: journals and cache entries written before the removal still read.  v3
 #: appended the optional statistics block (``None`` when stats are off).
 WIRE_FORMAT_VERSION = 3
 
@@ -947,9 +926,7 @@ def encode_summary(summary: PartitionSummary) -> bytes:
         summary.bytes_read,
         summary.worker,
         summary.warm_reused,
-        summary.dedup_hits,
-        summary.dedup_misses,
-        summary.dedup_bytes_avoided,
+        0, 0, 0,  # the three reserved v2 slots
         None if summary.stats is None else summary.stats.to_wire(),
     )
     return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
@@ -1048,7 +1025,8 @@ def _decode_types(
 def _unpack_wire_payload(payload: bytes) -> tuple:
     """Shared unpickle + version gate + field unpack of both decoders.
 
-    Returns the v3 field tuple (stats block last, already decoded into a
+    Returns the frame's fields without the version tag and the three
+    reserved slots (stats block last, already decoded into a
     :class:`StatsBundle` or ``None``); v2 payloads — pre-stats journals
     and cached summaries — unpack with ``stats=None``.  Foreign versions
     raise the "unsupported … version" ValueError, anything structurally
@@ -1058,16 +1036,10 @@ def _unpack_wire_payload(payload: bytes) -> tuple:
         decoded = pickle.loads(payload)
         if len(decoded) == 15:
             # v2 frame: no stats block.
-            (version, keys, ops, schema_i, distinct_i, record_count,
-             skipped, timings, line_count, bytes_read, worker,
-             warm_reused, dedup_hits, dedup_misses,
-             dedup_bytes_avoided) = decoded
-            stats_wire = None
-        else:
-            (version, keys, ops, schema_i, distinct_i, record_count,
-             skipped, timings, line_count, bytes_read, worker,
-             warm_reused, dedup_hits, dedup_misses, dedup_bytes_avoided,
-             stats_wire) = decoded
+            decoded = (*decoded, None)
+        (version, keys, ops, schema_i, distinct_i, record_count,
+         skipped, timings, line_count, bytes_read, worker,
+         warm_reused, _, _, _, stats_wire) = decoded
     except Exception as exc:
         raise ValueError(f"malformed summary wire payload: {exc}") from exc
     if version not in _WIRE_READ_VERSIONS:
@@ -1083,8 +1055,7 @@ def _unpack_wire_payload(payload: bytes) -> tuple:
     except Exception as exc:
         raise ValueError(f"malformed summary wire payload: {exc}") from exc
     return (keys, ops, schema_i, distinct_i, record_count, skipped,
-            timings, line_count, bytes_read, worker, warm_reused,
-            dedup_hits, dedup_misses, dedup_bytes_avoided, stats)
+            timings, line_count, bytes_read, worker, warm_reused, stats)
 
 
 def decode_summary(
@@ -1098,8 +1069,8 @@ def decode_summary(
     merge deduplicates by pointer from the start.
     """
     (keys, ops, schema_i, distinct_i, record_count, skipped, timings,
-     line_count, bytes_read, worker, warm_reused, dedup_hits,
-     dedup_misses, dedup_bytes_avoided, stats) = _unpack_wire_payload(payload)
+     line_count, bytes_read, worker, warm_reused,
+     stats) = _unpack_wire_payload(payload)
     types = _decode_types(keys, ops, acc)
     return PartitionSummary(
         schema=types[schema_i],
@@ -1111,9 +1082,6 @@ def decode_summary(
         bytes_read=bytes_read,
         worker=worker,
         warm_reused=warm_reused,
-        dedup_hits=dedup_hits,
-        dedup_misses=dedup_misses,
-        dedup_bytes_avoided=dedup_bytes_avoided,
         stats=stats,
     )
 
@@ -1122,8 +1090,8 @@ def as_wire_payload(result: "PartitionSummary | bytes") -> bytes:
     """Wire-format bytes for one map-task result, whatever its shape.
 
     The accumulate tasks return either a :class:`PartitionSummary`
-    object (thread backend, wire format off) or an
-    :func:`encode_summary` payload (process backend / journaled runs).
+    object (thread backend or in-line) or an :func:`encode_summary`
+    payload (process backend).
     The cross-run summary cache stores every entry in wire form so a hit
     replays through the same adoption decode regardless of which shape
     produced it; this is the store-side seam that normalises both.
@@ -1333,8 +1301,8 @@ def decode_summary_light(
     :func:`decode_summary`.
     """
     (keys, ops, schema_i, distinct_i, record_count, skipped, timings,
-     line_count, bytes_read, worker, warm_reused, dedup_hits,
-     dedup_misses, dedup_bytes_avoided, stats) = _unpack_wire_payload(payload)
+     line_count, bytes_read, worker, warm_reused,
+     stats) = _unpack_wire_payload(payload)
     digests, node_pos = _walk_wire_digests(keys, ops)
     summary = PartitionSummary(
         schema=_materialize_wire_node(schema_i, keys, ops, node_pos),
@@ -1346,9 +1314,6 @@ def decode_summary_light(
         bytes_read=bytes_read,
         worker=worker,
         warm_reused=warm_reused,
-        dedup_hits=dedup_hits,
-        dedup_misses=dedup_misses,
-        dedup_bytes_avoided=dedup_bytes_avoided,
         stats=stats,
     )
     return summary, tuple(digests[i] for i in distinct_i)
@@ -1387,12 +1352,6 @@ def accumulate_partition(
     return encode_summary(summary) if wire else summary
 
 
-#: Batch granularity of the bytes lane (raw bytes per block-scanner batch
-#: and characters per line-mode batch): one vectorized decode call per
-#: roughly this much input.
-_BYTES_BATCH_CHARS = 1 << 20
-
-
 def _task_lane(parse_lane: str, stats_mode: str) -> str:
     """The resolved lane an NDJSON map task runs; raises on an unknown one.
 
@@ -1406,40 +1365,13 @@ def _task_lane(parse_lane: str, stats_mode: str) -> str:
     return "strict" if stats_mode != "off" else lane
 
 
-def _text_batches(numbered_lines: Iterable[tuple[int, str]]):
-    """Bytes-lane batches of already-decoded lines: ``(lines, numbered)``
-    pairs of about ``_BYTES_BATCH_CHARS`` characters each."""
-    numbered: list[tuple[int, str]] = []
-    pending = 0
-    for pair in numbered_lines:
-        numbered.append(pair)
-        pending += len(pair[1])
-        if pending >= _BYTES_BATCH_CHARS:
-            yield [line for _, line in numbered], numbered
-            numbered = []
-            pending = 0
-    if numbered:
-        yield [line for _, line in numbered], numbered
-
-
-def _decoded_lines(first: int, batch: list) -> Iterable[tuple[int, str]]:
-    """A block-scanner batch as the numbered text lines per-line
-    arbitration takes: decoded, stripped, blank lines dropped — what
-    :class:`~repro.jsonio.splits.SplitLineReader` yields for the same
-    bytes."""
-    for i, piece in enumerate(batch):
-        text = str(piece, "utf-8").strip() if piece else ""
-        if text:
-            yield first + i, text
-
-
 class _ItemPass:
     """One work item streamed through one accumulator, on one lane.
 
     Holds what the lane loops share: the quarantine list, the
-    strict-arbitration fallback, the typers (bound to the accumulator,
-    fed the warm key and line caches) and the per-stage clock buckets,
-    which advance only with ``collect_timings``.
+    strict-arbitration fallback, the key cache the hook typer shares
+    (the warm state's, when there is one) and the per-stage clock
+    buckets, which advance only with ``collect_timings``.
     """
 
     def __init__(
@@ -1447,18 +1379,16 @@ class _ItemPass:
         acc: PartitionAccumulator,
         source: "str | None",
         permissive: bool,
-        warm: "WarmState | None",
+        key_cache: "KeyCache | None",
         collect_timings: bool,
     ) -> None:
         self.acc = acc
         self.source = source
         self.permissive = permissive
-        self.warm = warm
+        self.key_cache = key_cache
         self.perf = time.perf_counter if collect_timings else None
         self.parse_s = self.type_s = self.fuse_s = 0.0
         self.skipped: list[BadRecord] = []
-        self.hook_typer: "HookTyper | None" = None
-        self.batch_typer: "BytesBatchTyper | None" = None
 
     def reject(self, line_number: int, line: str, exc: JsonError) -> None:
         """Fail the task with ``exc`` (strict mode) or quarantine the line."""
@@ -1522,13 +1452,7 @@ class _ItemPass:
 
     def hooks(self, numbered: Iterable[tuple[int, str]]) -> None:
         """Type each record during its C parse, with no value tree."""
-        if self.hook_typer is None:
-            self.hook_typer = HookTyper(
-                self.acc,
-                key_cache=(self.warm.key_cache if self.warm is not None
-                           else None),
-            )
-        type_document = self.hook_typer.type_document
+        type_document = HookTyper(self.acc, self.key_cache).type_document
         observe = self.acc.observe
         perf = self.perf
         parse_s = fuse_s = 0.0
@@ -1553,49 +1477,11 @@ class _ItemPass:
         self.parse_s += parse_s
         self.fuse_s += fuse_s
 
-    def batches(self, batches, raw: bool) -> None:
-        """The bytes lane: type each whole batch in one C decode.
-
-        ``batches`` yields ``(batch, numbered)`` pairs: the lines the
-        batch typer takes (raw byte slices when ``raw``, text otherwise)
-        and the same lines numbered as text.  A batch the fast path
-        rejects runs through :meth:`hooks` line by line, so errors,
-        quarantine entries and the schema match every other lane.
-        """
-        warm = self.warm
-        typer = self.batch_typer = BytesBatchTyper(
-            self.acc,
-            key_cache=warm.key_cache if warm is not None else None,
-            line_cache=warm.line_cache if warm is not None else None,
-        )
-        type_batch = typer.type_lines if raw else typer.type_text_lines
-        observe = self.acc.observe
-        perf = self.perf
-        for batch, numbered in batches:
-            if perf is not None:
-                t0 = perf()
-            try:
-                types = type_batch(batch)
-            except FastLaneMiss:
-                if perf is not None:
-                    self.parse_s += perf() - t0
-                self.hooks(numbered)
-                continue
-            if perf is not None:
-                t1 = perf()
-            for t in types:
-                if t is not None:
-                    observe(t)
-            if perf is not None:
-                self.parse_s += t1 - t0
-                self.fuse_s += perf() - t1
-
     def summary(
         self, lane: str, line_count: int, bytes_read: int
     ) -> PartitionSummary:
         """The item's summary (worker telemetry is the task's to stamp)."""
         acc = self.acc
-        typer = self.batch_typer
         timings = None
         if self.perf is not None:
             timings = PhaseTimings(
@@ -1613,11 +1499,6 @@ class _ItemPass:
             timings=timings,
             line_count=line_count,
             bytes_read=bytes_read,
-            dedup_hits=typer.hits if typer is not None else 0,
-            dedup_misses=typer.misses if typer is not None else 0,
-            dedup_bytes_avoided=(
-                typer.bytes_avoided if typer is not None else 0
-            ),
             stats=acc.stats,
         )
 
@@ -1635,9 +1516,8 @@ def _accumulate_item(
     :func:`accumulate_ndjson_batch`, with the task's warm state.
 
     A numbered-line chunk streams as given.  A
-    :class:`~repro.jsonio.splits.FileSplit` is read here, worker-side:
-    mmap-scanned into raw batches on the bytes lane, line by line
-    otherwise.  It reports split-local line numbers plus its
+    :class:`~repro.jsonio.splits.FileSplit` is read here, worker-side,
+    line by line.  It reports split-local line numbers plus its
     ``line_count`` and ``bytes_read``; a strict-mode error is
     re-anchored to its absolute file line (one prefix read, on the
     error path only), so its message matches a line-oriented run's.
@@ -1646,27 +1526,16 @@ def _accumulate_item(
     run = _ItemPass(
         PartitionAccumulator(warm, stats_mode=stats_mode),
         split.path if split is not None else source,
-        permissive, warm, collect_timings,
+        permissive, warm.key_cache if warm is not None else None,
+        collect_timings,
     )
-    reader = None
-    if split is not None and lane == "bytes":
-        reader = SplitBlockScanner(split, _BYTES_BATCH_CHARS)
-    elif split is not None:
-        reader = SplitLineReader(split)
+    reader = SplitLineReader(split) if split is not None else None
     lines = item if reader is None else reader
     try:
         if lane == "strict":
             run.strict(lines)
-        elif lane == "hooks":
-            run.hooks(lines)
-        elif reader is None:
-            run.batches(_text_batches(item), raw=False)
         else:
-            run.batches(
-                ((batch, _decoded_lines(first, batch))
-                 for first, batch in reader),
-                raw=True,
-            )
+            run.hooks(lines)
     except JsonSyntaxError as exc:
         if split is None or split.offset == 0:
             raise
@@ -1856,7 +1725,6 @@ def merge_summary_group(
     timings: list[PhaseTimings | None] = []
     line_count = 0
     bytes_read = 0
-    dedup_hits = dedup_misses = dedup_bytes_avoided = 0
     stats: "StatsBundle | None" = None
     for summary in summaries:
         schema = fuse(schema, summary.schema)
@@ -1867,9 +1735,6 @@ def merge_summary_group(
         timings.append(summary.timings)
         line_count += summary.line_count
         bytes_read += summary.bytes_read
-        dedup_hits += summary.dedup_hits
-        dedup_misses += summary.dedup_misses
-        dedup_bytes_avoided += summary.dedup_bytes_avoided
         stats = merge_stats(stats, summary.stats)
     return PartitionSummary(
         schema=schema,
@@ -1879,9 +1744,6 @@ def merge_summary_group(
         timings=merge_phase_timings(timings),
         line_count=line_count,
         bytes_read=bytes_read,
-        dedup_hits=dedup_hits,
-        dedup_misses=dedup_misses,
-        dedup_bytes_avoided=dedup_bytes_avoided,
         stats=stats,
     )
 

@@ -74,6 +74,7 @@ from repro.jsonio.ndjson import (
 )
 from repro.jsonio.splits import (
     DEFAULT_MIN_SPLIT_BYTES,
+    digest_splits,
     plan_splits,
     rebase_bad_records,
 )
@@ -82,7 +83,6 @@ __all__ = [
     "infer_schema",
     "infer_ndjson_file",
     "resolve_split_mode",
-    "resolve_wire_format",
     "run_inference",
     "InferenceRun",
     "ResumableInterrupt",
@@ -92,7 +92,6 @@ __all__ = [
     "PartitionedRun",
     "CACHE_MODES",
     "SPLIT_MODES",
-    "WIRE_FORMAT_MODES",
 ]
 
 
@@ -184,9 +183,6 @@ def _note_summary_telemetry(stats, summaries) -> None:
             stats.warm_state_reuses += 1
         elif summary.warm_reused is False:
             stats.warm_state_builds += 1
-        stats.dedup_line_hits += summary.dedup_hits
-        stats.dedup_line_misses += summary.dedup_misses
-        stats.dedup_bytes_avoided += summary.dedup_bytes_avoided
         if summary.stats is not None:
             stats.stats_bundles_merged += 1
 
@@ -414,29 +410,6 @@ def run_inference(
 #: Public values of ``infer_ndjson_file``'s ``split_mode``.
 SPLIT_MODES = ("auto", "bytes", "lines")
 
-#: Public values of ``infer_ndjson_file``'s ``wire_format``.
-WIRE_FORMAT_MODES = ("auto", "on", "off")
-
-
-def resolve_wire_format(wire_format: str, context: Context | None) -> bool:
-    """Resolve a ``wire_format`` mode to a concrete on/off decision.
-
-    ``"auto"`` turns the compact summary wire format on exactly where it
-    pays: the process backend, whose task results otherwise cross the
-    IPC boundary as pickled type-object graphs.  On the thread backend
-    (and in-line) summaries are shared by reference, so encoding would
-    be pure overhead.  ``"on"``/``"off"`` force the decision — ``"on"``
-    is how the equivalence tests exercise the codec on every backend.
-    """
-    if wire_format not in WIRE_FORMAT_MODES:
-        raise ValueError(
-            f"unknown wire_format {wire_format!r}; expected one of "
-            f"{WIRE_FORMAT_MODES}"
-        )
-    if wire_format == "auto":
-        return context is not None and context.backend == "process"
-    return wire_format == "on"
-
 
 #: Public values of ``infer_ndjson_file``'s ``cache_mode``.
 CACHE_MODES = ("off", "read", "readwrite")
@@ -489,14 +462,11 @@ def _scrub_replayed_telemetry(summary: PartitionSummary) -> PartitionSummary:
     """Zero the run-local telemetry a cached summary carries.
 
     A cache hit replays the summary *content* (schema, counts,
-    quarantine) of the run that produced it, but its worker identity,
-    warm-state flag and dedup counters describe that old run — left in
-    place they would corrupt this run's accounting.
+    quarantine) of the run that produced it, but its worker identity and
+    warm-state flag describe that old run — left in place they would
+    corrupt this run's accounting.
     """
-    return replace(
-        summary, worker="", warm_reused=None,
-        dedup_hits=0, dedup_misses=0, dedup_bytes_avoided=0,
-    )
+    return replace(summary, worker="", warm_reused=None)
 
 
 #: Version of the run-level (whole-plan) cache entry payload.
@@ -906,7 +876,6 @@ def infer_ndjson_file(
     update_from: str | Path | None = None,
     checkpoint_to: str | Path | None = None,
     batch_size: int | None = None,
-    wire_format: str = "auto",
     journal_path: str | Path | None = None,
     resume: bool = False,
     stop_event=None,
@@ -955,14 +924,7 @@ def infer_ndjson_file(
     value tree — C-accelerated via stdlib ``json`` hooks when available —
     and fall back to the strict parser per record on any error, so
     results, error diagnostics and quarantine behaviour are identical to
-    ``"strict"`` on every input; only the wall-clock differs.
-    ``"bytes"`` (opt-in) is the vectorized lane: byte-split workers mmap
-    their range and type whole batches of raw, never-decoded line bytes
-    through one C ``json`` call, with a warm-state duplicate-line type
-    cache that skips parsing repeated lines outright; any batch the fast
-    path rejects is re-run through the same per-line fallback chain, so
-    its results are byte-identical too (the dedup counters land in
-    :class:`~repro.engine.scheduler.SchedulerStats`).  With
+    ``"strict"`` on every input; only the wall-clock differs.  With
     ``collect_timings=True`` (the CLI's ``--timings``) the run's
     ``phase_timings`` attribute the map time to parse/type/fuse stages;
     the default skips the per-record clock reads and leaves
@@ -979,12 +941,11 @@ def infer_ndjson_file(
       identical results (fusion associativity, Theorem 5.5), and
       quarantined line numbers stay absolute: batch tasks re-base
       intra-batch, the driver re-bases across tasks.
-    * ``wire_format`` — ``"auto"`` (default) encodes task-result
-      summaries in the compact flat-table wire format whenever the
-      context runs the process backend, where results otherwise cross
-      the IPC boundary as pickled type-object graphs; ``"on"``/``"off"``
-      force it.  See :func:`repro.inference.kernel.encode_summary`;
-      results are bit-identical either way.
+    * On the process backend task-result summaries return in the compact
+      flat-table wire format (:func:`repro.inference.kernel.encode_summary`),
+      not as pickled type-object graphs; thread and in-line tasks share
+      their summaries by reference.  Results are bit-identical either
+      way.
 
     With a warm context (``Context(warm=True)``, the default) every
     partition task also carries the scheduler's warm-state generation
@@ -1086,7 +1047,9 @@ def infer_ndjson_file(
                 collect_timings=collect_timings, split_mode=mode,
                 stats=stats_mode,
             )
-    wire = resolve_wire_format(wire_format, context)
+    # Encode task results where they cross a process boundary; thread
+    # and in-line summaries are shared by reference.
+    wire = context is not None and context.backend == "process"
     stats = context.scheduler.stats if context is not None else None
     scheduler = context.scheduler if context is not None else None
     parallelism = scheduler.parallelism if scheduler is not None else 1
@@ -1175,8 +1138,6 @@ def infer_ndjson_file(
             def digest_items() -> list[str]:
                 # One hash pass over the file (memory bandwidth, no
                 # typing) keys every split.
-                from repro.jsonio.blockscan import digest_splits
-
                 return digest_splits(source, items)
 
             def shipped_bytes(misses: list) -> int:

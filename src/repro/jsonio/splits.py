@@ -15,7 +15,10 @@ the classic rule (Hadoop's ``LineRecordReader``): **a line belongs to the
 split that contains its first byte**.  A split whose offset lands mid-line
 skips forward to the next line start; a split whose last line runs past its
 end keeps reading until the line is finished.  Together the splits yield
-every line exactly once, in file order within each split.
+every line exactly once, in file order within each split.  The same rules,
+applied to the whole file as one buffer (:func:`split_content_span`), give
+the exact bytes each split depends on, which :func:`digest_splits` hashes
+into the cross-run summary cache's content keys.
 
 Line *numbers* are where the subtlety lives.  A worker reading from byte
 1,073,741,824 cannot know which file line it is on, so everything a split
@@ -37,6 +40,8 @@ multibyte sequence.
 
 from __future__ import annotations
 
+import hashlib
+import mmap
 import os
 import re
 import stat
@@ -51,9 +56,11 @@ __all__ = [
     "FileSplit",
     "SplitLineReader",
     "count_lines_before",
+    "digest_splits",
     "iter_split_lines",
     "plan_splits",
     "rebase_bad_records",
+    "split_content_span",
 ]
 
 #: Floor on a planned split's size: below this, per-split overhead (task
@@ -171,23 +178,6 @@ class SplitLineReader:
         self.bytes_read = 0
 
     def __iter__(self) -> Iterator[tuple[int, str]]:
-        for line_number, piece in self.iter_raw():
-            text = piece.decode("utf-8").strip()
-            if text:
-                yield line_number, text
-
-    def iter_raw(self) -> Iterator[tuple[int, bytes]]:
-        """Iterate every physical line as raw, terminator-stripped bytes.
-
-        Unlike :meth:`__iter__`, blank lines are yielded too (as empty or
-        whitespace-only ``bytes``) and nothing is decoded: the bytes-native
-        parse lane feeds ``json.loads`` raw bytes, so the per-line
-        ``decode("utf-8").strip()`` the text lane needs would be a pure
-        allocation tax here.  Consumers that do need text semantics apply
-        ``piece.decode("utf-8").strip()`` themselves — exactly what
-        :meth:`__iter__` does — so blank-line and whitespace handling stay
-        identical by construction between the two iteration modes.
-        """
         split = self.split
         end = split.end
         if split.length <= 0:
@@ -223,7 +213,9 @@ class SplitLineReader:
                     carry = pieces.pop() if pieces else b""
                 for piece in pieces:
                     self.line_count += 1
-                    yield self.line_count, piece
+                    text = piece.decode("utf-8").strip()
+                    if text:
+                        yield self.line_count, text
             # Flush the final partial line.  A carry ending in \r is a
             # *terminated* line (a \n just past the split end would be
             # the pair's tail, skipped by the next split's alignment).
@@ -254,7 +246,9 @@ class SplitLineReader:
                 emit = carry
             if emit is not None:
                 self.line_count += 1
-                yield self.line_count, emit
+                text = emit.decode("utf-8").strip()
+                if text:
+                    yield self.line_count, text
         self.bytes_read = consumed
 
     @staticmethod
@@ -304,6 +298,122 @@ class SplitLineReader:
                 handle.seek(pos + newline + 1)
                 return pos + newline + 1
             pos += len(chunk)
+
+
+def _align_buffer(buf, offset: int, size: int) -> int:
+    """First-byte ownership on a whole-file buffer: the in-memory twin of
+    :meth:`SplitLineReader._align_to_line_start`, same rules."""
+    if offset == 0:
+        return 0
+    before = buf[offset - 1:offset]
+    if before == b"\n":
+        return offset
+    if before == b"\r":
+        if buf[offset:offset + 1] == b"\n":
+            # The \n at `offset` is the tail of a \r\n terminator
+            # consumed by the previous split; the line starts after.
+            return offset + 1
+        return offset  # lone \r: a complete terminator
+    # Mid-line: the rest of this line belongs to the previous split.
+    nl = buf.find(b"\n", offset)
+    cr = buf.find(b"\r", offset)
+    if cr != -1 and (nl == -1 or cr < nl):
+        return cr + 2 if buf[cr + 1:cr + 2] == b"\n" else cr + 1
+    if nl != -1:
+        return nl + 1
+    return size  # EOF: nothing left for this split
+
+
+def split_content_span(buf, split: FileSplit) -> tuple[int, int]:
+    """The byte span ``[start, stop)`` a split's summary depends on.
+
+    A split summary is a pure function of more than the planned range
+    ``[offset, offset + length)``: the byte at ``offset - 1`` decides the
+    first-byte-ownership alignment, and a final line running past the
+    split end drags in the overshoot up to and including its terminator.
+    This returns exactly that closure — the same consumption
+    :class:`SplitLineReader` performs — so ``sha256(buf[start:stop])`` is
+    a sound content-address for the summary: any byte outside the span
+    can change without affecting the split's output, and any byte inside
+    it that changes changes the digest.
+
+    ``buf`` is the whole file as any sliceable byte buffer (``mmap``,
+    ``bytes``); ``stop - start`` equals the reader's ``bytes_read`` plus
+    the one-byte boundary probe (when ``offset > 0``).
+    """
+    size = len(buf)
+    start = min(max(0, split.offset - 1), size)
+    if split.length <= 0 or size == 0:
+        return start, start
+    end = min(split.end, size)
+    if end <= 0:
+        return start, start
+    pos = _align_buffer(buf, split.offset, size)
+    if pos >= end:
+        # The whole range sits inside one line owned by the previous
+        # split; only the alignment scan's bytes matter.
+        return start, max(start, pos)
+    last = buf[end - 1]
+    if last == 0x0A or last == 0x0D:
+        # Range ends on a terminator.  A trailing lone "\r" is complete:
+        # the reader emits its line without looking at the byte past the
+        # end (a following "\n" is consumed by the next split's
+        # alignment), so the span stops at the planned end either way.
+        return start, end
+    # Final line runs past the split end: the overshoot up to and
+    # including the first terminator at/after `end` is ours — the same
+    # scan-forward rule as the mid-line alignment case.
+    nl = buf.find(b"\n", end)
+    cr = buf.find(b"\r", end)
+    if cr != -1 and (nl == -1 or cr < nl):
+        stop = cr + 2 if buf[cr + 1:cr + 2] == b"\n" else cr + 1
+    elif nl != -1:
+        stop = nl + 1
+    else:
+        stop = size
+    return start, stop
+
+
+#: Hash granularity of :func:`digest_splits`: one ``update`` call per this
+#: many bytes, so a multi-gigabyte split never materialises as one slice.
+_DIGEST_CHUNK = 1 << 22
+
+
+def digest_splits(path: "str | Path", splits: list[FileSplit]) -> list[str]:
+    """Content digests for a split plan: one sha-256 hex string per split.
+
+    One pass over one memory map (seek/read fallback when mmap is
+    unavailable), hashing each split's :func:`split_content_span` in
+    chunks.  The digest is the content half of the cross-run summary
+    cache's key (:mod:`repro.store.summarycache`): equal digests mean the
+    split's bytes — boundary probe and overshoot included — are
+    identical, so its cached summary replays verbatim.  Hashing runs at
+    memory bandwidth, without any of the line-scanning or typing work a
+    recompute would pay.
+    """
+    if not splits:
+        return []
+    with open(str(path), "rb") as handle:
+        try:
+            buf = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            buf = handle.read()
+    try:
+        view = memoryview(buf)
+        try:
+            digests = []
+            for split in splits:
+                start, stop = split_content_span(buf, split)
+                digest = hashlib.sha256()
+                for piece in range(start, stop, _DIGEST_CHUNK):
+                    digest.update(view[piece:min(piece + _DIGEST_CHUNK, stop)])
+                digests.append(digest.hexdigest())
+            return digests
+        finally:
+            view.release()
+    finally:
+        if isinstance(buf, mmap.mmap):
+            buf.close()
 
 
 def iter_split_lines(split: FileSplit) -> Iterator[tuple[int, str]]:

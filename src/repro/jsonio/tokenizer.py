@@ -7,6 +7,7 @@ single quotes, no ``NaN``/``Infinity`` — exactly the JSON grammar.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator, NamedTuple
 
 from repro.jsonio.errors import JsonSyntaxError
@@ -165,6 +166,7 @@ def _lex_number(cur: _Cursor) -> int | float:
     """Lex a number; the cursor sits on ``-`` or a digit."""
     text = cur.text
     start = cur.pos
+    line, col = cur.line, cur.col
     is_float = False
 
     if cur.pos < len(text) and text[cur.pos] == "-":
@@ -196,7 +198,16 @@ def _lex_number(cur: _Cursor) -> int | float:
             cur.advance()
 
     literal = text[start:cur.pos]
-    return float(literal) if is_float else int(literal)
+    if is_float:
+        return float(literal)
+    try:
+        return int(literal)
+    except ValueError:
+        # int() refuses more than sys.get_int_max_str_digits() digits.
+        raise JsonSyntaxError(
+            f"integer literal longer than the {sys.get_int_max_str_digits()}"
+            f"-digit limit of int()", line, col,
+        ) from None
 
 
 def tokenize(text: str) -> Iterator[Token]:

@@ -2,7 +2,7 @@
 
 The map phase is a pure function: a split's :class:`PartitionSummary`
 depends on nothing but the split's bytes (boundary probe and overshoot
-included — :func:`repro.jsonio.blockscan.split_content_span`) and the
+included — :func:`repro.jsonio.splits.split_content_span`) and the
 kernel configuration that typed them.  That purity is the whole load-
 bearing wall here: key a persistent store by ``(content sha-256,
 config signature)`` and a re-run over mostly-unchanged data can *replay*

@@ -26,9 +26,16 @@ from repro.inference.typestream import (
     resolve_lane,
 )
 from repro.jsonio.errors import DuplicateKeyError, JsonError
+from repro.store.journal import JournalMismatchError
 
 ALL_LANES = ["strict", "hooks", "fast", "auto"]
 RESOLVED = ["strict", "hooks"]
+
+#: An integer literal well past CPython's default ``int()`` conversion
+#: limit (``sys.get_int_max_str_digits()``, 4300 digits): the strict
+#: tokenizer must reject it as a located syntax error and the hook lane
+#: must defer it to strict.
+HUGE_INT = "9" * 5000
 
 
 def _numbered(lines):
@@ -123,6 +130,7 @@ class TestPermissiveQuarantine:
         '{"a": 3, "a": 4}\n'
         "nope\n"
         '{"a": 5}\n'
+        '{"n": ' + HUGE_INT + '}\n'
     )
 
     def test_bad_records_identical_across_lanes(self, tmp_path):
@@ -132,9 +140,12 @@ class TestPermissiveQuarantine:
             lane: infer_ndjson_file(path, parse_lane=lane, permissive=True)
             for lane in ALL_LANES
         }
+        # Statistics force the strict lane; its quarantine must not move.
+        runs["stats"] = infer_ndjson_file(path, permissive=True,
+                                          stats_mode="basic")
         strict = runs["strict"]
-        assert strict.skipped_count == 3
-        assert [b.line_number for b in strict.bad_records] == [4, 6, 7]
+        assert strict.skipped_count == 4
+        assert [b.line_number for b in strict.bad_records] == [4, 6, 7, 9]
         for lane, run in runs.items():
             assert run.bad_records == strict.bad_records, lane
             assert run.schema == strict.schema, lane
@@ -197,6 +208,10 @@ class TestStrictErrorIdentity:
         '{"a": "\\ud800"}',
         '"\\udc00"',
         '"\\ud800x"',
+        # Integer literals past int()'s digit limit: a located syntax
+        # error from strict, a deferral from the hook lane.
+        pytest.param('{"n": ' + HUGE_INT + '}', id="huge-int"),
+        pytest.param('{"n": -' + HUGE_INT + '}', id="huge-negative-int"),
     ]
 
     @pytest.mark.parametrize("bad", CASES)
@@ -284,10 +299,26 @@ class TestLaneResolution:
         assert resolve_lane("hooks") == "hooks"
 
     def test_unknown_lane_rejected(self):
-        with pytest.raises(ValueError, match="unknown parse_lane"):
-            resolve_lane("warp")
-        with pytest.raises(ValueError, match="unknown parse_lane"):
-            accumulate_ndjson_partition([(1, "{}")], parse_lane="warp")
+        for lane in ("warp", "bytes"):
+            with pytest.raises(ValueError, match="unknown parse_lane"):
+                resolve_lane(lane)
+            with pytest.raises(ValueError, match="unknown parse_lane"):
+                accumulate_ndjson_partition([(1, "{}")], parse_lane=lane)
+
+    def test_journal_binds_parse_lane(self, tmp_path):
+        # A resume under another lane must be refused, not replayed.
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(b'{"a": 1}\n' * 50)
+        journal = tmp_path / "run.journal"
+        infer_ndjson_file(
+            str(path), parse_lane="strict", split_mode="bytes",
+            journal_path=str(journal),
+        )
+        with pytest.raises(JournalMismatchError):
+            infer_ndjson_file(
+                str(path), parse_lane="auto", split_mode="bytes",
+                journal_path=str(journal), resume=True,
+            )
 
 
 class TestPhaseTimings:

@@ -18,8 +18,7 @@ import pytest
 from repro.core.printer import print_type
 from repro.engine import Context
 from repro.inference.pipeline import infer_ndjson_file
-from repro.jsonio.blockscan import split_content_span
-from repro.jsonio.splits import plan_splits
+from repro.jsonio.splits import plan_splits, split_content_span
 
 MIN_SPLIT = 1 << 10
 N_PARTS = 8

@@ -7,6 +7,8 @@ whatever mix of ``\\n`` / ``\\r\\n`` / lone ``\\r`` terminators, blank
 lines, multibyte UTF-8 and boundary placements the file contains.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,9 +19,11 @@ from repro.jsonio.splits import (
     FileSplit,
     SplitLineReader,
     count_lines_before,
+    digest_splits,
     iter_split_lines,
     plan_splits,
     rebase_bad_records,
+    split_content_span,
 )
 
 
@@ -248,3 +252,96 @@ class TestRebaseBadRecords:
         (out,) = rebase_bad_records([bad], base=5)
         assert out.line_number == 6
         assert out.error == "something else entirely"
+
+
+#: Newline-free pieces stitched together with every terminator below.
+PIECES = [
+    b'{"a": 1}',
+    b"",
+    b'{"caf\xc3\xa9": "\xf0\x9f\x98\x80"}',  # multibyte UTF-8
+    b"   ",
+    b'{"b": [1, 2]}',
+    b"",
+    b'{"tail": true}',
+]
+
+
+def _corpus(terminator: bytes, final_terminator: bool) -> bytes:
+    data = terminator.join(PIECES)
+    return data + terminator if final_terminator else data
+
+
+class TestContentSpan:
+    """``split_content_span`` must be the exact dependency closure.
+
+    The cross-run summary cache keys a split by the hash of this span, so
+    two properties carry all the correctness weight: the span covers
+    every byte the reader consumes (otherwise a stale summary could
+    replay after a relevant byte changed), and nothing more than the
+    boundary probe (otherwise irrelevant churn would evict good
+    entries).
+    """
+
+    @pytest.mark.parametrize("terminator", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("final_terminator", [True, False])
+    def test_span_matches_consumption_at_every_offset(
+        self, tmp_path, terminator, final_terminator
+    ):
+        path = tmp_path / "data.ndjson"
+        data = _corpus(terminator, final_terminator)
+        path.write_bytes(data)
+        size = len(data)
+        for offset in range(size):
+            for length in (1, 3, size // 2, size - offset):
+                if length <= 0 or offset + length > size:
+                    continue
+                split = FileSplit(str(path), offset, length)
+                reader = SplitLineReader(split)
+                for _ in reader:
+                    pass
+                start, stop = split_content_span(data, split)
+                # Exactly the consumed range plus the boundary probe.
+                assert start == max(0, offset - 1), (offset, length)
+                assert stop == offset + reader.bytes_read, (offset, length)
+
+    @pytest.mark.parametrize("terminator", [b"\n", b"\r\n", b"\r"])
+    def test_digest_splits_keys_match_span_hashes(self, tmp_path, terminator):
+        path = tmp_path / "data.ndjson"
+        data = _corpus(terminator, True) * 10
+        path.write_bytes(data)
+        splits = plan_splits(str(path), 4, min_split_bytes=1)
+        digests = digest_splits(str(path), splits)
+        assert len(digests) == len(splits)
+        for split, digest in zip(splits, digests):
+            start, stop = split_content_span(data, split)
+            assert digest == hashlib.sha256(data[start:stop]).hexdigest()
+
+    def test_digest_changes_only_for_spanned_bytes(self, tmp_path):
+        path = tmp_path / "data.ndjson"
+        lines = b"".join(b'{"i": %04d}\n' % i for i in range(64))
+        path.write_bytes(lines)
+        splits = plan_splits(str(path), 4, min_split_bytes=1, stable=True)
+        assert len(splits) == 4
+        before = digest_splits(str(path), splits)
+        # Flip one byte strictly inside split 2 (away from both edges).
+        mutated = bytearray(lines)
+        target = splits[2].offset + splits[2].length // 2
+        mutated[target] = ord("9") if mutated[target] != ord("9") else ord("8")
+        path.write_bytes(bytes(mutated))
+        after = digest_splits(str(path), splits)
+        changed = [i for i in range(4) if before[i] != after[i]]
+        assert changed == [2]
+
+    def test_stable_planning_keeps_prefix_boundaries_on_append(
+        self, tmp_path
+    ):
+        path = tmp_path / "data.ndjson"
+        lines = b"".join(b'{"i": %04d}\n' % i for i in range(600))
+        path.write_bytes(lines)
+        before = plan_splits(str(path), 4, min_split_bytes=1024, stable=True)
+        path.write_bytes(lines + b'{"i": 9999}\n' * 6)
+        after = plan_splits(str(path), 4, min_split_bytes=1024, stable=True)
+        # Every fully-covered prefix split keeps its exact boundaries
+        # (only the tail split grows), so its cache digest survives.
+        for a, b in zip(before[:-1], after):
+            assert (a.offset, a.length) == (b.offset, b.length)

@@ -153,7 +153,7 @@ class TestConfigSignature:
         )
         signatures = {config_signature(**base)}
         for knob, value in [
-            ("parse_lane", "bytes"),
+            ("parse_lane", "strict"),
             ("permissive", True),
             ("collect_timings", True),
             ("split_mode", "lines"),

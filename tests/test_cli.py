@@ -49,20 +49,10 @@ class TestInfer:
 
     def test_parse_lanes_agree(self, sample_file, capsys):
         outputs = set()
-        for lane in ("auto", "fast", "bytes", "strict"):
+        for lane in ("auto", "fast", "strict"):
             assert main(["infer", sample_file, "--parse-lane", lane]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
-
-    def test_bytes_lane_timings_report_dedup(self, tmp_path, capsys):
-        path = tmp_path / "dups.ndjson"
-        path.write_text('{"a": 1}\n' * 200)
-        assert main(["infer", str(path), "--parse-lane", "bytes",
-                     "--parallel", "1", "--timings"]) == 0
-        err = capsys.readouterr().err
-        assert "line dedup:" in err
-        assert "hit rate" in err
-        assert "never decoded" in err
 
     def test_unknown_parse_lane_rejected(self, sample_file):
         with pytest.raises(SystemExit):
