@@ -237,13 +237,15 @@ def print_report(report: dict) -> None:
 def check_equivalence(n: int, batches: int = 3, partitions: int = 4) -> bool:
     """CI gate: full == update-chain == shard-merge, on both backends.
 
-    Runs two corpora on purpose: ``github`` is the realistic feed (a
-    small distinct set maintained over many records) and ``mixed`` is
+    Runs three corpora on purpose: ``github`` is the realistic feed (a
+    small distinct set maintained over many records), ``mixed`` is
     the distinct-type stress case (nearly every record a new type), the
-    shape most likely to expose a checkpoint dedup or round-trip bug.
+    shape most likely to expose a checkpoint dedup or round-trip bug,
+    and ``wikidata`` is the key-explosion case, whose schema is wide
+    enough that the kernel switches to its logarithmic fold order.
     """
     ok = True
-    for dataset in ("github", "mixed"):
+    for dataset in ("github", "mixed", "wikidata"):
         report = run_benchmark(
             n, batches, partitions, out_path=None, dataset=dataset
         )

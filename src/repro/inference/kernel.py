@@ -18,13 +18,21 @@ This module collapses all of that into *one* pass per partition:
   pair ``(id(a), id(b))``.  On homogeneous or skewed data the running
   schema stabilises after a handful of records and every further record
   costs one dict lookup — near-zero fuse work.
+* The fold order adapts to the schema's width.  A left fold rebuilds the
+  running schema once per record, so once that schema reaches
+  :data:`_LOG_FOLD_THRESHOLD` nodes — the paper's key-explosion regime,
+  where ids are keys — the accumulator switches to a logarithmic fold:
+  a binary-counter stack of partial schemas, flushed when the schema is
+  read.  Fuse is commutative and associative (Theorems 5.4 and 5.5), so
+  both orders give the same schema.
 * :meth:`PartitionAccumulator.summary` emits a tiny, picklable
   :class:`PartitionSummary` (schema + counts + distinct types), which is
   what crosses a process boundary when the scheduler runs with
-  ``backend="process"``; :func:`merge_summaries` recombines the partials
-  at the driver.  Any grouping of the merge yields the same schema — that
-  is exactly the associativity theorem (Theorem 5.5), the same property
-  that already licenses ``tree_reduce``.
+  ``backend="process"``; :func:`merge_summary_group` recombines the
+  partials at the driver through a fresh interner and memo.  Any
+  grouping of the merge yields the same schema — that is exactly the
+  associativity theorem (Theorem 5.5), the same property that already
+  licenses ``tree_reduce``.
 
 Everything here is *exact*: the accumulator's schema, record count and
 distinct-type count are identical (plain ``==``) to the naive
@@ -59,11 +67,7 @@ from repro.core.types import (
     Type,
     UnionType,
 )
-from repro.inference.fusion import (
-    _addends_by_kind,
-    fuse,
-    lfuse,
-)
+from repro.inference.fusion import _addends_by_kind, lfuse
 from repro.inference.statistics import (
     StatsBundle,
     create_stats_bundle,
@@ -121,14 +125,14 @@ class FusionMemo:
     * the interner's pool keeps every canonical type alive for the memo's
       lifetime, so an ``id()`` can never be reused by the allocator, and
       within one interner structural equality coincides with object
-      identity — the ``t1 == t2`` fast path of :func:`fuse` becomes an
-      ``is`` check.
+      identity — the ``t1 == t2`` fast path of the reference
+      :func:`repro.inference.fusion.fuse` becomes an ``is`` check.
 
     Results are interned through the same pool, so a schema that has
     converged keeps its identity and repeated fusions are O(1) dict hits.
-    The output is identical (plain ``==``) to :func:`fuse`: the recursion
-    mirrors ``Fuse``/``LFuse``/``collapse`` rule for rule, and memoization
-    only short-circuits recomputation of a pure function.
+    The output is identical (plain ``==``) to the reference ``fuse``: the
+    recursion mirrors ``Fuse``/``LFuse``/``collapse`` rule for rule, and
+    memoization only short-circuits recomputation of a pure function.
     """
 
     def __init__(self, interner: TypeInterner) -> None:
@@ -462,8 +466,22 @@ class PartitionSummary:
 #: only grow (every distinct subtree stays alive for pointer-keyed
 #: memoization), so a long-lived worker crossing many heterogeneous
 #: datasets needs *some* bound; real schemas stay orders of magnitude
-#: below it, so the cap never fires on a well-behaved feed.
+#: below it, so the cap never fires on a well-behaved feed.  The
+#: logarithmic fold (see :data:`_LOG_FOLD_THRESHOLD`) interns its
+#: intermediate partial schemas too, so a key-explosion partition pools
+#: more nodes than a left fold: 5,777 against 4,070 for a cold
+#: 625-record ``wikidata`` partition.  Memory still falls, because the
+#: left fold pools one schema-wide record per record (586,224 pooled
+#: fields there, against 59,155).
 WARM_STATE_NODE_LIMIT = 2_000_000
+
+#: Schema size (:attr:`Type.size`, in AST nodes) from which
+#: :meth:`PartitionAccumulator.observe` stops left-folding.  Of the paper
+#: corpora only ``wikidata`` crosses it (after about 10 records);
+#: ``github``, ``twitter`` and ``nytimes`` converge below 300 nodes, where
+#: the memo-hit left fold is several times faster than the logarithmic
+#: one.
+_LOG_FOLD_THRESHOLD = 2_000
 
 
 class WarmState:
@@ -578,6 +596,11 @@ class PartitionAccumulator:
             self._record_pool = warm.record_pool
             self._array_pool = warm.array_pool
         self._schema: Type = EMPTY
+        #: ``None`` while :meth:`observe` left-folds; once the schema has
+        #: reached :data:`_LOG_FOLD_THRESHOLD` nodes, the binary-counter
+        #: stack of ``(rank, partial schema)`` pairs not yet fused into
+        #: ``_schema`` (a rank-``r`` partial covers ``2**r`` records).
+        self._pending: "list[tuple[int, Type]] | None" = None
         self._count = 0
         self._distinct_ids: set[int] = set()
         self._distinct: list[Type] = []
@@ -588,7 +611,13 @@ class PartitionAccumulator:
 
     @property
     def schema(self) -> Type:
-        """The running fused schema (empty type before any record)."""
+        """The running fused schema (empty type before any record).
+
+        Reading it first flushes the partials a logarithmic fold holds
+        back (see :meth:`observe`), so it always covers every record.
+        """
+        if self._pending:
+            self._flush()
         return self._schema
 
     @property
@@ -633,13 +662,47 @@ class PartitionAccumulator:
         ``t`` must be interned here — produced by :meth:`type_value`, the
         pool helpers, or a fast-lane typer bound to this accumulator —
         so the distinct test can be a pointer test.
+
+        The fold order depends on the schema's width.  While the running
+        schema is under :data:`_LOG_FOLD_THRESHOLD` nodes, ``t`` fuses
+        straight into it: a left fold, all memo hits once the schema
+        converges.  A left fold rebuilds the schema for every record,
+        though, which costs records × schema width once ids become keys.
+        So once the schema reaches that size, and for the rest of the
+        accumulator's life, ``t`` enters a binary counter: it fuses with
+        the pending partials of equal rank, so each record meets small
+        partials and the wide schema is rebuilt only when :attr:`schema`
+        is read.  Fuse is commutative and associative (Theorems 5.4 and
+        5.5), so the result is the same schema either way.
         """
         self._count += 1
         key = id(t)  # canonical => identity test suffices
         if key not in self._distinct_ids:
             self._distinct_ids.add(key)
             self._distinct.append(t)
-        self._schema = self.memo.fuse(self._schema, t)
+        pending = self._pending
+        if pending is None:
+            schema = self._schema
+            if schema.size < _LOG_FOLD_THRESHOLD:
+                self._schema = self.memo.fuse(schema, t)
+                return
+            self._pending = pending = []
+        fuse = self.memo.fuse
+        rank = 0
+        while pending and pending[-1][0] == rank:
+            t = fuse(pending.pop()[1], t)
+            rank += 1
+        pending.append((rank, t))
+
+    def _flush(self) -> None:
+        """Fuse the logarithmic fold's pending partials into the schema,
+        smallest first."""
+        pending = self._pending
+        fuse = self.memo.fuse
+        t = pending.pop()[1]
+        while pending:
+            t = fuse(pending.pop()[1], t)
+        self._schema = fuse(self._schema, t)
 
     def add_many(self, values: Iterable[Any]) -> None:
         """Stream a batch of values."""
@@ -652,7 +715,7 @@ class PartitionAccumulator:
         Does not contribute to the distinct top-level *value* types — it is
         a schema, not a record observation.
         """
-        self._schema = self.memo.fuse(self._schema, self.interner.intern(t))
+        self._schema = self.memo.fuse(self.schema, self.interner.intern(t))
         self._count += records
 
     def add_summary(self, summary: PartitionSummary) -> None:
@@ -673,7 +736,7 @@ class PartitionAccumulator:
             if key not in self._distinct_ids:
                 self._distinct_ids.add(key)
                 self._distinct.append(canonical)
-        self._schema = self.memo.fuse(self._schema, intern(summary.schema))
+        self._schema = self.memo.fuse(self.schema, intern(summary.schema))
         self._count += summary.record_count
         # Statistics merge only when this accumulator collects them: a
         # stats-off accumulator produces stats-less summaries, and
@@ -686,7 +749,7 @@ class PartitionAccumulator:
     def summary(self) -> PartitionSummary:
         """Snapshot the accumulator as a small, picklable summary."""
         return PartitionSummary(
-            schema=self._schema,
+            schema=self.schema,
             record_count=self._count,
             distinct_types=tuple(self._distinct),
             stats=self.stats,
@@ -1481,25 +1544,28 @@ class _ItemPass:
         self, lane: str, line_count: int, bytes_read: int
     ) -> PartitionSummary:
         """The item's summary (worker telemetry is the task's to stamp)."""
-        acc = self.acc
+        perf = self.perf
         timings = None
-        if self.perf is not None:
+        if perf is None:
+            summary = self.acc.summary()
+        else:
+            # Reading the schema flushes a logarithmic fold's pending
+            # partials: fuse work, so it is timed as fuse.
+            t0 = perf()
+            summary = self.acc.summary()
             timings = PhaseTimings(
                 lane=lane,
                 parse_s=self.parse_s,
                 type_s=self.type_s,
-                fuse_s=self.fuse_s,
-                records=acc.record_count,
+                fuse_s=self.fuse_s + perf() - t0,
+                records=summary.record_count,
             )
-        return PartitionSummary(
-            schema=acc.schema,
-            record_count=acc.record_count,
-            distinct_types=acc.distinct_types(),
+        return replace(
+            summary,
             skipped=tuple(self.skipped),
             timings=timings,
             line_count=line_count,
             bytes_read=bytes_read,
-            stats=acc.stats,
         )
 
 
@@ -1713,11 +1779,16 @@ def merge_summary_group(
 
     The unit task of the tree reduce: a module-level function over
     picklable data, so the scheduler can run it on either backend.
+    The partial schemas fold through a fresh :class:`TypeInterner` and
+    :class:`FusionMemo`, so a subtree the partials share is fused once
+    however often it recurs in the (tree-sized) schemas.
     Distinct types deduplicate structurally in first-seen order,
     quarantined records concatenate in partition order, and ``line_count``
     / ``bytes_read`` add — every component is associative, so any
     grouping of the tree yields the same final merge (Theorem 5.5).
     """
+    interner = TypeInterner()
+    memo = FusionMemo(interner)
     schema: Type = EMPTY
     count = 0
     distinct: dict[Type, None] = {}
@@ -1727,7 +1798,7 @@ def merge_summary_group(
     bytes_read = 0
     stats: "StatsBundle | None" = None
     for summary in summaries:
-        schema = fuse(schema, summary.schema)
+        schema = memo.fuse(schema, interner.intern(summary.schema))
         count += summary.record_count
         for t in summary.distinct_types:
             distinct.setdefault(t)

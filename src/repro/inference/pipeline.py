@@ -1424,10 +1424,15 @@ class SchemaInferencer:
         self._acc.add_many(values)
 
     def merge(self, other: "SchemaInferencer") -> "SchemaInferencer":
-        """Combine two inferencers into a new one (neither input changes)."""
+        """Combine two inferencers into a new one (neither input changes).
+
+        Both sides fold in as summaries, so the result keeps the union of
+        their distinct types as well as the fused schema and the summed
+        record count.
+        """
         merged = SchemaInferencer()
-        merged._acc.add_type(self.schema, self.record_count)
-        merged._acc.add_type(other.schema, other.record_count)
+        merged._acc.add_summary(self._acc.summary())
+        merged._acc.add_summary(other._acc.summary())
         if self._acc.stats is not None and other._acc.stats is not None:
             # Stats merge only when both sides carry them; a one-sided
             # bundle would silently under-count the merged history.
@@ -1445,12 +1450,16 @@ class SchemaInferencer:
         The loaded summary folds in through the kernel's
         :meth:`~repro.inference.kernel.PartitionAccumulator.add_summary`,
         so the resumed inferencer's schema, record count and distinct
-        set all continue exactly where the checkpointed run stopped.
+        set all continue exactly where the checkpointed run stopped.  A
+        checkpoint that carries statistics opens the inferencer in the
+        bundle's mode, so its statistics continue too.
         """
         from repro.store.checkpoint import load_checkpoint
 
-        inferencer = cls()
-        inferencer._acc.add_summary(load_checkpoint(directory).summary)
+        summary = load_checkpoint(directory).summary
+        stats = summary.stats
+        inferencer = cls("off" if stats is None else stats.mode)
+        inferencer._acc.add_summary(summary)
         return inferencer
 
     def save_checkpoint(self, directory: str | Path,

@@ -70,6 +70,19 @@ def json_values(max_leaves: int = 20) -> st.SearchStrategy:
 #: Values that are records at the top level, like real dataset entries.
 json_records = st.dictionaries(json_keys, json_values(10), max_size=5)
 
+#: Property ids (``P0`` .. ``P199``): a key space wide enough that a few
+#: dozen records grow a record type hundreds of fields wide, the paper's
+#: Wikidata regime where data is encoded as keys.
+wide_keys = st.integers(min_value=0, max_value=199).map(lambda n: f"P{n}")
+
+#: Records whose ``claims`` map is keyed by property ids, beside a few
+#: ordinary fields.
+wide_key_records = st.builds(
+    lambda claims, rest: {**rest, "claims": claims},
+    st.dictionaries(wide_keys, json_values(4), max_size=12),
+    st.dictionaries(json_keys, json_values(4), max_size=3),
+)
+
 
 # ---------------------------------------------------------------------------
 # Type strategies (arbitrary *normal* types, as fusion requires)

@@ -166,6 +166,39 @@ class TestSchemaInferencer:
         right.add_many(records[cut:])
         assert left.merge(right).schema == infer_schema(records)
 
+    def test_merge_keeps_the_distinct_types(self, tmp_path):
+        left, right, whole = (SchemaInferencer() for _ in range(3))
+        left.add_many(RECORDS[:2])
+        right.add_many(RECORDS[2:])
+        whole.add_many(RECORDS)
+        merged = (left | right).save_checkpoint(tmp_path / "merged").manifest
+        single = whole.save_checkpoint(tmp_path / "whole").manifest
+        assert merged.record_count == single.record_count == 4
+        assert merged.distinct_type_count == single.distinct_type_count == 3
+
+    @pytest.mark.parametrize("mode", ["basic", "sketches"])
+    def test_checkpoint_resume_continues_statistics(self, tmp_path, mode):
+        first, whole = SchemaInferencer(mode), SchemaInferencer(mode)
+        first.add_many(RECORDS[:2])
+        whole.add_many(RECORDS)
+        first.save_checkpoint(tmp_path / "first")
+        resumed = SchemaInferencer.from_checkpoint(tmp_path / "first")
+        resumed.add_many(RECORDS[2:])
+        assert resumed.stats is not None
+        assert resumed.stats.to_bytes() == whole.stats.to_bytes()
+
+    @pytest.mark.parametrize("mode", ["basic", "sketches"])
+    def test_resaved_checkpoint_keeps_statistics(self, tmp_path, mode):
+        first = SchemaInferencer(mode)
+        first.add_many(RECORDS[:2])
+        first.save_checkpoint(tmp_path / "first")
+        resumed = SchemaInferencer.from_checkpoint(tmp_path / "first")
+        resumed.add(RECORDS[2])
+        resumed.save_checkpoint(tmp_path / "resaved")
+        assert (tmp_path / "resaved" / "statistics.json").read_bytes() == (
+            resumed.stats.to_bytes()
+        )
+
 
 class TestInferPartitioned:
     def test_partitioned_equals_global(self):
