@@ -25,10 +25,10 @@ from repro.analysis.stats import succinctness_row
 from repro.analysis.tables import render_table
 from repro.datasets import DATASET_NAMES, write_dataset
 from repro.inference import (
-    StatisticsCollector,
     fuse,
     infer_type,
     presence_report,
+    run_inference,
 )
 from repro.jsonio import read_ndjson
 
@@ -60,8 +60,7 @@ def audit_feed(path: Path, name: str, ctx: Context) -> None:
           f"{len(optional)} optional")
 
     # Presence statistics for the optional top-level fields.
-    stats = StatisticsCollector()
-    stats.observe_many(values)
+    stats = run_inference(values, stats_mode="basic").stats
     report = presence_report(schema, stats)
     flaky = [
         entry for entry in report

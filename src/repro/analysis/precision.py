@@ -22,11 +22,13 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.core.generator import generate_values
+from repro.core.kinds import Kind
 from repro.core.semantics import matches
-from repro.inference.counting import StatisticsCollector
 from repro.core.types import RecordType, StarArrayType, Type, UnionType
 from repro.inference.fusion import fuse_multiset
 from repro.inference.infer import infer_type
+from repro.inference.pipeline import run_inference
+from repro.inference.statistics import StatsBundle
 
 __all__ = ["PrecisionReport", "precision_score", "path_precision",
            "schema_looseness"]
@@ -92,22 +94,26 @@ def path_precision(values: Sequence[Any], samples: int = 200,
     *combinations* the star/union structure permits, e.g. an array mixing
     element kinds that never co-occurred.
     """
-    distinct = list(dict.fromkeys(infer_type(v) for v in values))
-    if not distinct:
+    run = run_inference(values, stats_mode="basic")
+    if not run.record_count:
         return 1.0
-    schema = fuse_multiset(distinct)
-
-    observed = StatisticsCollector()
-    observed.observe_many(values)
-    observed_pairs = set(observed.kind_counts)
+    observed_pairs = _path_kinds(run.stats)
 
     sound = 0
-    for sample in generate_values(schema, samples, seed=seed):
-        probe = StatisticsCollector()
-        probe.observe(sample)
-        if set(probe.kind_counts) <= observed_pairs:
+    for sample in generate_values(run.schema, samples, seed=seed):
+        probe = run_inference([sample], stats_mode="basic").stats
+        if _path_kinds(probe) <= observed_pairs:
             sound += 1
     return sound / samples if samples else 1.0
+
+
+def _path_kinds(stats: StatsBundle) -> set[tuple[str, Kind]]:
+    """Every ``(path, kind)`` pair a statistics bundle observed."""
+    return {
+        (path, Kind[name])
+        for path, node in stats.paths.items()
+        for name in node.kinds.counts
+    }
 
 
 def schema_looseness(t: Type) -> dict[str, int]:

@@ -42,8 +42,7 @@ def build_report(values: Sequence[Any], name: str = "dataset",
     run = run_inference(values, stats_mode="basic")
     schema: Type = run.schema
     row = succinctness_row_from_run(run, label=name)
-
-    stats = run.stats.as_collector_view()
+    stats = run.stats
 
     lines: list[str] = [f"# Schema audit: {name}", ""]
 
@@ -104,14 +103,17 @@ def build_report(values: Sequence[Any], name: str = "dataset",
         lines.append("")
 
     # -- arrays ---------------------------------------------------------------
-    if stats.array_lengths:
+    arrays = sorted(
+        (path, node.arrays) for path, node in stats.paths.items()
+        if node.arrays.count
+    )
+    if arrays:
         lines += ["## Array lengths", ""]
         lines.append(render_table(
             ["path", "arrays", "min", "mean", "max"],
             [
-                [path, f"{s.count:,}", s.min_length,
-                 f"{s.mean_length:.1f}", s.max_length]
-                for path, s in sorted(stats.array_lengths.items())[:max_paths]
+                [path, f"{s.count:,}", s.minimum, f"{s.mean:.1f}", s.maximum]
+                for path, s in arrays[:max_paths]
             ],
         ))
         lines.append("")

@@ -28,8 +28,9 @@ the run.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.analysis.diff import diff_schemas
 from repro.analysis.paths import iter_schema_paths, resolve_path
@@ -57,6 +58,36 @@ __all__ = ["EXIT_RESUMABLE", "main", "build_parser"]
 #: will finish it.  75 after BSD ``EX_TEMPFAIL`` ("try again"), and
 #: distinct from 0/1/2 and the engine's crash/kill codes.
 EXIT_RESUMABLE = 75
+
+
+def _number(kind: type, valid: Callable[[float], bool], bound: str):
+    """An argparse ``type=`` converter: parse ``kind``, then require
+    ``valid(value)``.  A value out of range is then a usage error (exit
+    2) that names the flag and states ``bound``, instead of a traceback
+    or a silently misread setting."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+    return convert
+
+
+_COUNT = _number(int, lambda n: n >= 0, "0 or more")
+_POSITIVE = _number(int, lambda n: n >= 1, "1 or more")
+_SECONDS = _number(
+    float, lambda s: 0 < s < math.inf, "a number of seconds above 0"
+)
+_RATE = _number(float, lambda r: 0 <= r <= 1, "a fraction from 0 to 1")
+_SPLIT_MB = _number(
+    float, lambda mb: 1 <= mb * (1 << 20) < math.inf,
+    "at least one byte (1/1048576 MB)",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
              "sidecar (line number, error, raw text)",
     )
     p_infer.add_argument(
-        "--max-error-rate", type=float, metavar="RATE", default=None,
+        "--max-error-rate", type=_RATE, metavar="RATE", default=None,
         help="abort (exit 1) if more than this fraction of records is "
              "malformed, e.g. 0.01 for 1%%",
     )
@@ -124,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
              "regular file, not a pipe (default: auto)",
     )
     p_infer.add_argument(
-        "--min-split-mb", type=float, metavar="MB", default=None,
+        "--min-split-mb", type=_SPLIT_MB, metavar="MB", default=None,
         help="with --split-mode bytes/auto: smallest byte-range split to "
              "plan, in MiB (default: 1)",
     )
@@ -141,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
              "a missing checkpoint directory starts cold)",
     )
     p_infer.add_argument(
-        "--parallel", "--workers", type=int, metavar="N", default=None,
+        "--parallel", "--workers", type=_COUNT, metavar="N", default=None,
         dest="parallel",
         help="run typing+fusion on the engine with N-way parallelism "
              "(0 = one worker per available CPU; --workers is an alias)",
@@ -153,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
              "thread)",
     )
     p_infer.add_argument(
-        "--batch-size", type=int, metavar="N", default=None,
+        "--batch-size", type=_POSITIVE, metavar="N", default=None,
         help="partitions folded worker-locally per scheduler task; 1 "
              "disables batching (default: auto — batch only when "
              "partitions far outnumber workers)",
@@ -204,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
              "'off' (default) costs nothing",
     )
     p_infer.add_argument(
-        "--max-retries", type=int, metavar="N", default=3,
+        "--max-retries", type=_COUNT, metavar="N", default=3,
         help="retries per partition task for transient failures "
              "(default: 3)",
     )
     p_infer.add_argument(
-        "--task-timeout", type=float, metavar="SECONDS", default=None,
+        "--task-timeout", type=_SECONDS, metavar="SECONDS", default=None,
         help="abandon and retry a partition task exceeding this wall-clock "
              "budget (default: unlimited)",
     )
@@ -232,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-line, indented schema output",
     )
     p_merge.add_argument(
-        "--parallel", type=int, metavar="N", default=None,
+        "--parallel", type=_COUNT, metavar="N", default=None,
         help="load and merge the checkpoints on the engine with N-way "
-             "parallelism",
+             "parallelism (0 merges in-line)",
     )
 
     p_stats = sub.add_parser(
@@ -262,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_statistics.add_argument("--skip-invalid", action="store_true")
     p_statistics.add_argument(
-        "--max-paths", type=int, metavar="N", default=200,
+        "--max-paths", type=_COUNT, metavar="N", default=200,
         help="largest number of path rows to print (default: 200)",
     )
 

@@ -3,28 +3,25 @@
 * :mod:`repro.inference.infer` — value typing, the Map phase (Fig. 4).
 * :mod:`repro.inference.fusion` — type fusion, the Reduce phase (Figs. 5-6).
 * :mod:`repro.inference.pipeline` — end-to-end, incremental and
-  partition-isolated pipelines.
+  partition-isolated pipelines, all on the kernel.
 * :mod:`repro.inference.kernel` — the single-pass streaming kernel the
   pipelines run on: per-partition interning accumulator with memoized
-  fusion, merged at the driver.
+  fusion, merged at the driver by one reduce
+  (:func:`~repro.inference.kernel.merge_summaries_full`).
 * :mod:`repro.inference.typestream` — the fast map lane: typing records
   *during* parsing through stdlib decoder hooks, with strict-parser
   fallback for diagnostics.
-* :mod:`repro.inference.counting` — the statistics enrichment sketched as
-  future work in Section 7.
 * :mod:`repro.inference.statistics` — mergeable per-path statistics
   (counters, ranges, HyperLogLog / Bloom sketches) riding the summary
-  monoid, JSONoid-style.
+  monoid, JSONoid-style: the statistics enrichment sketched as future
+  work in Section 7.
+* :mod:`repro.inference.counting` — presence ratios: a statistics
+  bundle joined back onto a fused schema.
 * :mod:`repro.inference.parametric` — equivalence-parameterised fusion
   (the precision/succinctness axis of Section 7's future work).
 """
 
-from repro.inference.counting import (
-    ArrayLengthStats,
-    FieldPresence,
-    StatisticsCollector,
-    presence_report,
-)
+from repro.inference.counting import FieldPresence, presence_report
 from repro.inference.fusion import (
     collapse,
     fuse,
@@ -42,7 +39,6 @@ from repro.inference.kernel import (
     accumulate_ndjson_partition,
     accumulate_partition,
     merge_phase_timings,
-    merge_summaries,
     merge_summaries_full,
 )
 from repro.inference.statistics import (
@@ -87,10 +83,9 @@ __all__ = [
     "PartitionAccumulator", "PartitionSummary", "FusionMemo",
     "PhaseTimings", "merge_phase_timings",
     "accumulate_partition", "accumulate_ndjson_partition",
-    "merge_summaries", "merge_summaries_full",
+    "merge_summaries_full",
     "PARSE_LANES", "FastLaneMiss", "HookTyper", "resolve_lane",
-    "StatisticsCollector", "FieldPresence", "ArrayLengthStats",
-    "presence_report",
+    "FieldPresence", "presence_report",
     "STATS_MODES", "MergeableStatistic", "StatsBundle",
     "HyperLogLog", "BloomFilter", "merge_stats", "resolve_stats_mode",
     "stats_if_complete",

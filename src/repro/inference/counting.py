@@ -1,16 +1,12 @@
-"""Statistics-enriched inference — the paper's stated future work.
+"""Presence ratios — the paper's stated future work, read off statistics.
 
 Section 7: "In the near future we plan to enrich schemas with statistical
-and provenance information about the input data."  This module implements
-that enrichment as a mergeable side-structure that rides along the same
-Map/Reduce shape as fusion:
-
-* :class:`StatisticsCollector` observes values and counts, per path, how
-  often the path occurs and with which kinds; two collectors over disjoint
-  data merge associatively, exactly like schemas.
-* :func:`presence_report` joins the counts back onto a fused schema,
-  reporting for every record field how often it was present — turning the
-  schema's qualitative ``?`` into a quantitative presence ratio.
+and provenance information about the input data."  The per-path counts
+live in the mergeable :class:`~repro.inference.statistics.StatsBundle`
+that rides the summary monoid (``stats_mode="basic"`` or higher);
+:func:`presence_report` joins them back onto a fused schema, reporting
+for every record field how often it was present — turning the schema's
+qualitative ``?`` into a quantitative presence ratio.
 
 Paths use the same JSONPath-flavoured notation as
 :func:`repro.core.values.iter_paths`: ``$.user.name``, ``$.tags[*]``.
@@ -18,137 +14,13 @@ Paths use the same JSONPath-flavoured notation as
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable
 
 from repro.core.kinds import Kind
 from repro.core.types import RecordType, StarArrayType, Type, UnionType
+from repro.inference.statistics import StatsBundle
 
-__all__ = ["StatisticsCollector", "FieldPresence", "ArrayLengthStats",
-           "presence_report"]
-
-
-@dataclass
-class ArrayLengthStats:
-    """Length statistics for the arrays observed at one path.
-
-    The paper's star type ``[T*]`` deliberately forgets lengths; these
-    counts restore that information as an annotation (Section 7's planned
-    statistical enrichment, and a step toward "improv[ing] the precision of
-    the inference process for arrays").
-    """
-
-    count: int = 0
-    min_length: int = 0
-    max_length: int = 0
-    total_elements: int = 0
-
-    def observe(self, length: int) -> None:
-        if self.count == 0:
-            self.min_length = self.max_length = length
-        else:
-            self.min_length = min(self.min_length, length)
-            self.max_length = max(self.max_length, length)
-        self.count += 1
-        self.total_elements += length
-
-    @property
-    def mean_length(self) -> float:
-        """Average array length at this path."""
-        return self.total_elements / self.count if self.count else 0.0
-
-    def merged(self, other: "ArrayLengthStats") -> "ArrayLengthStats":
-        if self.count == 0:
-            return ArrayLengthStats(**vars(other))
-        if other.count == 0:
-            return ArrayLengthStats(**vars(self))
-        return ArrayLengthStats(
-            count=self.count + other.count,
-            min_length=min(self.min_length, other.min_length),
-            max_length=max(self.max_length, other.max_length),
-            total_elements=self.total_elements + other.total_elements,
-        )
-
-
-def _kind_of_value(value: Any) -> Kind:
-    if value is None:
-        return Kind.NULL
-    if isinstance(value, bool):
-        return Kind.BOOL
-    if isinstance(value, (int, float)):
-        return Kind.NUM
-    if isinstance(value, str):
-        return Kind.STR
-    if isinstance(value, dict):
-        return Kind.RECORD
-    if isinstance(value, list):
-        return Kind.ARRAY
-    raise TypeError(f"not a JSON value: {type(value).__name__}")
-
-
-class StatisticsCollector:
-    """Counts path occurrences and per-path kind frequencies.
-
-    >>> stats = StatisticsCollector()
-    >>> stats.observe({"a": 1}); stats.observe({"a": "x", "b": None})
-    >>> stats.path_counts["$.a"]
-    2
-    >>> stats.kind_counts[("$.a", Kind.NUM)]
-    1
-    """
-
-    def __init__(self) -> None:
-        self.record_count = 0
-        self.path_counts: Counter[str] = Counter()
-        self.kind_counts: Counter[tuple[str, Kind]] = Counter()
-        self.array_lengths: dict[str, ArrayLengthStats] = {}
-
-    def observe(self, value: Any) -> None:
-        """Fold one JSON value into the statistics."""
-        self.record_count += 1
-        self._walk(value, "$")
-
-    def observe_many(self, values: Iterable[Any]) -> None:
-        """Fold a batch of values."""
-        for value in values:
-            self.observe(value)
-
-    def _walk(self, value: Any, path: str) -> None:
-        self.path_counts[path] += 1
-        self.kind_counts[(path, _kind_of_value(value))] += 1
-        if isinstance(value, dict):
-            for key, sub in value.items():
-                self._walk(sub, f"{path}.{key}")
-        elif isinstance(value, list):
-            stats = self.array_lengths.get(path)
-            if stats is None:
-                stats = self.array_lengths[path] = ArrayLengthStats()
-            stats.observe(len(value))
-            for sub in value:
-                self._walk(sub, f"{path}[*]")
-
-    def merge(self, other: "StatisticsCollector") -> "StatisticsCollector":
-        """Associatively combine two collectors (neither input changes)."""
-        merged = StatisticsCollector()
-        merged.record_count = self.record_count + other.record_count
-        merged.path_counts = self.path_counts + other.path_counts
-        merged.kind_counts = self.kind_counts + other.kind_counts
-        merged.array_lengths = dict(self.array_lengths)
-        for path, stats in other.array_lengths.items():
-            mine = merged.array_lengths.get(path, ArrayLengthStats())
-            merged.array_lengths[path] = mine.merged(stats)
-        return merged
-
-    def presence_ratio(self, path: str) -> float:
-        """Fraction of records in which ``path`` occurred at least... times.
-
-        Note: for array item paths this is occurrences relative to records,
-        so it can exceed 1.0 (several items per record).
-        """
-        if self.record_count == 0:
-            return 0.0
-        return self.path_counts[path] / self.record_count
+__all__ = ["FieldPresence", "presence_report"]
 
 
 @dataclass(frozen=True)
@@ -168,18 +40,28 @@ class FieldPresence:
         return self.occurrences / self.parent_occurrences
 
 
-def presence_report(schema: Type, stats: StatisticsCollector) -> list[FieldPresence]:
-    """Join statistics onto a fused schema, one entry per record field.
+def presence_report(schema: Type, stats: StatsBundle) -> list[FieldPresence]:
+    """Join a statistics bundle onto a fused schema, one entry per field.
 
-    The report confirms the schema's optionality annotations numerically:
-    a mandatory field should show ratio 1.0, an optional one less.
+    ``stats`` is the bundle of a run over the same records, e.g.
+    ``run_inference(values, stats_mode="basic").stats``, or one loaded
+    from a checkpoint.  The report confirms the schema's optionality
+    annotations numerically: a mandatory field should show ratio 1.0, an
+    optional one less.
     """
     out: list[FieldPresence] = []
     _report(schema, "$", stats, out)
     return out
 
 
-def _report(t: Type, path: str, stats: StatisticsCollector,
+def _occurrences(stats: StatsBundle, path: str, kind: Kind | None = None) -> int:
+    node = stats.paths.get(path)
+    if node is None:
+        return 0
+    return node.kinds.total if kind is None else node.kinds.get(kind)
+
+
+def _report(t: Type, path: str, stats: StatsBundle,
             out: list[FieldPresence]) -> None:
     if isinstance(t, UnionType):
         for member in t.members:
@@ -187,13 +69,13 @@ def _report(t: Type, path: str, stats: StatisticsCollector,
     elif isinstance(t, RecordType):
         # A field can only be present when the parent value is a record,
         # so ratios are taken relative to the record-kind count at ``path``.
-        parent = stats.kind_counts.get((path, Kind.RECORD), 0)
+        parent = _occurrences(stats, path, Kind.RECORD)
         for fld in t.fields:
             sub_path = f"{path}.{fld.name}"
             out.append(FieldPresence(
                 path=sub_path,
                 optional=fld.optional,
-                occurrences=stats.path_counts.get(sub_path, 0),
+                occurrences=_occurrences(stats, sub_path),
                 parent_occurrences=parent,
             ))
             _report(fld.type, sub_path, stats, out)

@@ -1,8 +1,9 @@
-"""Single-pass streaming inference kernel (the fast path of the pipeline).
+"""Single-pass streaming inference kernel (the one path of the pipeline).
 
-The original pipeline materialises one type tree per record and then makes
-three further passes over the cached collection (count, distinct, fuse).
-This module collapses all of that into *one* pass per partition:
+A partition's result is its fused schema, its record count and its
+distinct top-level types.  Rather than materialising one type tree per
+record and then counting, deduplicating and folding the cached list,
+this module computes all three in *one* pass per partition:
 
 * :class:`PartitionAccumulator` consumes raw JSON values one at a time.
   Each value is typed **directly into interned form**: the Fig. 4 rules are
@@ -87,7 +88,6 @@ from repro.jsonio.splits import (
 
 __all__ = [
     "FusionMemo",
-    "MergedSummary",
     "PartitionAccumulator",
     "PartitionSummary",
     "PhaseTimings",
@@ -102,10 +102,8 @@ __all__ = [
     "decode_summary",
     "encode_summary",
     "merge_phase_timings",
-    "merge_summaries",
     "merge_summaries_full",
     "merge_summary_group",
-    "tree_merge_rows",
     "warm_state_for",
 ]
 
@@ -998,87 +996,53 @@ def encode_summary(summary: PartitionSummary) -> bytes:
 def _decode_types(
     keys: Sequence[str],
     ops: Sequence[int],
-    acc: "PartitionAccumulator | None",
+    acc: PartitionAccumulator,
 ) -> list:
     """Replay the op-stream; entry ``i`` of the result is node ``i``.
 
-    With an accumulator the nodes are built *canonical in its interner*
+    The nodes are built *canonical in the accumulator's interner*
     (fields through the field cache, records/arrays through the
     construction pools), so the driver's adoption needs no structural
-    re-interning afterwards.  Without one, plain constructors rebuild
-    structurally equal trees.
+    re-interning afterwards.
     """
     types: list[Type] = list(_WIRE_BASE)
     append = types.append
+    make_field = acc.interner.field
+    intern_node = acc.interner.intern_node
+    record_type = acc.record_type
+    array_type = acc.array_type
     pos = 0
     end = len(ops)
-    if acc is not None:
-        make_field = acc.interner.field
-        intern_node = acc.interner.intern_node
-        record_type = acc.record_type
-        array_type = acc.array_type
-        while pos < end:
-            tag = ops[pos]
-            if tag == _WIRE_RECORD:
-                n = ops[pos + 1]
-                mask = ops[pos + 2]
-                pos += 3
-                shape = []
-                for bit in range(n):
-                    shape.append(make_field(
-                        keys[ops[pos]], types[ops[pos + 1]],
-                        bool(mask >> bit & 1),
-                    ))
-                    pos += 2
-                append(record_type(tuple(shape)))
-            elif tag == _WIRE_ARRAY:
-                n = ops[pos + 1]
-                pos += 2
-                append(array_type(
-                    tuple(types[ops[pos + j]] for j in range(n))
-                ))
-                pos += n
-            elif tag == _WIRE_STAR:
-                append(intern_node(StarArrayType(types[ops[pos + 1]])))
-                pos += 2
-            elif tag == _WIRE_UNION:
-                n = ops[pos + 1]
-                pos += 2
-                append(intern_node(UnionType(
-                    tuple(types[ops[pos + j]] for j in range(n))
-                )))
-                pos += n
-            else:
-                raise ValueError(f"unknown wire op tag {tag!r}")
-        return types
     while pos < end:
         tag = ops[pos]
         if tag == _WIRE_RECORD:
             n = ops[pos + 1]
             mask = ops[pos + 2]
             pos += 3
-            fields = []
+            shape = []
             for bit in range(n):
-                fields.append(Field(
+                shape.append(make_field(
                     keys[ops[pos]], types[ops[pos + 1]],
                     bool(mask >> bit & 1),
                 ))
                 pos += 2
-            append(RecordType(fields))
+            append(record_type(tuple(shape)))
         elif tag == _WIRE_ARRAY:
             n = ops[pos + 1]
             pos += 2
-            append(ArrayType(types[ops[pos + j]] for j in range(n)))
+            append(array_type(
+                tuple(types[ops[pos + j]] for j in range(n))
+            ))
             pos += n
         elif tag == _WIRE_STAR:
-            append(StarArrayType(types[ops[pos + 1]]))
+            append(intern_node(StarArrayType(types[ops[pos + 1]])))
             pos += 2
         elif tag == _WIRE_UNION:
             n = ops[pos + 1]
             pos += 2
-            append(UnionType(
+            append(intern_node(UnionType(
                 tuple(types[ops[pos + j]] for j in range(n))
-            ))
+            )))
             pos += n
         else:
             raise ValueError(f"unknown wire op tag {tag!r}")
@@ -1126,15 +1090,18 @@ def decode_summary(
 ) -> PartitionSummary:
     """Decode a wire payload back into a :class:`PartitionSummary`.
 
-    Pass the driver's adoption accumulator as ``acc`` to build the types
-    canonical in *its* interner — summaries decoded through one
-    accumulator share subtrees across partitions, so the driver-side
-    merge deduplicates by pointer from the start.
+    The types are built canonical in ``acc``'s interner, a fresh
+    accumulator's when none is given.  Pass the driver's adoption
+    accumulator to share it: summaries decoded through one accumulator
+    share subtrees across partitions, so the driver-side merge
+    deduplicates by pointer from the start.
     """
     (keys, ops, schema_i, distinct_i, record_count, skipped, timings,
      line_count, bytes_read, worker, warm_reused,
      stats) = _unpack_wire_payload(payload)
-    types = _decode_types(keys, ops, acc)
+    types = _decode_types(
+        keys, ops, PartitionAccumulator() if acc is None else acc
+    )
     return PartitionSummary(
         schema=types[schema_i],
         record_count=record_count,
@@ -1242,8 +1209,9 @@ def _walk_wire_digests(
     Returns ``(digests, node_pos)`` where ``digests[i]`` is node ``i``'s
     canonical digest (indexed like the decode table, base leaves first)
     and ``node_pos[j]`` is the op offset of composite node
-    ``len(_WIRE_BASE) + j`` — enough for a later selective materialise of
-    just the schema subtree.
+    ``len(_WIRE_BASE) + j`` — enough to find where a node's subtree
+    prefix ends, which is how :func:`decode_summary_light` decodes just
+    the schema.
     """
     digests = list(_wire_base_digests())
     node_pos: list[int] = []
@@ -1292,64 +1260,6 @@ def _walk_wire_digests(
     return digests, node_pos
 
 
-def _materialize_wire_node(
-    i: int,
-    keys: Sequence[str],
-    ops: Sequence[int],
-    node_pos: Sequence[int],
-    _cache: "dict[int, Type] | None" = None,
-) -> Type:
-    """Build only node ``i``'s subtree from the op-stream (plain
-    constructors, memoized per call tree) — the schema of a fused
-    partition is a few dozen nodes even when the distinct set holds
-    tens of thousands."""
-    if i < len(_WIRE_BASE):
-        return _WIRE_BASE[i]
-    if _cache is None:
-        _cache = {}
-    found = _cache.get(i)
-    if found is not None:
-        return found
-    pos = node_pos[i - len(_WIRE_BASE)]
-    tag = ops[pos]
-    node: Type
-    if tag == _WIRE_RECORD:
-        n = ops[pos + 1]
-        mask = ops[pos + 2]
-        pos += 3
-        fields = []
-        for bit in range(n):
-            fields.append(Field(
-                keys[ops[pos]],
-                _materialize_wire_node(
-                    ops[pos + 1], keys, ops, node_pos, _cache
-                ),
-                bool(mask >> bit & 1),
-            ))
-            pos += 2
-        node = RecordType(fields)
-    elif tag == _WIRE_ARRAY:
-        n = ops[pos + 1]
-        pos += 2
-        node = ArrayType(
-            _materialize_wire_node(ops[pos + j], keys, ops, node_pos, _cache)
-            for j in range(n)
-        )
-    elif tag == _WIRE_STAR:
-        node = StarArrayType(_materialize_wire_node(
-            ops[pos + 1], keys, ops, node_pos, _cache
-        ))
-    else:
-        n = ops[pos + 1]
-        pos += 2
-        node = UnionType(tuple(
-            _materialize_wire_node(ops[pos + j], keys, ops, node_pos, _cache)
-            for j in range(n)
-        ))
-    _cache[i] = node
-    return node
-
-
 def decode_summary_light(
     payload: bytes,
 ) -> "tuple[PartitionSummary, tuple[bytes, ...]]":
@@ -1367,8 +1277,20 @@ def decode_summary_light(
      line_count, bytes_read, worker, warm_reused,
      stats) = _unpack_wire_payload(payload)
     digests, node_pos = _walk_wire_digests(keys, ops)
+    # encode_summary writes the schema first, so its subtree is the
+    # op-stream prefix that ends with node ``schema_i`` (empty for a
+    # leaf): a fused schema is a few dozen nodes even when the distinct
+    # set holds tens of thousands.
+    after = schema_i + 1 - len(_WIRE_BASE)
+    if after <= 0:
+        end = 0
+    elif after < len(node_pos):
+        end = node_pos[after]
+    else:
+        end = len(ops)
+    schema = _decode_types(keys, ops[:end], PartitionAccumulator())[schema_i]
     summary = PartitionSummary(
-        schema=_materialize_wire_node(schema_i, keys, ops, node_pos),
+        schema=schema,
         record_count=record_count,
         distinct_types=(),
         skipped=skipped,
@@ -1731,40 +1653,6 @@ def accumulate_ndjson_partition(
     )
 
 
-@dataclass(frozen=True)
-class MergedSummary:
-    """The driver-side combination of every partition summary.
-
-    Carries the merged distinct top-level types themselves (not only the
-    count) so the result can be persisted as a checkpoint
-    (:mod:`repro.store`) and later merged onward without information
-    loss.
-    """
-
-    schema: Type
-    record_count: int
-    distinct_types: tuple[Type, ...]
-    skipped: tuple[BadRecord, ...]
-    #: Summed per-phase map timings (``None`` when no partition was timed).
-    timings: PhaseTimings | None = None
-    #: Merged per-path statistics (``None`` when no partition carried
-    #: any).  May cover fewer records than ``record_count`` if stats-on
-    #: and stats-off summaries were merged — gate with
-    #: :func:`repro.inference.statistics.stats_if_complete` before
-    #: presenting the bundle as covering the run.
-    stats: "StatsBundle | None" = None
-
-    @property
-    def distinct_type_count(self) -> int:
-        """Distinct top-level types across every merged partition."""
-        return len(self.distinct_types)
-
-    @property
-    def skipped_count(self) -> int:
-        """Total quarantined records across partitions."""
-        return len(self.skipped)
-
-
 #: Partition counts up to this fold sequentially at the driver; above it,
 #: :func:`merge_summaries_full` tree-merges pairs on the scheduler when one
 #: is provided.  Sized so small jobs never pay task-dispatch overhead for
@@ -1819,68 +1707,34 @@ def merge_summary_group(
     )
 
 
-def tree_merge_rows(
-    scheduler: "Any | None",
-    rows: "Iterable[PartitionSummary]",
+def merge_summaries_full(
+    summaries: "Sequence[PartitionSummary]",
+    scheduler: "Any | None" = None,
     tree_threshold: int = TREE_MERGE_THRESHOLD,
 ) -> PartitionSummary:
-    """Reduce summaries to one by scheduler-parallel pairwise rounds.
+    """Merge partition summaries, in partition order, into one.
 
-    The shared driver-side reduce: row lists longer than
-    ``tree_threshold`` are first shrunk by rounds of pairwise
-    :func:`merge_summary_group` tasks on the ``scheduler`` (any object
-    with the :meth:`repro.engine.scheduler.Scheduler.run` signature) — a
-    balanced tree whose result is identical to the sequential fold by
-    associativity (Theorem 5.5) but whose depth is logarithmic in the
-    row count.  With no scheduler, or once at/under the threshold, the
-    remaining rows fold sequentially.  Used by both the run-time reduce
-    (:func:`merge_summaries_full`) and the checkpoint-shard union
-    (:func:`repro.store.checkpoint.merge_checkpoints`).
+    The one driver-side reduce: the run-time merge of every partition
+    summary and the checkpoint-shard union
+    (:func:`repro.store.checkpoint.merge_checkpoints`) both go through
+    it.  The result is the :class:`PartitionSummary` that
+    :func:`merge_summary_group` builds: the schema fold is safe in any
+    grouping by associativity (Theorem 5.5); distinct types deduplicate
+    *across* partitions structurally, since canonical objects from
+    different interners (or processes) are distinct objects but compare
+    equal; quarantined records concatenate in partition order (i.e. file
+    order).
+
+    By default the fold is sequential at the driver.  With a
+    ``scheduler`` (any object with the
+    :meth:`repro.engine.scheduler.Scheduler.run` signature), lists
+    longer than ``tree_threshold`` first shrink by rounds of pairwise
+    :func:`merge_summary_group` tasks — a balanced tree whose depth is
+    logarithmic in the partition count.
     """
-    rows = list(rows)
+    rows = list(summaries)
     if scheduler is not None:
         while len(rows) > tree_threshold:
             pairs = [rows[i:i + 2] for i in range(0, len(rows), 2)]
             rows = scheduler.run(merge_summary_group, pairs)
     return merge_summary_group(rows)
-
-
-def merge_summaries_full(
-    summaries: Iterable[PartitionSummary],
-    scheduler: "Any | None" = None,
-    tree_threshold: int = TREE_MERGE_THRESHOLD,
-) -> MergedSummary:
-    """Merge per-partition summaries, in partition order.
-
-    The schema fold is safe in any grouping by associativity (Theorem
-    5.5); the distinct count deduplicates *across* partitions
-    structurally, since canonical objects from different interners (or
-    processes) are distinct objects but compare equal.  Quarantined
-    records are concatenated in partition order (i.e. file order).
-
-    By default the fold is sequential at the driver; with a
-    ``scheduler``, long lists reduce through the parallel
-    :func:`tree_merge_rows` tree first.
-    """
-    merged = tree_merge_rows(scheduler, summaries, tree_threshold)
-    return MergedSummary(
-        merged.schema,
-        merged.record_count,
-        merged.distinct_types,
-        merged.skipped,
-        merged.timings,
-        merged.stats,
-    )
-
-
-def merge_summaries(
-    summaries: Iterable[PartitionSummary],
-) -> tuple[Type, int, int]:
-    """Backward-compatible merge returning only
-    ``(schema, record_count, distinct_type_count)``.
-
-    See :func:`merge_summaries_full` for the variant that also carries
-    the quarantine information.
-    """
-    merged = merge_summaries_full(summaries)
-    return merged.schema, merged.record_count, merged.distinct_type_count

@@ -3,11 +3,12 @@
 Three ways to run the paper's two-phase algorithm:
 
 * :func:`infer_schema` — the one-liner: values in, fused schema out.
-* :func:`run_inference` — the instrumented version the benchmarks use: runs
-  the Map phase (value typing) and the Reduce phase (fusion) separately,
-  reports wall-clock per phase, the number of *distinct* inferred types
-  (the quantity Tables 2-5 report) and the fused schema.  Optionally
-  executes on a :class:`repro.engine.Context` instead of in-line.
+* :func:`run_inference` — the instrumented version the benchmarks use:
+  reports wall-clock for the Map phase (streaming typing and fusion) and
+  the Reduce phase (merging partition summaries), the number of
+  *distinct* inferred types (the quantity Tables 2-5 report) and the
+  fused schema.  Optionally executes on a :class:`repro.engine.Context`
+  instead of in-line.
 * :class:`SchemaInferencer` — the incremental API motivated in the
   introduction: fold new records into an existing schema one at a time or
   merge two inferencers, both safe by commutativity/associativity
@@ -18,13 +19,13 @@ Section 6.2 (Table 8): each partition is processed independently, yielding
 a per-partition report and a tiny partial schema; the partials are fused at
 the end.
 
-By default every pipeline runs on the single-pass streaming kernel
+Every pipeline runs on the single-pass streaming kernel
 (:mod:`repro.inference.kernel`): each partition is consumed value by value
 through an interning accumulator with memoized fusion, and only tiny
-partial summaries travel to the driver.  The original
-materialise-then-multi-pass implementation is kept, byte for byte, behind
-``kernel=False`` — it is the reference the equivalence tests and the
-``bench_kernel_streaming`` benchmark compare against.
+partial summaries travel to the driver.  The naive fold
+``fuse_all(infer_type(v) for v in values)`` — what :func:`infer_schema`
+runs without a context — is the reference semantics the tests check the
+kernel against.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.core.types import EMPTY, Type
 from repro.engine.accumulators import MapAccumulator
 from repro.engine.context import Context, split_evenly
 from repro.engine.scheduler import JobCancelled
-from repro.inference.fusion import fuse, fuse_all, fuse_multiset
+from repro.inference.fusion import fuse_all
 from repro.inference.infer import infer_type
 from repro.inference.kernel import (
     PartitionAccumulator,
@@ -57,7 +58,6 @@ from repro.inference.kernel import (
     decode_summary,
     decode_summary_light,
     encode_summary,
-    merge_summaries,
     merge_summaries_full,
     type_digest,
 )
@@ -137,12 +137,7 @@ def infer_schema(values: Iterable[Any], context: Context | None = None,
     """
     if context is None:
         return fuse_all(infer_type(v) for v in values)
-    parts = split_evenly(_as_sequence(values),
-                         num_partitions or context.default_parallelism)
-    summaries = context.scheduler.run(_warm_task(context), parts)
-    _note_summary_telemetry(context.scheduler.stats, summaries)
-    schema, _, _ = merge_summaries(summaries)
-    return schema
+    return run_inference(values, context, num_partitions).schema
 
 
 def _warm_task(context: Context, stats_mode: str = "off"):
@@ -265,30 +260,27 @@ class InferenceRun:
         )
 
 
-def _distinct(types: Sequence[Type]) -> list[Type]:
-    """Deduplicate types preserving first-seen order."""
-    seen: set[Type] = set()
-    out: list[Type] = []
-    for t in types:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
-
-
-def _run_inference_streaming(
+def run_inference(
     values: Iterable[Any],
-    context: Context | None,
-    num_partitions: int | None,
+    context: Context | None = None,
+    num_partitions: int | None = None,
     stats_mode: str = "off",
 ) -> InferenceRun:
-    """Single-pass streaming inference (see :mod:`repro.inference.kernel`).
+    """Instrumented single-pass inference (see :mod:`repro.inference.kernel`).
 
     Typing, interning, distinct counting and memoized fusion happen in one
     traversal per partition, so ``map_seconds`` covers the whole streaming
     pass and ``reduce_seconds`` only the (tiny) driver-side merge of the
-    partial summaries.
+    partial summaries.  Without a ``context`` the values stream through
+    one accumulator in the calling thread; with one, each of the
+    ``num_partitions`` slices is a scheduler task.
+
+    ``stats_mode`` (``off``/``basic``/``sketches``) opts into the
+    mergeable per-path statistics of
+    :mod:`repro.inference.statistics`, exposed as the run's ``stats``
+    attribute.
     """
+    stats_mode = resolve_stats_mode(stats_mode)
     if context is None:
         start = time.perf_counter()
         acc = PartitionAccumulator(stats_mode=stats_mode)
@@ -325,85 +317,6 @@ def _run_inference_streaming(
         map_seconds=map_seconds,
         reduce_seconds=reduce_seconds,
         stats=stats_if_complete(merged.stats, merged.record_count),
-    )
-
-
-def run_inference(
-    values: Iterable[Any],
-    context: Context | None = None,
-    num_partitions: int | None = None,
-    dedupe: bool = True,
-    kernel: bool = True,
-    stats_mode: str = "off",
-) -> InferenceRun:
-    """Instrumented inference.
-
-    ``kernel=True`` (the default) runs the single-pass streaming kernel:
-    one traversal per partition doing typing, interning, distinct counting
-    and memoized incremental fusion, with only tiny partial summaries
-    merged at the driver.  ``kernel=False`` runs the original
-    materialise-then-multi-pass implementation; both produce identical
-    results (schema, record count, distinct count), which the test suite
-    checks property-based — the flag trades only time.
-
-    ``dedupe`` applies to the legacy path only: it fuses over the
-    deduplicated inferred types — the paper's Map phase "yields a set of
-    distinct types to be fused" (Section 2).
-    :func:`repro.inference.fusion.fuse_multiset` makes this an *exact*
-    optimisation (same schema as fusing the raw sequence), so the flag
-    only trades time, never results; it is kept as an ablation knob for
-    the benchmarks.
-
-    ``stats_mode`` (``off``/``basic``/``sketches``) opts into the
-    mergeable per-path statistics of
-    :mod:`repro.inference.statistics`, exposed as the run's ``stats``
-    attribute.  Statistics require the kernel path.
-    """
-    stats_mode = resolve_stats_mode(stats_mode)
-    if stats_mode != "off" and not kernel:
-        raise ValueError("stats_mode requires kernel=True")
-    if kernel:
-        return _run_inference_streaming(
-            values, context, num_partitions, stats_mode
-        )
-    if context is None:
-        start = time.perf_counter()
-        types = [infer_type(v) for v in values]
-        map_seconds = time.perf_counter() - start
-
-        distinct_count = len(set(types))
-        start = time.perf_counter()
-        schema = fuse_multiset(types) if dedupe else fuse_all(types)
-        reduce_seconds = time.perf_counter() - start
-        return InferenceRun(
-            schema=schema,
-            record_count=len(types),
-            distinct_type_count=distinct_count,
-            map_seconds=map_seconds,
-            reduce_seconds=reduce_seconds,
-        )
-
-    source = context.parallelize(values, num_partitions)
-    start = time.perf_counter()
-    typed = source.map(infer_type).cache()
-    record_count = typed.count()  # forces the Map phase to run
-    map_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    distinct_count = len(set(typed.map_partitions(_distinct).collect()))
-    if dedupe:
-        # Dedup-fuse each partition, then fold the partial schemas.
-        per_part = typed.map_partitions(lambda part: [fuse_multiset(part)])
-        schema = per_part.fold(EMPTY, fuse)
-    else:
-        schema = typed.fold(EMPTY, fuse)
-    reduce_seconds = time.perf_counter() - start
-    return InferenceRun(
-        schema=schema,
-        record_count=record_count,
-        distinct_type_count=distinct_count,
-        map_seconds=map_seconds,
-        reduce_seconds=reduce_seconds,
     )
 
 
@@ -488,10 +401,10 @@ def _run_level_key(digests: Sequence[str]) -> str:
 
 
 def _encode_run_entry(
-    merged,
+    merged: PartitionSummary,
     distinct_count: int,
     skipped_per_partition: "dict[int, int]",
-    bytes_read: int,
+    bytes_skipped: int,
 ) -> bytes:
     """Run-level entry: the merged result minus its distinct-type *set*.
 
@@ -500,8 +413,10 @@ def _encode_run_entry(
     replay on heterogeneous data) is only needed by checkpoint writes
     and incremental updates, which bypass run-level replay entirely.
     ``skipped_per_partition`` rides along because the merged result no
-    longer attributes quarantined rows to partitions, and ``bytes_read``
-    (summed over partitions) feeds the replay's bytes-skipped telemetry.
+    longer attributes quarantined rows to partitions.  ``bytes_skipped``
+    — what per-partition hits on every partition would count — rides
+    in the slim summary's ``bytes_read`` and feeds the replay's
+    bytes-skipped telemetry.
     """
     slim = PartitionSummary(
         schema=merged.schema,
@@ -509,7 +424,7 @@ def _encode_run_entry(
         distinct_types=(),
         skipped=merged.skipped,
         timings=merged.timings,
-        bytes_read=bytes_read,
+        bytes_read=bytes_skipped,
         stats=merged.stats,
     )
     return pickle.dumps(
@@ -540,43 +455,63 @@ def _decode_run_entry(payload: bytes):
 
 def _replay_run_entry(
     cache, run_key: str, signature: str, stats, n_partitions: int,
-    bad_records_path, max_error_rate, start: float,
-) -> "InferenceRun | None":
-    """Whole-run replay: if the run-level entry for this exact plan is
-    present and intact, rebuild the :class:`InferenceRun` without
-    dispatching, decoding or merging anything — the map *and* reduce
-    phases are both pure functions of the plan's content."""
+) -> "tuple[PartitionSummary, int, dict[int, int]] | None":
+    """Whole-run replay: the run-level entry for this exact plan as
+    ``(merged summary, distinct count, skipped per partition)``, or
+    ``None`` when it is absent or damaged.  A hit needs no dispatch, no
+    per-partition decode and no merge — the map *and* reduce phases are
+    both pure functions of the plan's content."""
     payload = cache.get(run_key, signature + _RUN_SIGNATURE_SUFFIX)
-    if payload is None:
-        return None
-    decoded = _decode_run_entry(payload)
+    decoded = None if payload is None else _decode_run_entry(payload)
     if decoded is None:
         return None
     summary, distinct_count, per_partition = decoded
-    summary = _scrub_replayed_telemetry(summary)
     if stats is not None:
         stats.cache_hits += n_partitions
         stats.cache_bytes_skipped += summary.bytes_read
-    map_seconds = time.perf_counter() - start
-    if bad_records_path is not None and summary.skipped:
-        write_bad_records(bad_records_path, summary.skipped)
+    return _scrub_replayed_telemetry(summary), distinct_count, per_partition
+
+
+def _finish_run(
+    merged: PartitionSummary,
+    distinct_count: int,
+    skipped_per_partition: "dict[int, int]",
+    map_seconds: float,
+    reduce_seconds: float,
+    bad_records_path,
+    max_error_rate,
+    checkpoint_records: int = 0,
+) -> InferenceRun:
+    """The tail every NDJSON run shares, whether computed or replayed
+    from a run-level cache entry.
+
+    Spills the quarantine sidecar first (it is still written when the
+    run then aborts, for post-mortems), enforces ``max_error_rate`` and
+    builds the :class:`InferenceRun`.  The error rate is judged over the
+    records this run actually read: the ``checkpoint_records`` an update
+    folded in from its checkpoint must not dilute a dirty new batch.
+    """
+    if bad_records_path is not None and merged.skipped:
+        write_bad_records(bad_records_path, merged.skipped)
     if max_error_rate is not None:
-        total = summary.record_count + summary.skipped_count
-        if total and summary.skipped_count / total > max_error_rate:
+        total = (merged.record_count - checkpoint_records
+                 + merged.skipped_count)
+        if total and merged.skipped_count / total > max_error_rate:
             raise ErrorRateExceeded(
-                summary.skipped_count, total, max_error_rate
+                merged.skipped_count, total, max_error_rate
             )
     return InferenceRun(
-        schema=summary.schema,
-        record_count=summary.record_count,
+        schema=merged.schema,
+        record_count=merged.record_count,
         distinct_type_count=distinct_count,
         map_seconds=map_seconds,
-        reduce_seconds=0.0,
-        skipped_count=summary.skipped_count,
-        bad_records=summary.skipped,
-        skipped_per_partition=dict(per_partition),
-        phase_timings=summary.timings,
-        stats=stats_if_complete(summary.stats, summary.record_count),
+        reduce_seconds=reduce_seconds,
+        skipped_count=merged.skipped_count,
+        bad_records=merged.skipped,
+        skipped_per_partition=dict(skipped_per_partition),
+        phase_timings=merged.timings,
+        checkpoint_record_count=checkpoint_records,
+        stats=stats_if_complete(merged.stats, merged.record_count),
     )
 
 
@@ -1171,10 +1106,14 @@ def infer_ndjson_file(
             if cache_read and run_replay_ok:
                 replayed = _replay_run_entry(
                     cache, run_key, cache_signature, stats, len(items),
-                    bad_records_path, max_error_rate, start,
                 )
                 if replayed is not None:
-                    return replayed
+                    merged, distinct_count, per_partition = replayed
+                    return _finish_run(
+                        merged, distinct_count, per_partition,
+                        time.perf_counter() - start, 0.0,
+                        bad_records_path, max_error_rate,
+                    )
             if cache_read:
                 for index, digest in enumerate(digests):
                     payload = cache.get(digest, cache_signature)
@@ -1291,26 +1230,16 @@ def infer_ndjson_file(
                 run_key, cache_signature + _RUN_SIGNATURE_SUFFIX,
                 _encode_run_entry(
                     merged, distinct_count, per_partition.value,
-                    sum(s.bytes_read for s in summaries),
+                    sum(hit_bytes(i, s) for i, s in enumerate(summaries)),
                 ),
             ) and stats is not None:
                 stats.cache_stores += 1
 
-        if bad_records_path is not None and merged.skipped:
-            write_bad_records(bad_records_path, merged.skipped)
-        checkpoint_records = loaded.record_count if loaded is not None else 0
-        if max_error_rate is not None:
-            # Judge the error rate over the records this run actually
-            # read; checkpointed history must not dilute a dirty new
-            # batch.
-            new_records = merged.record_count - checkpoint_records
-            total = new_records + merged.skipped_count
-            if total and merged.skipped_count / total > max_error_rate:
-                raise ErrorRateExceeded(
-                    merged.skipped_count, total, max_error_rate
-                )
-
-        checkpoint = None
+        run = _finish_run(
+            merged, distinct_count, per_partition.value, map_seconds,
+            reduce_seconds, bad_records_path, max_error_rate,
+            loaded.record_count if loaded is not None else 0,
+        )
         if checkpoint_to is not None:
             previous_sources = (
                 loaded.manifest.sources if loaded is not None else ()
@@ -1318,18 +1247,16 @@ def infer_ndjson_file(
             previous_skipped = (
                 loaded.manifest.skipped_count if loaded is not None else 0
             )
-            checkpoint = save_checkpoint(
+            run.checkpoint = save_checkpoint(
                 checkpoint_to,
+                # Only the algebraic state persists; save_checkpoint drops
+                # a bundle that covers just the fresh records of an
+                # update atop a pre-stats checkpoint.
                 PartitionSummary(
                     schema=merged.schema,
                     record_count=merged.record_count,
                     distinct_types=merged.distinct_types,
-                    # Persist only full-coverage bundles: an update atop
-                    # a pre-stats checkpoint yields stats covering just
-                    # the fresh records, which would misreport history.
-                    stats=stats_if_complete(
-                        merged.stats, merged.record_count
-                    ),
+                    stats=merged.stats,
                 ),
                 sources=list(previous_sources) + [source],
                 skipped_count=previous_skipped + merged.skipped_count,
@@ -1351,21 +1278,7 @@ def infer_ndjson_file(
     finally:
         if journal is not None:
             journal.close()
-
-    return InferenceRun(
-        schema=merged.schema,
-        record_count=merged.record_count,
-        distinct_type_count=distinct_count,
-        map_seconds=map_seconds,
-        reduce_seconds=reduce_seconds,
-        skipped_count=merged.skipped_count,
-        bad_records=merged.skipped,
-        skipped_per_partition=per_partition.value,
-        phase_timings=merged.timings,
-        checkpoint_record_count=checkpoint_records,
-        checkpoint=checkpoint,
-        stats=stats_if_complete(merged.stats, merged.record_count),
-    )
+    return run
 
 
 class SchemaInferencer:
@@ -1500,9 +1413,7 @@ class PartitionedRun:
         return sum(p.record_count for p in self.partitions)
 
 
-def infer_partitioned(partitions: Iterable[Iterable[Any]],
-                      dedupe: bool = True,
-                      kernel: bool = True) -> PartitionedRun:
+def infer_partitioned(partitions: Iterable[Iterable[Any]]) -> PartitionedRun:
     """Process each partition in isolation, then fuse the partial schemas.
 
     This is the manual strategy of Section 6.2: no shuffle, no
@@ -1510,12 +1421,12 @@ def infer_partitioned(partitions: Iterable[Iterable[Any]],
     per-partition schemas that "is a fast operation as each schema to fuse
     has a very small size" — the benchmarks confirm by reporting
     ``final_fuse_seconds`` separately.  Each partition streams through the
-    kernel accumulator unless ``kernel=False`` selects the legacy path.
+    kernel accumulator.
     """
     reports: list[PartitionReport] = []
     for index, partition in enumerate(partitions):
         start = time.perf_counter()
-        run = run_inference(list(partition), dedupe=dedupe, kernel=kernel)
+        run = run_inference(partition)
         elapsed = time.perf_counter() - start
         reports.append(PartitionReport(
             index=index,

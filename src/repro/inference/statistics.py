@@ -832,15 +832,6 @@ class StatsBundle:
             raise ValueError(f"malformed statistics document: {exc}") from exc
         return out
 
-    # -- presentation helpers ----------------------------------------
-
-    def as_collector_view(self) -> "_CollectorView":
-        """A :class:`repro.inference.counting.StatisticsCollector`-shaped
-        view (``record_count``/``path_counts``/``kind_counts``/
-        ``array_lengths``) so presence reports run off a bundle — and
-        therefore off a checkpoint — without re-walking any values."""
-        return _CollectorView(self)
-
 
 def _path_to_json(node: PathStats) -> dict[str, Any]:
     doc: dict[str, Any] = {
@@ -878,32 +869,6 @@ def _path_from_json(doc: dict[str, Any]) -> PathStats:
         )
         node.values = values
     return node
-
-
-class _CollectorView:
-    """Read-only StatisticsCollector facade over a :class:`StatsBundle`."""
-
-    __slots__ = ("record_count", "path_counts", "kind_counts", "array_lengths")
-
-    def __init__(self, bundle: StatsBundle) -> None:
-        from repro.inference.counting import ArrayLengthStats
-
-        self.record_count = bundle.record_count
-        self.path_counts: dict[str, int] = {}
-        self.kind_counts: dict[tuple[str, Kind], int] = {}
-        self.array_lengths: dict[str, ArrayLengthStats] = {}
-        for path, node in bundle.paths.items():
-            self.path_counts[path] = node.kinds.total
-            for name, n in node.kinds.counts.items():
-                self.kind_counts[(path, Kind[name])] = n
-            arrays = node.arrays
-            if arrays.count:
-                self.array_lengths[path] = ArrayLengthStats(
-                    count=arrays.count,
-                    min_length=arrays.minimum,
-                    max_length=arrays.maximum,
-                    total_elements=arrays.total,
-                )
 
 
 # ---------------------------------------------------------------------------

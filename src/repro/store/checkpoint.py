@@ -50,10 +50,7 @@ from repro.core.printer import print_type, print_types
 from repro.core.type_parser import parse_type
 from repro.core.types import Type
 from repro.engine.faults import crash_point
-from repro.inference.kernel import (
-    PartitionSummary,
-    tree_merge_rows,
-)
+from repro.inference.kernel import PartitionSummary, merge_summaries_full
 from repro.inference.statistics import StatsBundle
 from repro.store.locks import FileLock, LockHeldError, is_stale_lock
 
@@ -786,11 +783,11 @@ def merge_checkpoints(
     schemas fuse, record counts add, distinct types union structurally —
     so shards may be merged in any order or grouping and the result is
     the schema a single pass over all the shards' data would have
-    produced (Theorem 5.5).  The merge reuses the kernel's shared
-    tree-reduce (:func:`~repro.inference.kernel.tree_merge_rows`), and
-    with a ``scheduler`` both the checkpoint *loads* and — above the
-    kernel's tree-merge threshold — the pairwise merge rounds run as
-    parallel tasks.
+    produced (Theorem 5.5).  The merge is the kernel's one reduce
+    (:func:`~repro.inference.kernel.merge_summaries_full`), and with a
+    ``scheduler`` both the checkpoint *loads* and — above the kernel's
+    tree-merge threshold — the pairwise merge rounds run as parallel
+    tasks.
 
     With ``out``, the merged checkpoint is saved there (its manifest
     unions the inputs' source fingerprints) and the returned
@@ -843,7 +840,9 @@ def merge_checkpoints(
     sources = [s for c in checkpoints for s in c.manifest.sources]
     skipped = sum(c.manifest.skipped_count for c in checkpoints)
 
-    merged = tree_merge_rows(scheduler, [c.summary for c in checkpoints])
+    merged = merge_summaries_full(
+        [c.summary for c in checkpoints], scheduler=scheduler
+    )
 
     if out is not None:
         return save_checkpoint(

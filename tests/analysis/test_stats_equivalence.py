@@ -1,23 +1,119 @@
 """The summary-statistics path equals the walk-the-values path.
 
-``build_report`` (and ``json-schema-infer statistics``) now read
-everything after the schema from the run's :class:`StatsBundle` instead
-of re-walking the values with :class:`StatisticsCollector`.  These tests
-pin the refactor: on the same records, the bundle-backed collector view
-and the succinctness row computed from the run are *equal* — not merely
-close — to what the original value-walking implementations produce.
+``build_report`` (and ``json-schema-infer statistics``) read everything
+after the schema from the run's :class:`StatsBundle`, the one per-path
+statistics implementation in ``src/``.  These tests pin it against an
+independent oracle: on the same records, the bundle's counts (read here
+in the collector's shape) and the succinctness row computed from the
+run are *equal* — not merely close — to what a plain walk over the
+values produces.
 """
+
+from collections import Counter
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.report import build_report
 from repro.analysis.stats import succinctness_row, succinctness_row_from_run
-from repro.inference.counting import StatisticsCollector, presence_report
+from repro.core.kinds import Kind
+from repro.core.types import RecordType, StarArrayType, UnionType
+from repro.inference.counting import FieldPresence, presence_report
 from repro.inference.pipeline import run_inference
 from tests.conftest import json_records, make_corpus
 
 record_lists = st.lists(json_records, min_size=1, max_size=12)
+
+
+def _kind_of_value(value):
+    if value is None:
+        return Kind.NULL
+    if isinstance(value, bool):
+        return Kind.BOOL
+    if isinstance(value, (int, float)):
+        return Kind.NUM
+    if isinstance(value, str):
+        return Kind.STR
+    if isinstance(value, dict):
+        return Kind.RECORD
+    return Kind.ARRAY
+
+
+class StatisticsCollector:
+    """The oracle: counts path occurrences, per-path kinds and array
+    lengths by walking the values themselves."""
+
+    def __init__(self):
+        self.record_count = 0
+        self.path_counts = Counter()
+        self.kind_counts = Counter()
+        #: path -> [count, min length, max length, total elements]
+        self.array_lengths = {}
+
+    def observe_many(self, values):
+        for value in values:
+            self.record_count += 1
+            self._walk(value, "$")
+
+    def _walk(self, value, path):
+        self.path_counts[path] += 1
+        self.kind_counts[(path, _kind_of_value(value))] += 1
+        if isinstance(value, dict):
+            for key, sub in value.items():
+                self._walk(sub, f"{path}.{key}")
+        elif isinstance(value, list):
+            n = len(value)
+            stats = self.array_lengths.get(path)
+            if stats is None:
+                self.array_lengths[path] = [1, n, n, n]
+            else:
+                stats[0] += 1
+                stats[1] = min(stats[1], n)
+                stats[2] = max(stats[2], n)
+                stats[3] += n
+            for sub in value:
+                self._walk(sub, f"{path}[*]")
+
+    def presence_report(self, schema):
+        """The presence entries of :func:`presence_report`, from the
+        oracle's own counts."""
+        out = []
+        self._report(schema, "$", out)
+        return out
+
+    def _report(self, t, path, out):
+        if isinstance(t, UnionType):
+            for member in t.members:
+                self._report(member, path, out)
+        elif isinstance(t, RecordType):
+            parent = self.kind_counts.get((path, Kind.RECORD), 0)
+            for fld in t.fields:
+                sub_path = f"{path}.{fld.name}"
+                out.append(FieldPresence(
+                    path=sub_path,
+                    optional=fld.optional,
+                    occurrences=self.path_counts.get(sub_path, 0),
+                    parent_occurrences=parent,
+                ))
+                self._report(fld.type, sub_path, out)
+        elif isinstance(t, StarArrayType):
+            self._report(t.body, f"{path}[*]", out)
+
+
+def collector_view(bundle):
+    """A bundle's counts in the oracle's shape: ``(record_count,
+    path_counts, kind_counts, array_lengths)``."""
+    path_counts, kind_counts, array_lengths = {}, {}, {}
+    for path, node in bundle.paths.items():
+        path_counts[path] = node.kinds.total
+        for name, n in node.kinds.counts.items():
+            kind_counts[(path, Kind[name])] = n
+        arrays = node.arrays
+        if arrays.count:
+            array_lengths[path] = [
+                arrays.count, arrays.minimum, arrays.maximum, arrays.total,
+            ]
+    return bundle.record_count, path_counts, kind_counts, array_lengths
 
 
 class TestSuccinctnessEquivalence:
@@ -38,8 +134,8 @@ class TestSuccinctnessEquivalence:
 
 
 class TestCollectorViewEquivalence:
-    """``StatsBundle.as_collector_view`` is a drop-in replacement for a
-    :class:`StatisticsCollector` walked over the same values."""
+    """A ``basic`` bundle, read in the collector's shape, equals the
+    :class:`StatisticsCollector` oracle walked over the same values."""
 
     @given(values=record_lists)
     @settings(max_examples=40)
@@ -47,10 +143,10 @@ class TestCollectorViewEquivalence:
         collector = StatisticsCollector()
         collector.observe_many(values)
         run = run_inference(values, stats_mode="basic")
-        view = run.stats.as_collector_view()
-        assert view.record_count == collector.record_count
-        assert dict(view.path_counts) == dict(collector.path_counts)
-        assert dict(view.kind_counts) == dict(collector.kind_counts)
+        record_count, path_counts, kind_counts, _ = collector_view(run.stats)
+        assert record_count == collector.record_count
+        assert path_counts == dict(collector.path_counts)
+        assert kind_counts == dict(collector.kind_counts)
 
     @given(values=record_lists)
     @settings(max_examples=40)
@@ -58,14 +154,8 @@ class TestCollectorViewEquivalence:
         collector = StatisticsCollector()
         collector.observe_many(values)
         run = run_inference(values, stats_mode="basic")
-        view = run.stats.as_collector_view()
-        assert set(view.array_lengths) == set(collector.array_lengths)
-        for path, stats in collector.array_lengths.items():
-            ours = view.array_lengths[path]
-            assert (ours.count, ours.min_length, ours.max_length,
-                    ours.total_elements) == (
-                stats.count, stats.min_length, stats.max_length,
-                stats.total_elements)
+        _, _, _, array_lengths = collector_view(run.stats)
+        assert array_lengths == collector.array_lengths
 
     @given(values=record_lists)
     @settings(max_examples=30)
@@ -73,9 +163,8 @@ class TestCollectorViewEquivalence:
         collector = StatisticsCollector()
         collector.observe_many(values)
         run = run_inference(values, stats_mode="basic")
-        old = presence_report(run.schema, collector)
-        new = presence_report(run.schema, run.stats.as_collector_view())
-        assert new == old
+        expected = collector.presence_report(run.schema)
+        assert presence_report(run.schema, run.stats) == expected
 
 
 class TestReportEndToEnd:

@@ -15,10 +15,11 @@ from repro.core.values import validate_value
 from repro.datasets import DATASET_NAMES
 from repro.datasets.mixed import generate_list
 from repro.inference import (
+    fuse_all,
+    fuse_multiset,
     infer_schema,
     infer_schema_labelled,
     infer_type,
-    run_inference,
     simplify,
 )
 
@@ -76,9 +77,8 @@ class TestCoreGuaranteesUnderStress:
         assert isinstance(items, StarArrayType)
 
     def test_dedupe_matches_sequential(self):
-        deduped = run_inference(VALUES, dedupe=True).schema
-        raw = run_inference(VALUES, dedupe=False).schema
-        assert deduped == raw
+        types = [infer_type(v) for v in VALUES]
+        assert fuse_multiset(types) == fuse_all(types)
 
     def test_partition_invariance(self):
         from repro.inference import infer_partitioned

@@ -170,12 +170,15 @@ class TestAutoPolicy:
 class TestDispatchPin:
     """What any refactor of the partitioned dispatch path must not move.
 
-    Each configuration runs three jobs over one fixed dirty file, each
-    in a fresh thread Context with its own journal: uncached (batching
-    engages at ``batch_size=3``), then cold and warm against one
-    summary cache (which dispatches unbatched).  The journal header's
-    task plan and the scheduler counters are pinned as literals.
-    Relative paths keep the pickled split descriptors, and so
+    Each configuration runs four jobs over one fixed dirty file, each
+    in a fresh thread Context: uncached (batching engages at
+    ``batch_size=3``), then cold and warm against one summary cache
+    (which dispatches unbatched), each with its own journal; then warm
+    again without a journal, so the run-level cache entry replays.  The
+    journal header's task plan (``None`` without a journal) and the
+    scheduler counters are pinned as literals: a run-level replay skips
+    exactly the input bytes the journaled warm job's per-partition hits
+    skip.  Relative paths keep the pickled split descriptors, and so
     ``input_bytes_shipped``, independent of the temporary directory.
     """
 
@@ -197,6 +200,7 @@ class TestDispatchPin:
              [6, 248, 1158, 0, 0, 0, 0, 0, 0]),
             (BYTES_STABLE, [6, 248, 1156, 0, 6, 7, 0, 0, 0]),
             ([], [0, 5, 0, 6, 0, 0, 1156, 1750, 1750]),
+            (None, [0, 0, 0, 6, 0, 0, 1156, 0, 0]),
         ],
         ("bytes", 3): [
             ([[[0, 186], [186, 186], [372, 186]],
@@ -204,17 +208,20 @@ class TestDispatchPin:
              [2, 248, 1158, 0, 0, 0, 0, 0, 0]),
             (BYTES_STABLE, [6, 248, 1156, 0, 6, 7, 0, 0, 0]),
             ([], [0, 5, 0, 6, 0, 0, 1156, 1750, 1750]),
+            (None, [0, 0, 0, 6, 0, 0, 1156, 0, 0]),
         ],
         ("lines", 1): [
             (LINES, [6, 1067, 0, 0, 0, 0, 0, 0, 0]),
             (LINES, [6, 1067, 0, 0, 6, 7, 0, 0, 0]),
             ([], [0, 0, 0, 6, 0, 0, 1067, 1754, 1754]),
+            (None, [0, 0, 0, 6, 0, 0, 1067, 0, 0]),
         ],
         ("lines", 3): [
             ([[[1, 8], [9, 7], [17, 7]], [[24, 8], [33, 8], [42, 7]]],
              [2, 1067, 0, 0, 0, 0, 0, 0, 0]),
             (LINES, [6, 1067, 0, 0, 6, 7, 0, 0, 0]),
             ([], [0, 0, 0, 6, 0, 0, 1067, 1754, 1754]),
+            (None, [0, 0, 0, 6, 0, 0, 1067, 0, 0]),
         ],
     }
 
@@ -250,8 +257,10 @@ class TestDispatchPin:
         with open("dirty.ndjson", "w") as handle:
             handle.write("\n".join(self._lines()) + "\n")
         observed = []
-        for job, cache in enumerate([None, "cache", "cache"]):
-            journal = f"job{job}.journal"
+        jobs = [(None, True), ("cache", True), ("cache", True),
+                ("cache", False)]
+        for job, (cache, journaled) in enumerate(jobs):
+            journal = f"job{job}.journal" if journaled else None
             with Context(parallelism=2, backend="thread") as ctx:
                 run = infer_ndjson_file(
                     "dirty.ndjson", context=ctx, num_partitions=6,
@@ -259,16 +268,19 @@ class TestDispatchPin:
                     min_split_bytes=1, batch_size=batch_size,
                     journal_path=journal, summary_cache=cache,
                 )
-            header = read_journal(journal).header
-            assert (header["split_mode"], header["parse_lane"],
-                    header["permissive"]) == (split_mode, "hooks", True)
+            tasks = None
+            if journaled:
+                header = read_journal(journal).header
+                assert (header["split_mode"], header["parse_lane"],
+                        header["permissive"]) == (split_mode, "hooks", True)
+                tasks = header["tasks"]
             assert [b.line_number for b in run.bad_records] == [
                 11, 22, 33, 44,
             ]
             assert (run.record_count, run.distinct_type_count) == (41, 3)
             stats = ctx.scheduler.stats
             observed.append((
-                header["tasks"],
+                tasks,
                 [getattr(stats, name) for name in self.COUNTERS],
             ))
         assert observed == self.EXPECTED[(split_mode, batch_size)]

@@ -27,7 +27,7 @@ from repro.inference.kernel import (
     FusionMemo,
     PartitionAccumulator,
     accumulate_partition,
-    merge_summaries,
+    merge_summaries_full,
 )
 from repro.inference.pipeline import run_inference
 from tests.conftest import json_values, normal_types
@@ -56,12 +56,11 @@ class TestAccumulatorMatchesNaive:
         """Splitting arbitrarily and merging summaries changes nothing —
         the practical face of associativity (Theorem 5.5)."""
         parts = [values[i::num_partitions] for i in range(num_partitions)]
-        summaries = [accumulate_partition(p) for p in parts]
-        schema, count, distinct = merge_summaries(summaries)
-        want_schema, want_count, want_distinct = naive(values)
-        assert schema == want_schema
-        assert count == want_count
-        assert distinct == want_distinct
+        merged = merge_summaries_full(
+            [accumulate_partition(p) for p in parts]
+        )
+        assert (merged.schema, merged.record_count,
+                merged.distinct_type_count) == naive(values)
 
     def test_empty_accumulator(self):
         acc = PartitionAccumulator()
@@ -146,19 +145,18 @@ class TestBackendsAgree:
 
 class TestKernelMatchesLegacyOnDatasets:
     """Acceptance: bit-identical InferenceRun results on all four
-    synthetic datasets, kernel vs. the legacy quad-pass path."""
+    synthetic datasets, the partitioned kernel vs. the legacy reference
+    semantics — the :func:`naive` fold over every record's type."""
 
     @pytest.mark.parametrize("name", sorted(DATASET_NAMES))
     def test_bit_identical(self, name):
         values = generate_list(name, 120)
         with Context(parallelism=2) as ctx:
-            legacy = run_inference(values, context=ctx, num_partitions=2,
-                                   kernel=False)
-            streaming = run_inference(values, context=ctx, num_partitions=2,
-                                      kernel=True)
-        assert streaming.schema == legacy.schema
-        assert streaming.record_count == legacy.record_count == 120
-        assert streaming.distinct_type_count == legacy.distinct_type_count
+            streaming = run_inference(values, context=ctx, num_partitions=2)
+        schema, count, distinct = naive(values)
+        assert streaming.schema == schema
+        assert streaming.record_count == count == 120
+        assert streaming.distinct_type_count == distinct
 
 
 class TestInvalidValues:

@@ -8,6 +8,8 @@ from repro.core.semantics import matches
 from repro.core.type_parser import parse_type as p
 from repro.core.types import EMPTY
 from repro.engine.context import Context
+from repro.inference.fusion import fuse_all, fuse_multiset
+from repro.inference.infer import infer_type
 from repro.inference.pipeline import (
     SchemaInferencer,
     infer_partitioned,
@@ -97,23 +99,24 @@ class TestRunInference:
         assert engine_run.distinct_type_count == local_run.distinct_type_count
 
     def test_dedupe_off_still_sound(self):
-        run = run_inference(RECORDS, dedupe=False)
-        assert all(matches(r, run.schema) for r in RECORDS)
+        """Fusing the raw, non-deduplicated types is sound, and equal to
+        the deduplicating fold."""
+        types = [infer_type(r) for r in RECORDS]
+        raw = fuse_all(types)
+        assert all(matches(r, raw) for r in RECORDS)
+        assert fuse_multiset(types) == raw
 
     def test_engine_dedupe_off_matches_local(self):
+        types = [infer_type(r) for r in RECORDS]
         with Context(parallelism=2) as ctx:
-            engine_raw = run_inference(
-                RECORDS, context=ctx, num_partitions=3, dedupe=False
-            )
-        assert engine_raw.schema == run_inference(RECORDS, dedupe=False).schema
+            engine = run_inference(RECORDS, context=ctx, num_partitions=3)
+        assert engine.schema == fuse_all(types) == fuse_multiset(types)
 
     def test_dedupe_is_exact_on_duplicate_positional_arrays(self):
         """fuse_multiset self-fuses duplicated types, so deduplication is
         an exact optimisation even for positional arrays."""
-        records = [{"a": [1]}, {"a": [1]}]
-        deduped = run_inference(records, dedupe=True).schema
-        raw = run_inference(records, dedupe=False).schema
-        assert deduped == raw == p("{a: [Num*]}")
+        types = [infer_type(r) for r in [{"a": [1]}, {"a": [1]}]]
+        assert fuse_multiset(types) == fuse_all(types) == p("{a: [Num*]}")
 
 
 class TestSchemaInferencer:

@@ -20,21 +20,24 @@ from __future__ import annotations
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.inference.kernel import (
     WIRE_FORMAT_VERSION,
     PartitionAccumulator,
+    _walk_wire_digests,
     accumulate_ndjson_batch,
     accumulate_ndjson_partition,
     accumulate_partition,
     decode_summary,
     decode_summary_light,
     encode_summary,
+    merge_summary_group,
     type_digest,
 )
 from repro.jsonio.splits import plan_splits
+from repro.jsonio.writer import dumps
 from tests.conftest import json_values, make_corpus, normal_types, write_corpus
 
 json_value_lists = st.lists(json_values(10), max_size=30)
@@ -152,29 +155,67 @@ class TestVersioning:
             decode_summary(pickle.dumps(mangled))
 
 
+def _summaries_of(values):
+    """One partition's summary of ``values``, and two merged summaries —
+    a :func:`merge_summary_group` of two halves and a batch task over two
+    line chunks — whose schemas come from another interner than their
+    distinct types."""
+    half = len(values) // 2
+    lines = [(i + 1, dumps(v)) for i, v in enumerate(values)]
+    return [
+        accumulate_partition(values),
+        merge_summary_group([
+            accumulate_partition(values[:half]),
+            accumulate_partition(values[half:]),
+        ]),
+        accumulate_ndjson_batch([lines[:half], lines[half:]]),
+    ]
+
+
 class TestLightDecode:
     """The light decode must be an exact, cheaper view of the full one:
     same plain data and schema, and one :func:`type_digest` per distinct
     type — with digest equality coinciding with structural type equality,
     so a digest-set union counts distincts exactly."""
 
+    #: Values whose frames put the schema at the edges of the node
+    #: table: ``EMPTY``, a basic type, and the last node of the
+    #: op-stream (the schema is the one distinct type, emitted once).
+    EDGE_VALUES = ([], [1, 2.5], [{"a": [1, "x"]}])
+
     @settings(max_examples=50, deadline=None)
     @given(values=json_value_lists)
+    @example(values=EDGE_VALUES[0])
+    @example(values=EDGE_VALUES[1])
+    @example(values=EDGE_VALUES[2])
     def test_matches_full_decode_on_values(self, values):
-        summary = accumulate_partition(values)
-        payload = encode_summary(summary)
-        light, digests = decode_summary_light(payload)
-        full = decode_summary(payload)
-        assert light.schema == full.schema
-        assert light.record_count == full.record_count
-        assert light.skipped == full.skipped
-        assert light.line_count == full.line_count
-        assert light.distinct_types == ()
-        assert len(digests) == len(full.distinct_types)
-        memo = {}
-        assert set(digests) == {
-            type_digest(t, memo) for t in full.distinct_types
-        }
+        for summary in _summaries_of(values):
+            payload = encode_summary(summary)
+            light, digests = decode_summary_light(payload)
+            full = decode_summary(payload, PartitionAccumulator())
+            assert light.schema == full.schema == summary.schema
+            assert light.record_count == full.record_count
+            assert light.skipped == full.skipped
+            assert light.line_count == full.line_count
+            assert light.distinct_types == ()
+            assert len(digests) == len(full.distinct_types)
+            memo = {}
+            assert set(digests) == {
+                type_digest(t, memo) for t in full.distinct_types
+            }
+
+    def test_edge_values_put_the_schema_at_the_edges(self):
+        """The explicit examples above really reach the edge frames."""
+        where = []
+        for values in self.EDGE_VALUES:
+            frame = pickle.loads(encode_summary(accumulate_partition(values)))
+            keys, ops, schema_i = frame[1], frame[2], frame[3]
+            digests, _ = _walk_wire_digests(keys, ops)
+            where.append((schema_i, len(digests) - 1))
+        (empty_i, _), (basic_i, _), (last_i, last_node) = where
+        assert empty_i == 4  # the pre-seeded EMPTY slot
+        assert basic_i < 4  # a pre-seeded basic-type slot
+        assert last_i == last_node > 4
 
     @settings(max_examples=50, deadline=None)
     @given(types=st.lists(normal_types(10), min_size=1, max_size=10))
@@ -184,7 +225,7 @@ class TestLightDecode:
             acc.add_type(t)
         payload = encode_summary(acc.summary())
         light, digests = decode_summary_light(payload)
-        full = decode_summary(payload)
+        full = decode_summary(payload, PartitionAccumulator())
         assert light.schema == full.schema
         memo = {}
         assert set(digests) == {

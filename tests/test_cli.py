@@ -263,6 +263,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["infer"])
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--workers", ["infer", "{file}", "--workers", "-1"]),
+        ("--min-split-mb",
+         ["infer", "{file}", "--workers", "2", "--min-split-mb", "0"]),
+        ("--min-split-mb", ["infer", "{file}", "--min-split-mb", "0"]),
+        ("--max-retries",
+         ["infer", "{file}", "--workers", "2", "--max-retries", "-1"]),
+        ("--task-timeout",
+         ["infer", "{file}", "--workers", "2", "--task-timeout", "0"]),
+        ("--batch-size", ["infer", "{file}", "--batch-size", "0"]),
+        ("--batch-size", ["infer", "{file}", "--batch-size", "-2"]),
+        ("--max-error-rate", ["infer", "{file}", "--max-error-rate", "-0.1"]),
+        ("--parallel", ["merge", "a", "b", "-o", "m", "--parallel", "-1"]),
+        ("--max-paths", ["statistics", "{file}", "--max-paths", "-1"]),
+    ])
+    def test_out_of_range_numbers_are_usage_errors(
+        self, flag, argv, sample_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(file=sample_file) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
 
 class TestCheckpointCli:
     def test_infer_writes_checkpoint(self, sample_file, tmp_path, capsys):

@@ -20,7 +20,6 @@ from repro.datasets import DATASET_NAMES, generate_list, write_dataset
 from repro.engine import Context
 from repro.inference import (
     SchemaInferencer,
-    StatisticsCollector,
     infer_partitioned,
     infer_schema,
     infer_type,
@@ -132,8 +131,7 @@ class TestStatisticsIntegration:
     def test_presence_ratios_on_twitter(self):
         values = generate_list("twitter", 200)
         schema = infer_schema(values)
-        stats = StatisticsCollector()
-        stats.observe_many(values)
+        stats = run_inference(values, stats_mode="basic").stats
         report = {e.path: e for e in presence_report(schema, stats)}
         # 'delete' appears in the delete notices only.
         assert 0 < report["$.delete"].ratio < 0.5
