@@ -428,7 +428,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     from repro.inference.pipeline import ResumableInterrupt
     from repro.jsonio.errors import ErrorRateExceeded
     from repro.jsonio.splits import DEFAULT_MIN_SPLIT_BYTES
-    from repro.store import checkpoint_exists
+    from repro.store import CheckpointError, LockHeldError, checkpoint_exists
     from repro.store.journal import JournalError
 
     if args.update and not args.checkpoint:
@@ -490,7 +490,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     except ResumableInterrupt as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
         return EXIT_RESUMABLE
-    except JournalError as exc:
+    except (JournalError, CheckpointError, LockHeldError) as exc:
+        # A damaged, foreign-version or locked store is an expected
+        # outcome; each message names the path it is about.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     schema = run.schema
@@ -558,7 +560,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    from repro.store import CheckpointError, merge_checkpoints
+    from repro.store import CheckpointError, LockHeldError, merge_checkpoints
 
     try:
         if args.parallel:
@@ -569,7 +571,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
                                                out=args.out)
         else:
             merged = merge_checkpoints(args.checkpoints, out=args.out)
-    except CheckpointError as exc:
+    except (CheckpointError, LockHeldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.pretty:

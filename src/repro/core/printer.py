@@ -17,7 +17,6 @@ suite checks with hypothesis).
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from repro.core.types import (
     ArrayType,
@@ -29,7 +28,7 @@ from repro.core.types import (
     UnionType,
 )
 
-__all__ = ["print_type", "print_types", "pretty_print"]
+__all__ = ["print_type", "pretty_print"]
 
 #: Printed form of the empty type.  Chosen to be ASCII-friendly.
 EMPTY_SYMBOL = "(empty)"
@@ -38,7 +37,7 @@ EMPTY_SYMBOL = "(empty)"
 #: Short escapes for the common control characters; everything else
 #: below U+0020 prints as ``\uXXXX``.  Keeping printed types free of raw
 #: control characters makes the output safe for line-oriented formats
-#: (one type per line, e.g. a checkpoint's distinct-types file) and for
+#: (one type per line, e.g. a checkpoint's schema file) and for
 #: terminals.
 _KEY_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t",
                 "\r": "\\r"}
@@ -64,14 +63,6 @@ def _escape(match: re.Match) -> str:
 def print_type(t: Type) -> str:
     """Render ``t`` on a single line in the paper's concrete syntax."""
     return _render(t, {})
-
-
-def print_types(types: Iterable[Type]) -> list[str]:
-    """``[print_type(t) for t in types]``, rendering each distinct subtree
-    object once over the whole batch."""
-    types = list(types)  # the memo keys on id(): keep every node alive
-    memo: dict[int, str] = {}
-    return [_render(t, memo) for t in types]
 
 
 def _render(t: Type, memo: dict[int, str]) -> str:

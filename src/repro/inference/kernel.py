@@ -29,11 +29,12 @@ this module computes all three in *one* pass per partition:
 * :meth:`PartitionAccumulator.summary` emits a tiny, picklable
   :class:`PartitionSummary` (schema + counts + distinct types), which is
   what crosses a process boundary when the scheduler runs with
-  ``backend="process"``; :func:`merge_summary_group` recombines the
-  partials at the driver through a fresh interner and memo.  Any
-  grouping of the merge yields the same schema — that is exactly the
-  associativity theorem (Theorem 5.5), the same property that already
-  licenses ``tree_reduce``.
+  ``backend="process"`` — wire-encoded, with the distinct types as
+  32-byte digests (:func:`type_digest`).  :func:`merge_summary_group`
+  recombines the partials at the driver through a fresh interner and
+  memo.  Any grouping of the merge yields the same schema — that is
+  exactly the associativity theorem (Theorem 5.5), the same property
+  that already licenses ``tree_reduce``.
 
 Everything here is *exact*: the accumulator's schema, record count and
 distinct-type count are identical (plain ``==``) to the naive
@@ -408,15 +409,26 @@ def merge_phase_timings(
 class PartitionSummary:
     """The tiny, picklable result of streaming one partition.
 
-    ``distinct_types`` carries the partition's distinct top-level types so
-    the driver can compute the *global* distinct count exactly (two
-    partitions may share types); per the paper's measurements this set is
-    orders of magnitude smaller than the record count.
+    The partition's distinct top-level types travel with it so the driver
+    can compute the *global* distinct count exactly (two partitions may
+    share types); per the paper's measurements this set is orders of
+    magnitude smaller than the record count.  Only the set's *size* is
+    ever read, so it has two interchangeable forms, and at most one of
+    them is non-empty:
+
+    * ``distinct_types`` — interned types, while the set has not left
+      the process that typed its records;
+    * ``distinct_digests`` — one 32-byte :func:`type_digest` per type,
+      once the set has crossed a process or disk boundary (wire frames,
+      journals, cache entries, checkpoints) or met a set that has.
+
+    Digest equality coincides with type equality (barring a sha-256
+    collision), so either form counts distinct types exactly.
     """
 
     schema: Type
     record_count: int
-    distinct_types: tuple[Type, ...]
+    distinct_types: tuple[Type, ...] = ()
     #: Records quarantined during a permissive NDJSON partition pass
     #: (empty for already-parsed inputs).
     skipped: tuple[BadRecord, ...] = field(default=())
@@ -447,11 +459,26 @@ class PartitionSummary:
     #: path statistics-free.  Part of the result (compared), and rides
     #: the wire format (v3) and checkpoints like every other component.
     stats: "StatsBundle | None" = field(default=None)
+    #: The distinct set as digests (see the class docstring).
+    distinct_digests: "frozenset[bytes]" = field(default=frozenset())
+
+    def __post_init__(self) -> None:
+        if self.distinct_types and self.distinct_digests:
+            raise ValueError(
+                "a summary holds its distinct set as types or as digests, "
+                "not both"
+            )
 
     @property
     def distinct_type_count(self) -> int:
         """Distinct top-level types within this partition."""
-        return len(self.distinct_types)
+        return len(self.distinct_digests or self.distinct_types)
+
+    def digest_set(self) -> "frozenset[bytes]":
+        """The distinct set as digests, digesting the types if need be."""
+        if self.distinct_digests or not self.distinct_types:
+            return self.distinct_digests
+        return frozenset(digest_types(self.distinct_types))
 
     @property
     def skipped_count(self) -> int:
@@ -602,6 +629,9 @@ class PartitionAccumulator:
         self._count = 0
         self._distinct_ids: set[int] = set()
         self._distinct: list[Type] = []
+        #: Digests of distinct types that arrived as digests (through
+        #: :meth:`add_summary`); possibly overlapping ``_distinct``.
+        self._foreign: set[bytes] = set()
         #: Per-path statistics bundle, or ``None`` when stats are off.
         #: Always accumulator-private (never borrowed from warm state):
         #: statistics are per-task results, not shared caches.
@@ -626,11 +656,20 @@ class PartitionAccumulator:
     @property
     def distinct_type_count(self) -> int:
         """Number of distinct top-level inferred types seen so far."""
+        if self._foreign:
+            return len(self._digest_set())
         return len(self._distinct)
 
     def distinct_types(self) -> tuple[Type, ...]:
-        """The distinct top-level types, in first-seen order."""
+        """The distinct top-level types interned here, in first-seen
+        order (types that arrived as digests are not among them)."""
         return tuple(self._distinct)
+
+    def _digest_set(self) -> "frozenset[bytes]":
+        """Local and foreign distinct types, all as digests."""
+        digests = set(digest_types(self._distinct))
+        digests |= self._foreign
+        return frozenset(digests)
 
     def add(self, value: Any) -> None:
         """Stream one JSON value: type, intern, count, fuse — one step."""
@@ -723,11 +762,15 @@ class PartitionAccumulator:
         other partial summary) merges into live state exactly as
         :func:`merge_summary_group` would merge it at the driver — the
         schema fuses in, the record counts add, and the summary's
-        distinct top-level types join this accumulator's distinct set
-        *structurally* (foreign types are interned here first, so the
-        usual pointer-equality distinct test stays sound afterwards).
+        distinct set joins this accumulator's.  Distinct *types* join
+        structurally (they are interned here first, so the usual
+        pointer-equality distinct test stays sound afterwards); distinct
+        *digests* join the foreign digest set, and from then on
+        :meth:`summary` reports the whole set as digests.
         """
         intern = self.interner.intern
+        if summary.distinct_digests:
+            self._foreign.update(summary.distinct_digests)
         for t in summary.distinct_types:
             canonical = intern(t)
             key = id(canonical)
@@ -745,12 +788,18 @@ class PartitionAccumulator:
             self.stats = self.stats.merge(foreign)
 
     def summary(self) -> PartitionSummary:
-        """Snapshot the accumulator as a small, picklable summary."""
+        """Snapshot the accumulator as a small, picklable summary.
+
+        The distinct set stays interned types unless digests have been
+        folded in, so a run that crosses no boundary digests nothing.
+        """
+        foreign = bool(self._foreign)
         return PartitionSummary(
             schema=self.schema,
             record_count=self._count,
-            distinct_types=tuple(self._distinct),
+            distinct_types=() if foreign else tuple(self._distinct),
             stats=self.stats,
+            distinct_digests=self._digest_set() if foreign else frozenset(),
         )
 
     def record_type(self, shape: tuple[Field, ...]) -> Type:
@@ -840,33 +889,33 @@ class PartitionAccumulator:
 # ---------------------------------------------------------------------------
 # Compact summary wire format (the task return path of the process backend)
 #
-# Pickling a PartitionSummary serialises the schema and every distinct
-# type as an object graph: one __reduce__ frame per node, class
-# references and per-node constructor tuples included — and the
-# driver-side unpickle rebuilds each tree only for add_summary to
-# re-intern it structurally, node by node.  The wire format flattens
-# instead: every distinct type node becomes a few small integers in one
-# postorder op-stream (children precede parents, references are table
-# indices), field names live once in a deduplicated string table, and
-# shared subtrees — the whole point of interning — are stored exactly
-# once.  IPC cost therefore scales with the number of distinct nodes,
-# not with the summed size of the trees, and the driver decodes
-# *directly into* an accumulator's interner, so adoption is canonical
-# from the start instead of a second structural interning pass.
+# Pickling a PartitionSummary serialises the schema as an object graph:
+# one __reduce__ frame per node, class references and per-node
+# constructor tuples included — and the driver-side unpickle rebuilds the
+# tree only for add_summary to re-intern it structurally, node by node.
+# The wire format flattens instead: every schema node becomes a few small
+# integers in one postorder op-stream (children precede parents,
+# references are table indices), field names live once in a deduplicated
+# string table, and shared subtrees — the whole point of interning — are
+# stored exactly once.  The driver decodes *directly into* an
+# accumulator's interner, so adoption is canonical from the start.  The
+# distinct set never becomes ops: only its size is ever read, so it
+# travels as its sorted, concatenated type digests (see "Type digests"
+# below), which a worker computes in place of encoding the types.
 
 #: Version tag leading every encoded payload; bump on layout changes.
 #: v2 appended three telemetry slots, the counters of a duplicate-line
-#: type cache that has since been removed (``dedup_hits``,
-#: ``dedup_misses``, ``dedup_bytes_avoided``): encoders write ``0`` into
-#: each and decoders ignore them, so frames stay byte-identical and
-#: journals and cache entries written before the removal still read.  v3
-#: appended the optional statistics block (``None`` when stats are off).
-WIRE_FORMAT_VERSION = 3
+#: type cache that has since been removed; v3 appended the optional
+#: statistics block (``None`` when stats are off).  v4 carries the
+#: distinct set as digests instead of ops and drops the three v2 slots.
+WIRE_FORMAT_VERSION = 4
 
-#: Older versions the decoders still read (missing fields default).  v2
-#: payloads — pre-stats journals and cached summaries — decode with
-#: ``stats=None``, so old run journals stay resumable across the bump.
-_WIRE_READ_VERSIONS = frozenset({2, WIRE_FORMAT_VERSION})
+#: The versions :func:`decode_summary` reads, with their frame lengths.
+#: Journals written by earlier builds stay resumable: the distinct types
+#: of a v2/v3 frame are digested straight off the op-stream
+#: (:func:`_walk_wire_digests`), and v2 payloads — pre-stats journals —
+#: decode with ``stats=None``.
+_WIRE_FRAME_FIELDS = {2: 15, 3: 16, WIRE_FORMAT_VERSION: 13}
 
 #: Node-table indices 0-4 are pre-seeded with the leaf singletons — they
 #: never occupy ops in the payload.
@@ -882,7 +931,7 @@ _WIRE_UNION = 3
 
 
 class _WireEncoder:
-    """Flattens canonical type DAGs into the op-stream + key table."""
+    """Flattens a canonical type DAG into the op-stream + key table."""
 
     __slots__ = ("ops", "keys", "_key_index", "_node_index", "_next")
 
@@ -907,10 +956,10 @@ class _WireEncoder:
     def encode(self, t: Type) -> int:
         """Emit ``t``'s unseen nodes (postorder); returns its table index.
 
-        Memoized by ``id()``: within one summary the types are canonical
-        in one interner, so shared subtrees are emitted once.
-        Structurally equal nodes from *different* interners would get
-        separate ops — harmless, and never produced by the kernel.
+        Memoized by ``id()``: the schema is canonical in one interner,
+        so shared subtrees are emitted once.  Structurally equal nodes
+        from *different* interners would get separate ops — harmless,
+        and never produced by the kernel.
         """
         node_index = self._node_index
         key = id(t)
@@ -966,20 +1015,22 @@ class _WireEncoder:
 def encode_summary(summary: PartitionSummary) -> bytes:
     """Encode a summary as the compact flat-table wire payload.
 
-    The schema and every distinct type share one node table; everything
-    else (counts, quarantined records, timings, telemetry) rides along
-    as plain data.  :func:`decode_summary` inverts this exactly —
-    ``decode_summary(encode_summary(s)) == s``.
+    The schema becomes the op-stream and the distinct set its packed
+    digests (:func:`pack_digests`; interned distinct types are digested
+    here); everything else (counts, quarantined records, timings,
+    telemetry) rides along as plain data.  :func:`decode_summary`
+    inverts this up to the form of the distinct set:
+    ``decode_summary(encode_summary(s))`` equals ``s`` with
+    ``distinct_digests=s.digest_set()`` in place of its types.
     """
     enc = _WireEncoder()
     schema_i = enc.encode(summary.schema)
-    distinct_i = [enc.encode(t) for t in summary.distinct_types]
     payload = (
         WIRE_FORMAT_VERSION,
         tuple(enc.keys),
         enc.ops,
         schema_i,
-        distinct_i,
+        pack_digests(summary.digest_set()),
         summary.record_count,
         summary.skipped,
         summary.timings,
@@ -987,7 +1038,6 @@ def encode_summary(summary: PartitionSummary) -> bytes:
         summary.bytes_read,
         summary.worker,
         summary.warm_reused,
-        0, 0, 0,  # the three reserved v2 slots
         None if summary.stats is None else summary.stats.to_wire(),
     )
     return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
@@ -1049,63 +1099,68 @@ def _decode_types(
     return types
 
 
-def _unpack_wire_payload(payload: bytes) -> tuple:
-    """Shared unpickle + version gate + field unpack of both decoders.
-
-    Returns the frame's fields without the version tag and the three
-    reserved slots (stats block last, already decoded into a
-    :class:`StatsBundle` or ``None``); v2 payloads — pre-stats journals
-    and cached summaries — unpack with ``stats=None``.  Foreign versions
-    raise the "unsupported … version" ValueError, anything structurally
-    broken the "malformed" one.
-    """
-    try:
-        decoded = pickle.loads(payload)
-        if len(decoded) == 15:
-            # v2 frame: no stats block.
-            decoded = (*decoded, None)
-        (version, keys, ops, schema_i, distinct_i, record_count,
-         skipped, timings, line_count, bytes_read, worker,
-         warm_reused, _, _, _, stats_wire) = decoded
-    except Exception as exc:
-        raise ValueError(f"malformed summary wire payload: {exc}") from exc
-    if version not in _WIRE_READ_VERSIONS:
-        raise ValueError(
-            f"unsupported summary wire format version {version!r} "
-            f"(expected {WIRE_FORMAT_VERSION})"
-        )
-    try:
-        if version == 2 and stats_wire is not None:
-            raise ValueError("v2 frames carry no stats block")
-        stats = (None if stats_wire is None
-                 else StatsBundle.from_wire(stats_wire))
-    except Exception as exc:
-        raise ValueError(f"malformed summary wire payload: {exc}") from exc
-    return (keys, ops, schema_i, distinct_i, record_count, skipped,
-            timings, line_count, bytes_read, worker, warm_reused, stats)
-
-
 def decode_summary(
     payload: bytes, acc: "PartitionAccumulator | None" = None
 ) -> PartitionSummary:
     """Decode a wire payload back into a :class:`PartitionSummary`.
 
-    The types are built canonical in ``acc``'s interner, a fresh
-    accumulator's when none is given.  Pass the driver's adoption
-    accumulator to share it: summaries decoded through one accumulator
-    share subtrees across partitions, so the driver-side merge
-    deduplicates by pointer from the start.
+    The one decoder: process-pool results, journal frames and cache
+    entries all come through here.  The schema is built canonical in
+    ``acc``'s interner, a fresh accumulator's when none is given.  Pass
+    the driver's adoption accumulator to share it: summaries decoded
+    through one accumulator share subtrees across partitions.  The
+    distinct set comes back as ``distinct_digests``.  v2 and v3 frames,
+    which carried distinct types as ops after the schema's, have those
+    digested off the op-stream without building a type.
+
+    Raises :class:`ValueError` — "unsupported … version" for a foreign
+    version tag, "malformed …" for anything else that does not decode.
     """
-    (keys, ops, schema_i, distinct_i, record_count, skipped, timings,
-     line_count, bytes_read, worker, warm_reused,
-     stats) = _unpack_wire_payload(payload)
-    types = _decode_types(
-        keys, ops, PartitionAccumulator() if acc is None else acc
-    )
+    try:
+        frame = pickle.loads(payload)
+        if (not isinstance(frame, tuple)
+                or len(frame) not in _WIRE_FRAME_FIELDS.values()):
+            raise ValueError("not a summary frame")
+    except Exception as exc:
+        raise ValueError(f"malformed summary wire payload: {exc}") from exc
+    version = frame[0]
+    if version not in _WIRE_FRAME_FIELDS:
+        raise ValueError(
+            f"unsupported summary wire format version {version!r} "
+            f"(expected {WIRE_FORMAT_VERSION})"
+        )
+    try:
+        if version == WIRE_FORMAT_VERSION:
+            (_, keys, ops, schema_i, packed, record_count, skipped,
+             timings, line_count, bytes_read, worker, warm_reused,
+             stats_wire) = frame
+            digests = unpack_digests(packed)
+        else:
+            if version == 2:
+                frame = (*frame, None)  # no stats block
+            (_, keys, ops, schema_i, distinct_i, record_count, skipped,
+             timings, line_count, bytes_read, worker, warm_reused,
+             _, _, _, stats_wire) = frame
+            node_digests, node_pos = _walk_wire_digests(keys, ops)
+            digests = frozenset(node_digests[i] for i in distinct_i)
+            # Those encoders wrote the schema first, so its subtree is
+            # the op-stream prefix that ends with node ``schema_i``
+            # (empty for a leaf).
+            after = schema_i + 1 - len(_WIRE_BASE)
+            if after <= 0:
+                ops = ()
+            elif after < len(node_pos):
+                ops = ops[:node_pos[after]]
+        stats = (None if stats_wire is None
+                 else StatsBundle.from_wire(stats_wire))
+        schema = _decode_types(
+            keys, ops, PartitionAccumulator() if acc is None else acc
+        )[schema_i]
+    except Exception as exc:
+        raise ValueError(f"malformed summary wire payload: {exc}") from exc
     return PartitionSummary(
-        schema=types[schema_i],
+        schema=schema,
         record_count=record_count,
-        distinct_types=tuple(types[i] for i in distinct_i),
         skipped=skipped,
         timings=timings,
         line_count=line_count,
@@ -1113,7 +1168,21 @@ def decode_summary(
         worker=worker,
         warm_reused=warm_reused,
         stats=stats,
+        distinct_digests=digests,
     )
+
+
+def decode_summary_light(
+    payload: bytes,
+) -> "tuple[PartitionSummary, tuple[bytes, ...]]":
+    """:func:`decode_summary`, plus the distinct digests on their own.
+
+    Returns ``(summary, digests)`` with ``digests`` sorted.  No decode
+    materialises a distinct type, so this is a thin wrapper kept for
+    callers of the two-result form.
+    """
+    summary = decode_summary(payload)
+    return summary, tuple(sorted(summary.distinct_digests))
 
 
 def as_wire_payload(result: "PartitionSummary | bytes") -> bytes:
@@ -1132,92 +1201,153 @@ def as_wire_payload(result: "PartitionSummary | bytes") -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Light decode: digests instead of materialised distinct types.
+# Type digests: the form of a distinct set at every boundary.
 #
-# A cache-hit partition that only feeds a plain inference run needs its
-# counts, its quarantined records and its (small, already fused) schema —
-# but of the distinct-type *set*, only the cross-partition union size.
-# Rebuilding tens of thousands of interned type trees just to count them
-# dominates warm-replay time on heterogeneous data, so the light path
-# replaces each distinct type with a canonical 32-byte structural digest
-# computed straight off the op-stream: no constructors, no sorting, no
-# interning.  Digest equality coincides with :class:`Type` equality (the
-# recursion mirrors each ``__eq__`` exactly, keyed by per-class tags), so
-# ``len(set(digests))`` equals the structural distinct count.
+# Of the distinct-type set only the size is ever read (the paper's Tables
+# 2-5 report distinct *counts*), so wherever a set leaves its process it
+# travels as one canonical 32-byte structural digest per type: no
+# constructors, no sorting, no interning on the way back in.  Digest
+# equality coincides with :class:`Type` equality (the recursion mirrors
+# each ``__eq__`` exactly, keyed by per-class tags), so the size of a
+# digest-set union is the structural distinct count — assuming, as the
+# one new premise, no sha-256 collision.  Digests persist in checkpoints,
+# journals and cache entries: their definition is an on-disk format.
 
-def type_digest(t: Type, _memo: "dict[int, bytes] | None" = None) -> bytes:
+#: Bytes per digest in a packed digest block.
+DIGEST_BYTES = 32
+
+_sha256 = hashlib.sha256
+_BASIC_DIGESTS = {
+    t.kind: _sha256(b"B%d" % int(t.kind)).digest()
+    for t in (NULL, BOOL, NUM, STR)
+}
+_EMPTY_DIGEST = _sha256(b"E").digest()
+
+
+class _Digester:
+    """:func:`type_digest` for many types under one memo.
+
+    A node is digested once per memo (keyed by ``id()``, so an interned
+    DAG hashes each shared subtree once), a record with one ``sha256``
+    call over its joined parts, and each field's length-prefixed UTF-8
+    name and optional flag are encoded once per name and flag.
+    """
+
+    __slots__ = ("memo", "_names")
+
+    def __init__(self) -> None:
+        self.memo: dict[int, bytes] = {}
+        self._names: dict[tuple[str, bool], bytes] = {}
+
+    def digest(self, t: Type) -> bytes:
+        memo = self.memo
+        found = memo.get(id(t))
+        if found is not None:
+            return found
+        if isinstance(t, RecordType):
+            names = self._names
+            parts = [b"R"]
+            append = parts.append
+            for f in t.fields:
+                key = (f.name, f.optional)
+                prefix = names.get(key)
+                if prefix is None:
+                    raw = f.name.encode("utf-8")
+                    prefix = names[key] = b"".join((
+                        len(raw).to_bytes(4, "big"), raw,
+                        b"\x01" if f.optional else b"\x00",
+                    ))
+                append(prefix)
+                append(memo.get(id(f.type)) or self.digest(f.type))
+            digest = _sha256(b"".join(parts)).digest()
+        elif isinstance(t, BasicType):
+            digest = _BASIC_DIGESTS[t.kind]
+        elif isinstance(t, EmptyType):
+            digest = _EMPTY_DIGEST
+        elif isinstance(t, StarArrayType):
+            digest = _sha256(b"S" + self.digest(t.body)).digest()
+        elif isinstance(t, ArrayType):
+            digest = _sha256(
+                b"".join([b"A", *map(self.digest, t.elements)])
+            ).digest()
+        elif isinstance(t, UnionType):
+            digest = _sha256(
+                b"".join([b"U", *map(self.digest, t.members)])
+            ).digest()
+        else:
+            raise TypeError(f"cannot digest type node {type(t).__name__}")
+        memo[id(t)] = digest
+        return digest
+
+
+def type_digest(t: Type) -> bytes:
     """Canonical sha-256 of a type node: equal types, equal digests.
 
-    Memoized by ``id()`` across one call tree, so interned DAGs hash each
-    shared subtree once.  The per-class tag bytes mirror the wire op tags;
-    field names are length-prefixed so no name/flag concatenation can
-    collide with another shape.
+    A Merkle digest: a basic type hashes ``B`` and its kind number, the
+    empty type ``E``; a record hashes ``R`` then, per field in order,
+    its 4-byte big-endian name length, UTF-8 name, optional flag byte
+    and child digest; star arrays ``S``, arrays ``A`` and unions ``U``
+    hash their tag and child digests.  Field names are length-prefixed
+    so no name/flag concatenation can collide with another shape.
     """
-    if _memo is None:
-        _memo = {}
-    found = _memo.get(id(t))
-    if found is not None:
-        return found
-    sha = hashlib.sha256
-    if isinstance(t, BasicType):
-        digest = sha(b"B%d" % int(t.kind)).digest()
-    elif isinstance(t, EmptyType):
-        digest = sha(b"E").digest()
-    elif isinstance(t, RecordType):
-        h = sha(b"R")
-        for f in t.fields:
-            name = f.name.encode("utf-8")
-            h.update(len(name).to_bytes(4, "big"))
-            h.update(name)
-            h.update(b"\x01" if f.optional else b"\x00")
-            h.update(type_digest(f.type, _memo))
-        digest = h.digest()
-    elif isinstance(t, StarArrayType):
-        digest = sha(b"S" + type_digest(t.body, _memo)).digest()
-    elif isinstance(t, ArrayType):
-        h = sha(b"A")
-        for e in t.elements:
-            h.update(type_digest(e, _memo))
-        digest = h.digest()
-    elif isinstance(t, UnionType):
-        h = sha(b"U")
-        for m in t.members:
-            h.update(type_digest(m, _memo))
-        digest = h.digest()
-    else:
-        raise TypeError(f"cannot digest type node {type(t).__name__}")
-    _memo[id(t)] = digest
-    return digest
+    return _Digester().digest(t)
 
 
-_WIRE_BASE_DIGESTS: "tuple[bytes, ...] | None" = None
+def digest_types(types: Iterable[Type]) -> list[bytes]:
+    """One :func:`type_digest` per type, under one shared memo."""
+    # The memo is keyed by id(): every type must outlive the call, so
+    # that no id is reused for another node while the memo holds it.
+    types = list(types)
+    digest = _Digester().digest
+    return [digest(t) for t in types]
 
 
-def _wire_base_digests() -> "tuple[bytes, ...]":
-    global _WIRE_BASE_DIGESTS
-    if _WIRE_BASE_DIGESTS is None:
-        memo: dict[int, bytes] = {}
-        _WIRE_BASE_DIGESTS = tuple(type_digest(t, memo) for t in _WIRE_BASE)
-    return _WIRE_BASE_DIGESTS
+def pack_digests(digests: Iterable[bytes]) -> bytes:
+    """A digest set's canonical bytes: sorted, unique, concatenated."""
+    return b"".join(sorted(set(digests)))
+
+
+def unpack_digests(packed: bytes) -> "frozenset[bytes]":
+    """The digest set :func:`pack_digests` packed.
+
+    Raises :class:`ValueError` unless ``packed`` is whole
+    :data:`DIGEST_BYTES`-byte digests in strictly increasing order.
+    """
+    if len(packed) % DIGEST_BYTES:
+        raise ValueError(
+            f"a digest block of {len(packed)} bytes is not a whole "
+            f"number of {DIGEST_BYTES}-byte digests"
+        )
+    digests = [
+        packed[i:i + DIGEST_BYTES]
+        for i in range(0, len(packed), DIGEST_BYTES)
+    ]
+    if any(a >= b for a, b in zip(digests, digests[1:])):
+        raise ValueError("digests are not in strictly increasing order")
+    return frozenset(digests)
+
+
+_WIRE_BASE_DIGESTS = tuple(digest_types(_WIRE_BASE))
 
 
 def _walk_wire_digests(
     keys: Sequence[str], ops: Sequence[int]
 ) -> "tuple[list[bytes], list[int]]":
-    """One pass over the op-stream: a digest per node, no objects built.
+    """One pass over a v2/v3 op-stream: a digest per node, no objects
+    built.
 
     Returns ``(digests, node_pos)`` where ``digests[i]`` is node ``i``'s
-    canonical digest (indexed like the decode table, base leaves first)
-    and ``node_pos[j]`` is the op offset of composite node
+    :func:`type_digest` (indexed like the decode table, base leaves
+    first) and ``node_pos[j]`` is the op offset of composite node
     ``len(_WIRE_BASE) + j`` — enough to find where a node's subtree
-    prefix ends, which is how :func:`decode_summary_light` decodes just
-    the schema.
+    prefix ends, which is how :func:`decode_summary` decodes just the
+    schema of those frames.
     """
-    digests = list(_wire_base_digests())
+    digests = list(_WIRE_BASE_DIGESTS)
     node_pos: list[int] = []
     key_bytes = [k.encode("utf-8") for k in keys]
     key_len = [len(kb).to_bytes(4, "big") for kb in key_bytes]
-    sha = hashlib.sha256
+    sha = _sha256
     pos = 0
     end = len(ops)
     while pos < end:
@@ -1258,50 +1388,6 @@ def _walk_wire_digests(
         else:
             raise ValueError(f"unknown wire op tag {tag!r}")
     return digests, node_pos
-
-
-def decode_summary_light(
-    payload: bytes,
-) -> "tuple[PartitionSummary, tuple[bytes, ...]]":
-    """Decode a wire payload without materialising its distinct types.
-
-    Returns ``(summary, digests)``: the summary carries every plain-data
-    field plus the materialised *schema* subtree but an empty
-    ``distinct_types``; ``digests`` holds one canonical
-    :func:`type_digest` per stored distinct type, suitable for exact
-    cross-partition distinct counting by set union.  Raises
-    :class:`ValueError` on anything malformed, exactly like
-    :func:`decode_summary`.
-    """
-    (keys, ops, schema_i, distinct_i, record_count, skipped, timings,
-     line_count, bytes_read, worker, warm_reused,
-     stats) = _unpack_wire_payload(payload)
-    digests, node_pos = _walk_wire_digests(keys, ops)
-    # encode_summary writes the schema first, so its subtree is the
-    # op-stream prefix that ends with node ``schema_i`` (empty for a
-    # leaf): a fused schema is a few dozen nodes even when the distinct
-    # set holds tens of thousands.
-    after = schema_i + 1 - len(_WIRE_BASE)
-    if after <= 0:
-        end = 0
-    elif after < len(node_pos):
-        end = node_pos[after]
-    else:
-        end = len(ops)
-    schema = _decode_types(keys, ops[:end], PartitionAccumulator())[schema_i]
-    summary = PartitionSummary(
-        schema=schema,
-        record_count=record_count,
-        distinct_types=(),
-        skipped=skipped,
-        timings=timings,
-        line_count=line_count,
-        bytes_read=bytes_read,
-        worker=worker,
-        warm_reused=warm_reused,
-        stats=stats,
-    )
-    return summary, tuple(digests[i] for i in distinct_i)
 
 
 def _worker_name() -> str:
@@ -1670,16 +1756,20 @@ def merge_summary_group(
     The partial schemas fold through a fresh :class:`TypeInterner` and
     :class:`FusionMemo`, so a subtree the partials share is fused once
     however often it recurs in the (tree-sized) schemas.
-    Distinct types deduplicate structurally in first-seen order,
-    quarantined records concatenate in partition order, and ``line_count``
-    / ``bytes_read`` add — every component is associative, so any
-    grouping of the tree yields the same final merge (Theorem 5.5).
+    While every partial holds its distinct set as types, the types
+    deduplicate structurally in first-seen order; once any partial holds
+    digests, the union is taken over digests (digesting the other
+    partials' types).  Quarantined records concatenate in partition
+    order, and ``line_count`` / ``bytes_read`` add — every component is
+    associative, so any grouping of the tree yields the same final merge
+    (Theorem 5.5).
     """
     interner = TypeInterner()
     memo = FusionMemo(interner)
     schema: Type = EMPTY
     count = 0
-    distinct: dict[Type, None] = {}
+    typed: list[tuple[Type, ...]] = []
+    digests: "set[bytes] | None" = None
     skipped: list[BadRecord] = []
     timings: list[PhaseTimings | None] = []
     line_count = 0
@@ -1688,22 +1778,34 @@ def merge_summary_group(
     for summary in summaries:
         schema = memo.fuse(schema, interner.intern(summary.schema))
         count += summary.record_count
-        for t in summary.distinct_types:
-            distinct.setdefault(t)
+        if summary.distinct_digests:
+            if digests is None:
+                digests = set()
+            digests.update(summary.distinct_digests)
+        elif summary.distinct_types:
+            typed.append(summary.distinct_types)
         skipped.extend(summary.skipped)
         timings.append(summary.timings)
         line_count += summary.line_count
         bytes_read += summary.bytes_read
         stats = merge_stats(stats, summary.stats)
+    distinct_types: tuple[Type, ...] = ()
+    if digests is None:
+        distinct_types = tuple(dict.fromkeys(
+            t for types in typed for t in types
+        ))
+    else:
+        digests.update(digest_types(t for types in typed for t in types))
     return PartitionSummary(
         schema=schema,
         record_count=count,
-        distinct_types=tuple(distinct),
+        distinct_types=distinct_types,
         skipped=tuple(skipped),
         timings=merge_phase_timings(timings),
         line_count=line_count,
         bytes_read=bytes_read,
         stats=stats,
+        distinct_digests=frozenset(digests or ()),
     )
 
 
@@ -1719,11 +1821,11 @@ def merge_summaries_full(
     (:func:`repro.store.checkpoint.merge_checkpoints`) both go through
     it.  The result is the :class:`PartitionSummary` that
     :func:`merge_summary_group` builds: the schema fold is safe in any
-    grouping by associativity (Theorem 5.5); distinct types deduplicate
-    *across* partitions structurally, since canonical objects from
-    different interners (or processes) are distinct objects but compare
-    equal; quarantined records concatenate in partition order (i.e. file
-    order).
+    grouping by associativity (Theorem 5.5); distinct sets unite
+    *across* partitions structurally (canonical objects from different
+    interners are distinct objects but compare equal) or, once any
+    partial carries digests, as digest sets; quarantined records
+    concatenate in partition order (i.e. file order).
 
     By default the fold is sequential at the driver.  With a
     ``scheduler`` (any object with the

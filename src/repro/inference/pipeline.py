@@ -56,10 +56,11 @@ from repro.inference.kernel import (
     accumulate_partition,
     as_wire_payload,
     decode_summary,
+    # Not called here: the e2e tracer (benchmarks/e2e/tracing.py) wraps
+    # this module attribute by name and refuses to run without it.
     decode_summary_light,
     encode_summary,
     merge_summaries_full,
-    type_digest,
 )
 from repro.inference.statistics import (
     merge_stats,
@@ -458,12 +459,17 @@ def _replay_run_entry(
 ) -> "tuple[PartitionSummary, int, dict[int, int]] | None":
     """Whole-run replay: the run-level entry for this exact plan as
     ``(merged summary, distinct count, skipped per partition)``, or
-    ``None`` when it is absent or damaged.  A hit needs no dispatch, no
+    ``None`` when it is absent or damaged (a damaged entry is dropped,
+    so the recomputed run stores its own).  A hit needs no dispatch, no
     per-partition decode and no merge — the map *and* reduce phases are
     both pure functions of the plan's content."""
-    payload = cache.get(run_key, signature + _RUN_SIGNATURE_SUFFIX)
-    decoded = None if payload is None else _decode_run_entry(payload)
+    signature += _RUN_SIGNATURE_SUFFIX
+    payload = cache.get(run_key, signature)
+    if payload is None:
+        return None
+    decoded = _decode_run_entry(payload)
     if decoded is None:
+        cache.discard(run_key, signature)
         return None
     summary, distinct_count, per_partition = decoded
     if stats is not None:
@@ -539,73 +545,36 @@ def _plan_batches(items: list, parallelism: int,
     return [items[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _decode_wire_summaries(payloads, stats) -> list[PartitionSummary]:
-    """Decode wire payloads through one shared adoption accumulator.
+def _decode_payload(
+    payload: bytes, adopt: PartitionAccumulator, stats
+) -> PartitionSummary:
+    """Decode one wire payload through the adoption accumulator ``adopt``.
 
-    One accumulator means one interner: structurally equal subtrees from
-    *different* partitions decode to pointer-identical nodes, so the
-    driver-side merge deduplicates by identity from the start.  The
-    byte counters feed ``--timings``; encoded and decoded totals are
-    tallied from the same payloads (every result the driver sees was
-    encoded exactly once, worker-side).
-
-    Entries that are already :class:`PartitionSummary` objects pass
-    through untouched — a resumed run's entry list mixes journal-replayed
-    wire payloads with fresh thread-backend summary objects.
+    One accumulator means one interner: structurally equal schema
+    subtrees from *different* partitions decode to pointer-identical
+    nodes.  The byte counters feed ``--timings``; encoded and decoded
+    totals are tallied from the same payloads (every payload the driver
+    decodes was encoded exactly once).
     """
-    adopt = PartitionAccumulator()
-    summaries = []
-    for payload in payloads:
-        if not isinstance(payload, (bytes, bytearray)):
-            summaries.append(payload)
-            continue
-        payload = bytes(payload)
-        if stats is not None:
-            stats.summary_wire_bytes_encoded += len(payload)
-            stats.summary_wire_bytes_decoded += len(payload)
-        summaries.append(decode_summary(payload, adopt))
-    return summaries
+    summary = decode_summary(payload, adopt)
+    if stats is not None:
+        stats.summary_wire_bytes_encoded += len(payload)
+        stats.summary_wire_bytes_decoded += len(payload)
+    return summary
 
 
-def _materialize_partition_results(
-    entries, hit_payloads, stats, wire_active: bool, light: bool,
-) -> "tuple[list[PartitionSummary], set[bytes] | None]":
-    """Turn per-partition results (wire payloads and/or summary objects)
-    into summaries, choosing the cheapest faithful decode.
-
-    When ``light`` is allowed and cache hits are present, hit payloads
-    decode through :func:`decode_summary_light`: counts, quarantine and
-    the small fused schema materialise, but each distinct type becomes a
-    canonical digest instead of a rebuilt tree — on heterogeneous data
-    rebuilding the distinct set dominates warm partial replays.  Fresh
-    miss summaries contribute :func:`type_digest` of their (in-memory,
-    interned) distinct types, so the returned digest set counts distincts
-    across hits and misses exactly as a structural merge would.  The
-    second element is that set, or ``None`` when the full decode ran and
-    the caller should count off the merged distinct types as usual.
-    """
-    if light and hit_payloads:
-        digests: "set[bytes]" = set()
-        summaries: "list[PartitionSummary]" = []
-        for entry in entries:
-            if isinstance(entry, (bytes, bytearray)):
-                payload = bytes(entry)
-                if stats is not None:
-                    stats.summary_wire_bytes_encoded += len(payload)
-                    stats.summary_wire_bytes_decoded += len(payload)
-                summary, entry_digests = decode_summary_light(payload)
-                digests.update(entry_digests)
-            else:
-                memo: "dict[int, bytes]" = {}
-                digests.update(
-                    type_digest(t, memo) for t in entry.distinct_types
-                )
-                summary = replace(entry, distinct_types=())
-            summaries.append(summary)
-        return summaries, digests
-    if wire_active or hit_payloads:
-        return _decode_wire_summaries(entries, stats), None
-    return list(entries), None
+def _decode_wire_summaries(
+    entries, stats, adopt: PartitionAccumulator
+) -> list[PartitionSummary]:
+    """Per-task results as summaries: wire payloads (process-pool
+    results, replayed journal frames) decode through
+    :func:`_decode_payload`; :class:`PartitionSummary` objects (thread
+    and in-line results, decoded cache hits) pass through untouched."""
+    return [
+        _decode_payload(bytes(entry), adopt, stats)
+        if isinstance(entry, (bytes, bytearray)) else entry
+        for entry in entries
+    ]
 
 
 def _journal_header(plan_desc: dict, signature: str, total: int) -> dict:
@@ -1026,8 +995,10 @@ def infer_ndjson_file(
         return desc
 
     start = time.perf_counter()
-    #: Work-item index -> cached wire payload, for this run's plan.
-    hit_payloads: dict[int, bytes] = {}
+    #: Every wire payload of this run decodes through this accumulator.
+    adopt = PartitionAccumulator()
+    #: Work-item index -> decoded cache hit, for this run's plan.
+    hits: dict[int, PartitionSummary] = {}
     #: Whole-plan cache key (run-level entry), when a cache is active.
     run_key: "str | None" = None
     # Run-level replay and store are sound only when the result is a pure
@@ -1117,9 +1088,16 @@ def infer_ndjson_file(
             if cache_read:
                 for index, digest in enumerate(digests):
                     payload = cache.get(digest, cache_signature)
-                    if payload is not None:
-                        hit_payloads[index] = payload
-        miss_indices = [i for i in range(len(items)) if i not in hit_payloads]
+                    if payload is None:
+                        continue
+                    try:
+                        hits[index] = _decode_payload(payload, adopt, stats)
+                    except ValueError:
+                        # Well framed but undecodable (another wire
+                        # version, say): a miss, dropped so that the
+                        # recomputed summary is stored in its place.
+                        cache.discard(digest, cache_signature)
+        miss_indices = [i for i in range(len(items)) if i not in hits]
         misses = [items[i] for i in miss_indices]
         if stats is not None:
             # Cache hits never ship.
@@ -1148,38 +1126,25 @@ def infer_ndjson_file(
             if stats is not None:
                 stats.cache_stores += stored
         entries = miss_results
-        if hit_payloads:
+        if hits:
             entries = [None] * len(items)
-            for index, payload in hit_payloads.items():
-                entries[index] = payload
+            for index, summary in hits.items():
+                entries[index] = _scrub_replayed_telemetry(summary)
             for local, index in enumerate(miss_indices):
                 entries[index] = miss_results[local]
-    # Partial replay decodes "light" when nothing downstream needs the
-    # distinct-type *set* (no checkpoint write, no incremental fold, no
-    # journal) — see _materialize_partition_results.
-    summaries, light_digests = _materialize_partition_results(
-        entries, hit_payloads, stats,
-        wire_active=wire or journal_path is not None,
-        light=run_replay_ok,
-    )
-    if hit_payloads:
-        summaries = [
-            _scrub_replayed_telemetry(summary)
-            if index in hit_payloads else summary
-            for index, summary in enumerate(summaries)
-        ]
+    summaries = _decode_wire_summaries(entries, stats, adopt)
     if stats is not None:
         if cache is not None:
             # A cache is only ever active on the partitioned flow.
-            stats.cache_hits += len(hit_payloads)
+            stats.cache_hits += len(hits)
             stats.cache_misses += len(miss_indices)
             stats.cache_bytes_skipped += sum(
-                hit_bytes(index, summaries[index]) for index in hit_payloads
+                hit_bytes(index, summaries[index]) for index in hits
             )
         stats.input_bytes_read += sum(
             summary.bytes_read
             for index, summary in enumerate(summaries)
-            if index not in hit_payloads
+            if index not in hits
         )
     # Byte-split workers only know split-local line numbers; a prefix sum
     # over the line counts re-anchors quarantined records to their
@@ -1214,12 +1179,7 @@ def infer_ndjson_file(
             # same (possibly tree-shaped) reduce as the fresh partitions.
             summaries = list(summaries) + [loaded.summary]
         merged = merge_summaries_full(summaries, scheduler=scheduler)
-        # Light replays carry digests instead of materialised distinct
-        # types; the set union *is* the structural distinct count.
-        distinct_count = (
-            len(light_digests) if light_digests is not None
-            else merged.distinct_type_count
-        )
+        distinct_count = merged.distinct_type_count
         reduce_seconds = time.perf_counter() - start
 
         if run_key is not None and cache_write and update_from is None:
@@ -1257,6 +1217,7 @@ def infer_ndjson_file(
                     record_count=merged.record_count,
                     distinct_types=merged.distinct_types,
                     stats=merged.stats,
+                    distinct_digests=merged.distinct_digests,
                 ),
                 sources=list(previous_sources) + [source],
                 skipped_count=previous_skipped + merged.skipped_count,

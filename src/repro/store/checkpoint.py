@@ -9,9 +9,9 @@ stops being a one-shot batch job:
 * :func:`save_checkpoint` persists a
   :class:`~repro.inference.kernel.PartitionSummary` — schema, record
   count, distinct top-level types — into a directory, alongside a
-  manifest with the format version, counts, a schema digest and source
-  fingerprints.
-* :func:`load_checkpoint` reads it back, verifying version and digest,
+  manifest with the format version, counts, schema and distinct-set
+  digests and source fingerprints.
+* :func:`load_checkpoint` reads it back, verifying version and digests,
   and yields a summary that is *exactly* a partition summary: it can be
   appended to a fresh run's partials and ride the existing merge path
   (:func:`~repro.inference.kernel.merge_summary_group`), including the
@@ -20,12 +20,24 @@ stops being a one-shot batch job:
   cross-shard schema union: shards infer independently, checkpoint, and
   their checkpoints merge in any order or grouping to the same schema.
 
-Serialization is the existing concrete type syntax
-(:func:`repro.core.printer.print_types` /
-:func:`repro.core.type_parser.parse_type`), which round-trips exactly;
-a save prints and a load parses each distinct subtree once.
-Every file is written deterministically — canonical (sorted) type form,
-distinct types sorted by printed form, manifest keys sorted, no
+Format 2 (what a save writes)::
+
+    MANIFEST.json      format_version, counts, schema_sha256,
+                       distinct_sha256, sources (+ stats_mode/stats_sha256)
+    schema.type        the fused schema in the concrete type syntax
+    distinct.digests   the distinct set: sorted raw 32-byte type digests
+    statistics.json    the statistics bundle (stats-enriched runs only)
+
+Only the *size* of the distinct set is ever read, so it is stored as
+type digests (:func:`~repro.inference.kernel.type_digest`): a load
+reads and checks them without parsing a type, and distinct counts stay
+exact under the one assumption that sha-256 has no collision.  The
+schema is still text (:func:`repro.core.printer.print_type` /
+:func:`repro.core.type_parser.parse_type`, which round-trip exactly).
+Format 1 stored the distinct set as printed types, one per line, in
+``distinct.types``; it still loads (its types are parsed and digested)
+and re-saves as format 2.  Every file is written deterministically —
+canonical (sorted) type form, sorted digests, manifest keys sorted, no
 timestamps — so checkpointing the same data twice, on any backend,
 produces byte-identical directories (a golden-file test pins this).
 
@@ -46,11 +58,18 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.core.errors import TypeSyntaxError
-from repro.core.printer import print_type, print_types
+from repro.core.printer import print_type
 from repro.core.type_parser import parse_type
 from repro.core.types import Type
 from repro.engine.faults import crash_point
-from repro.inference.kernel import PartitionSummary, merge_summaries_full
+from repro.inference.kernel import (
+    DIGEST_BYTES,
+    PartitionSummary,
+    digest_types,
+    merge_summaries_full,
+    pack_digests,
+    unpack_digests,
+)
 from repro.inference.statistics import StatsBundle
 from repro.store.locks import FileLock, LockHeldError, is_stale_lock
 
@@ -74,16 +93,22 @@ __all__ = [
     "save_checkpoint",
 ]
 
-#: On-disk format version; bumped on any incompatible layout change.
-FORMAT_VERSION = 1
+#: On-disk format version a save writes; bumped on any incompatible
+#: layout change.  Format 2 stores the distinct set as digests.
+FORMAT_VERSION = 2
+
+#: Format versions a load reads.
+_READ_FORMAT_VERSIONS = (1, FORMAT_VERSION)
 
 #: File names inside a checkpoint directory.  ``STATS_FILE`` exists only
 #: in checkpoints saved from a stats-enriched run (``stats_mode`` other
-#: than ``"off"``); stats-off checkpoints are byte-identical to pre-stats
-#: ones, manifest included.
+#: than ``"off"``); a stats-off manifest carries no stats keys.
+#: ``DISTINCT_FILE`` holds format 1's distinct set, ``DIGEST_FILE``
+#: format 2's.
 MANIFEST_FILE = "MANIFEST.json"
 SCHEMA_FILE = "schema.type"
 DISTINCT_FILE = "distinct.types"
+DIGEST_FILE = "distinct.digests"
 STATS_FILE = "statistics.json"
 
 #: How much of a source file the fingerprint hashes (a prefix: cheap and
@@ -224,13 +249,16 @@ class CheckpointManifest:
     #: digest of its canonical ``statistics.json`` bytes.
     stats_mode: str | None = None
     stats_sha256: str | None = None
+    #: sha-256 of the ``distinct.digests`` bytes (format 2; ``None`` in
+    #: a format-1 manifest).
+    distinct_sha256: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form, ready for deterministic JSON dumping.
 
         The stats keys appear only when the checkpoint carries a bundle,
-        so stats-off manifests stay byte-identical to pre-stats ones
-        (the digest-stability guarantee the golden tests pin).
+        and ``distinct_sha256`` only in format 2, so a format-1 manifest
+        reads back to the same dict.
         """
         data = {
             "format_version": self.format_version,
@@ -240,6 +268,8 @@ class CheckpointManifest:
             "schema_sha256": self.schema_sha256,
             "sources": [s.to_dict() for s in self.sources],
         }
+        if self.distinct_sha256 is not None:
+            data["distinct_sha256"] = self.distinct_sha256
         if self.stats_mode is not None:
             data["stats_mode"] = self.stats_mode
             data["stats_sha256"] = self.stats_sha256
@@ -251,6 +281,7 @@ class CheckpointManifest:
         try:
             stats_mode = data.get("stats_mode")
             stats_sha256 = data.get("stats_sha256")
+            distinct_sha256 = data.get("distinct_sha256")
             if (stats_mode is None) != (stats_sha256 is None):
                 raise ValueError(
                     "stats_mode and stats_sha256 must appear together"
@@ -268,6 +299,10 @@ class CheckpointManifest:
                 stats_mode=None if stats_mode is None else str(stats_mode),
                 stats_sha256=(
                     None if stats_sha256 is None else str(stats_sha256)
+                ),
+                distinct_sha256=(
+                    None if distinct_sha256 is None
+                    else str(distinct_sha256)
                 ),
             )
         except CheckpointFormatError:
@@ -305,20 +340,6 @@ class Checkpoint:
 def _schema_bytes(schema: Type) -> bytes:
     """The deterministic on-disk form of the schema file."""
     return (print_type(schema) + "\n").encode("utf-8")
-
-
-def _distinct_bytes(distinct_types: Sequence[Type]) -> bytes:
-    """The deterministic on-disk form of the distinct-types file.
-
-    One printed type per line, sorted lexicographically — the set of
-    distinct types is order-free, so sorting makes the file independent
-    of partition arrival order (and therefore of backend and batch
-    split).  ``print_type`` never emits a raw newline (control
-    characters in record keys are escaped), so ``"\\n"``-terminated
-    lines and types are in bijection.
-    """
-    lines = sorted(print_types(distinct_types))
-    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 def _write_bytes(handle, data: bytes) -> None:
@@ -442,17 +463,19 @@ def build_manifest(
     from the previous checkpoint.
     """
     return _manifest(
-        summary, _schema_bytes(summary.schema), sources, skipped_count
+        summary, _schema_bytes(summary.schema),
+        pack_digests(summary.digest_set()), sources, skipped_count,
     )
 
 
-def _manifest(summary, schema_bytes, sources, skipped_count):
-    """:func:`build_manifest` over schema bytes a save already printed."""
+def _manifest(summary, schema_bytes, digest_bytes, sources, skipped_count):
+    """:func:`build_manifest` over the schema and digest bytes a save
+    already built."""
     stats_payload = _stats_bytes(summary)
     return CheckpointManifest(
         format_version=FORMAT_VERSION,
         record_count=summary.record_count,
-        distinct_type_count=summary.distinct_type_count,
+        distinct_type_count=len(digest_bytes) // DIGEST_BYTES,
         skipped_count=(
             summary.skipped_count if skipped_count is None else skipped_count
         ),
@@ -463,6 +486,7 @@ def _manifest(summary, schema_bytes, sources, skipped_count):
             None if stats_payload is None
             else hashlib.sha256(stats_payload).hexdigest()
         ),
+        distinct_sha256=hashlib.sha256(digest_bytes).hexdigest(),
     )
 
 
@@ -478,7 +502,10 @@ def save_checkpoint(
     Existing checkpoint files in the directory are replaced atomically,
     manifest last, so a reader never observes a manifest describing
     files that are not yet in place.  Only the algebraic state travels:
-    schema, record count, distinct types.  Per-run transients —
+    schema, record count and the distinct set, as digests (a summary
+    holding interned types has them digested here).  The directory is
+    always written in format 2, whatever format it held.  Per-run
+    transients —
     quarantined record bodies, phase timings, split line/byte counters —
     stay with the run that produced them (the manifest keeps the
     cumulative ``skipped_count`` for observability).
@@ -511,8 +538,11 @@ def save_checkpoint(
         )
     summary = _scrub_partial_stats(summary)
     schema_bytes = _schema_bytes(summary.schema)
+    digest_bytes = pack_digests(summary.digest_set())
     stats_payload = _stats_bytes(summary)
-    manifest = _manifest(summary, schema_bytes, sources, skipped_count)
+    manifest = _manifest(
+        summary, schema_bytes, digest_bytes, sources, skipped_count
+    )
     manifest_bytes = (
         json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n"
     ).encode("utf-8")
@@ -523,9 +553,7 @@ def save_checkpoint(
         ))
         try:
             _write_file(staging, SCHEMA_FILE, schema_bytes)
-            _write_file(
-                staging, DISTINCT_FILE, _distinct_bytes(summary.distinct_types)
-            )
+            _write_file(staging, DIGEST_FILE, digest_bytes)
             if stats_payload is not None:
                 # Before the manifest, like every data file: a reader
                 # that sees the manifest's stats digest must find the
@@ -578,12 +606,18 @@ def checkpoint_exists(directory: str | Path) -> bool:
 
 
 def _read_file(directory: Path, name: str) -> bytes:
+    """A checkpoint file's bytes.  Without its manifest a directory holds
+    no checkpoint; beside the manifest, a missing data file is damage."""
     try:
         with open(directory / name, "rb") as handle:
             return handle.read()
     except FileNotFoundError:
-        raise CheckpointNotFoundError(
-            f"no checkpoint at {str(directory)!r}: missing {name}"
+        if name == MANIFEST_FILE:
+            raise CheckpointNotFoundError(
+                f"no checkpoint at {str(directory)!r}: missing {name}"
+            ) from None
+        raise CheckpointCorruptError(
+            str(directory), f"the manifest is present but {name} is missing"
         ) from None
 
 
@@ -620,11 +654,15 @@ def load_manifest(directory: str | Path) -> CheckpointManifest:
         # from_dict has no path context of its own; add it here so an
         # error always names the directory it came from.
         raise CheckpointCorruptError(str(target), str(exc)) from exc
-    if manifest.format_version != FORMAT_VERSION:
+    if manifest.format_version not in _READ_FORMAT_VERSIONS:
         raise CheckpointFormatError(
             f"checkpoint at {str(target)!r} has format version "
-            f"{manifest.format_version}; this build reads version "
-            f"{FORMAT_VERSION}"
+            f"{manifest.format_version}; this build reads versions "
+            f"{' and '.join(map(str, _READ_FORMAT_VERSIONS))}"
+        )
+    if manifest.format_version > 1 and manifest.distinct_sha256 is None:
+        raise CheckpointCorruptError(
+            str(target), "format-2 manifest lacks distinct_sha256"
         )
     return manifest
 
@@ -636,16 +674,18 @@ def load_checkpoint(
 
     Verification covers the format version, the manifest's JSON shape,
     the schema digest (the schema file must be exactly the bytes the
-    manifest was computed over) and the distinct-type count.  Failures
-    raise :class:`CheckpointFormatError`; a missing directory or file
-    raises :class:`CheckpointNotFoundError`.
+    manifest was computed over), and the distinct set: in format 2 the
+    digest file must hash to the manifest's ``distinct_sha256``, hold a
+    whole number of 32-byte digests in strictly increasing order, and
+    hold as many as the manifest counts.  A format-1 distinct-types file
+    is parsed and digested, and its count of unique digests must equal
+    the manifest's.  Either way the summary carries the set as
+    ``distinct_digests``.
 
-    The schema and every distinct type share one parse pool that lives
-    for this load only: structurally equal subtrees across all of them
-    are one object, built once.  No live accumulator's interner is
-    involved;
-    :meth:`~repro.inference.kernel.PartitionAccumulator.add_summary`
-    interns the types on the way in when a live accumulator adopts them.
+    Raises :class:`CheckpointNotFoundError` when ``directory`` holds no
+    manifest, :class:`CheckpointFormatError` for a format version this
+    build does not read, and :class:`CheckpointCorruptError` for any
+    damage — a data file missing beside the manifest included.
     """
     target = Path(directory)
     manifest = load_manifest(target)
@@ -666,35 +706,20 @@ def load_checkpoint(
             str(target), f"unparseable schema: {exc}"
         ) from exc
 
-    distinct_bytes = _read_file(target, DISTINCT_FILE)
-    try:
-        # "\n" is the only terminator the writer emits; a record key may
-        # hold U+2028 or another character str.splitlines() breaks at.
-        lines = distinct_bytes.decode("utf-8").split("\n")
-        distinct = tuple(
-            parse_type(line, pool) for line in lines if line.strip()
-        )
-    except (UnicodeDecodeError, TypeSyntaxError) as exc:
-        raise CheckpointCorruptError(
-            str(target), f"unparseable distinct-types file: {exc}"
-        ) from exc
-    if len(distinct) != manifest.distinct_type_count:
+    if manifest.format_version == 1:
+        digests = _load_format1_distinct(target, pool)
+    else:
+        digests = _load_distinct_digests(target, manifest)
+    if len(digests) != manifest.distinct_type_count:
         raise CheckpointCorruptError(
             str(target),
             f"distinct-type count mismatch: manifest says "
-            f"{manifest.distinct_type_count}, file holds {len(distinct)}",
+            f"{manifest.distinct_type_count}, file holds {len(digests)}",
         )
 
     bundle = None
     if manifest.stats_mode is not None:
-        try:
-            stats_payload = _read_file(target, STATS_FILE)
-        except CheckpointNotFoundError as exc:
-            # The manifest promises a stats file; its absence is damage,
-            # not a missing checkpoint.
-            raise CheckpointCorruptError(
-                str(target), f"manifest promises statistics but {exc}"
-            ) from exc
+        stats_payload = _read_file(target, STATS_FILE)
         stats_digest = hashlib.sha256(stats_payload).hexdigest()
         if stats_digest != manifest.stats_sha256:
             raise CheckpointCorruptError(
@@ -726,8 +751,8 @@ def load_checkpoint(
     summary = PartitionSummary(
         schema=schema,
         record_count=manifest.record_count,
-        distinct_types=distinct,
         stats=bundle,
+        distinct_digests=digests,
     )
     if stats is not None:
         stats.checkpoints_loaded += 1
@@ -735,13 +760,50 @@ def load_checkpoint(
     return Checkpoint(manifest=manifest, summary=summary, path=str(target))
 
 
+def _load_distinct_digests(
+    target: Path, manifest: CheckpointManifest
+) -> "frozenset[bytes]":
+    """Format 2's distinct set, checked against the manifest's digest."""
+    digest_bytes = _read_file(target, DIGEST_FILE)
+    digest = hashlib.sha256(digest_bytes).hexdigest()
+    if digest != manifest.distinct_sha256:
+        raise CheckpointCorruptError(
+            str(target),
+            f"distinct-digest file mismatch: manifest says "
+            f"{manifest.distinct_sha256[:12]}…, file hashes to "
+            f"{digest[:12]}…",
+        )
+    try:
+        return unpack_digests(digest_bytes)
+    except ValueError as exc:
+        raise CheckpointCorruptError(
+            str(target), f"malformed {DIGEST_FILE}: {exc}"
+        ) from exc
+
+
+def _load_format1_distinct(target: Path, pool: dict) -> "frozenset[bytes]":
+    """Format 1's distinct set: one printed type per line, parsed and
+    digested (sharing the schema's parse pool)."""
+    distinct_bytes = _read_file(target, DISTINCT_FILE)
+    try:
+        # "\n" is the only terminator the writer emitted; a record key
+        # may hold U+2028 or another character str.splitlines() breaks at.
+        lines = distinct_bytes.decode("utf-8").split("\n")
+        types = [parse_type(line, pool) for line in lines if line.strip()]
+    except (UnicodeDecodeError, TypeSyntaxError) as exc:
+        raise CheckpointCorruptError(
+            str(target), f"unparseable distinct-types file: {exc}"
+        ) from exc
+    return frozenset(digest_types(types))
+
+
 def load_summary(directory: str | Path) -> PartitionSummary:
     """Load just the partition summary of a checkpoint.
 
     A module-level function over picklable data, so
     :func:`merge_checkpoints` can ship the loads to scheduler workers —
-    parsing a large distinct-types file is the expensive part of a load,
-    and it parallelises perfectly.
+    the loads parallelise perfectly, and parsing a large format-1
+    distinct-types file is the expensive part of one.
     """
     return load_checkpoint(directory).summary
 
@@ -780,10 +842,10 @@ def merge_checkpoints(
     """Union any number of checkpoints into one (cross-shard schema merge).
 
     Every component of the merge is associative and commutative —
-    schemas fuse, record counts add, distinct types union structurally —
-    so shards may be merged in any order or grouping and the result is
-    the schema a single pass over all the shards' data would have
-    produced (Theorem 5.5).  The merge is the kernel's one reduce
+    schemas fuse, record counts add, distinct sets union as digests —
+    so shards (of either format) may be merged in any order or grouping
+    and the result is the schema a single pass over all the shards'
+    data would have produced (Theorem 5.5).  The merge is the kernel's one reduce
     (:func:`~repro.inference.kernel.merge_summaries_full`), and with a
     ``scheduler`` both the checkpoint *loads* and — above the kernel's
     tree-merge threshold — the pairwise merge rounds run as parallel
@@ -804,8 +866,9 @@ def merge_checkpoints(
         if is_stale_lock(path) is False:
             raise LockHeldError(os.fspath(path))
     if scheduler is not None and len(paths) > 1:
-        # Ship the expensive part (parsing the type files) to workers;
-        # manifests are one small JSON each and stay at the driver.
+        # Ship the loads (parsing and checking the data files) to
+        # workers; manifests are one small JSON each and stay at the
+        # driver.
         loaded_by_path = dict(
             zip(map(str, paths), scheduler.run(_load_merge_input, paths))
         )
@@ -880,6 +943,7 @@ def fsck_checkpoint(directory: str | Path) -> dict[str, Any]:
     try:
         ckpt = load_checkpoint(target)
         report["detail"] = (
+            f"format {ckpt.manifest.format_version}, "
             f"{ckpt.record_count} records, "
             f"{ckpt.manifest.distinct_type_count} distinct types, "
             f"schema {ckpt.manifest.schema_sha256[:12]}"
@@ -888,6 +952,7 @@ def fsck_checkpoint(directory: str | Path) -> dict[str, Any]:
             report["detail"] += f", stats {ckpt.manifest.stats_mode}"
             report["stats_mode"] = ckpt.manifest.stats_mode
         report["schema_sha256"] = ckpt.manifest.schema_sha256
+        report["format_version"] = ckpt.manifest.format_version
     except CheckpointNotFoundError as exc:
         report["status"] = "not-found"
         report["detail"] = str(exc)

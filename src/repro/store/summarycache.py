@@ -33,6 +33,10 @@ payload checksum so torn or bit-flipped entries classify as *misses*
 advisory :class:`~repro.store.locks.FileLock` used by checkpoints.  The
 cache is strictly best-effort: a held lock, a full disk or a corrupt
 entry degrade to an uncached run, never to an error or a wrong schema.
+The pipeline decodes every hit as it probes it, so an intact frame
+whose payload does not decode (another wire version, say) is a miss
+too, and :meth:`SummaryCache.discard` drops it for the recomputed
+summary to replace.
 
 Eviction is size-bounded LRU: hits bump an entry's mtime, and when the
 store grows past ``max_bytes`` the oldest entries are removed until it
@@ -204,6 +208,14 @@ class SummaryCache:
         except OSError:
             pass
         return payload
+
+    def discard(self, digest: str, signature: str) -> None:
+        """Drop an entry whose payload turned out unusable (it failed to
+        decode), so the next :meth:`put` stores a fresh one."""
+        try:
+            os.unlink(self.entry_path(digest, signature))
+        except OSError:
+            pass
 
     # -- write side -----------------------------------------------------
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import TypeSyntaxError, TypeSystemError
-from repro.core.printer import print_type, print_types
+from repro.core.printer import print_type
 from repro.core.type_parser import parse_type
 from repro.core.types import (
     ArrayType,
@@ -265,21 +265,6 @@ class TestHashConsing:
         for root in parsed:
             for node in _subtrees(root):
                 assert canonical.setdefault(node, node) is node
-
-
-class TestBatchPrinter:
-    @given(st.lists(normal_types(), max_size=8))
-    def test_equals_print_type_per_type(self, types):
-        assert print_types(types) == [print_type(t) for t in types]
-
-    @given(st.lists(normal_types(), max_size=8))
-    def test_equals_print_type_over_shared_subtrees(self, types):
-        pool = {}
-        parsed = [parse_type(print_type(t), pool) for t in types]
-        assert print_types(parsed) == [print_type(t) for t in types]
-
-    def test_accepts_an_iterator(self):
-        assert print_types(iter([NUM, make_star(STR)])) == ["Num", "[Str*]"]
 
 
 # ---------------------------------------------------------------------------

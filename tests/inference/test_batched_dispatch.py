@@ -180,6 +180,8 @@ class TestDispatchPin:
     exactly the input bytes the journaled warm job's per-partition hits
     skip.  Relative paths keep the pickled split descriptors, and so
     ``input_bytes_shipped``, independent of the temporary directory.
+    The wire-byte counters are the sizes of wire v4 frames, whose
+    distinct sets are 32-byte digests.
     """
 
     COUNTERS = (
@@ -199,7 +201,7 @@ class TestDispatchPin:
               [[743, 186]], [[929, 186]]],
              [6, 248, 1158, 0, 0, 0, 0, 0, 0]),
             (BYTES_STABLE, [6, 248, 1156, 0, 6, 7, 0, 0, 0]),
-            ([], [0, 5, 0, 6, 0, 0, 1156, 1750, 1750]),
+            ([], [0, 5, 0, 6, 0, 0, 1156, 1984, 1984]),
             (None, [0, 0, 0, 6, 0, 0, 1156, 0, 0]),
         ],
         ("bytes", 3): [
@@ -207,20 +209,20 @@ class TestDispatchPin:
               [[558, 185], [743, 186], [929, 186]]],
              [2, 248, 1158, 0, 0, 0, 0, 0, 0]),
             (BYTES_STABLE, [6, 248, 1156, 0, 6, 7, 0, 0, 0]),
-            ([], [0, 5, 0, 6, 0, 0, 1156, 1750, 1750]),
+            ([], [0, 5, 0, 6, 0, 0, 1156, 1984, 1984]),
             (None, [0, 0, 0, 6, 0, 0, 1156, 0, 0]),
         ],
         ("lines", 1): [
             (LINES, [6, 1067, 0, 0, 0, 0, 0, 0, 0]),
             (LINES, [6, 1067, 0, 0, 6, 7, 0, 0, 0]),
-            ([], [0, 0, 0, 6, 0, 0, 1067, 1754, 1754]),
+            ([], [0, 0, 0, 6, 0, 0, 1067, 1988, 1988]),
             (None, [0, 0, 0, 6, 0, 0, 1067, 0, 0]),
         ],
         ("lines", 3): [
             ([[[1, 8], [9, 7], [17, 7]], [[24, 8], [33, 8], [42, 7]]],
              [2, 1067, 0, 0, 0, 0, 0, 0, 0]),
             (LINES, [6, 1067, 0, 0, 6, 7, 0, 0, 0]),
-            ([], [0, 0, 0, 6, 0, 0, 1067, 1754, 1754]),
+            ([], [0, 0, 0, 6, 0, 0, 1067, 1988, 1988]),
             (None, [0, 0, 0, 6, 0, 0, 1067, 0, 0]),
         ],
     }

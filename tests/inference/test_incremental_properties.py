@@ -33,7 +33,7 @@ from repro.inference.kernel import (
 )
 from repro.inference.pipeline import SchemaInferencer, infer_ndjson_file
 from repro.store.checkpoint import (
-    DISTINCT_FILE,
+    DIGEST_FILE,
     MANIFEST_FILE,
     SCHEMA_FILE,
     load_checkpoint,
@@ -63,7 +63,7 @@ class TestPartitionOrderInvariance:
         permuted = _accumulate_batches(shuffled)
         assert forward.schema == permuted.schema
         assert forward.record_count == permuted.record_count
-        assert set(forward.distinct_types) == set(permuted.distinct_types)
+        assert forward.digest_set() == permuted.digest_set()
 
     @given(record_batches)
     def test_summary_merge_commutes(self, batches):
@@ -72,7 +72,7 @@ class TestPartitionOrderInvariance:
         backward = merge_summary_group(summaries[::-1])
         assert forward.schema == backward.schema
         assert forward.record_count == backward.record_count
-        assert set(forward.distinct_types) == set(backward.distinct_types)
+        assert forward.digest_set() == backward.digest_set()
 
 
 class TestBatchSplitInvariance:
@@ -88,7 +88,7 @@ class TestBatchSplitInvariance:
         merged = merge_summary_group([left, right])
         assert merged.schema == whole.schema
         assert merged.record_count == whole.record_count
-        assert set(merged.distinct_types) == set(whole.distinct_types)
+        assert merged.digest_set() == whole.digest_set()
 
     @given(record_batches)
     def test_any_grouping_of_merges_agrees(self, batches):
@@ -115,7 +115,7 @@ class TestBatchSplitInvariance:
         adopted = acc.summary()
         assert adopted.schema == merged.schema
         assert adopted.record_count == merged.record_count
-        assert set(adopted.distinct_types) == set(merged.distinct_types)
+        assert adopted.digest_set() == merged.digest_set()
 
 
 class TestCheckpointRoundTripIdentity:
@@ -133,7 +133,7 @@ class TestCheckpointRoundTripIdentity:
         via_disk = merge_summary_group([reloaded, t])
         assert via_disk.schema == direct.schema
         assert via_disk.record_count == direct.record_count
-        assert set(via_disk.distinct_types) == set(direct.distinct_types)
+        assert via_disk.digest_set() == direct.digest_set()
 
     @given(st.lists(json_records, max_size=12))
     def test_double_round_trip_is_fixpoint(self, records):
@@ -144,7 +144,7 @@ class TestCheckpointRoundTripIdentity:
             save_checkpoint(os.path.join(d, "b"), once)
             twice = load_checkpoint(os.path.join(d, "b")).summary
         assert once.schema == twice.schema
-        assert once.distinct_types == twice.distinct_types
+        assert once.distinct_digests == twice.distinct_digests
 
 
 class TestByteDeterminism:
@@ -157,7 +157,7 @@ class TestByteDeterminism:
         with tempfile.TemporaryDirectory() as d:
             save_checkpoint(os.path.join(d, "a"), forward)
             save_checkpoint(os.path.join(d, "b"), permuted)
-            for name in (MANIFEST_FILE, SCHEMA_FILE, DISTINCT_FILE):
+            for name in (MANIFEST_FILE, SCHEMA_FILE, DIGEST_FILE):
                 a = open(os.path.join(d, "a", name), "rb").read()
                 b = open(os.path.join(d, "b", name), "rb").read()
                 assert a == b, f"{name} depends on partition order"

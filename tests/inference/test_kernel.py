@@ -26,8 +26,13 @@ from repro.inference.infer import infer_type
 from repro.inference.kernel import (
     FusionMemo,
     PartitionAccumulator,
+    PartitionSummary,
     accumulate_partition,
+    decode_summary,
+    digest_types,
+    encode_summary,
     merge_summaries_full,
+    merge_summary_group,
 )
 from repro.inference.pipeline import run_inference
 from tests.conftest import json_values, normal_types
@@ -87,6 +92,58 @@ class TestAccumulatorMatchesNaive:
         assert acc.distinct_types() == (
             infer_type(1), infer_type("a"), infer_type(None),
         )
+
+
+class TestDigestBoundary:
+    """A distinct set stays interned types until it crosses a boundary
+    or meets a set that has; either form counts exactly."""
+
+    @staticmethod
+    def crossed(values):
+        """The summary of ``values`` after a trip over the wire."""
+        return decode_summary(encode_summary(accumulate_partition(values)))
+
+    def test_local_runs_digest_nothing(self):
+        summary = accumulate_partition([{"a": 1}, {"a": "x"}, {"a": 1}])
+        assert len(summary.distinct_types) == 2
+        assert summary.distinct_digests == frozenset()
+        merged = merge_summary_group([summary, accumulate_partition([2])])
+        assert len(merged.distinct_types) == 3
+        assert merged.distinct_digests == frozenset()
+
+    @given(json_value_lists, json_value_lists)
+    def test_mixed_merge_unions_digests(self, left, right):
+        merged = merge_summary_group(
+            [self.crossed(left), accumulate_partition(right)]
+        )
+        if left:  # an empty set is in neither form
+            assert merged.distinct_types == ()
+        assert merged.distinct_type_count == naive(left + right)[2]
+        assert merged.digest_set() == frozenset(
+            digest_types(infer_type(v) for v in left + right)
+        )
+
+    @given(json_value_lists, json_value_lists)
+    def test_accumulator_takes_foreign_digests(self, seen, values):
+        acc = PartitionAccumulator()
+        acc.add_summary(self.crossed(seen))
+        acc.add_many(values)
+        expected = naive(seen + values)
+        assert acc.distinct_type_count == expected[2]
+        summary = acc.summary()
+        if seen:
+            assert summary.distinct_types == ()
+        assert (summary.schema, summary.record_count,
+                summary.distinct_type_count) == expected
+
+    def test_both_forms_at_once_rejected(self):
+        summary = accumulate_partition([{"a": 1}])
+        with pytest.raises(ValueError, match="not both"):
+            PartitionSummary(
+                schema=summary.schema, record_count=1,
+                distinct_types=summary.distinct_types,
+                distinct_digests=summary.digest_set(),
+            )
 
 
 class TestFusionMemo:

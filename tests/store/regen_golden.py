@@ -1,4 +1,4 @@
-"""Regenerate the golden checkpoint fixtures (tests/golden/checkpoint*).
+"""Regenerate the format-2 golden checkpoint fixtures.
 
 Run after an *intentional* on-disk format change, together with a
 ``FORMAT_VERSION`` (or ``STATS_BYTES_VERSION``) bump::
@@ -7,12 +7,15 @@ Run after an *intentional* on-disk format change, together with a
 
 Two fixtures are written from the same fixed corpus:
 
-* ``tests/golden/checkpoint`` — the stats-free layout, unchanged since
-  before statistics existed; it doubles as the backward-compat fixture
-  proving pre-stats checkpoints keep loading.
-* ``tests/golden/checkpoint_stats`` — the stats-carrying layout
+* ``tests/golden/checkpoint_format2`` — the stats-free layout;
+* ``tests/golden/checkpoint_stats_format2`` — the stats-carrying layout
   (``stats_mode="sketches"``), pinning the canonical ``statistics.json``
   bytes and the manifest's stats fields.
+
+``tests/golden/checkpoint`` and ``tests/golden/checkpoint_stats`` hold
+the same corpus in format 1.  They are load fixtures, proving that
+checkpoints written before format 2 keep loading, and this script never
+touches them.
 """
 
 from pathlib import Path
@@ -31,15 +34,15 @@ def main() -> None:
     corpus = make_corpus(64, seed=7)
 
     summary = accumulate_partition(corpus)
-    checkpoint = save_checkpoint(golden_root / "checkpoint", summary)
-    print(f"wrote {golden_root / 'checkpoint'} "
-          f"({checkpoint.record_count} records, "
-          f"{summary.distinct_type_count} distinct types)")
+    target = golden_root / "checkpoint_format2"
+    checkpoint = save_checkpoint(target, summary)
+    print(f"wrote {target} ({checkpoint.record_count} records, "
+          f"{checkpoint.manifest.distinct_type_count} distinct types)")
 
     enriched = accumulate_partition(corpus, stats_mode="sketches")
-    checkpoint = save_checkpoint(golden_root / "checkpoint_stats", enriched)
-    print(f"wrote {golden_root / 'checkpoint_stats'} "
-          f"({checkpoint.record_count} records, "
+    target = golden_root / "checkpoint_stats_format2"
+    checkpoint = save_checkpoint(target, enriched)
+    print(f"wrote {target} ({checkpoint.record_count} records, "
           f"stats {checkpoint.manifest.stats_mode})")
 
 

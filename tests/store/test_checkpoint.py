@@ -2,10 +2,12 @@
 
 Covers the durable-format contract: round-trips, validation of every
 corruption mode the loader guards against, byte-determinism (pinned by a
-golden fixture in ``tests/golden/checkpoint``), the empty-dataset (ε)
-checkpoint, and the merge algebra over checkpoints.
+golden fixture in ``tests/golden/checkpoint_format2``), the
+empty-dataset (ε) checkpoint, and the merge algebra over checkpoints.
+Format 1 compatibility is covered in ``test_cross_version.py``.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,10 +21,11 @@ from repro.inference.kernel import (
     accumulate_partition,
 )
 from repro.store.checkpoint import (
-    DISTINCT_FILE,
+    DIGEST_FILE,
     FORMAT_VERSION,
     MANIFEST_FILE,
     SCHEMA_FILE,
+    CheckpointCorruptError,
     CheckpointError,
     CheckpointFormatError,
     CheckpointNotFoundError,
@@ -55,14 +58,22 @@ def saved(tmp_path, summary):
     return directory
 
 
+def rewrite_digests(directory, digest_bytes: bytes) -> None:
+    """Replace the digest file and re-sign it in the manifest, so the
+    check under test is the one that fires."""
+    (directory / DIGEST_FILE).write_bytes(digest_bytes)
+    data = json.loads((directory / MANIFEST_FILE).read_text())
+    data["distinct_sha256"] = hashlib.sha256(digest_bytes).hexdigest()
+    (directory / MANIFEST_FILE).write_text(json.dumps(data))
+
+
 class TestRoundTrip:
     def test_schema_and_counts_survive(self, saved, summary):
         loaded = load_checkpoint(saved)
         assert loaded.summary.schema == summary.schema
         assert loaded.summary.record_count == summary.record_count
-        assert set(loaded.summary.distinct_types) == set(
-            summary.distinct_types
-        )
+        assert loaded.summary.distinct_digests == summary.digest_set()
+        assert loaded.summary.distinct_type_count == 3
 
     def test_checkpoint_exists(self, saved, tmp_path):
         assert checkpoint_exists(saved)
@@ -91,7 +102,7 @@ class TestEmptyCheckpoint:
         loaded = load_checkpoint(tmp_path / "e")
         assert loaded.summary.schema == EMPTY
         assert loaded.summary.record_count == 0
-        assert loaded.summary.distinct_types == ()
+        assert loaded.summary.distinct_type_count == 0
 
     def test_epsilon_is_merge_neutral(self, tmp_path, summary):
         save_checkpoint(tmp_path / "e", accumulate_partition([]))
@@ -102,7 +113,7 @@ class TestEmptyCheckpoint:
 
     def test_epsilon_distinct_file_is_empty(self, tmp_path):
         save_checkpoint(tmp_path / "e", accumulate_partition([]))
-        assert (tmp_path / "e" / DISTINCT_FILE).read_bytes() == b""
+        assert (tmp_path / "e" / DIGEST_FILE).read_bytes() == b""
 
 
 class TestValidation:
@@ -116,8 +127,15 @@ class TestValidation:
             load_checkpoint(tmp_path / "d")
 
     def test_missing_schema_file(self, saved):
+        # The manifest makes the directory a checkpoint: a data file
+        # missing beside it is damage, not a missing checkpoint.
         (saved / SCHEMA_FILE).unlink()
-        with pytest.raises(CheckpointNotFoundError):
+        with pytest.raises(CheckpointCorruptError, match=SCHEMA_FILE):
+            load_checkpoint(saved)
+
+    def test_missing_digest_file(self, saved):
+        (saved / DIGEST_FILE).unlink()
+        with pytest.raises(CheckpointCorruptError, match=DIGEST_FILE):
             load_checkpoint(saved)
 
     def test_manifest_not_json(self, saved):
@@ -162,9 +180,36 @@ class TestValidation:
             load_checkpoint(saved)
 
     def test_distinct_count_mismatch(self, saved):
-        lines = (saved / DISTINCT_FILE).read_text().splitlines()
-        (saved / DISTINCT_FILE).write_text("\n".join(lines[:-1]) + "\n")
+        rewrite_digests(saved, (saved / DIGEST_FILE).read_bytes()[:-32])
         with pytest.raises(CheckpointFormatError, match="count mismatch"):
+            load_checkpoint(saved)
+
+    def test_tampered_digest_file(self, saved):
+        raw = bytearray((saved / DIGEST_FILE).read_bytes())
+        raw[0] ^= 1
+        (saved / DIGEST_FILE).write_bytes(bytes(raw))
+        with pytest.raises(CheckpointCorruptError, match="distinct-digest"):
+            load_checkpoint(saved)
+
+    def test_partial_digest_rejected(self, saved):
+        rewrite_digests(saved, (saved / DIGEST_FILE).read_bytes()[:-1])
+        with pytest.raises(CheckpointCorruptError, match="whole number"):
+            load_checkpoint(saved)
+
+    @pytest.mark.parametrize("damage", ["unsorted", "duplicate"])
+    def test_digests_must_strictly_increase(self, saved, damage):
+        raw = (saved / DIGEST_FILE).read_bytes()
+        first, second = raw[:32], raw[32:64]
+        changed = second + first if damage == "unsorted" else first + first
+        rewrite_digests(saved, changed + raw[64:])
+        with pytest.raises(CheckpointCorruptError, match="increasing"):
+            load_checkpoint(saved)
+
+    def test_format2_manifest_needs_distinct_digest(self, saved):
+        data = json.loads((saved / MANIFEST_FILE).read_text())
+        del data["distinct_sha256"]
+        (saved / MANIFEST_FILE).write_text(json.dumps(data))
+        with pytest.raises(CheckpointCorruptError, match="distinct_sha256"):
             load_checkpoint(saved)
 
     def test_malformed_source_entry(self, saved):
@@ -183,7 +228,7 @@ class TestDeterminism:
     def test_two_saves_are_byte_identical(self, tmp_path, summary):
         save_checkpoint(tmp_path / "a", summary)
         save_checkpoint(tmp_path / "b", summary)
-        for name in (MANIFEST_FILE, SCHEMA_FILE, DISTINCT_FILE):
+        for name in (MANIFEST_FILE, SCHEMA_FILE, DIGEST_FILE):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
@@ -196,14 +241,15 @@ class TestDeterminism:
         )
         save_checkpoint(tmp_path / "a", summary)
         save_checkpoint(tmp_path / "b", shuffled)
-        assert (tmp_path / "a" / DISTINCT_FILE).read_bytes() == (
-            tmp_path / "b" / DISTINCT_FILE
+        assert (tmp_path / "a" / DIGEST_FILE).read_bytes() == (
+            tmp_path / "b" / DIGEST_FILE
         ).read_bytes()
 
     def test_distinct_file_is_sorted(self, saved):
-        lines = (saved / DISTINCT_FILE).read_text().splitlines()
-        assert lines == sorted(lines)
-        assert len(lines) == len(set(lines))
+        raw = (saved / DIGEST_FILE).read_bytes()
+        digests = [raw[i:i + 32] for i in range(0, len(raw), 32)]
+        assert digests == sorted(digests)
+        assert len(digests) == len(set(digests)) == 3
 
     def test_manifest_is_canonical_json(self, saved):
         raw = (saved / MANIFEST_FILE).read_text()
@@ -212,7 +258,7 @@ class TestDeterminism:
 
     def test_no_stray_temp_files(self, saved):
         assert sorted(p.name for p in saved.iterdir()) == sorted(
-            [MANIFEST_FILE, SCHEMA_FILE, DISTINCT_FILE]
+            [MANIFEST_FILE, SCHEMA_FILE, DIGEST_FILE]
         )
 
 
@@ -226,14 +272,17 @@ class TestGoldenCheckpoint:
         PYTHONPATH=src python tests/store/regen_golden.py
     """
 
-    GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "checkpoint"
+    GOLDEN = (
+        Path(__file__).resolve().parent.parent / "golden"
+        / "checkpoint_format2"
+    )
 
     def test_fixed_corpus_matches_golden_bytes(self, tmp_path):
         from tests.conftest import make_corpus
 
         summary = accumulate_partition(make_corpus(64, seed=7))
         save_checkpoint(tmp_path / "g", summary)
-        for name in (MANIFEST_FILE, SCHEMA_FILE, DISTINCT_FILE):
+        for name in (MANIFEST_FILE, SCHEMA_FILE, DIGEST_FILE):
             assert (tmp_path / "g" / name).read_bytes() == (
                 self.GOLDEN / name
             ).read_bytes(), f"{name} drifted from the golden checkpoint"
@@ -241,7 +290,8 @@ class TestGoldenCheckpoint:
     def test_golden_checkpoint_loads(self):
         loaded = load_checkpoint(self.GOLDEN)
         assert loaded.record_count == 64
-        assert loaded.summary.distinct_types
+        assert loaded.manifest.format_version == FORMAT_VERSION == 2
+        assert loaded.summary.distinct_type_count == 19
 
 
 class TestSources:
@@ -296,9 +346,7 @@ class TestMergeCheckpoints:
         merged = merge_checkpoints(paths)
         assert merged.schema == whole.schema
         assert merged.record_count == whole.record_count
-        assert set(merged.summary.distinct_types) == set(
-            whole.distinct_types
-        )
+        assert merged.summary.distinct_digests == whole.digest_set()
 
     def test_merge_order_invariant(self, tmp_path):
         paths, _ = self._save_shards(tmp_path)
@@ -357,9 +405,10 @@ class TestContextMerge:
             assert stats.checkpoint_records_merged == 40
         assert parallel.schema == serial.schema
         assert parallel.record_count == serial.record_count
-        assert set(parallel.summary.distinct_types) == set(
-            serial.summary.distinct_types
+        assert parallel.summary.distinct_digests == (
+            serial.summary.distinct_digests
         )
+        assert serial.manifest.distinct_type_count == 2
 
     def test_process_backend_merge(self, tmp_path):
         shards = []
@@ -391,9 +440,7 @@ class TestSchemaWithEscapedKeys:
         save_checkpoint(tmp_path / "c", summary)
         loaded = load_checkpoint(tmp_path / "c")
         assert loaded.summary.schema == summary.schema
-        # The distinct file must still be one type per line.
-        lines = (tmp_path / "c" / DISTINCT_FILE).read_text().splitlines()
-        assert len(lines) == summary.distinct_type_count
+        assert loaded.summary.distinct_digests == summary.digest_set()
 
     def test_printed_schema_has_no_raw_newline(self):
         summary = accumulate_partition([{"a\nb": 1}])
@@ -409,6 +456,4 @@ class TestSchemaWithEscapedKeys:
         save_checkpoint(tmp_path / "c", summary)
         loaded = load_checkpoint(tmp_path / "c")
         assert loaded.summary.schema == summary.schema
-        assert set(loaded.summary.distinct_types) == set(
-            summary.distinct_types
-        )
+        assert loaded.summary.distinct_digests == summary.digest_set()

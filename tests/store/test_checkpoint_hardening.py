@@ -14,12 +14,18 @@ import errno
 import json
 import os
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.inference.kernel import accumulate_partition
 from repro.store.checkpoint import (
+    DIGEST_FILE,
+    DISTINCT_FILE,
     MANIFEST_FILE,
+    SCHEMA_FILE,
+    STATS_FILE,
     CheckpointCorruptError,
     CheckpointError,
     CheckpointFormatError,
@@ -30,6 +36,9 @@ from repro.store.checkpoint import (
     save_checkpoint,
 )
 from repro.store.locks import FileLock, LockHeldError, lock_path_for
+
+#: A format-1 checkpoint (``distinct.types``), written before format 2.
+GOLDEN_FORMAT1 = Path(__file__).resolve().parents[1] / "golden" / "checkpoint"
 
 
 def summary_for(values):
@@ -112,7 +121,7 @@ class TestAtomicSwap:
         assert after.record_count == 1
         # Exactly the three checkpoint files; no leftovers inside.
         assert sorted(p.name for p in saved.iterdir()) == [
-            MANIFEST_FILE, "distinct.types", "schema.type",
+            MANIFEST_FILE, "distinct.digests", "schema.type",
         ]
 
     def test_no_tmp_siblings_after_save(self, saved):
@@ -256,6 +265,27 @@ class TestFsck:
 
     def test_not_found(self, tmp_path):
         assert fsck_checkpoint(tmp_path / "nope")["status"] == "not-found"
+
+    @pytest.mark.parametrize(
+        "name", [SCHEMA_FILE, DIGEST_FILE, DISTINCT_FILE, STATS_FILE]
+    )
+    def test_missing_data_file_is_corrupt(self, tmp_path, name):
+        # The manifest is there, so checkpoint_exists() says yes: a load
+        # must report damage, not a missing checkpoint.
+        target = tmp_path / "ckpt"
+        if name == DISTINCT_FILE:
+            shutil.copytree(GOLDEN_FORMAT1, target)
+        else:
+            save_checkpoint(
+                target,
+                accumulate_partition([{"a": 1}], stats_mode="basic"),
+            )
+        (target / name).unlink()
+        report = fsck_checkpoint(target)
+        assert report["status"] == "corrupt"
+        assert name in report["detail"]
+        with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(target)
 
     def test_corrupt(self, saved):
         (saved / "schema.type").write_text("{tampered: Str}")

@@ -3,9 +3,10 @@
 The stats-carrying checkpoint layout adds exactly one file
 (``statistics.json``) and two manifest keys (``stats_mode``,
 ``stats_sha256``); everything else — including the bytes of a stats-off
-checkpoint — is pinned unchanged by the pre-stats golden fixture.  These
-tests cover both directions of compatibility plus every new corruption
-mode the loader guards against.
+checkpoint — is what the stats-free golden fixture pins.  Both layouts
+have a format-1 fixture (a load fixture, written before format 2) and a
+format-2 one.  These tests cover both directions of compatibility plus
+every new corruption mode the loader guards against.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ import pytest
 from repro.inference.kernel import accumulate_partition, decode_summary
 from repro.inference.statistics import StatsBundle
 from repro.store.checkpoint import (
+    DIGEST_FILE,
     DISTINCT_FILE,
     MANIFEST_FILE,
     SCHEMA_FILE,
@@ -30,8 +32,12 @@ from repro.store.checkpoint import (
 )
 
 GOLDEN_ROOT = Path(__file__).resolve().parent.parent / "golden"
+#: Format-1 load fixtures.
 GOLDEN_PLAIN = GOLDEN_ROOT / "checkpoint"
 GOLDEN_STATS = GOLDEN_ROOT / "checkpoint_stats"
+#: What a save writes today (format 2).
+GOLDEN_PLAIN_2 = GOLDEN_ROOT / "checkpoint_format2"
+GOLDEN_STATS_2 = GOLDEN_ROOT / "checkpoint_stats_format2"
 
 RECORDS = [
     {"a": 1, "b": "x"},
@@ -59,26 +65,31 @@ class TestGoldenStatsCheckpoint:
         summary = accumulate_partition(make_corpus(64, seed=7),
                                        stats_mode="sketches")
         save_checkpoint(tmp_path / "g", summary)
-        for name in (MANIFEST_FILE, SCHEMA_FILE, DISTINCT_FILE, STATS_FILE):
+        for name in (MANIFEST_FILE, SCHEMA_FILE, DIGEST_FILE, STATS_FILE):
             assert (tmp_path / "g" / name).read_bytes() == (
-                GOLDEN_STATS / name
+                GOLDEN_STATS_2 / name
             ).read_bytes(), f"{name} drifted from the golden stats checkpoint"
 
     def test_golden_stats_checkpoint_loads(self):
-        loaded = load_checkpoint(GOLDEN_STATS)
-        assert loaded.record_count == 64
-        bundle = loaded.summary.stats
-        assert bundle is not None
-        assert bundle.mode == "sketches"
-        assert bundle.record_count == 64
+        for golden in (GOLDEN_STATS, GOLDEN_STATS_2):
+            loaded = load_checkpoint(golden)
+            assert loaded.record_count == 64
+            bundle = loaded.summary.stats
+            assert bundle is not None
+            assert bundle.mode == "sketches"
+            assert bundle.record_count == 64
 
     def test_schema_bytes_identical_to_stats_free_golden(self):
-        # Statistics are additive: schema and distinct-type files carry
+        # Statistics are additive: schema and distinct-set files carry
         # the same bytes whether stats were collected or not.
-        for name in (SCHEMA_FILE, DISTINCT_FILE):
-            assert (GOLDEN_STATS / name).read_bytes() == (
-                GOLDEN_PLAIN / name
-            ).read_bytes()
+        for stats_dir, plain_dir, distinct_file in (
+            (GOLDEN_STATS, GOLDEN_PLAIN, DISTINCT_FILE),
+            (GOLDEN_STATS_2, GOLDEN_PLAIN_2, DIGEST_FILE),
+        ):
+            for name in (SCHEMA_FILE, distinct_file):
+                assert (stats_dir / name).read_bytes() == (
+                    plain_dir / name
+                ).read_bytes()
 
     def test_manifest_digest_matches_stats_file(self):
         manifest = load_manifest(GOLDEN_STATS)
@@ -100,31 +111,37 @@ class TestBackwardCompat:
         assert "stats_sha256" not in data
 
     def test_stats_off_save_is_byte_identical_to_pre_stats(self, tmp_path):
+        # A stats-off save carries no stats keys and no stats file: its
+        # manifest is byte-identical to the stats-free golden one.
         from tests.conftest import make_corpus
 
         save_checkpoint(tmp_path / "g", accumulate_partition(make_corpus(64, seed=7)))
         assert (tmp_path / "g" / MANIFEST_FILE).read_bytes() == (
-            GOLDEN_PLAIN / MANIFEST_FILE
+            GOLDEN_PLAIN_2 / MANIFEST_FILE
         ).read_bytes()
+        data = json.loads((tmp_path / "g" / MANIFEST_FILE).read_text())
+        assert "stats_mode" not in data
         assert not (tmp_path / "g" / STATS_FILE).exists()
 
     def test_v2_wire_frame_decodes_with_stats_none(self):
         # A 15-element v2 frame (pre-stats workers) must keep decoding;
-        # its summary simply carries no bundle.
+        # its summary simply carries no bundle.  It is built from a v3
+        # frame written before wire v4, by dropping the stats slot.
         import pickle
 
-        from repro.inference.kernel import encode_summary
-
-        summary = accumulate_partition(RECORDS)
-        frame = list(pickle.loads(encode_summary(summary)))
-        assert frame[-1] is None  # stats slot of the v3 frame
+        frame = list(pickle.loads(
+            (GOLDEN_ROOT / "compat" / "pinned_types.v3.frame").read_bytes()
+        ))
+        assert frame[0] == 3 and frame[-1] is None  # v3 stats slot
         v2_frame = [2] + frame[1:-1]
         decoded = decode_summary(
             pickle.dumps(tuple(v2_frame), pickle.HIGHEST_PROTOCOL)
         )
+        v3 = decode_summary(pickle.dumps(tuple(frame)))
         assert decoded.stats is None
-        assert decoded.schema == summary.schema
-        assert decoded.record_count == summary.record_count
+        assert decoded == v3
+        assert decoded.record_count == 9
+        assert decoded.distinct_type_count == 9
 
     def test_loading_then_resaving_preserves_stats_bytes(self, tmp_path):
         loaded = load_checkpoint(GOLDEN_STATS)

@@ -7,16 +7,24 @@ uncached behaviour, and the store never grows past its size bound.
 """
 
 import os
+import pickle
 
 import pytest
 
+from repro.core.printer import print_type
+from repro.engine.context import Context
+from repro.inference.kernel import decode_summary
+from repro.inference.pipeline import infer_ndjson_file
 from repro.store.locks import FileLock
 from repro.store.summarycache import (
     CACHE_MARKER_NAME,
     SummaryCache,
+    _frame,
+    _unframe,
     config_signature,
     fsck_summary_cache,
 )
+from tests.conftest import make_corpus, write_corpus
 
 DIGEST = "ab" + "cd" * 31  # 64 hex chars, like a real sha-256
 OTHER = "ef" + "01" * 31
@@ -102,6 +110,51 @@ class TestCorruption:
         assert cache.get(DIGEST, SIG) is None
         assert cache.put(DIGEST, SIG, b"payload-bytes") is True
         assert cache.get(DIGEST, SIG) == b"payload-bytes"
+
+
+class TestUndecodableHits:
+    """An intact frame whose payload does not decode is a miss too: the
+    run recomputes that split, stores it again, and its output does not
+    change."""
+
+    @pytest.mark.parametrize("damage", ["foreign-version", "truncated"])
+    def test_entry_is_recomputed_and_restored(self, tmp_path, damage):
+        data = tmp_path / "data.ndjson"
+        write_corpus(data, make_corpus(300, seed=5))
+        cache_dir = tmp_path / "cache"
+
+        def run():
+            with Context(parallelism=2, backend="thread") as ctx:
+                result = infer_ndjson_file(
+                    data, context=ctx, num_partitions=4,
+                    min_split_bytes=1, summary_cache=cache_dir,
+                )
+            return result, ctx.scheduler.stats
+
+        cold, _ = run()
+        entries = sorted(cache_dir.glob("objects/*/*.sum"))
+        # Without the run-level entry the warm run probes every split.
+        for path in entries:
+            if path.stem.endswith("-run"):
+                path.unlink()
+        splits = [p for p in entries if not p.stem.endswith("-run")]
+        victim = splits[0]
+        payload = _unframe(victim.read_bytes())
+        if damage == "foreign-version":
+            payload = pickle.dumps((99,) + pickle.loads(payload)[1:])
+        else:
+            payload = payload[:len(payload) // 2]
+        victim.write_bytes(_frame(payload))
+
+        warm, stats = run()
+        assert print_type(warm.schema) == print_type(cold.schema)
+        assert (warm.record_count, warm.distinct_type_count) == (
+            cold.record_count, cold.distinct_type_count,
+        )
+        assert (stats.cache_hits, stats.cache_misses) == (len(splits) - 1, 1)
+        assert stats.cache_stores == 2  # the split and the run-level entry
+        restored = decode_summary(_unframe(victim.read_bytes()))
+        assert restored.record_count > 0
 
 
 class TestEviction:

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface (repro.cli)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -493,6 +495,78 @@ class TestFsckCli:
         entry.write_bytes(entry.read_bytes()[:10])
         assert main(["fsck", str(cache)]) == 1
         assert "corrupt" in capsys.readouterr().out
+
+
+class TestStoreErrors:
+    """A damaged, foreign-version or locked store ends the command with
+    ``error: ...`` naming the directory and exit 1, not a traceback."""
+
+    GOLDEN_FORMAT1 = Path(__file__).resolve().parent / "golden" / "checkpoint"
+
+    def _checkpoint(self, tmp_path, sample_file, format1=False):
+        import shutil
+
+        ckpt = tmp_path / "ckpt"
+        if format1:
+            shutil.copytree(self.GOLDEN_FORMAT1, ckpt)
+        else:
+            assert main(["infer", sample_file, "--checkpoint",
+                         str(ckpt)]) == 0
+        return ckpt
+
+    def _setup(self, case, tmp_path, sample_file):
+        """Build the damaged store for ``case``; returns the command and
+        the directory its error must name."""
+        import json
+        import os
+
+        update = ["infer", sample_file, "--update", "--checkpoint"]
+        if case == "refuse-to-replace":
+            target = tmp_path / "precious"
+            target.mkdir()
+            (target / "notes.txt").write_text("not a checkpoint")
+            return ["infer", sample_file, "--checkpoint", str(target)], target
+        ckpt = self._checkpoint(tmp_path, sample_file,
+                                format1=case.endswith("format1"))
+        if case == "future-format":
+            manifest = json.loads((ckpt / "MANIFEST.json").read_text())
+            manifest["format_version"] = 9
+            (ckpt / "MANIFEST.json").write_text(json.dumps(manifest))
+        elif case == "corrupt-digests":
+            raw = bytearray((ckpt / "distinct.digests").read_bytes())
+            raw[0] ^= 0xFF
+            (ckpt / "distinct.digests").write_bytes(bytes(raw))
+        elif case == "corrupt-distinct-format1":
+            (ckpt / "distinct.types").write_text("{a: Nim}\n")
+        elif case == "missing-digests":
+            (ckpt / "distinct.digests").unlink()
+        elif case == "missing-distinct-format1":
+            (ckpt / "distinct.types").unlink()
+        elif case in ("locked-update", "locked-merge"):
+            with open(str(ckpt) + ".lock", "w") as handle:
+                handle.write(f"{os.getpid()} localhost\n")
+            if case == "locked-merge":
+                other = tmp_path / "other"
+                assert main(["infer", sample_file, "--checkpoint",
+                             str(other)]) == 0
+                return ["merge", str(ckpt), str(other),
+                        "-o", str(tmp_path / "merged")], ckpt
+        return update + [str(ckpt)], ckpt
+
+    @pytest.mark.parametrize("case", [
+        "future-format", "corrupt-digests", "corrupt-distinct-format1",
+        "missing-digests", "missing-distinct-format1", "refuse-to-replace",
+        "locked-update", "locked-merge",
+    ])
+    def test_store_error_is_reported(self, case, sample_file, tmp_path,
+                                     capsys):
+        argv, directory = self._setup(case, tmp_path, sample_file)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(directory) in err
+        assert "Traceback" not in err
 
 
 class TestVersion:
