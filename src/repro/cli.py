@@ -38,18 +38,24 @@ from repro.analysis.projection import ProjectionError, Projector
 from repro.analysis.report import build_report
 from repro.analysis.stats import SUCCINCTNESS_HEADERS, succinctness_row
 from repro.analysis.tables import render_table
+from repro.core.errors import TypeSystemError
 from repro.core.json_schema import to_json_schema
 from repro.core.printer import pretty_print, print_type
 from repro.core.type_parser import parse_type
 from repro.core.validation import validate
 from repro.datasets.base import DATASET_NAMES, write_dataset
 from repro.inference.pipeline import (
+    ResumableInterrupt,
     infer_ndjson_file,
     infer_schema,
     run_inference,
 )
+from repro.jsonio.errors import JsonError
 from repro.jsonio.ndjson import read_ndjson
 from repro.jsonio.writer import dumps
+from repro.store.checkpoint import CheckpointError
+from repro.store.journal import JournalError
+from repro.store.locks import LockHeldError
 
 __all__ = ["EXIT_RESUMABLE", "main", "build_parser"]
 
@@ -79,7 +85,6 @@ def _number(kind: type, valid: Callable[[float], bool], bound: str):
 
 
 _COUNT = _number(int, lambda n: n >= 0, "0 or more")
-_POSITIVE = _number(int, lambda n: n >= 1, "1 or more")
 _SECONDS = _number(
     float, lambda s: 0 < s < math.inf, "a number of seconds above 0"
 )
@@ -184,17 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
              "thread)",
     )
     p_infer.add_argument(
-        "--batch-size", type=_POSITIVE, metavar="N", default=None,
-        help="partitions folded worker-locally per scheduler task; 1 "
-             "disables batching (default: auto — batch only when "
-             "partitions far outnumber workers)",
-    )
-    p_infer.add_argument(
-        "--no-warm", action="store_true",
-        help="do not keep per-worker kernel state (type interner, fusion "
-             "memo, key cache) warm across tasks and jobs",
-    )
-    p_infer.add_argument(
         "--journal", metavar="PATH", default=None,
         help="write-ahead run journal: record the task plan up front and "
              "each completed partition summary durably, so a crashed or "
@@ -216,13 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
              "over unchanged (or append-mostly) data does map work "
              "proportional to the delta; results are byte-identical to "
              "an uncached run",
-    )
-    p_infer.add_argument(
-        "--cache-mode", choices=["off", "read", "readwrite"],
-        default="readwrite",
-        help="with --summary-cache: 'readwrite' probes and stores "
-             "(default), 'read' only probes (shared read-only cache), "
-             "'off' ignores the cache entirely",
     )
     p_infer.add_argument(
         "--stats", choices=["off", "basic", "sketches"], default="off",
@@ -425,11 +412,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
     from repro.engine import Context, RetryPolicy, available_parallelism
-    from repro.inference.pipeline import ResumableInterrupt
-    from repro.jsonio.errors import ErrorRateExceeded
     from repro.jsonio.splits import DEFAULT_MIN_SPLIT_BYTES
-    from repro.store import CheckpointError, LockHeldError, checkpoint_exists
-    from repro.store.journal import JournalError
+    from repro.store import checkpoint_exists
 
     if args.update and not args.checkpoint:
         print("error: --update requires --checkpoint DIR", file=sys.stderr)
@@ -458,43 +442,28 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         ),
         update_from=update_from,
         checkpoint_to=args.checkpoint,
-        batch_size=args.batch_size,
         journal_path=args.journal,
         resume=args.resume,
         summary_cache=args.summary_cache,
-        cache_mode=args.cache_mode,
         stats_mode=args.stats_mode,
     )
     stats = None
     stop = _GracefulStop() if args.journal else nullcontext()
-    try:
-        with stop:
-            if args.journal:
-                kwargs["stop_event"] = stop.event
-            if args.parallel is not None:
-                # --parallel 0 means "size the pool to this machine".
-                workers = args.parallel or available_parallelism()
-                with Context(parallelism=workers, backend=args.backend,
-                             retry_policy=policy,
-                             warm=not args.no_warm) as ctx:
-                    stats = ctx.scheduler.stats
-                    run = infer_ndjson_file(
-                        args.file, context=ctx,
-                        num_partitions=workers * 2, **kwargs,
-                    )
-            else:
-                run = infer_ndjson_file(args.file, **kwargs)
-    except ErrorRateExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ResumableInterrupt as exc:
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return EXIT_RESUMABLE
-    except (JournalError, CheckpointError, LockHeldError) as exc:
-        # A damaged, foreign-version or locked store is an expected
-        # outcome; each message names the path it is about.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with stop:
+        if args.journal:
+            kwargs["stop_event"] = stop.event
+        if args.parallel is not None:
+            # --parallel 0 means "size the pool to this machine".
+            workers = args.parallel or available_parallelism()
+            with Context(parallelism=workers, backend=args.backend,
+                         retry_policy=policy) as ctx:
+                stats = ctx.scheduler.stats
+                run = infer_ndjson_file(
+                    args.file, context=ctx,
+                    num_partitions=workers * 2, **kwargs,
+                )
+        else:
+            run = infer_ndjson_file(args.file, **kwargs)
     schema = run.schema
     if args.json_schema:
         print(dumps(to_json_schema(schema, title=args.file)))
@@ -560,20 +529,15 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    from repro.store import CheckpointError, LockHeldError, merge_checkpoints
+    from repro.store import merge_checkpoints
 
-    try:
-        if args.parallel:
-            from repro.engine import Context
+    if args.parallel:
+        from repro.engine import Context
 
-            with Context(parallelism=args.parallel) as ctx:
-                merged = ctx.merge_checkpoints(args.checkpoints,
-                                               out=args.out)
-        else:
-            merged = merge_checkpoints(args.checkpoints, out=args.out)
-    except (CheckpointError, LockHeldError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        with Context(parallelism=args.parallel) as ctx:
+            merged = ctx.merge_checkpoints(args.checkpoints, out=args.out)
+    else:
+        merged = merge_checkpoints(args.checkpoints, out=args.out)
     if args.pretty:
         print(pretty_print(merged.schema))
     else:
@@ -603,15 +567,11 @@ def _cmd_statistics(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analysis.report import render_statistics
-    from repro.store import CheckpointError, load_checkpoint
+    from repro.store import load_checkpoint
 
     source = Path(args.source)
     if source.is_dir():
-        try:
-            checkpoint = load_checkpoint(source)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        checkpoint = load_checkpoint(source)
         bundle = checkpoint.summary.stats
         if bundle is None:
             print(
@@ -671,12 +631,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_project(args: argparse.Namespace) -> int:
     values = list(read_ndjson(args.file, skip_invalid=args.skip_invalid))
-    schema = infer_schema(values)
-    try:
-        projector = Projector(schema, args.paths)
-    except ProjectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    projector = Projector(infer_schema(values), args.paths)
     for pruned in projector.project_many(values):
         print(dumps(pruned))
     return 0
@@ -774,6 +729,20 @@ _COMMANDS = {
 }
 
 
+#: What a sub-command may raise over bad input, a damaged, foreign or
+#: locked store, or a failing file system: an expected outcome, reported
+#: as ``error: <message>`` (each message names its path) with exit 1.
+_INPUT_ERRORS = (
+    JsonError,  # ErrorRateExceeded included
+    TypeSystemError,
+    CheckpointError,
+    JournalError,
+    LockHeldError,
+    ProjectionError,
+    OSError,
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -782,6 +751,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         # Output was piped into something like `head`; not an error.
         return 0
+    except ResumableInterrupt as exc:
+        print(f"interrupted: {exc}", file=sys.stderr)
+        return EXIT_RESUMABLE
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -155,13 +155,11 @@ class Context:
     default is no injection.  See :mod:`repro.engine.scheduler` and
     :mod:`repro.engine.faults`.
 
-    Worker pools persist across jobs until :meth:`stop`, and with
-    ``warm=True`` (the default) the inference kernel's partition tasks
-    keep per-worker state (type interner, fusion memo, key cache) warm
-    across tasks and jobs too — a long-lived context gets faster on the
-    second job over similar data, with identical results.  ``warm=False``
-    opts out; :meth:`invalidate_warm_state` retires the state explicitly
-    between unrelated datasets.
+    Worker pools persist across jobs until :meth:`stop`, and the
+    inference kernel's partition tasks keep per-worker state (type
+    interner, fusion memo, key cache) warm across tasks and jobs too — a
+    long-lived context gets faster on the second job over similar data,
+    with identical results.
     """
 
     def __init__(
@@ -170,33 +168,18 @@ class Context:
         backend: str = "thread",
         retry_policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
-        warm: bool = True,
     ) -> None:
         self.scheduler = Scheduler(
             parallelism,
             backend=backend,
             retry_policy=retry_policy,
             fault_plan=fault_plan,
-            warm=warm,
         )
 
     @property
     def backend(self) -> str:
         """Execution backend of the scheduler (``"thread"`` or ``"process"``)."""
         return self.scheduler.backend
-
-    @property
-    def warm(self) -> bool:
-        """Whether partition tasks keep per-worker kernel state warm."""
-        return self.scheduler.warm
-
-    def invalidate_warm_state(self) -> int:
-        """Retire every worker's warm kernel state (see the scheduler)."""
-        return self.scheduler.invalidate_warm_state()
-
-    def prestart(self) -> int:
-        """Spin up the worker pool before the first job (best effort)."""
-        return self.scheduler.prestart()
 
     @property
     def retry_policy(self) -> RetryPolicy:

@@ -265,8 +265,8 @@ class SchedulerStats:
     #: Warm per-worker kernel state (interner/memo/key cache) accounting,
     #: maintained by the pipelines from summary telemetry: how many
     #: partition tasks found a warm state waiting in their worker versus
-    #: how many had to build one from scratch (first task on a worker, or
-    #: after :meth:`Scheduler.invalidate_warm_state`).
+    #: how many had to build one from scratch (first task on a worker for
+    #: this scheduler).
     warm_state_reuses: int = 0
     warm_state_builds: int = 0
     #: Compact summary wire format accounting (pipelines): bytes of
@@ -347,19 +347,13 @@ def _default_parallelism() -> int:
 
 
 #: Process-wide source of warm-state generation tags.  Each scheduler
-#: draws a fresh generation at construction (and on invalidation), so
-#: workers shared between schedulers — or reused across invalidations —
-#: can tell stale per-worker kernel state from current state by comparing
-#: tags.  A plain counter: generations only need to be unique within the
-#: process, and forked workers inherit a snapshot that can never collide
-#: with later driver draws in a way that matters (a stale tag mismatch
-#: just rebuilds state).
+#: draws a fresh generation at construction, so workers shared between
+#: schedulers can tell stale per-worker kernel state from current state
+#: by comparing tags.  A plain counter: generations only need to be
+#: unique within the process, and forked workers inherit a snapshot that
+#: can never collide with later driver draws in a way that matters (a
+#: stale tag mismatch just rebuilds state).
 _WARM_GENERATIONS = itertools.count(1)
-
-
-def _prestart_probe() -> None:
-    """No-op task used by :meth:`Scheduler.prestart` to spin workers up."""
-    return None
 
 
 def _process_worker_init() -> None:
@@ -416,7 +410,6 @@ class Scheduler:
         backend: str = "thread",
         retry_policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
-        warm: bool = True,
     ) -> None:
         if parallelism is None:
             parallelism = _default_parallelism()
@@ -431,13 +424,11 @@ class Scheduler:
         self.retry_policy = retry_policy or RetryPolicy()
         self.fault_plan = fault_plan if fault_plan else None
         self.stats = SchedulerStats()
-        #: Whether tasks may keep per-worker kernel state (interner, fusion
-        #: memo, key cache) warm across tasks and jobs.  The pools already
-        #: persist across :meth:`run` calls; ``warm`` additionally lets the
-        #: kernel's partition tasks reuse worker-local caches tagged with
-        #: :attr:`warm_generation`.  Purely a performance knob — results
-        #: are identical either way, which the warm-pool tests check.
-        self.warm = warm
+        #: Tag of the per-worker kernel state (interner, fusion memo, key
+        #: cache) the kernel's partition tasks keep warm across tasks and
+        #: jobs of this scheduler; the pools persist across :meth:`run`
+        #: calls.  Results are identical to a cold task's, which the
+        #: oracle tests check.
         self.warm_generation = next(_WARM_GENERATIONS)
         self._pool: ThreadPoolExecutor | None = None
         self._process_pool: ProcessPoolExecutor | None = None
@@ -513,36 +504,6 @@ class Scheduler:
             self._process_pool.shutdown(wait=False, cancel_futures=True)
             self._process_pool = None
         self.stats.pool_rebuilds += 1
-
-    def invalidate_warm_state(self) -> int:
-        """Retire every worker's warm kernel state; returns the new tag.
-
-        Bumps :attr:`warm_generation`: a worker whose thread-local state
-        carries an older tag rebuilds it lazily on its next task.  Cheap
-        (one counter draw — no worker round-trip) and safe to call
-        between jobs of a long-lived scheduler, e.g. after processing an
-        unrelated dataset whose field names would only pollute the
-        interners.
-        """
-        self.warm_generation = next(_WARM_GENERATIONS)
-        return self.warm_generation
-
-    def prestart(self) -> int:
-        """Best-effort spin-up of the configured workers before a job.
-
-        Submits one no-op probe per worker slot and waits for all of
-        them, so the first real job does not pay pool construction —
-        process forking especially — inside its measured wall-clock.
-        Idempotent; returns the configured parallelism.
-        """
-        if self.backend == "process":
-            pool: ProcessPoolExecutor | ThreadPoolExecutor = (
-                self._ensure_process_pool()
-            )
-        else:
-            pool = self._ensure_live_thread_pool()
-        wait([pool.submit(_prestart_probe) for _ in range(self.parallelism)])
-        return self.parallelism
 
     # ------------------------------------------------------------------
     # shippability

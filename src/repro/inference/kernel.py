@@ -79,13 +79,8 @@ from repro.inference.typestream import FastLaneMiss, HookTyper, resolve_lane
 from repro.jsonio.errors import JsonError, JsonSyntaxError
 from repro.jsonio.keycache import KeyCache
 from repro.jsonio.ndjson import BadRecord
-from repro.jsonio.parser import loads
-from repro.jsonio.splits import (
-    FileSplit,
-    SplitLineReader,
-    count_lines_before,
-    rebase_bad_records,
-)
+from repro.jsonio.parser import MAX_DEPTH, loads
+from repro.jsonio.splits import FileSplit, SplitLineReader, count_lines_before
 
 __all__ = [
     "FusionMemo",
@@ -96,7 +91,7 @@ __all__ = [
     "WARM_STATE_NODE_LIMIT",
     "WIRE_FORMAT_VERSION",
     "WarmState",
-    "accumulate_ndjson_batch",
+    "accumulate_ndjson_item",
     "accumulate_ndjson_partition",
     "accumulate_partition",
     "as_wire_payload",
@@ -509,6 +504,24 @@ WARM_STATE_NODE_LIMIT = 2_000_000
 _LOG_FOLD_THRESHOLD = 2_000
 
 
+def _deeper_than(t: Type, limit: int) -> bool:
+    """Whether ``t`` nests more than ``limit`` arrays and records.
+
+    A type nests at most as many levels as it has nodes, so only
+    subtrees larger than what is left of ``limit`` are walked.
+    """
+    if isinstance(t, UnionType):
+        return any(_deeper_than(m, limit) for m in t.members)
+    if isinstance(t, (BasicType, EmptyType)):
+        return False
+    if limit < 1:
+        return True
+    return any(
+        c.size >= limit and _deeper_than(c, limit - 1)
+        for c in t.children()
+    )
+
+
 class WarmState:
     """Per-worker kernel state kept warm across partition tasks.
 
@@ -524,12 +537,13 @@ class WarmState:
 
     Purely an optimization: canonicality is per-interner, and per-task
     *results* (schema, counts, distinct sets) live in the accumulator,
-    which stays fresh per task — so summaries are identical with warm
-    state on or off, which the equivalence tests check.
+    which stays fresh per task — so summaries are identical to those of
+    a task without warm state (the sequential path's), which the oracle
+    tests check.
 
-    ``generation`` tags the state with the scheduler generation it was
-    built for; :func:`warm_state_for` rebuilds on a mismatch, which is
-    how driver-side invalidation reaches workers without a round-trip.
+    ``generation`` tags the state with the scheduler it was built for;
+    :func:`warm_state_for` rebuilds on a mismatch, so a worker shared
+    with another scheduler never carries state across.
     """
 
     __slots__ = ("generation", "interner", "memo", "record_pool",
@@ -564,8 +578,8 @@ def warm_state_for(
     """This worker's warm state for ``generation``; ``None`` disables.
 
     Returns the thread-local :class:`WarmState`, rebuilding it when the
-    generation tag differs (driver-side invalidation, or a scheduler
-    restart) or the interner has outgrown ``node_limit``.  A fresh worker
+    generation tag differs (another scheduler's task) or the interner
+    has outgrown ``node_limit``.  A fresh worker
     — including one forked after a pool crash — simply builds on first
     use, which is what keeps crash recovery oblivious to warming.
     """
@@ -823,6 +837,37 @@ class PartitionAccumulator:
             t = self.interner.intern_node(ArrayType(elements))
             self._array_pool[elements] = t
         return t
+
+    def bounded_record_type(self, shape: tuple[Field, ...]) -> Type:
+        """:meth:`record_type` for a record the fast lane is parsing.
+
+        A node new to the pool has its nesting depth checked before it
+        is pooled, so the fast lane never builds anything deeper than
+        :data:`~repro.jsonio.parser.MAX_DEPTH`: such a record is a
+        :class:`FastLaneMiss`, for the strict lane to reject with its
+        position.  Pool hits, nearly every call, pay nothing.
+        """
+        t = self._record_pool.get(shape)
+        if t is None:
+            t = self._bounded(RecordType(shape))
+            self._record_pool[shape] = t
+        return t
+
+    def bounded_array_type(self, elements: tuple[Type, ...]) -> Type:
+        """:meth:`array_type`, depth-checked like
+        :meth:`bounded_record_type`."""
+        t = self._array_pool.get(elements)
+        if t is None:
+            t = self._bounded(ArrayType(elements))
+            self._array_pool[elements] = t
+        return t
+
+    def _bounded(self, node: Type) -> Type:
+        """``node`` interned, or :class:`FastLaneMiss` when it nests
+        deeper than :data:`~repro.jsonio.parser.MAX_DEPTH`."""
+        if node.size > MAX_DEPTH and _deeper_than(node, MAX_DEPTH):
+            raise FastLaneMiss(f"nested deeper than {MAX_DEPTH} levels")
+        return self.interner.intern_node(node)
 
     # ------------------------------------------------------------------
     # interned value typing (Fig. 4 fused with hash-consing)
@@ -1549,9 +1594,10 @@ class _ItemPass:
         self.fuse_s += fuse_s
 
     def summary(
-        self, lane: str, line_count: int, bytes_read: int
+        self, lane: str, line_count: int, bytes_read: int,
+        warm_reused: "bool | None",
     ) -> PartitionSummary:
-        """The item's summary (worker telemetry is the task's to stamp)."""
+        """The item's summary, stamped with the worker's telemetry."""
         perf = self.perf
         timings = None
         if perf is None:
@@ -1574,28 +1620,43 @@ class _ItemPass:
             timings=timings,
             line_count=line_count,
             bytes_read=bytes_read,
+            worker=_worker_name(),
+            warm_reused=warm_reused,
         )
 
 
-def _accumulate_item(
+def accumulate_ndjson_item(
     item: "FileSplit | Iterable[tuple[int, str]]",
-    source: "str | None",
-    permissive: bool,
-    lane: str,
-    collect_timings: bool,
-    warm: "WarmState | None",
-    stats_mode: str,
-) -> PartitionSummary:
-    """One work item's summary, never wire-encoded: the per-item step of
-    :func:`accumulate_ndjson_batch`, with the task's warm state.
+    source: str | None = None,
+    permissive: bool = False,
+    parse_lane: str = "auto",
+    collect_timings: bool = False,
+    warm_generation: "int | None" = None,
+    wire: bool = False,
+    stats_mode: str = "off",
+) -> "PartitionSummary | bytes":
+    """Stream one NDJSON work item as one task.
 
-    A numbered-line chunk streams as given.  A
-    :class:`~repro.jsonio.splits.FileSplit` is read here, worker-side,
-    line by line.  It reports split-local line numbers plus its
-    ``line_count`` and ``bytes_read``; a strict-mode error is
-    re-anchored to its absolute file line (one prefix read, on the
-    error path only), so its message matches a line-oriented run's.
+    The map task of :func:`repro.inference.pipeline.infer_ndjson_file`'s
+    partitioned path.  A work item is a byte-range
+    :class:`~repro.jsonio.splits.FileSplit` — the driver ships only the
+    descriptor and the worker reads its own range, line by line (see
+    :mod:`repro.jsonio.splits` for the boundary rules) — or a chunk of
+    ``(absolute line number, text)`` pairs read by the driver, whose
+    records come from ``source``.  A split reports split-local line
+    numbers plus its ``line_count`` and ``bytes_read``, which the
+    driver's prefix sum over the splits anchors absolutely; a
+    strict-mode error is re-anchored to its absolute file line here (one
+    prefix read, on the error path only), so its message matches a
+    line-oriented run's.
+
+    ``parse_lane``, ``collect_timings`` and ``stats_mode`` are as in
+    :func:`accumulate_ndjson_partition`; ``warm_generation`` enables the
+    worker's warm kernel state (see :class:`WarmState`); ``wire=True``
+    returns the summary wire-encoded (see :func:`encode_summary`).
     """
+    lane = _task_lane(parse_lane, stats_mode)
+    warm = warm_state_for(warm_generation)
     split = item if isinstance(item, FileSplit) else None
     run = _ItemPass(
         PartitionAccumulator(warm, stats_mode=stats_mode),
@@ -1615,71 +1676,13 @@ def _accumulate_item(
             raise
         base = count_lines_before(split.path, split.offset)
         raise exc.relocate(split.path, exc.line + base) from None
-    if reader is None:
-        return run.summary(lane, 0, 0)
-    return run.summary(lane, reader.line_count, reader.bytes_read)
-
-
-def accumulate_ndjson_batch(
-    items: "Sequence[FileSplit | Iterable[tuple[int, str]]]",
-    source: str | None = None,
-    permissive: bool = False,
-    parse_lane: str = "auto",
-    collect_timings: bool = False,
-    warm_generation: "int | None" = None,
-    wire: bool = False,
-    stats_mode: str = "off",
-) -> "PartitionSummary | bytes":
-    """Stream a batch of NDJSON work items as *one* task.
-
-    The one map task of :func:`repro.inference.pipeline.infer_ndjson_file`.
-    A work item is a byte-range
-    :class:`~repro.jsonio.splits.FileSplit` — the driver ships only the
-    descriptor and the worker reads its own range (see
-    :mod:`repro.jsonio.splits` for the boundary rules) — or a chunk of
-    ``(absolute line number, text)`` pairs read by the driver, whose
-    records come from ``source``.  Unbatched dispatch sends a batch of
-    one; batched dispatch folds several items per task so per-task
-    overhead (dispatch, result shipping, a driver-side merge per item)
-    does not dominate small items.
-
-    The warm state is claimed once per task and every item streams
-    through its own accumulator over it.  Split-local quarantine line
-    numbers are re-based against the running line count of the batch
-    (an intra-batch prefix sum), and the partials merge with
-    :func:`merge_summary_group` — the same associative merge the driver
-    would apply, so any grouping gives identical results (Theorem 5.5).
-    The merged ``line_count`` is the batch total, which the driver's
-    cross-task prefix sum then anchors absolutely.  In strict mode the
-    first malformed record raises with its absolute file line.
-
-    ``parse_lane``, ``collect_timings`` and ``stats_mode`` are as in
-    :func:`accumulate_ndjson_partition`; ``warm_generation`` enables the
-    worker's warm kernel state (see :class:`WarmState`); ``wire=True``
-    returns the summary wire-encoded (see :func:`encode_summary`).
-    """
-    lane = _task_lane(parse_lane, stats_mode)
-    warm = warm_state_for(warm_generation)
-    partials: list[PartitionSummary] = []
-    base = 0
-    for item in items:
-        summary = _accumulate_item(
-            item, source, permissive, lane, collect_timings, warm,
-            stats_mode,
-        )
-        if summary.skipped and base:
-            summary = replace(
-                summary, skipped=rebase_bad_records(summary.skipped, base)
-            )
-        base += summary.line_count
-        partials.append(summary)
-    # A batch of one is its own merge: skip the re-fuse and stats copy.
-    merged = replace(
-        partials[0] if len(partials) == 1 else merge_summary_group(partials),
-        worker=_worker_name(),
-        warm_reused=warm.reused if warm is not None else None,
+    summary = run.summary(
+        lane,
+        reader.line_count if reader is not None else 0,
+        reader.bytes_read if reader is not None else 0,
+        warm.reused if warm is not None else None,
     )
-    return encode_summary(merged) if wire else merged
+    return encode_summary(summary) if wire else summary
 
 
 def accumulate_ndjson_partition(
@@ -1697,16 +1700,17 @@ def accumulate_ndjson_partition(
     ``numbered_lines`` pairs each record's text with its absolute file
     line number, so parsing *inside the partition* (in parallel, possibly
     in another process) still produces errors and quarantine entries that
-    point at the right line of the right file.  A batch of one for
-    :func:`accumulate_ndjson_batch`.
+    point at the right line of the right file.  The sequential path's
+    task: :func:`accumulate_ndjson_item` over a chunk of lines.
 
     ``parse_lane`` selects the map-phase implementation (see
     :func:`repro.inference.typestream.resolve_lane`): on a fast lane each
     record is typed *during* parsing with no intermediate value tree, and
     any record the fast lane cannot handle — malformed text, duplicate
-    keys — is re-parsed by the strict :func:`repro.jsonio.parser.loads`
-    lane, so error diagnostics and quarantine entries (absolute file line
-    numbers included) are byte-identical across lanes.
+    keys, nesting past :data:`repro.jsonio.parser.MAX_DEPTH` — is
+    re-parsed by the strict :func:`repro.jsonio.parser.loads` lane, so
+    error diagnostics and quarantine entries (absolute file line numbers
+    included) are byte-identical across lanes.
 
     In strict mode (default) the first malformed line raises, failing the
     task; in permissive mode it is quarantined into the summary's
@@ -1727,8 +1731,8 @@ def accumulate_ndjson_partition(
     Every lane produces the identical schema, so a stats-on run's
     schema equals the stats-off run's on any lane.
     """
-    return accumulate_ndjson_batch(
-        [numbered_lines],
+    return accumulate_ndjson_item(
+        numbered_lines,
         source=source,
         permissive=permissive,
         parse_lane=parse_lane,

@@ -51,7 +51,7 @@ from repro.inference.kernel import (
     PartitionSummary,
     PhaseTimings,
     _task_lane,
-    accumulate_ndjson_batch,
+    accumulate_ndjson_item,
     accumulate_ndjson_partition,
     accumulate_partition,
     as_wire_payload,
@@ -91,7 +91,6 @@ __all__ = [
     "infer_partitioned",
     "PartitionReport",
     "PartitionedRun",
-    "CACHE_MODES",
     "SPLIT_MODES",
 ]
 
@@ -142,22 +141,19 @@ def infer_schema(values: Iterable[Any], context: Context | None = None,
 
 
 def _warm_task(context: Context, stats_mode: str = "off"):
-    """:func:`accumulate_partition`, warm-enabled when the context is.
+    """:func:`accumulate_partition` carrying the scheduler's warm tag.
 
-    A warm context stamps its scheduler's generation tag into the task,
-    so each worker keeps (and reuses) per-worker kernel state across
-    tasks and jobs; ``warm=False`` contexts ship the plain function.
-    ``stats_mode`` rides along only when statistics are on, keeping the
-    shipped task identical to previous releases otherwise.
+    The generation tag lets each worker keep (and reuse) per-worker
+    kernel state across tasks and jobs.  ``stats_mode`` rides along only
+    when statistics are on, keeping the shipped task identical to
+    previous releases otherwise.
     """
-    kwargs: dict[str, Any] = {}
-    if context.warm:
-        kwargs["warm_generation"] = context.scheduler.warm_generation
+    kwargs: dict[str, Any] = {
+        "warm_generation": context.scheduler.warm_generation,
+    }
     if stats_mode != "off":
         kwargs["stats_mode"] = stats_mode
-    if kwargs:
-        return partial(accumulate_partition, **kwargs)
-    return accumulate_partition
+    return partial(accumulate_partition, **kwargs)
 
 
 def _note_summary_telemetry(stats, summaries) -> None:
@@ -299,9 +295,9 @@ def run_inference(
     parts = split_evenly(_as_sequence(values),
                          num_partitions or context.default_parallelism)
     start = time.perf_counter()
-    # One task per partition over the *raw* values.  Shipped as a plain
-    # module-level function (or a partial of one, for the warm
-    # generation tag) so the process backend can serialize it.
+    # One task per partition over the *raw* values.  Shipped as a
+    # partial of a module-level function so the process backend can
+    # serialize it.
     summaries = context.scheduler.run(
         _warm_task(context, stats_mode), parts
     )
@@ -325,34 +321,17 @@ def run_inference(
 SPLIT_MODES = ("auto", "bytes", "lines")
 
 
-#: Public values of ``infer_ndjson_file``'s ``cache_mode``.
-CACHE_MODES = ("off", "read", "readwrite")
-
-
-def _resolve_cache(summary_cache, cache_mode: str):
-    """Resolve the cache kwargs to ``(cache, read, write)``.
-
-    ``summary_cache`` may be a directory path or an already-constructed
-    :class:`~repro.store.summarycache.SummaryCache`.  ``cache_mode``
-    gates the two sides independently: ``"read"`` probes but never
-    stores (useful for a shared read-only cache), ``"readwrite"`` (the
-    default when a cache is given) does both, ``"off"`` disables the
-    cache entirely — byte-identical to not passing one.
-    """
-    if cache_mode not in CACHE_MODES:
-        raise ValueError(
-            f"unknown cache_mode {cache_mode!r}; expected one of "
-            f"{CACHE_MODES}"
-        )
-    if summary_cache is None or cache_mode == "off":
-        return None, False, False
+def _resolve_cache(summary_cache):
+    """``summary_cache`` as a
+    :class:`~repro.store.summarycache.SummaryCache` (it may be a
+    directory path or one already constructed), or ``None``."""
+    if summary_cache is None:
+        return None
     from repro.store.summarycache import SummaryCache
 
-    cache = (
-        summary_cache if isinstance(summary_cache, SummaryCache)
-        else SummaryCache(summary_cache)
-    )
-    return cache, True, cache_mode == "readwrite"
+    if isinstance(summary_cache, SummaryCache):
+        return summary_cache
+    return SummaryCache(summary_cache)
 
 
 def _digest_numbered_lines(part) -> str:
@@ -521,30 +500,6 @@ def _finish_run(
     )
 
 
-def _plan_batches(items: list, parallelism: int,
-                  batch_size: int | None) -> "list[list] | None":
-    """Group per-partition work items into per-task batches, or ``None``.
-
-    ``None`` (returned for ``batch_size`` ≤ 1, or under the auto policy
-    when the item count is at most ``2 × parallelism``) means "dispatch
-    unbatched" — one task per item, the historical behaviour.  The auto
-    policy kicks in only when there are *many more* items than workers:
-    it sizes batches so roughly ``2 × parallelism`` tasks remain, which
-    keeps the tail balanced while folding the per-task overhead (dispatch,
-    result shipping, driver-side merge) of all the small partitions into
-    worker-local merges.  Batches are contiguous runs, so downstream
-    line-number accounting stays a prefix sum.
-    """
-    n = len(items)
-    if batch_size is None:
-        if n <= 2 * parallelism:
-            return None
-        batch_size = -(-n // (2 * parallelism))  # ceil division
-    if batch_size <= 1:
-        return None
-    return [items[i:i + batch_size] for i in range(0, n, batch_size)]
-
-
 def _decode_payload(
     payload: bytes, adopt: PartitionAccumulator, stats
 ) -> PartitionSummary:
@@ -631,8 +586,8 @@ def _validate_resume(state, plan_desc: dict, signature: str,
         raise JournalMismatchError(
             f"journal {path!r} planned {header.get('task_count')} tasks, "
             f"but the current run planned {total} — partitioning flags "
-            f"(--partitions/--workers/--batch-size/--min-split-mb) must "
-            f"match the original run"
+            f"(--partitions/--workers/--min-split-mb) must match the "
+            f"original run"
         )
     raise JournalMismatchError(
         f"journal {path!r} was written for a different task plan "
@@ -779,12 +734,10 @@ def infer_ndjson_file(
     min_split_bytes: int = DEFAULT_MIN_SPLIT_BYTES,
     update_from: str | Path | None = None,
     checkpoint_to: str | Path | None = None,
-    batch_size: int | None = None,
     journal_path: str | Path | None = None,
     resume: bool = False,
     stop_event=None,
     summary_cache: "str | Path | Any | None" = None,
-    cache_mode: str = "readwrite",
     stats_mode: str = "off",
 ) -> InferenceRun:
     """Instrumented schema inference straight from an NDJSON file.
@@ -834,27 +787,15 @@ def infer_ndjson_file(
     the default skips the per-record clock reads and leaves
     ``phase_timings`` as ``None``.
 
-    Dispatch shape and the task return path:
-
-    * ``batch_size`` — how many partitions (splits or line chunks) each
-      scheduler task folds worker-locally before its one summary returns
-      to the driver.  ``None`` (default) auto-batches only when there
-      are more than ``2 ×`` the scheduler's parallelism items, sizing
-      batches to leave about two tasks per worker; ``1`` forces the
-      historical one-task-per-partition dispatch.  Any grouping yields
-      identical results (fusion associativity, Theorem 5.5), and
-      quarantined line numbers stay absolute: batch tasks re-base
-      intra-batch, the driver re-bases across tasks.
-    * On the process backend task-result summaries return in the compact
-      flat-table wire format (:func:`repro.inference.kernel.encode_summary`),
-      not as pickled type-object graphs; thread and in-line tasks share
-      their summaries by reference.  Results are bit-identical either
-      way.
-
-    With a warm context (``Context(warm=True)``, the default) every
-    partition task also carries the scheduler's warm-state generation
-    tag, letting workers reuse their interner/memo/key-cache across
-    tasks and jobs — see :class:`repro.engine.context.Context`.
+    Dispatch: every partition (split or line chunk) is one scheduler
+    task, :func:`repro.inference.kernel.accumulate_ndjson_item`.  On the
+    process backend its summary returns in the compact flat-table wire
+    format (:func:`repro.inference.kernel.encode_summary`), not as a
+    pickled type-object graph; thread and in-line tasks share their
+    summaries by reference.  Results are bit-identical either way.
+    Every task also carries the scheduler's warm-state generation tag,
+    letting workers reuse their interner/memo/key-cache across tasks
+    and jobs — see :class:`repro.engine.context.Context`.
 
     Dirty-data handling:
 
@@ -903,15 +844,12 @@ def infer_ndjson_file(
       re-run does map work proportional to the delta (byte splits are
       planned with stable, quantized boundaries when a cache is active,
       so an append leaves the unchanged prefix's digests intact).
-      Batching is disabled while a cache is active: entries are
-      per-partition, so each partition's summary must return
-      individually.  The cache is strictly best-effort and strictly
-      transparent — corrupt or evicted entries recompute, and results
-      are byte-identical to an uncached run on every backend and split
-      mode.
-    * ``cache_mode`` — ``"readwrite"`` (default) probes and stores,
-      ``"read"`` only probes, ``"off"`` ignores ``summary_cache``
-      entirely.
+      The cache is read and written; a store that fails (a read-only
+      directory, a full disk, a held lock) is skipped, so a read-only
+      cache still replays.  The cache is strictly best-effort and
+      strictly transparent — corrupt or evicted entries recompute, and
+      results are byte-identical to an uncached run on every backend
+      and split mode.
 
     ``stats_mode`` — ``"off"`` (default), ``"basic"`` or ``"sketches"``
     — enriches every partition summary with mergeable per-path
@@ -929,7 +867,7 @@ def infer_ndjson_file(
     lane = _task_lane(parse_lane, stats_mode)
     stats_mode = resolve_stats_mode(stats_mode)
     mode = resolve_split_mode(split_mode, context, path)
-    cache, cache_read, cache_write = _resolve_cache(summary_cache, cache_mode)
+    cache = _resolve_cache(summary_cache)
     if (cache is not None and split_mode == "auto" and context is None
             and _splittable(path)):
         # The sequential default is the streaming line path, which has no
@@ -956,10 +894,8 @@ def infer_ndjson_file(
     wire = context is not None and context.backend == "process"
     stats = context.scheduler.stats if context is not None else None
     scheduler = context.scheduler if context is not None else None
-    parallelism = scheduler.parallelism if scheduler is not None else 1
     warm_generation = (
-        scheduler.warm_generation
-        if scheduler is not None and scheduler.warm else None
+        scheduler.warm_generation if scheduler is not None else None
     )
 
     loaded = None
@@ -1074,7 +1010,7 @@ def infer_ndjson_file(
         if cache is not None and items:
             digests = digest_items()
             run_key = _run_level_key(digests)
-            if cache_read and run_replay_ok:
+            if run_replay_ok:
                 replayed = _replay_run_entry(
                     cache, run_key, cache_signature, stats, len(items),
                 )
@@ -1085,37 +1021,33 @@ def infer_ndjson_file(
                         time.perf_counter() - start, 0.0,
                         bad_records_path, max_error_rate,
                     )
-            if cache_read:
-                for index, digest in enumerate(digests):
-                    payload = cache.get(digest, cache_signature)
-                    if payload is None:
-                        continue
-                    try:
-                        hits[index] = _decode_payload(payload, adopt, stats)
-                    except ValueError:
-                        # Well framed but undecodable (another wire
-                        # version, say): a miss, dropped so that the
-                        # recomputed summary is stored in its place.
-                        cache.discard(digest, cache_signature)
+            for index, digest in enumerate(digests):
+                payload = cache.get(digest, cache_signature)
+                if payload is None:
+                    continue
+                try:
+                    hits[index] = _decode_payload(payload, adopt, stats)
+                except ValueError:
+                    # Well framed but undecodable (another wire version,
+                    # say): a miss, dropped so that the recomputed
+                    # summary is stored in its place.
+                    cache.discard(digest, cache_signature)
         miss_indices = [i for i in range(len(items)) if i not in hits]
         misses = [items[i] for i in miss_indices]
         if stats is not None:
             # Cache hits never ship.
             stats.input_bytes_shipped += shipped_bytes(misses)
-        # Batching folds several items into one returned summary; cache
-        # entries are per item, so a cache-active run dispatches
-        # unbatched (results are identical either way — Theorem 5.5).
-        batches = None
-        if context is not None and cache is None:
-            batches = _plan_batches(misses, parallelism, batch_size)
-        if batches is None:
-            batches = [[item] for item in misses]
+        # One task per item.  The journal plan keeps one list per task
+        # (``[[offset, length]]``), the shape earlier releases wrote, so
+        # their journals still resume.  The task is not this module's
+        # ``accumulate_ndjson_partition``: the e2e tracer replaces that
+        # name with a closure, which the process backend cannot ship.
         miss_results, journal = _run_journaled_tasks(
-            partial(accumulate_ndjson_batch, **task_options), batches,
-            _plan_desc([[describe(item) for item in b] for b in batches]),
+            partial(accumulate_ndjson_item, **task_options), misses,
+            _plan_desc([[describe(item)] for item in misses]),
             scheduler, journal_path, resume, stop_event,
         )
-        if cache_write and digests is not None:
+        if digests is not None:
             stored = 0
             for local, index in enumerate(miss_indices):
                 if cache.put(
@@ -1182,7 +1114,7 @@ def infer_ndjson_file(
         distinct_count = merged.distinct_type_count
         reduce_seconds = time.perf_counter() - start
 
-        if run_key is not None and cache_write and update_from is None:
+        if run_key is not None and update_from is None:
             # Merged results are pure for non-incremental runs, so the
             # whole reduce is cacheable too: the next identical-content
             # run replays this entry and skips map *and* reduce.

@@ -19,7 +19,9 @@ and bails out on anything else — a syntax error, a non-standard
 ``NaN``/``Infinity`` constant, a duplicate object key, a ``\\u``
 surrogate escape (which the stdlib scanner tolerates unpaired but the
 strict grammar rejects), an integer literal longer than ``int()``
-accepts.  The bailout
+accepts, nesting past :data:`repro.jsonio.parser.MAX_DEPTH` (caught
+when the accumulator's pools would build a node that deep, or as the
+scanner's own ``RecursionError``).  The bailout
 contract is :exc:`FastLaneMiss` (or any
 :class:`~repro.jsonio.errors.JsonError`): the caller re-parses the
 offending record with the strict :func:`repro.jsonio.parser.loads` lane,
@@ -69,9 +71,10 @@ class FastLaneMiss(ValueError):
     Raised (or re-raised) by :class:`HookTyper` for any input it cannot
     handle at full speed: malformed JSON, duplicate object keys,
     non-standard constants, surrogate escapes, integer literals too long
-    for ``int()``.  The caller must re-parse the record with the strict lane,
-    which either produces the value (and the record is typed from it) or
-    fails with the exact diagnostic a strict-only run would have raised.
+    for ``int()``, nesting too deep.  The caller must re-parse the record
+    with the strict lane, which either produces the value (and the record
+    is typed from it) or fails with the exact diagnostic a strict-only
+    run would have raised.
 
     Subclasses :class:`ValueError` so the stdlib decoder hooks can raise
     it through the C scanner uniformly with ``json.JSONDecodeError``.
@@ -187,8 +190,8 @@ class HookTyper:
 
     def __init__(self, acc, key_cache: KeyCache | None = None) -> None:
         self._field = acc.interner.field
-        self._record = acc.record_type
-        self._array = acc.array_type
+        self._record = acc.bounded_record_type
+        self._array = acc.bounded_array_type
         # Bounded key dedup: repeated field names share one string without
         # sys.intern's process-global, immortal pinning.  Per-typer (i.e.
         # per-partition) by default; a warm worker passes its own cache so
@@ -209,12 +212,13 @@ class HookTyper:
             # strict lane is the arbiter of acceptance.
             raise FastLaneMiss("surrogate \\u escape; deferring to strict")
         try:
-            value = self._decode(text)
-        except (ValueError, InvalidTypeError) as exc:
-            # json.JSONDecodeError, our own hooks' FastLaneMiss, and the
-            # duplicate-key InvalidTypeError all funnel into one miss.
+            return self._type_of(self._decode(text))
+        except (ValueError, InvalidTypeError, RecursionError) as exc:
+            # json.JSONDecodeError, our own hooks' FastLaneMiss (the
+            # depth check included), the duplicate-key InvalidTypeError
+            # and a nesting deep enough to exhaust the stack all funnel
+            # into one miss.
             raise FastLaneMiss(str(exc)) from exc
-        return self._type_of(value)
 
     def _record_hook(self, pairs: list[tuple[str, object]]) -> Type:
         field = self._field

@@ -6,6 +6,9 @@ Differences from :func:`json.loads` that matter for schema inference:
   data model only admits well-formed records; the standard library silently
   keeps the last occurrence, which would make inferred schemas lie about the
   data.
+* **Nesting is bounded** by :data:`MAX_DEPTH`: a deeper document is a
+  located :class:`JsonSyntaxError`, not a ``RecursionError`` in whatever
+  recursive code (typing, fusion, printing) meets it later.
 * Errors carry line/column positions.
 """
 
@@ -17,7 +20,14 @@ from repro.jsonio.errors import DuplicateKeyError, JsonSyntaxError
 from repro.jsonio.keycache import shared_key
 from repro.jsonio.tokenizer import Token, TokenType, tokenize
 
-__all__ = ["loads"]
+__all__ = ["MAX_DEPTH", "loads"]
+
+#: Deepest nesting of arrays and objects a document may have: ``[]`` is
+#: one level, ``[{"a": []}]`` three.  serde_json's default, and far
+#: below what the recursive stages after parsing (typing, fusion, the
+#: reduce, printing, checkpoints) handle within Python's default
+#: recursion limit.  The fast lane defers deeper records here.
+MAX_DEPTH = 128
 
 
 class _TokenStream:
@@ -49,21 +59,32 @@ _ATOMS = {TokenType.STRING, TokenType.NUMBER, TokenType.TRUE,
           TokenType.FALSE, TokenType.NULL}
 
 
-def _parse_value(stream: _TokenStream) -> Any:
+def _parse_value(stream: _TokenStream, depth: int = 0) -> Any:
+    """The value at the stream's head, inside ``depth`` containers."""
     token = stream.current
     if token.type in _ATOMS:
         stream.advance()
         return token.value
     if token.type == TokenType.LBRACE:
-        return _parse_object(stream)
+        if depth == MAX_DEPTH:
+            raise _too_deep(token)
+        return _parse_object(stream, depth + 1)
     if token.type == TokenType.LBRACKET:
-        return _parse_array(stream)
+        if depth == MAX_DEPTH:
+            raise _too_deep(token)
+        return _parse_array(stream, depth + 1)
     raise JsonSyntaxError(
         f"unexpected token {token.type!r}", token.line, token.column
     )
 
 
-def _parse_object(stream: _TokenStream) -> dict[str, Any]:
+def _too_deep(token: Token) -> JsonSyntaxError:
+    return JsonSyntaxError(
+        f"nested deeper than {MAX_DEPTH} levels", token.line, token.column
+    )
+
+
+def _parse_object(stream: _TokenStream, depth: int) -> dict[str, Any]:
     stream.expect(TokenType.LBRACE)
     obj: dict[str, Any] = {}
     if stream.current.type == TokenType.RBRACE:
@@ -78,7 +99,7 @@ def _parse_object(stream: _TokenStream) -> dict[str, Any]:
         if key in obj:
             raise DuplicateKeyError(key, key_token.line, key_token.column)
         stream.expect(TokenType.COLON)
-        obj[key] = _parse_value(stream)
+        obj[key] = _parse_value(stream, depth)
         if stream.current.type == TokenType.COMMA:
             stream.advance()
             continue
@@ -86,14 +107,14 @@ def _parse_object(stream: _TokenStream) -> dict[str, Any]:
         return obj
 
 
-def _parse_array(stream: _TokenStream) -> list[Any]:
+def _parse_array(stream: _TokenStream, depth: int) -> list[Any]:
     stream.expect(TokenType.LBRACKET)
     arr: list[Any] = []
     if stream.current.type == TokenType.RBRACKET:
         stream.advance()
         return arr
     while True:
-        arr.append(_parse_value(stream))
+        arr.append(_parse_value(stream, depth))
         if stream.current.type == TokenType.COMMA:
             stream.advance()
             continue

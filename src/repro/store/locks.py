@@ -29,7 +29,6 @@ platform this repo targets.
 
 from __future__ import annotations
 
-import errno
 import os
 import socket
 import time
@@ -132,21 +131,20 @@ class FileLock:
     # ------------------------------------------------------------------
 
     def _try_acquire(self) -> bool:
+        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
         try:
-            fd = os.open(
-                self.lock_path,
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                0o644,
-            )
-        except FileExistsError:
-            return False
-        except OSError as exc:  # parent dir missing and alike
-            if exc.errno == errno.ENOENT:
+            try:
+                fd = os.open(self.lock_path, flags, 0o644)
+            except FileNotFoundError:
+                # The parent directory is missing: create it and retry
+                # once.  A second ENOENT (a file system that refuses to
+                # create it) propagates.
                 os.makedirs(
                     os.path.dirname(self.lock_path) or ".", exist_ok=True
                 )
-                return self._try_acquire()
-            raise
+                fd = os.open(self.lock_path, flags, 0o644)
+        except FileExistsError:
+            return False
         try:
             os.write(
                 fd,

@@ -2,12 +2,12 @@
 
 Contracts pinned here:
 
-* **Warm transparency** — a context that keeps per-worker kernel state
-  warm across consecutive jobs produces results identical to a cold
-  context, on both backends, and actually reuses the state (the
-  ``warm_state_reuses`` counter moves).
-* **Invalidation** — :meth:`Context.invalidate_warm_state` retires every
-  worker's state: the next job rebuilds instead of reusing.
+* **Warm transparency** — consecutive jobs on one context, which keep
+  per-worker kernel state warm, equal the pure oracle
+  ``fuse_all(infer_type(v))`` on both backends, and actually reuse the
+  state (the ``warm_state_reuses`` counter moves).
+* **Generations** — every scheduler tags its warm state with its own
+  generation, so a worker never carries state across schedulers.
 * **Crash safety** — killing a process worker mid-job destroys its warm
   state with it; recovery (pool rebuild + retry) still yields the
   fault-free result.
@@ -19,6 +19,7 @@ Contracts pinned here:
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
@@ -27,6 +28,8 @@ import pytest
 from repro.engine import Context, FaultPlan, RetryPolicy
 from repro.engine.faults import Fault
 from repro.engine.scheduler import BACKENDS, Scheduler, available_parallelism
+from repro.inference.fusion import fuse_all
+from repro.inference.infer import infer_type
 from repro.inference.pipeline import infer_ndjson_file, run_inference
 from tests.conftest import make_corpus, write_corpus
 
@@ -44,26 +47,19 @@ def corpus_file(tmp_path_factory):
 class TestWarmEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_consecutive_jobs_identical_to_cold(self, backend, corpus_file):
-        with Context(parallelism=2, backend=backend, warm=False) as cold:
-            reference = infer_ndjson_file(
-                corpus_file, context=cold, num_partitions=8,
-                split_mode="lines",
-            )
+        """Cold is the pure oracle: no interner, memo or warm state."""
+        with open(corpus_file, encoding="utf-8") as handle:
+            types = [infer_type(json.loads(line)) for line in handle]
         with Context(parallelism=2, backend=backend) as ctx:
-            first = infer_ndjson_file(
-                corpus_file, context=ctx, num_partitions=8,
-                split_mode="lines",
-            )
-            second = infer_ndjson_file(
-                corpus_file, context=ctx, num_partitions=8,
-                split_mode="lines",
-            )
+            for _ in range(2):
+                run = infer_ndjson_file(
+                    corpus_file, context=ctx, num_partitions=8,
+                    split_mode="lines",
+                )
+                assert run.schema == fuse_all(types)
+                assert run.record_count == len(types)
+                assert run.distinct_type_count == len(set(types))
             stats = ctx.scheduler.stats
-            assert first.schema == second.schema == reference.schema
-            assert (first.record_count == second.record_count
-                    == reference.record_count)
-            assert (first.distinct_type_count == second.distinct_type_count
-                    == reference.distinct_type_count)
             # The second job must have found warm state to reuse.
             assert stats.warm_state_reuses > 0
             assert stats.warm_state_builds > 0
@@ -79,27 +75,10 @@ class TestWarmEquivalence:
         assert (first.distinct_type_count == second.distinct_type_count
                 == baseline.distinct_type_count)
 
-    def test_cold_context_never_touches_warm_counters(self, corpus_file):
-        with Context(parallelism=2, warm=False) as ctx:
-            infer_ndjson_file(corpus_file, context=ctx, num_partitions=8)
-            stats = ctx.scheduler.stats
-            assert stats.warm_state_reuses == 0
-            assert stats.warm_state_builds == 0
-
 
 class TestInvalidation:
-    def test_invalidate_forces_rebuild(self, corpus_file):
-        with Context(parallelism=1) as ctx:
-            infer_ndjson_file(corpus_file, context=ctx, num_partitions=4,
-                              split_mode="lines")
-            builds_before = ctx.scheduler.stats.warm_state_builds
-            assert builds_before > 0
-            old = ctx.scheduler.warm_generation
-            assert ctx.invalidate_warm_state() != old
-            run = infer_ndjson_file(corpus_file, context=ctx,
-                                    num_partitions=4, split_mode="lines")
-            assert ctx.scheduler.stats.warm_state_builds > builds_before
-            assert run.record_count == 400
+    """Warm state is retired by generation: a new scheduler's tag
+    differs from every earlier one, so workers rebuild for it."""
 
     def test_generations_unique_across_schedulers(self):
         tags = set()
@@ -160,26 +139,21 @@ class TestAvailableParallelism:
 
 
 class TestPoolLifecycle:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_prestart_reports_parallelism(self, backend):
-        with Context(parallelism=2, backend=backend) as ctx:
-            assert ctx.prestart() == 2
-            # Idempotent: a second call probes the same live pool.
-            assert ctx.prestart() == 2
-
     def test_shutdown_cancels_queued_process_work(self):
         scheduler = Scheduler(1, backend="process")
         try:
-            scheduler.prestart()
+            # A first job starts the worker.
+            assert scheduler.run(abs, [-1]) == [1]
             pool = scheduler._ensure_process_pool()
             running = pool.submit(time.sleep, 0.2)
-            queued = [pool.submit(time.sleep, 30) for _ in range(3)]
+            queued = [pool.submit(time.sleep, 1) for _ in range(20)]
             start = time.perf_counter()
         finally:
             scheduler.shutdown()
         elapsed = time.perf_counter() - start
         # Shutdown waited for the running task but cancelled the queued
-        # 30-second sleeps instead of executing them.
+        # sleeps instead of executing them.  The pool's call queue may
+        # already hold a couple, which can no longer be cancelled.
         assert elapsed < 10.0
         assert running.done()
-        assert any(f.cancelled() for f in queued)
+        assert sum(f.cancelled() for f in queued) >= 15

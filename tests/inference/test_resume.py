@@ -42,7 +42,6 @@ kwargs = dict(
     num_partitions=4,
     split_mode=cfg["mode"],
     min_split_bytes=2048,
-    batch_size=1,
     journal_path=cfg["journal"],
     resume=cfg["resume"],
     checkpoint_to=cfg.get("checkpoint"),
@@ -202,6 +201,23 @@ class TestCrashMatrixBackendsAndModes:
         )
         assert crash_then_resume(
             dataset, tmp_path, crash_point, mode=mode, backend=backend
+        ) == expected
+
+
+class TestCrashMatrixProcess:
+    """Crashes on the process backend: right after the plan became
+    durable, mid-append (a torn frame on disk) and after two summaries
+    landed."""
+
+    @pytest.mark.parametrize("crash_point", [
+        "journal.create.post",
+        "journal.append.torn:1",
+        "journal.append.post:2",
+    ])
+    def test_resume_is_identical(self, dataset, tmp_path, expected,
+                                 crash_point):
+        assert crash_then_resume(
+            dataset, tmp_path, crash_point, backend="process"
         ) == expected
 
 

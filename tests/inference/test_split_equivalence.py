@@ -18,7 +18,7 @@ from repro.core.printer import print_type
 from repro.engine import Context
 from repro.inference.kernel import (
     TREE_MERGE_THRESHOLD,
-    accumulate_ndjson_batch,
+    accumulate_ndjson_item,
 )
 from repro.inference.pipeline import (
     SPLIT_MODES,
@@ -196,9 +196,7 @@ class TestSplitTask:
         path = tmp_path / "f.ndjson"
         data = b'{"a":1}\n\n{"b":2}\n'
         path.write_bytes(data)
-        summary = accumulate_ndjson_batch(
-            [FileSplit(str(path), 0, len(data), 0)]
-        )
+        summary = accumulate_ndjson_item(FileSplit(str(path), 0, len(data), 0))
         assert summary.record_count == 2
         assert summary.line_count == 3
         assert summary.bytes_read == len(data)
@@ -210,7 +208,7 @@ class TestSplitTask:
         offset = data.index(b"not json")
         split = FileSplit(str(path), offset, len(data) - offset, 1)
         with pytest.raises(JsonSyntaxError) as excinfo:
-            accumulate_ndjson_batch([split])
+            accumulate_ndjson_item(split)
         assert excinfo.value.line == 4
         assert excinfo.value.source == str(path)
 

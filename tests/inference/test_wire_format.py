@@ -47,7 +47,7 @@ from repro.inference.kernel import (
     PartitionAccumulator,
     PartitionSummary,
     _walk_wire_digests,
-    accumulate_ndjson_batch,
+    accumulate_ndjson_item,
     accumulate_ndjson_partition,
     accumulate_partition,
     decode_summary,
@@ -145,12 +145,9 @@ class TestTaskEquivalence:
     def test_split_task_wire_equivalence(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
         write_corpus(path, make_corpus(600, seed=21))
-        splits = plan_splits(path, 4, min_split_bytes=1)
-        for batch in [[split] for split in splits] + [splits]:
-            wired = decode_summary(
-                accumulate_ndjson_batch(batch, wire=True)
-            )
-            assert wired == digested(accumulate_ndjson_batch(batch))
+        for split in plan_splits(path, 4, min_split_bytes=1):
+            wired = decode_summary(accumulate_ndjson_item(split, wire=True))
+            assert wired == digested(accumulate_ndjson_item(split))
 
     def test_partition_task_wire_equivalence(self, tmp_path):
         lines = [
@@ -187,7 +184,7 @@ class TestVersioning:
 
 def _summaries_of(values):
     """One partition's summary of ``values``, and two merged summaries —
-    a :func:`merge_summary_group` of two halves and a batch task over two
+    :func:`merge_summary_group` of two halves, as values and as NDJSON
     line chunks — whose schemas come from another interner than their
     distinct types."""
     half = len(values) // 2
@@ -198,7 +195,10 @@ def _summaries_of(values):
             accumulate_partition(values[:half]),
             accumulate_partition(values[half:]),
         ]),
-        accumulate_ndjson_batch([lines[:half], lines[half:]]),
+        merge_summary_group([
+            accumulate_ndjson_partition(lines[:half]),
+            accumulate_ndjson_partition(lines[half:]),
+        ]),
     ]
 
 

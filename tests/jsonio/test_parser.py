@@ -3,7 +3,7 @@
 import pytest
 
 from repro.jsonio.errors import DuplicateKeyError, JsonSyntaxError
-from repro.jsonio.parser import loads
+from repro.jsonio.parser import MAX_DEPTH, loads
 
 
 class TestAtoms:
@@ -89,9 +89,11 @@ class TestTopLevel:
             loads("")
 
     def test_deeply_nested(self):
-        depth = 200
+        depth = MAX_DEPTH
         text = "[" * depth + "]" * depth
         value = loads(text)
         for _ in range(depth - 1):
             value = value[0]
         assert value == []
+        with pytest.raises(JsonSyntaxError, match="nested deeper"):
+            loads("[" + text + "]")

@@ -180,6 +180,28 @@ class TestLocking:
                 merge_checkpoints([saved], out=out)
 
 
+    def test_missing_parent_is_created_once(self, tmp_path):
+        target = tmp_path / "new" / "ckpt"
+        with FileLock(target):
+            assert os.path.exists(lock_path_for(target))
+        assert not os.path.exists(lock_path_for(target))
+
+    def test_enoent_after_creating_the_parent_raises(self, tmp_path,
+                                                     monkeypatch):
+        """A parent the file system will not create files in (as under
+        ``/proc``) is one ``FileNotFoundError``, not a recursion."""
+        calls = []
+
+        def no_such_entry(path, *args, **kwargs):
+            calls.append(path)
+            raise OSError(errno.ENOENT, "No such file or directory", path)
+
+        monkeypatch.setattr(os, "open", no_such_entry)
+        with pytest.raises(FileNotFoundError):
+            FileLock(tmp_path / "ckpt").acquire()
+        assert len(calls) == 2
+
+
 class TestMergeShardNaming:
     """Satellite: merge failures name the offending shard."""
 

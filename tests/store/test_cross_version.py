@@ -16,7 +16,11 @@ malformed lines, at lines 50 and 171), from inside that directory:
   fixed types ``test_wire_format.TestDigestPins`` pins;
 * ``run.journal`` — the journal of :data:`JOURNAL_RUN`, killed with
   ``REPRO_CRASH_POINT=journal.append.post:2`` after two of its four
-  task appends.
+  task appends;
+* ``batched.journal`` — written by the last build with batched dispatch
+  (wire v4): the same run on a two-thread context with ``batch_size=2``
+  (an option since removed), so two tasks of two splits each, killed
+  with ``REPRO_CRASH_POINT=journal.append.post:1``.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from repro.store.checkpoint import (
     merge_checkpoints,
     save_checkpoint,
 )
-from repro.store.journal import read_journal
+from repro.store.journal import JournalMismatchError, read_journal
 from tests.conftest import make_corpus, write_corpus
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden"
@@ -60,7 +64,7 @@ COMPAT = GOLDEN / "compat"
 #: the directory it ran in).
 JOURNAL_RUN = dict(
     split_mode="bytes", num_partitions=4, min_split_bytes=1024,
-    batch_size=1, permissive=True,
+    permissive=True,
 )
 
 
@@ -212,3 +216,23 @@ class TestParentJournal:
         after = read_journal("run.journal")
         assert sorted(after.completed) == [0, 1, 2, 3]
         assert after.committed
+
+    def test_batched_journal_is_refused(self, tmp_path, monkeypatch,
+                                        capsys):
+        """Every task is one split now, so a journal whose tasks held
+        two plans fewer tasks than the run resuming it."""
+        for name in ("corpus.ndjson", "batched.journal"):
+            shutil.copy(COMPAT / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        refusal = "planned 2 tasks, but the current run planned 4"
+        with Context(parallelism=2, backend="thread") as ctx:
+            with pytest.raises(JournalMismatchError, match=refusal) as info:
+                infer_ndjson_file("corpus.ndjson", context=ctx,
+                                  **JOURNAL_RUN, resume=True,
+                                  journal_path="batched.journal")
+        assert "--batch-size" not in str(info.value)
+        assert main(["infer", "corpus.ndjson", "--workers", "2",
+                     "--split-mode", "bytes", "--min-split-mb",
+                     str(1024 / (1 << 20)), "--permissive",
+                     "--journal", "batched.journal", "--resume"]) == 1
+        assert refusal in capsys.readouterr().err

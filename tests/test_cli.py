@@ -84,11 +84,9 @@ def dirty_file(tmp_path):
 
 
 class TestInferPermissive:
-    def test_strict_mode_fails_on_first_bad_line(self, dirty_file):
-        from repro.jsonio.errors import JsonSyntaxError
-
-        with pytest.raises(JsonSyntaxError, match="line 2"):
-            main(["infer", dirty_file])
+    def test_strict_mode_fails_on_first_bad_line(self, dirty_file, capsys):
+        assert main(["infer", dirty_file]) == 1
+        assert f"({dirty_file}, line 2, column 1)" in capsys.readouterr().err
 
     def test_permissive_reports_skip_summary(self, dirty_file, capsys):
         assert main(["infer", dirty_file, "--permissive"]) == 0
@@ -274,8 +272,8 @@ class TestParser:
          ["infer", "{file}", "--workers", "2", "--max-retries", "-1"]),
         ("--task-timeout",
          ["infer", "{file}", "--workers", "2", "--task-timeout", "0"]),
-        ("--batch-size", ["infer", "{file}", "--batch-size", "0"]),
-        ("--batch-size", ["infer", "{file}", "--batch-size", "-2"]),
+        ("--task-timeout", ["infer", "{file}", "--task-timeout", "inf"]),
+        ("--max-error-rate", ["infer", "{file}", "--max-error-rate", "1.5"]),
         ("--max-error-rate", ["infer", "{file}", "--max-error-rate", "-0.1"]),
         ("--parallel", ["merge", "a", "b", "-o", "m", "--parallel", "-1"]),
         ("--max-paths", ["statistics", "{file}", "--max-paths", "-1"]),
@@ -567,6 +565,65 @@ class TestStoreErrors:
         assert err.startswith("error:")
         assert str(directory) in err
         assert "Traceback" not in err
+
+
+class TestInputErrors:
+    """One error seam in ``main``: a malformed line, a missing file or a
+    bad schema ends every sub-command with ``error: ...`` naming the path
+    (and the line, for a syntax error) and exit 1, not a traceback."""
+
+    COMMANDS = {
+        "infer": ["infer", "{file}"],
+        "infer-process": ["infer", "{file}", "--parallel", "2",
+                          "--backend", "process"],
+        "stats": ["stats", "{file}"],
+        "statistics": ["statistics", "{file}"],
+        "paths": ["paths", "{file}"],
+        "check-path": ["check-path", "{file}", "a"],
+        "diff": ["diff", "{file}", "{file}"],
+        "project": ["project", "{file}", "a"],
+        "validate": ["validate", "{file}", "--schema", "{{a: Num}}"],
+        "report": ["report", "{file}"],
+    }
+
+    def _error(self, argv, capsys) -> str:
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_malformed_line(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.ndjson"
+        path.write_text('{"a": 1}\nbad\n{"a": 2}\n')
+        argv = [arg.format(file=path) for arg in self.COMMANDS[command]]
+        err = self._error(argv, capsys)
+        assert f"({path}, line 2, column 1)" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_file(self, command, tmp_path, capsys):
+        path = tmp_path / "missing.ndjson"
+        argv = [arg.format(file=path) for arg in self.COMMANDS[command]]
+        assert str(path) in self._error(argv, capsys)
+
+    def test_schema_syntax(self, sample_file, capsys):
+        err = self._error(["validate", sample_file, "--schema", "{a:"],
+                          capsys)
+        assert "position 3" in err
+
+    def test_missing_schema_file(self, sample_file, tmp_path, capsys):
+        path = tmp_path / "missing.schema"
+        err = self._error(
+            ["validate", sample_file, "--schema-file", str(path)], capsys
+        )
+        assert str(path) in err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.ndjson"
+        err = self._error(["generate", "twitter", "10", str(out)], capsys)
+        assert str(out) in err
 
 
 class TestVersion:
