@@ -138,14 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
              "malformed, e.g. 0.01 for 1%%",
     )
     p_infer.add_argument(
-        "--parse-lane", choices=["auto", "fast", "strict"],
-        default="auto",
-        help="map-phase parser: 'fast' types records during parsing and "
-             "falls back to the strict parser only on errors (identical "
-             "results), 'strict' always uses the diagnostic parser, "
-             "'auto' picks fast (default: auto)",
-    )
-    p_infer.add_argument(
         "--timings", action="store_true",
         help="collect and print per-phase map timings (parse/type/fuse, "
              "records/s) on stderr; off by default to keep the map loop "
@@ -433,7 +425,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         permissive=permissive,
         bad_records_path=args.bad_records,
         max_error_rate=args.max_error_rate,
-        parse_lane=args.parse_lane,
         collect_timings=args.timings,
         split_mode=args.split_mode,
         min_split_bytes=(

@@ -8,9 +8,9 @@
   pipelines run on: per-partition interning accumulator with memoized
   fusion, merged at the driver by one reduce
   (:func:`~repro.inference.kernel.merge_summaries_full`).
-* :mod:`repro.inference.typestream` — the fast map lane: typing records
-  *during* parsing through stdlib decoder hooks, with strict-parser
-  fallback for diagnostics.
+* :mod:`repro.inference.typestream` — the map phase's decoder: the C
+  ``json`` scanner behind guards that leave every record it cannot
+  vouch for to the strict parser.
 * :mod:`repro.inference.statistics` — mergeable per-path statistics
   (counters, ranges, HyperLogLog / Bloom sketches) riding the summary
   monoid, JSONoid-style: the statistics enrichment sketched as future
@@ -57,12 +57,7 @@ from repro.inference.parametric import (
     infer_schema_labelled,
     label_equivalence,
 )
-from repro.inference.typestream import (
-    PARSE_LANES,
-    FastLaneMiss,
-    HookTyper,
-    resolve_lane,
-)
+from repro.inference.typestream import FastLaneMiss, guarded_decoder
 
 from repro.inference.pipeline import (
     InferenceRun,
@@ -84,7 +79,7 @@ __all__ = [
     "PhaseTimings", "merge_phase_timings",
     "accumulate_partition", "accumulate_ndjson_partition",
     "merge_summaries_full",
-    "PARSE_LANES", "FastLaneMiss", "HookTyper", "resolve_lane",
+    "FastLaneMiss", "guarded_decoder",
     "FieldPresence", "presence_report",
     "STATS_MODES", "MergeableStatistic", "StatsBundle",
     "HyperLogLog", "BloomFilter", "merge_stats", "resolve_stats_mode",

@@ -75,9 +75,8 @@ from repro.inference.statistics import (
     create_stats_bundle,
     merge_stats,
 )
-from repro.inference.typestream import FastLaneMiss, HookTyper, resolve_lane
+from repro.inference.typestream import FastLaneMiss, guarded_decoder
 from repro.jsonio.errors import JsonError, JsonSyntaxError
-from repro.jsonio.keycache import KeyCache
 from repro.jsonio.ndjson import BadRecord
 from repro.jsonio.parser import MAX_DEPTH, loads
 from repro.jsonio.splits import FileSplit, SplitLineReader, count_lines_before
@@ -329,22 +328,18 @@ class PhaseTimings:
     The map phase of an NDJSON partition decomposes into three measurable
     stages, accumulated across the partition's records:
 
-    * ``parse_s`` — tokenize + parse.  The tokenizer is a generator the
-      parser drains, so lexing and parsing are interleaved and timed as
-      one stage.  On a fast lane the record is typed *during* parsing
-      (that is the whole point), so ``parse_s`` covers parse + type there
-      and ``type_s`` stays zero.
-    * ``type_s`` — value tree to interned type (strict lane only).
+    * ``parse_s`` — the guarded C decode of each line into a value
+      (:func:`repro.inference.typestream.guarded_decoder`), plus the
+      strict re-parse of any line it misses;
+    * ``type_s`` — value to interned type (Fig. 4);
     * ``fuse_s`` — distinct-type tracking plus the memoized incremental
       fusion of the record's type into the running schema.
 
-    ``lane`` records which resolved lane produced the numbers (``strict``
-    or ``hooks``; ``mixed`` after merging heterogeneous partitions), so a
-    benchmark delta can be attributed to the right phase of the right
-    implementation.
+    Statistics, when on, are timed in none of them.  Wire frames written
+    by earlier builds pickled a ``lane`` field here as well; it unpickles
+    as a stray attribute that nothing reads.
     """
 
-    lane: str = "strict"
     parse_s: float = 0.0
     type_s: float = 0.0
     fuse_s: float = 0.0
@@ -364,16 +359,11 @@ class PhaseTimings:
     def describe(self) -> str:
         """One human-readable line for CLI reports.
 
-        >>> PhaseTimings("strict", 1.0, 0.5, 0.5, 10000).describe()
-        '[strict lane] parse 1.000s · type 0.500s · fuse 0.500s · 5,000 records/s'
+        >>> PhaseTimings(1.0, 0.5, 0.5, 10000).describe()
+        'parse 1.000s · type 0.500s · fuse 0.500s · 5,000 records/s'
         """
-        if self.lane == "strict":
-            stages = (f"parse {self.parse_s:.3f}s · type {self.type_s:.3f}s"
-                      f" · fuse {self.fuse_s:.3f}s")
-        else:
-            stages = (f"parse+type {self.parse_s:.3f}s"
-                      f" · fuse {self.fuse_s:.3f}s")
-        return (f"[{self.lane} lane] {stages}"
+        return (f"parse {self.parse_s:.3f}s · type {self.type_s:.3f}s"
+                f" · fuse {self.fuse_s:.3f}s"
                 f" · {self.records_per_s:,.0f} records/s")
 
 
@@ -383,16 +373,12 @@ def merge_phase_timings(
     """Sum per-partition phase timings; ``None`` when none were recorded.
 
     Stage buckets add across partitions (total CPU-seconds attributed to
-    each stage, regardless of overlap under a parallel backend).  The lane
-    is preserved when every timed partition used the same one and reported
-    as ``"mixed"`` otherwise.
+    each stage, regardless of overlap under a parallel backend).
     """
     rows = [t for t in timings if t is not None]
     if not rows:
         return None
-    lanes = {t.lane for t in rows}
     return PhaseTimings(
-        lane=lanes.pop() if len(lanes) == 1 else "mixed",
         parse_s=sum(t.parse_s for t in rows),
         type_s=sum(t.type_s for t in rows),
         fuse_s=sum(t.fuse_s for t in rows),
@@ -531,9 +517,9 @@ class WarmState:
     every field name.  Workers in a persistent pool process many
     partitions of the *same* dataset (and, across jobs, of similar ones),
     so that discovery work is shared here: one
-    :class:`~repro.core.interning.TypeInterner`, one :class:`FusionMemo`,
-    the construction pools, and one :class:`~repro.jsonio.keycache.KeyCache`
-    per worker, handed to every accumulator the worker builds.
+    :class:`~repro.core.interning.TypeInterner`, one :class:`FusionMemo`
+    and the construction pools per worker, handed to every accumulator
+    the worker builds.
 
     Purely an optimization: canonicality is per-interner, and per-task
     *results* (schema, counts, distinct sets) live in the accumulator,
@@ -547,7 +533,7 @@ class WarmState:
     """
 
     __slots__ = ("generation", "interner", "memo", "record_pool",
-                 "array_pool", "key_cache", "tasks_served", "reused")
+                 "array_pool", "scalar_fields", "tasks_served", "reused")
 
     def __init__(self, generation: int) -> None:
         self.generation = generation
@@ -555,7 +541,7 @@ class WarmState:
         self.memo = FusionMemo(self.interner)
         self.record_pool: dict[tuple[Field, ...], Type] = {}
         self.array_pool: dict[tuple[Type, ...], Type] = {}
-        self.key_cache = KeyCache()
+        self.scalar_fields: dict[tuple[str, type], Field] = {}
         #: Tasks this state has served (including the one that built it).
         self.tasks_served = 0
         #: Whether the *current* task found this state already built —
@@ -629,11 +615,16 @@ class PartitionAccumulator:
             # trade of a little memory for never re-sorting.
             self._record_pool: dict[tuple[Field, ...], Type] = {}
             self._array_pool: dict[tuple[Type, ...], Type] = {}
+            #: ``(key, value class) -> canonical field`` for the fields
+            #: whose value is a JSON scalar: most of a record's fields
+            #: cost :meth:`_infer` one lookup here.
+            self._scalar_fields: dict[tuple[str, type], Field] = {}
         else:
             self.interner = warm.interner
             self.memo = warm.memo
             self._record_pool = warm.record_pool
             self._array_pool = warm.array_pool
+            self._scalar_fields = warm.scalar_fields
         self._schema: Type = EMPTY
         #: ``None`` while :meth:`observe` left-folds; once the schema has
         #: reached :data:`_LOG_FOLD_THRESHOLD` nodes, the binary-counter
@@ -710,9 +701,8 @@ class PartitionAccumulator:
     def observe(self, t: Type) -> None:
         """Count and fuse one *canonical* type from this accumulator.
 
-        ``t`` must be interned here — produced by :meth:`type_value`, the
-        pool helpers, or a fast-lane typer bound to this accumulator —
-        so the distinct test can be a pointer test.
+        ``t`` must be interned here — produced by :meth:`type_value` or
+        the pool helpers — so the distinct test can be a pointer test.
 
         The fold order depends on the schema's width.  While the running
         schema is under :data:`_LOG_FOLD_THRESHOLD` nodes, ``t`` fuses
@@ -820,9 +810,9 @@ class PartitionAccumulator:
         """The canonical record type for a tuple of canonical fields.
 
         The construction-pool lookup of :meth:`_infer`, exposed for the
-        fast-lane typers (:mod:`repro.inference.typestream`), which build
-        field tuples straight from JSON text.  ``shape`` keeps document
-        key order; the pool maps it to the canonical (sorted) node.
+        wire decoder (:func:`decode_summary`), which builds field tuples
+        straight from a summary's op-stream.  ``shape`` keeps its given
+        order; the pool maps it to the canonical (sorted) node.
         """
         t = self._record_pool.get(shape)
         if t is None:
@@ -837,37 +827,6 @@ class PartitionAccumulator:
             t = self.interner.intern_node(ArrayType(elements))
             self._array_pool[elements] = t
         return t
-
-    def bounded_record_type(self, shape: tuple[Field, ...]) -> Type:
-        """:meth:`record_type` for a record the fast lane is parsing.
-
-        A node new to the pool has its nesting depth checked before it
-        is pooled, so the fast lane never builds anything deeper than
-        :data:`~repro.jsonio.parser.MAX_DEPTH`: such a record is a
-        :class:`FastLaneMiss`, for the strict lane to reject with its
-        position.  Pool hits, nearly every call, pay nothing.
-        """
-        t = self._record_pool.get(shape)
-        if t is None:
-            t = self._bounded(RecordType(shape))
-            self._record_pool[shape] = t
-        return t
-
-    def bounded_array_type(self, elements: tuple[Type, ...]) -> Type:
-        """:meth:`array_type`, depth-checked like
-        :meth:`bounded_record_type`."""
-        t = self._array_pool.get(elements)
-        if t is None:
-            t = self._bounded(ArrayType(elements))
-            self._array_pool[elements] = t
-        return t
-
-    def _bounded(self, node: Type) -> Type:
-        """``node`` interned, or :class:`FastLaneMiss` when it nests
-        deeper than :data:`~repro.jsonio.parser.MAX_DEPTH`."""
-        if node.size > MAX_DEPTH and _deeper_than(node, MAX_DEPTH):
-            raise FastLaneMiss(f"nested deeper than {MAX_DEPTH} levels")
-        return self.interner.intern_node(node)
 
     # ------------------------------------------------------------------
     # interned value typing (Fig. 4 fused with hash-consing)
@@ -885,37 +844,46 @@ class PartitionAccumulator:
         # Mirrors repro.inference.infer.infer_type rule for rule, but
         # builds each node from canonical children and pools it
         # immediately, so the tree is born interned.  Dispatches on the
-        # exact type first — JSON parsing only ever yields the six builtin
-        # types — and falls back to the isinstance chain for subclasses,
-        # preserving infer_type's semantics (bool before int, etc.).
-        tv = type(value)
-        if tv is str:
-            return STR
-        if tv is int or tv is float:
-            return NUM
-        if tv is bool:
-            return BOOL
-        if value is None:
-            return NULL
-        if tv is dict:
-            fields = []
+        # exact class first — JSON decoding only ever yields the six
+        # builtin types — and falls back to the isinstance chain for
+        # subclasses, preserving infer_type's semantics (bool before
+        # int, etc.).
+        cls = value.__class__
+        if cls is dict:
+            cached = self._scalar_fields
             field = self.interner.field
+            fields = []
+            append = fields.append
             for key, sub in value.items():
-                if type(key) is not str and not isinstance(key, str):
-                    raise InvalidValueError(f"non-string record key: {key!r}")
-                fields.append(field(key, self._infer(sub)))
+                f = cached.get((key, sub.__class__))
+                if f is None:
+                    if key.__class__ is not str and not isinstance(key, str):
+                        raise InvalidValueError(
+                            f"non-string record key: {key!r}"
+                        )
+                    t = _SCALAR_TYPES.get(sub.__class__)
+                    if t is None:
+                        f = field(key, self._infer(sub))
+                    else:
+                        f = cached[key, sub.__class__] = field(key, t)
+                append(f)
             shape = tuple(fields)
             t = self._record_pool.get(shape)
             if t is None:
                 t = self.interner.intern_node(RecordType(shape))
                 self._record_pool[shape] = t
             return t
-        if tv is list:
-            elements = tuple(self._infer(v) for v in value)
+        if cls is list:
+            infer = self._infer
+            elements = tuple([_SCALAR_TYPES.get(v.__class__) or infer(v)
+                              for v in value])
             t = self._array_pool.get(elements)
             if t is None:
                 t = self.interner.intern_node(ArrayType(elements))
                 self._array_pool[elements] = t
+            return t
+        t = _SCALAR_TYPES.get(cls)
+        if t is not None:
             return t
         # Subclasses of the builtin types (IntEnum, OrderedDict, ...).
         if isinstance(value, bool):
@@ -929,6 +897,13 @@ class PartitionAccumulator:
         if isinstance(value, list):
             return self._infer(list(value))
         raise InvalidValueError(f"not a JSON value: {type(value).__name__}")
+
+
+#: The type of each JSON scalar class (exact classes only: subclasses
+#: take :meth:`PartitionAccumulator._infer`'s isinstance chain).
+_SCALAR_TYPES: dict[type, Type] = {
+    str: STR, int: NUM, float: NUM, bool: BOOL, type(None): NULL,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1468,26 +1443,25 @@ def accumulate_partition(
     return encode_summary(summary) if wire else summary
 
 
-def _task_lane(parse_lane: str, stats_mode: str) -> str:
-    """The resolved lane an NDJSON map task runs; raises on an unknown one.
+def _lane_label(stats_mode: str) -> str:
+    """The ``parse_lane`` string journal headers and cache signatures
+    carry: the lane earlier builds ran for ``stats_mode``.
 
-    Statistics observe concrete values, which only the strict lane
-    materialises, so any ``stats_mode`` but ``off`` forces ``strict``.
-    Every lane produces the identical schema, so the downgrade is
-    invisible in the result.  The pipeline records this lane in journal
-    headers and cache signatures, so tasks and driver decide it alike.
+    Those builds typed stats-off runs in decoder hooks (``"hooks"``)
+    and stats runs with the pure-Python parser (``"strict"``).  Every
+    run now takes the one decode lane, but the label keeps the strings
+    they signed, so their journals still resume and their cache entries
+    still hit.
     """
-    lane = resolve_lane(parse_lane)
-    return "strict" if stats_mode != "off" else lane
+    return "hooks" if stats_mode == "off" else "strict"
 
 
 class _ItemPass:
-    """One work item streamed through one accumulator, on one lane.
+    """One work item streamed through one accumulator.
 
-    Holds what the lane loops share: the quarantine list, the
-    strict-arbitration fallback, the key cache the hook typer shares
-    (the warm state's, when there is one) and the per-stage clock
-    buckets, which advance only with ``collect_timings``.
+    Holds what the decode loop shares: the quarantine list, the strict
+    arbiter and the per-stage clock buckets, which advance only with
+    ``collect_timings``.
     """
 
     def __init__(
@@ -1495,13 +1469,11 @@ class _ItemPass:
         acc: PartitionAccumulator,
         source: "str | None",
         permissive: bool,
-        key_cache: "KeyCache | None",
         collect_timings: bool,
     ) -> None:
         self.acc = acc
         self.source = source
         self.permissive = permissive
-        self.key_cache = key_cache
         self.perf = time.perf_counter if collect_timings else None
         self.parse_s = self.type_s = self.fuse_s = 0.0
         self.skipped: list[BadRecord] = []
@@ -1514,13 +1486,16 @@ class _ItemPass:
             BadRecord(self.source or "<memory>", line_number, str(exc), line)
         )
 
-    def arbitrate(self, line_number: int, line: str) -> "Type | None":
-        """The strict lane's verdict on a record a fast typer missed.
+    def arbitrate(
+        self, line_number: int, line: str
+    ) -> "tuple[Any, Type] | None":
+        """The strict parser's verdict on a record the decoder missed.
 
         The record is re-parsed with :func:`repro.jsonio.parser.loads`,
         so its error or quarantine entry (``None`` returned) is
-        byte-identical to a strict run's; a record strict accepts (the
-        lanes disagreed) is typed from its value.  Called only on a
+        byte-identical to a strict-only run's.  A record the arbiter
+        accepts comes back as ``(value, type)``, to be counted, fused and
+        observed by the statistics like any other.  Called only on a
         miss: well-formed records never pay for it.
         """
         try:
@@ -1528,30 +1503,46 @@ class _ItemPass:
         except JsonError as exc:
             self.reject(line_number, line, exc)
             return None
-        return self.acc.type_value(value)
+        return value, self.acc.type_value(value)
 
-    def strict(self, numbered: Iterable[tuple[int, str]]) -> None:
-        """Parse each record into a value tree, type it, fuse it."""
+    def run(self, numbered: Iterable[tuple[int, str]]) -> None:
+        """Decode each record, type it, fuse it, observe its statistics.
+
+        A record whose type is new to the partition and nests deeper
+        than :data:`~repro.jsonio.parser.MAX_DEPTH` is a miss too, for
+        the arbiter to reject with its position: every repeat of a type
+        was checked when the type was new, so no record is walked for
+        its depth.
+        """
         acc = self.acc
-        type_value, observe, stats = acc.type_value, acc.observe, acc.stats
-        source, perf = self.source, self.perf
+        decode = guarded_decoder()
+        infer, observe, stats = acc._infer, acc.observe, acc.stats
+        seen = acc._distinct_ids
+        perf = self.perf
         parse_s = type_s = fuse_s = 0.0
         for line_number, line in numbered:
             if perf is not None:
                 t0 = perf()
             try:
-                value = loads(line, source=source, first_line=line_number)
-            except JsonError as exc:
+                value = decode(line)
                 if perf is not None:
-                    parse_s += perf() - t0
-                self.reject(line_number, line, exc)
-                continue
+                    t1 = perf()
+                t = infer(value)
+                if (t.size > MAX_DEPTH and id(t) not in seen
+                        and _deeper_than(t, MAX_DEPTH)):
+                    raise FastLaneMiss(f"deeper than {MAX_DEPTH} levels")
+            except (FastLaneMiss, RecursionError):
+                typed = self.arbitrate(line_number, line)
+                if perf is not None:
+                    t1 = perf()
+                if typed is None:
+                    if perf is not None:
+                        parse_s += t1 - t0
+                    continue
+                value, t = typed
             if perf is None:
-                t = type_value(value)
                 observe(t)
             else:
-                t1 = perf()
-                t = type_value(value)
                 t2 = perf()
                 observe(t)
                 parse_s += t1 - t0
@@ -1566,36 +1557,8 @@ class _ItemPass:
         self.type_s += type_s
         self.fuse_s += fuse_s
 
-    def hooks(self, numbered: Iterable[tuple[int, str]]) -> None:
-        """Type each record during its C parse, with no value tree."""
-        type_document = HookTyper(self.acc, self.key_cache).type_document
-        observe = self.acc.observe
-        perf = self.perf
-        parse_s = fuse_s = 0.0
-        for line_number, line in numbered:
-            if perf is not None:
-                t0 = perf()
-            try:
-                t = type_document(line)
-            except (FastLaneMiss, JsonError):
-                t = self.arbitrate(line_number, line)
-                if t is None:
-                    if perf is not None:
-                        parse_s += perf() - t0
-                    continue
-            if perf is None:
-                observe(t)
-            else:
-                t1 = perf()
-                observe(t)
-                parse_s += t1 - t0
-                fuse_s += perf() - t1
-        self.parse_s += parse_s
-        self.fuse_s += fuse_s
-
     def summary(
-        self, lane: str, line_count: int, bytes_read: int,
-        warm_reused: "bool | None",
+        self, line_count: int, bytes_read: int, warm_reused: "bool | None",
     ) -> PartitionSummary:
         """The item's summary, stamped with the worker's telemetry."""
         perf = self.perf
@@ -1608,7 +1571,6 @@ class _ItemPass:
             t0 = perf()
             summary = self.acc.summary()
             timings = PhaseTimings(
-                lane=lane,
                 parse_s=self.parse_s,
                 type_s=self.type_s,
                 fuse_s=self.fuse_s + perf() - t0,
@@ -1629,7 +1591,6 @@ def accumulate_ndjson_item(
     item: "FileSplit | Iterable[tuple[int, str]]",
     source: str | None = None,
     permissive: bool = False,
-    parse_lane: str = "auto",
     collect_timings: bool = False,
     warm_generation: "int | None" = None,
     wire: bool = False,
@@ -1650,34 +1611,27 @@ def accumulate_ndjson_item(
     prefix read, on the error path only), so its message matches a
     line-oriented run's.
 
-    ``parse_lane``, ``collect_timings`` and ``stats_mode`` are as in
+    ``collect_timings`` and ``stats_mode`` are as in
     :func:`accumulate_ndjson_partition`; ``warm_generation`` enables the
     worker's warm kernel state (see :class:`WarmState`); ``wire=True``
     returns the summary wire-encoded (see :func:`encode_summary`).
     """
-    lane = _task_lane(parse_lane, stats_mode)
     warm = warm_state_for(warm_generation)
     split = item if isinstance(item, FileSplit) else None
     run = _ItemPass(
         PartitionAccumulator(warm, stats_mode=stats_mode),
         split.path if split is not None else source,
-        permissive, warm.key_cache if warm is not None else None,
-        collect_timings,
+        permissive, collect_timings,
     )
     reader = SplitLineReader(split) if split is not None else None
-    lines = item if reader is None else reader
     try:
-        if lane == "strict":
-            run.strict(lines)
-        else:
-            run.hooks(lines)
+        run.run(item if reader is None else reader)
     except JsonSyntaxError as exc:
         if split is None or split.offset == 0:
             raise
         base = count_lines_before(split.path, split.offset)
         raise exc.relocate(split.path, exc.line + base) from None
     summary = run.summary(
-        lane,
         reader.line_count if reader is not None else 0,
         reader.bytes_read if reader is not None else 0,
         warm.reused if warm is not None else None,
@@ -1689,7 +1643,6 @@ def accumulate_ndjson_partition(
     numbered_lines: Iterable[tuple[int, str]],
     source: str | None = None,
     permissive: bool = False,
-    parse_lane: str = "auto",
     collect_timings: bool = False,
     warm_generation: "int | None" = None,
     wire: bool = False,
@@ -1703,14 +1656,14 @@ def accumulate_ndjson_partition(
     point at the right line of the right file.  The sequential path's
     task: :func:`accumulate_ndjson_item` over a chunk of lines.
 
-    ``parse_lane`` selects the map-phase implementation (see
-    :func:`repro.inference.typestream.resolve_lane`): on a fast lane each
-    record is typed *during* parsing with no intermediate value tree, and
-    any record the fast lane cannot handle — malformed text, duplicate
-    keys, nesting past :data:`repro.jsonio.parser.MAX_DEPTH` — is
-    re-parsed by the strict :func:`repro.jsonio.parser.loads` lane, so
-    error diagnostics and quarantine entries (absolute file line numbers
-    included) are byte-identical across lanes.
+    Each record is decoded by the guarded C decoder
+    (:func:`repro.inference.typestream.guarded_decoder`), typed, fused
+    and, with statistics on, observed.  Any record the decoder misses —
+    malformed text, duplicate keys, surrogate escapes, nesting past
+    :data:`repro.jsonio.parser.MAX_DEPTH` — is re-parsed by the strict
+    :func:`repro.jsonio.parser.loads`, so error diagnostics and
+    quarantine entries (absolute file line numbers included) are
+    byte-identical to a strict-only parse.
 
     In strict mode (default) the first malformed line raises, failing the
     task; in permissive mode it is quarantined into the summary's
@@ -1719,23 +1672,20 @@ def accumulate_ndjson_partition(
     picklable data by design: it rides the scheduler's process backend.
 
     With ``collect_timings=True`` the summary carries per-stage
-    :class:`PhaseTimings` for the partition, at the cost of two to three
-    clock reads per record; the default leaves the hot loop untimed and
-    the summary's ``timings`` as ``None``.
+    :class:`PhaseTimings` for the partition, at the cost of four clock
+    reads per record; the default leaves the hot loop untimed and the
+    summary's ``timings`` as ``None``.
 
     ``warm_generation`` enables the worker's warm kernel state (see
     :class:`WarmState`); ``wire=True`` returns the wire-encoded summary.
 
-    ``stats_mode`` other than ``off`` collects per-path statistics,
-    which need materialised values — the lane is forced to ``strict``.
-    Every lane produces the identical schema, so a stats-on run's
-    schema equals the stats-off run's on any lane.
+    ``stats_mode`` other than ``off`` collects per-path statistics over
+    the decoded values; the schema is the same in every mode.
     """
     return accumulate_ndjson_item(
         numbered_lines,
         source=source,
         permissive=permissive,
-        parse_lane=parse_lane,
         collect_timings=collect_timings,
         warm_generation=warm_generation,
         wire=wire,

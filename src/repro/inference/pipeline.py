@@ -50,7 +50,7 @@ from repro.inference.kernel import (
     PartitionAccumulator,
     PartitionSummary,
     PhaseTimings,
-    _task_lane,
+    _lane_label,
     accumulate_ndjson_item,
     accumulate_ndjson_partition,
     accumulate_partition,
@@ -352,14 +352,15 @@ def _digest_numbered_lines(part) -> str:
 
 
 def _scrub_replayed_telemetry(summary: PartitionSummary) -> PartitionSummary:
-    """Zero the run-local telemetry a cached summary carries.
+    """Zero the run-local telemetry a replayed summary carries.
 
-    A cache hit replays the summary *content* (schema, counts,
-    quarantine) of the run that produced it, but its worker identity and
-    warm-state flag describe that old run — left in place they would
-    corrupt this run's accounting.
+    A cache hit or a journal replay brings back the summary *content*
+    (schema, counts, quarantine, statistics) of the run that produced
+    it, but its worker identity, warm-state flag and phase timings
+    describe that old run — left in place they would count its workers
+    and its stage times as this run's.
     """
-    return replace(summary, worker="", warm_reused=None)
+    return replace(summary, worker="", warm_reused=None, timings=None)
 
 
 #: Version of the run-level (whole-plan) cache entry payload.
@@ -403,7 +404,6 @@ def _encode_run_entry(
         record_count=merged.record_count,
         distinct_types=(),
         skipped=merged.skipped,
-        timings=merged.timings,
         bytes_read=bytes_skipped,
         stats=merged.stats,
     )
@@ -519,17 +519,23 @@ def _decode_payload(
 
 
 def _decode_wire_summaries(
-    entries, stats, adopt: PartitionAccumulator
+    entries, stats, adopt: PartitionAccumulator, replayed: "set[int]",
 ) -> list[PartitionSummary]:
     """Per-task results as summaries: wire payloads (process-pool
     results, replayed journal frames) decode through
     :func:`_decode_payload`; :class:`PartitionSummary` objects (thread
-    and in-line results, decoded cache hits) pass through untouched."""
-    return [
-        _decode_payload(bytes(entry), adopt, stats)
-        if isinstance(entry, (bytes, bytearray)) else entry
-        for entry in entries
-    ]
+    and in-line results, decoded cache hits) pass through.  The entries
+    at ``replayed`` indices — journal frames and cache hits — come from
+    an earlier run and lose its telemetry
+    (:func:`_scrub_replayed_telemetry`)."""
+    summaries = []
+    for index, entry in enumerate(entries):
+        if isinstance(entry, (bytes, bytearray)):
+            entry = _decode_payload(bytes(entry), adopt, stats)
+        if index in replayed:
+            entry = _scrub_replayed_telemetry(entry)
+        summaries.append(entry)
+    return summaries
 
 
 def _journal_header(plan_desc: dict, signature: str, total: int) -> dict:
@@ -543,6 +549,8 @@ def _journal_header(plan_desc: dict, signature: str, total: int) -> dict:
         "plan_sha256": signature,
         "source": plan_desc.get("source"),
         "split_mode": plan_desc.get("split_mode"),
+        # A compatibility label (see kernel._lane_label), kept so the
+        # header reads as earlier builds wrote it.
         "parse_lane": plan_desc.get("parse_lane"),
         "permissive": plan_desc.get("permissive"),
         # Absent for stats-off runs, so pre-stats journals (no key at
@@ -574,7 +582,7 @@ def _validate_resume(state, plan_desc: dict, signature: str,
             f"current run reads {ours!r} — the input file changed (or a "
             f"different file was named); delete the journal to start over"
         )
-    for key in ("split_mode", "parse_lane", "permissive", "stats"):
+    for key in ("split_mode", "permissive", "stats"):
         if header.get(key) != plan_desc.get(key):
             raise JournalMismatchError(
                 f"journal {path!r} recorded {key}={header.get(key)!r}, "
@@ -607,11 +615,12 @@ def _run_journaled_tasks(
     stop_event,
 ):
     """Dispatch ``work_items``, journaling each completion; returns
-    ``(entries, journal)``.
+    ``(entries, replayed, journal)``.
 
-    ``entries`` is indexed by task: journal-replayed tasks hold their
-    recorded wire payload (bytes), freshly executed tasks hold whatever
-    the task returned (wire bytes or a summary object).  The returned
+    ``entries`` is indexed by task: journal-replayed tasks — the indices
+    in ``replayed`` — hold their recorded wire payload (bytes), freshly
+    executed tasks hold whatever the task returned (wire bytes or a
+    summary object).  The returned
     journal is still open — the caller appends the commit frame after
     the merge and closes it; on every error path here the journal is
     closed before the exception propagates.
@@ -686,7 +695,7 @@ def _run_journaled_tasks(
 
     for local, index in enumerate(remaining):
         entries[index] = fresh[local]
-    return entries, journal
+    return entries, set(replayed), journal
 
 
 def _splittable(path: "str | Path | None") -> bool:
@@ -728,7 +737,6 @@ def infer_ndjson_file(
     permissive: bool = False,
     bad_records_path: str | Path | None = None,
     max_error_rate: float | None = None,
-    parse_lane: str = "auto",
     collect_timings: bool = False,
     split_mode: str = "auto",
     min_split_bytes: int = DEFAULT_MIN_SPLIT_BYTES,
@@ -775,17 +783,15 @@ def infer_ndjson_file(
     byte-split workers report split-local line numbers that the driver
     re-bases with a prefix sum over the splits' line counts.
 
-    ``parse_lane`` picks the map-phase implementation per
-    :func:`repro.inference.typestream.resolve_lane`: ``"auto"`` (default)
-    and ``"fast"`` type each record *during* parsing with no intermediate
-    value tree — C-accelerated via stdlib ``json`` hooks when available —
-    and fall back to the strict parser per record on any error, so
-    results, error diagnostics and quarantine behaviour are identical to
-    ``"strict"`` on every input; only the wall-clock differs.  With
-    ``collect_timings=True`` (the CLI's ``--timings``) the run's
-    ``phase_timings`` attribute the map time to parse/type/fuse stages;
-    the default skips the per-record clock reads and leaves
-    ``phase_timings`` as ``None``.
+    The map phase decodes each record with a guarded C decoder
+    (:func:`repro.inference.typestream.guarded_decoder`) and re-parses
+    any record it misses with the strict parser, so results, error
+    diagnostics and quarantine behaviour are those of the strict parser
+    on every input.  With ``collect_timings=True`` (the CLI's
+    ``--timings``) the run's ``phase_timings`` attribute the time this
+    run spent mapping to parse/type/fuse stages (replayed cache and
+    journal entries carry none); the default skips the per-record clock
+    reads and leaves ``phase_timings`` as ``None``.
 
     Dispatch: every partition (split or line chunk) is one scheduler
     task, :func:`repro.inference.kernel.accumulate_ndjson_item`.  On the
@@ -856,15 +862,13 @@ def infer_ndjson_file(
     statistics (see :mod:`repro.inference.statistics`).  Statistics ride
     the same commutative/associative merge path as the schema, so
     journals, caches, tree-merge and incremental updates keep working;
-    the inferred schema is byte-identical in every mode.  Stats need
-    materialised values, so any enabled mode runs the ``"strict"`` parse
-    lane; ``"off"`` pays nothing.
+    the inferred schema is byte-identical in every mode.  Statistics
+    observe the values the map phase decodes anyway; ``"off"`` pays
+    nothing.
     """
     source = str(path)
-    # Resolve once at the driver (raising early on an unknown lane or
-    # mode) so every partition — local or on a worker process — runs the
-    # same implementation and reports a stable lane name in its timings.
-    lane = _task_lane(parse_lane, stats_mode)
+    # Resolve once at the driver (raising early on an unknown mode) so
+    # every partition — local or on a worker process — runs alike.
     stats_mode = resolve_stats_mode(stats_mode)
     mode = resolve_split_mode(split_mode, context, path)
     cache = _resolve_cache(summary_cache)
@@ -885,9 +889,8 @@ def infer_ndjson_file(
             from repro.store.summarycache import config_signature
 
             cache_signature = config_signature(
-                parse_lane=lane, permissive=permissive,
-                collect_timings=collect_timings, split_mode=mode,
-                stats=stats_mode,
+                permissive=permissive, collect_timings=collect_timings,
+                split_mode=mode, stats=stats_mode,
             )
     # Encode task results where they cross a process boundary; thread
     # and in-line summaries are shared by reference.
@@ -919,7 +922,7 @@ def infer_ndjson_file(
         desc = {
             "source": fingerprint_source(source).to_dict(),
             "split_mode": mode,
-            "parse_lane": lane,
+            "parse_lane": _lane_label(stats_mode),
             "permissive": bool(permissive),
             "update": str(update_from) if update_from is not None else None,
             "tasks": tasks,
@@ -946,7 +949,7 @@ def infer_ndjson_file(
         and journal_path is None
     )
     task_options = dict(
-        source=source, permissive=permissive, parse_lane=lane,
+        source=source, permissive=permissive,
         collect_timings=collect_timings, warm_generation=warm_generation,
         wire=wire, stats_mode=stats_mode,
     )
@@ -958,7 +961,7 @@ def infer_ndjson_file(
         # resume replays it without re-reading the file) or it runs
         # from the start.
         task = partial(accumulate_ndjson_partition, **task_options)
-        entries, journal = _run_journaled_tasks(
+        entries, replayed, journal = _run_journaled_tasks(
             lambda _item: task(iter_numbered_lines(path)),
             [None], _plan_desc([["stream"]]), None,
             journal_path, resume, stop_event,
@@ -1042,11 +1045,12 @@ def infer_ndjson_file(
         # their journals still resume.  The task is not this module's
         # ``accumulate_ndjson_partition``: the e2e tracer replaces that
         # name with a closure, which the process backend cannot ship.
-        miss_results, journal = _run_journaled_tasks(
+        miss_results, resumed, journal = _run_journaled_tasks(
             partial(accumulate_ndjson_item, **task_options), misses,
             _plan_desc([[describe(item)] for item in misses]),
             scheduler, journal_path, resume, stop_event,
         )
+        replayed = {miss_indices[i] for i in resumed} | hits.keys()
         if digests is not None:
             stored = 0
             for local, index in enumerate(miss_indices):
@@ -1061,10 +1065,10 @@ def infer_ndjson_file(
         if hits:
             entries = [None] * len(items)
             for index, summary in hits.items():
-                entries[index] = _scrub_replayed_telemetry(summary)
+                entries[index] = summary
             for local, index in enumerate(miss_indices):
                 entries[index] = miss_results[local]
-    summaries = _decode_wire_summaries(entries, stats, adopt)
+    summaries = _decode_wire_summaries(entries, stats, adopt, replayed)
     if stats is not None:
         if cache is not None:
             # A cache is only ever active on the partitioned flow.
@@ -1076,7 +1080,7 @@ def infer_ndjson_file(
         stats.input_bytes_read += sum(
             summary.bytes_read
             for index, summary in enumerate(summaries)
-            if index not in hits
+            if index not in replayed
         )
     # Byte-split workers only know split-local line numbers; a prefix sum
     # over the line counts re-anchors quarantined records to their

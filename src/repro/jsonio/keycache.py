@@ -1,9 +1,11 @@
 """Bounded object-key deduplication (a safe stand-in for ``sys.intern``).
 
 Repeated NDJSON field names benefit from sharing one string object per
-distinct key: the interner's field cache and the typers' key-tuple
+distinct key: the interner's field cache and the kernel's key-tuple
 hashing then compare mostly by pointer, and per-record key copies are
-dropped as soon as they are deduplicated.  ``sys.intern`` gives exactly
+dropped as soon as they are deduplicated.  The strict tokenizer and
+parser (:mod:`repro.jsonio.parser`) share their keys here; the map
+phase's C decoder shares keys within each record by itself.  ``sys.intern`` gives exactly
 that sharing but at process scope — and on CPython >= 3.12 interned
 strings are *immortalized*, so a feed whose objects use high-cardinality
 keys (UUID- or id-keyed maps) would grow a long-lived worker process
@@ -69,6 +71,5 @@ class KeyCache:
 
 
 #: Process-wide bounded cache used by the tokenizer and parser, which
-#: have no per-partition object to hang a cache on.  The fast-lane
-#: typers carry their own per-partition :class:`KeyCache` instead.
+#: have no per-partition object to hang a cache on.
 shared_key = KeyCache().share

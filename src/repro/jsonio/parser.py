@@ -26,7 +26,7 @@ __all__ = ["MAX_DEPTH", "loads"]
 #: one level, ``[{"a": []}]`` three.  serde_json's default, and far
 #: below what the recursive stages after parsing (typing, fusion, the
 #: reduce, printing, checkpoints) handle within Python's default
-#: recursion limit.  The fast lane defers deeper records here.
+#: recursion limit.  The map phase's decoder defers deeper records here.
 MAX_DEPTH = 128
 
 

@@ -6,7 +6,7 @@ exists, no crash can invalidate it — it merges into the final schema
 whenever the run finishes.  The journal turns that mathematical fact
 into an operational one.  A journaled run writes, before doing any work,
 a **header frame** describing exactly what it planned (source file
-fingerprint, split mode, parse lane, the task plan's digest), then
+fingerprint, split mode, statistics mode, the task plan's digest), then
 appends one **task frame** per completed task — the task's encoded
 partition summary in the compact flat-table wire format
 (:func:`repro.inference.kernel.encode_summary`) — and finally a

@@ -17,8 +17,9 @@ Entries store the wire-format payload of PR 6's :func:`encode_summary`
 with *split-local* quarantine line numbers, exactly as a worker would
 have returned it; the driver's existing prefix-sum rebase then treats
 hits and misses uniformly.  The config signature folds in everything
-that changes a summary for fixed bytes: parse lane, permissive mode,
-timing collection, split mode, and the wire-format version itself.
+that changes a summary for fixed bytes: permissive mode, timing
+collection, split mode, statistics mode, and the wire-format version
+itself.
 
 Layout (content-addressed store, git-object style)::
 
@@ -91,7 +92,6 @@ _ENTRY_SUFFIX = ".sum"
 
 def config_signature(
     *,
-    parse_lane: str,
     permissive: bool,
     collect_timings: bool,
     split_mode: str,
@@ -100,21 +100,23 @@ def config_signature(
     """Kernel-config half of a cache key (16 hex chars).
 
     Two runs share cache entries only when every input to the map phase
-    other than the bytes themselves is identical: the parse lane that
-    typed the lines, strict-vs-permissive error handling (changes both
-    quarantine contents and which records count), whether per-phase
-    timings were collected (rides inside the summary), the split mode
-    (lines-mode summaries bake absolute line numbers in), the statistics
-    mode (an enriched summary carries a stats bundle a plain one lacks),
-    and the wire format plus cache framing versions (an encoding change
-    must not replay stale bytes).
+    other than the bytes themselves is identical: strict-vs-permissive
+    error handling (changes both quarantine contents and which records
+    count), whether per-phase timings were collected (rides inside the
+    summary), the split mode (lines-mode summaries bake absolute line
+    numbers in), the statistics mode (an enriched summary carries a
+    stats bundle a plain one lacks), and the wire format plus cache
+    framing versions (an encoding change must not replay stale bytes).
+    The signed ``parse_lane`` is a compatibility label derived from the
+    statistics mode (``kernel._lane_label``): it keeps the signatures,
+    and so the entries, of builds that had two parse lanes.
     """
-    from repro.inference.kernel import WIRE_FORMAT_VERSION
+    from repro.inference.kernel import WIRE_FORMAT_VERSION, _lane_label
 
     config = {
         "cache_format": CACHE_FORMAT_VERSION,
         "wire_format": WIRE_FORMAT_VERSION,
-        "parse_lane": parse_lane,
+        "parse_lane": _lane_label(stats),
         "permissive": bool(permissive),
         "collect_timings": bool(collect_timings),
         "split_mode": split_mode,

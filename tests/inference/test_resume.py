@@ -275,3 +275,32 @@ class TestCrashMatrixCheckpoint:
         report = fsck_checkpoint(ckpt)
         assert report["status"] == "not-found"
         assert report["orphans"]
+
+
+class TestResumedTelemetry:
+    def test_counts_only_the_tasks_it_ran(self, dataset, tmp_path):
+        """Journal frames replay the dead run's summaries, not its
+        workers or stage times: the resumed run's telemetry covers only
+        the tasks it ran."""
+        from repro.engine.context import Context
+        from repro.inference.kernel import decode_summary
+        from repro.inference.pipeline import infer_ndjson_file
+
+        journal = tmp_path / "run.journal"
+        crashed = run_driver(dataset, journal,
+                             crash_point="journal.append.post:2")
+        assert crashed.returncode == CRASH_EXIT_CODE
+        replayed = sum(decode_summary(payload).record_count
+                       for payload in read_journal(journal).completed.values())
+        with Context(parallelism=2, backend="thread") as ctx:
+            run = infer_ndjson_file(
+                dataset, context=ctx, num_partitions=4, split_mode="bytes",
+                min_split_bytes=2048, journal_path=journal, resume=True,
+                collect_timings=True,
+            )
+            stats = ctx.scheduler.stats
+            assert stats.tasks_completed == 2
+            assert sum(stats.tasks_per_worker.values()) == 2
+            assert stats.warm_state_builds + stats.warm_state_reuses == 2
+        assert run.record_count == 600
+        assert run.phase_timings.records == 600 - replayed

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.printer import print_type
 from repro.engine import Context
+from repro.inference.kernel import accumulate_ndjson_item
 from repro.inference.pipeline import infer_ndjson_file
 from repro.jsonio.splits import plan_splits, split_content_span
 
@@ -263,3 +264,45 @@ class TestReadOnlyCache:
         )
         assert (hits, misses, stores) == (total - 1, 1, 0)
         assert observables(warm) == observables(uncached_run(path, "bytes"))
+
+
+class TestReplayedTelemetry:
+    """A replayed summary brings back content, never the stage times of
+    the run that stored it."""
+
+    def test_fully_cached_rerun_reports_no_phase_timings(self, tmp_path):
+        path = corpus(tmp_path)
+        cache = tmp_path / "cache"
+        cold, _ = cached_run(path, "thread", "bytes", cache,
+                             collect_timings=True)
+        assert cold.phase_timings.records == cold.record_count
+        warm, (hits, misses, _) = cached_run(path, "thread", "bytes", cache,
+                                             collect_timings=True)
+        assert (hits, misses) == (N_PARTS, 0)
+        assert observables(warm) == observables(cold)
+        assert warm.phase_timings is None
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_partly_cached_run_times_only_what_it_mapped(self, tmp_path,
+                                                         backend):
+        path = corpus(tmp_path)
+        cache = tmp_path / "cache"
+        cached_run(path, backend, "bytes", cache, collect_timings=True)
+        mutate_one_split(path, 3)
+        with Context(parallelism=4, backend=backend) as ctx:
+            run = infer_ndjson_file(
+                path, context=ctx, num_partitions=N_PARTS, permissive=True,
+                split_mode="bytes", min_split_bytes=MIN_SPLIT,
+                summary_cache=cache, collect_timings=True,
+            )
+            stats = ctx.scheduler.stats
+            assert (stats.cache_hits, stats.cache_misses) == (N_PARTS - 1, 1)
+            assert sum(stats.tasks_per_worker.values()) == 1
+            assert stats.warm_state_builds + stats.warm_state_reuses == 1
+        mapped = accumulate_ndjson_item(
+            plan_splits(path, N_PARTS, min_split_bytes=MIN_SPLIT,
+                        stable=True)[3],
+            permissive=True,
+        )
+        assert run.phase_timings.records == mapped.record_count
+        assert observables(run) == observables(uncached_run(path, "bytes"))

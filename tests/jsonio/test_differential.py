@@ -4,6 +4,10 @@ On any input, the from-scratch parser must agree with ``json.loads`` about
 (a) the parsed value when both accept, and (b) acceptance itself — except
 for the one *documented* divergence: duplicate object keys, which stdlib
 silently resolves and we reject (the paper's well-formedness condition).
+
+The map phase decodes with the stdlib scanner behind guards and lets the
+from-scratch parser arbitrate every record the guards catch;
+:class:`TestDecoder` checks that pairing.
 """
 
 import json as stdlib_json
@@ -14,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.jsonio.errors import DuplicateKeyError, JsonError
-from repro.jsonio.parser import loads
+from repro.jsonio.parser import MAX_DEPTH, loads
 from repro.jsonio.writer import dumps
 from tests.conftest import json_values
 
@@ -147,46 +151,96 @@ class TestAgreementOnAcceptance:
                 loads(text)
 
 
-class TestFastLanesMatchStrictTyping:
-    """The map-phase fast lane against the strict parse-then-type path.
+def _same_value(a, b) -> bool:
+    """Equal, with the same classes throughout and the same key order
+    (``1 == 1.0 == True`` and ``-0.0 == 0.0`` are not enough)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(
+            _same_value(a[k], b[k]) for k in a
+        )
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    return repr(a) == repr(b)
 
-    For every JSON value the hook typer must produce the *same interned
-    type object* (pointer equality within one accumulator) that
-    ``interner.intern(infer_type(loads(text)))`` yields, and it must
-    leave every surrogate escape to the strict parser.
-    """
+
+def _nested(shape: str, depth: int) -> str:
+    if shape == "array":
+        return "[" * depth + "]" * depth
+    return '{"a": ' * depth + "1" + "}" * depth
+
+
+class TestDecoder:
+    """The map phase's guarded C decoder against :func:`loads`, its
+    arbiter: the decoder returns what ``loads`` returns, typed to the
+    node the strict fold interns, or it misses and ``loads`` decides."""
 
     @given(json_values())
-    def test_hook_typer_pointer_equal(self, value):
+    def test_decodes_what_loads_parses_or_misses(self, value):
         from repro.inference.infer import infer_type
         from repro.inference.kernel import PartitionAccumulator
-        from repro.inference.typestream import HookTyper
+        from repro.inference.typestream import FastLaneMiss, guarded_decoder
 
-        acc = PartitionAccumulator()
-        typer = HookTyper(acc)
         text = dumps(value)
-        fast = typer.type_document(text)
-        strict = acc.interner.intern(infer_type(loads(text)))
-        assert fast is strict
+        expected = loads(text)
+        try:
+            decoded = guarded_decoder()(text)
+        except FastLaneMiss:
+            return
+        assert _same_value(decoded, expected)
+        acc = PartitionAccumulator()
+        assert acc.type_value(decoded) is acc.interner.intern(
+            infer_type(expected)
+        )
 
     @pytest.mark.parametrize("text", [
-        '"\\ud800"',           # lone high surrogate
-        '"\\udc00"',           # lone low surrogate
-        '{"a": "\\uD800"}',    # uppercase hex, nested
-        '"\\ud800x"',          # high surrogate not followed by \u
-        '"\\ud83d\\ude00"',    # valid pair (deferred, then accepted)
+        pytest.param('{"k": 1, "k": 2}', id="duplicate-key"),
+        pytest.param('{"o": {"k": 1, "k": 2}}', id="nested-duplicate-key"),
+        pytest.param('[{"k": [{"j": 1, "j": 1}]}]', id="deep-duplicate-key"),
+        pytest.param("NaN", id="NaN"),
+        pytest.param('{"a": Infinity}', id="Infinity"),
+        pytest.param("[-Infinity]", id="-Infinity"),
+        pytest.param('"\\ud800"', id="lone-high-surrogate"),
+        pytest.param('"\\udc00"', id="lone-low-surrogate"),
+        pytest.param('{"a": "\\uD800"}', id="uppercase-surrogate"),
+        pytest.param('"\\ud83d\\ude00"', id="paired-surrogates"),
+        pytest.param('{"n": ' + "9" * 5000 + "}", id="5000-digit-int"),
+        pytest.param(_nested("array", MAX_DEPTH + 1), id="array-129"),
+        pytest.param(_nested("record", MAX_DEPTH + 1), id="record-129"),
+        pytest.param(_nested("array", 5000), id="array-5000"),
+        pytest.param(_nested("record", 5000), id="record-5000"),
     ])
-    def test_hook_typer_never_answers_for_surrogate_escapes(self, text):
-        """The C scanner tolerates lone surrogates; the typer must defer.
+    def test_must_miss(self, text, monkeypatch):
+        """Each text misses: the lane hands it to ``arbitrate``, and the
+        record's fate is then exactly what ``loads`` says."""
+        from repro.inference import kernel
+        from repro.inference.infer import infer_type
 
-        Without the deferral the hooks lane would silently *accept*
-        inputs the strict lane rejects, breaking the byte-identical
-        contract (schema, error and quarantine output would differ
-        between ``auto`` and ``strict``).
-        """
-        from repro.inference.kernel import PartitionAccumulator
-        from repro.inference.typestream import FastLaneMiss, HookTyper
+        calls = []
+        arbitrate = kernel._ItemPass.arbitrate
 
-        typer = HookTyper(PartitionAccumulator())
-        with pytest.raises(FastLaneMiss):
-            typer.type_document(text)
+        def spy(self, line_number, line):
+            calls.append(line_number)
+            return arbitrate(self, line_number, line)
+
+        monkeypatch.setattr(kernel._ItemPass, "arbitrate", spy)
+        summary = kernel.accumulate_ndjson_partition(
+            [(3, text)], source="f.ndjson", permissive=True,
+        )
+        assert calls == [3]
+        try:
+            value = loads(text, source="f.ndjson", first_line=3)
+        except JsonError as exc:
+            assert summary.record_count == 0
+            assert [b.error for b in summary.skipped] == [str(exc)]
+        else:
+            assert summary.skipped == ()
+            assert summary.schema == infer_type(value)
+
+    def test_non_surrogate_escapes_decode(self):
+        """``\\u`` escapes outside U+D800-DFFF stay in the lane."""
+        from repro.inference.typestream import guarded_decoder
+
+        text = '{"a": "\\u00d8\\u0041\\n"}'
+        assert _same_value(guarded_decoder()(text), loads(text))

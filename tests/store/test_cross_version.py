@@ -20,7 +20,13 @@ malformed lines, at lines 50 and 171), from inside that directory:
 * ``batched.journal`` — written by the last build with batched dispatch
   (wire v4): the same run on a two-thread context with ``batch_size=2``
   (an option since removed), so two tasks of two splits each, killed
-  with ``REPRO_CRASH_POINT=journal.append.post:1``.
+  with ``REPRO_CRASH_POINT=journal.append.post:1``;
+* ``stats.journal`` — written by the last build with two parse lanes
+  (wire v4): :data:`JOURNAL_RUN` with ``stats_mode="basic"`` and
+  ``collect_timings=True``, killed with
+  ``REPRO_CRASH_POINT=journal.append.post:2``.  Its header signs the
+  lane label ``"strict"``, and its frames' phase timings carry the
+  ``lane`` field that build had.
 """
 
 from __future__ import annotations
@@ -214,6 +220,42 @@ class TestParentJournal:
         assert resumed.bad_records == plain.bad_records
         assert [b.line_number for b in resumed.bad_records] == [50, 171]
         after = read_journal("run.journal")
+        assert sorted(after.completed) == [0, 1, 2, 3]
+        assert after.committed
+
+    @pytest.mark.parametrize("backend", [None, "thread"])
+    def test_stats_journal_resumes_to_the_uninterrupted_output(
+        self, tmp_path, monkeypatch, backend
+    ):
+        for name in ("corpus.ndjson", "stats.journal"):
+            shutil.copy(COMPAT / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        before = read_journal("stats.journal")
+        assert before.header["parse_lane"] == "strict"
+        assert before.header["stats"] == "basic"
+        assert sorted(before.completed) == [0, 1]
+        for payload in before.completed.values():
+            frame = decode_summary(payload)
+            assert frame.timings.lane == "strict"
+            assert frame.timings.records == frame.record_count
+
+        def run(**kwargs):
+            kwargs.update(JOURNAL_RUN, stats_mode="basic")
+            if backend is None:
+                return infer_ndjson_file("corpus.ndjson", **kwargs)
+            with Context(parallelism=2, backend=backend) as ctx:
+                return infer_ndjson_file("corpus.ndjson", context=ctx,
+                                         **kwargs)
+
+        resumed = run(journal_path="stats.journal", resume=True)
+        plain = run()
+        assert print_type(resumed.schema) == print_type(plain.schema)
+        assert (resumed.record_count, resumed.distinct_type_count) == (
+            plain.record_count, plain.distinct_type_count,
+        ) == (240, 24)
+        assert resumed.bad_records == plain.bad_records
+        assert resumed.stats.to_bytes() == plain.stats.to_bytes()
+        after = read_journal("stats.journal")
         assert sorted(after.completed) == [0, 1, 2, 3]
         assert after.committed
 

@@ -201,25 +201,37 @@ class TestLocking:
 class TestConfigSignature:
     def test_every_knob_changes_the_signature(self):
         base = dict(
-            parse_lane="fast", permissive=False,
-            collect_timings=False, split_mode="bytes",
+            permissive=False, collect_timings=False, split_mode="bytes",
         )
         signatures = {config_signature(**base)}
         for knob, value in [
-            ("parse_lane", "strict"),
             ("permissive", True),
             ("collect_timings", True),
             ("split_mode", "lines"),
+            ("stats", "basic"),
+            ("stats", "sketches"),
         ]:
             signatures.add(config_signature(**{**base, knob: value}))
-        assert len(signatures) == 5
+        assert len(signatures) == 6
 
     def test_signature_is_deterministic(self):
         kwargs = dict(
-            parse_lane="fast", permissive=True,
-            collect_timings=False, split_mode="bytes",
+            permissive=True, collect_timings=False, split_mode="bytes",
         )
         assert config_signature(**kwargs) == config_signature(**kwargs)
+
+    @pytest.mark.parametrize("stats,signature", [
+        ("off", "f5a302ec5b8c90d9"),
+        ("sketches", "4e311ac332be5871"),
+    ])
+    def test_signatures_of_the_two_lane_builds(self, stats, signature):
+        """The signatures builds with two parse lanes computed, which
+        signed ``parse_lane="hooks"`` for stats-off runs and ``"strict"``
+        for stats runs: their cache entries still hit."""
+        assert config_signature(
+            permissive=False, collect_timings=False, split_mode="bytes",
+            stats=stats,
+        ) == signature
 
 
 class TestFsck:

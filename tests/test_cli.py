@@ -50,29 +50,35 @@ class TestInfer:
         assert capsys.readouterr().out == sequential
 
     def test_parse_lanes_agree(self, sample_file, capsys):
+        # Statistics once forced another parse lane; every mode prints
+        # the same schema.
         outputs = set()
-        for lane in ("auto", "fast", "strict"):
-            assert main(["infer", sample_file, "--parse-lane", lane]) == 0
+        for stats in ("off", "basic", "sketches"):
+            assert main(["infer", sample_file, "--stats", stats]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
 
     def test_unknown_parse_lane_rejected(self, sample_file):
-        with pytest.raises(SystemExit):
-            main(["infer", sample_file, "--parse-lane", "warp"])
+        # The flag is gone in every spelling.
+        for lane in ("warp", "strict"):
+            with pytest.raises(SystemExit):
+                main(["infer", sample_file, "--parse-lane", lane])
 
     def test_timings_report_on_stderr(self, sample_file, capsys):
         assert main(["infer", sample_file, "--timings"]) == 0
         err = capsys.readouterr().err
-        assert "lane]" in err
+        assert "(parse " in err
+        assert "· type" in err
         assert "fuse" in err
         assert "records/s" in err
         assert "reduce" in err
 
     def test_timings_report_strict_lane(self, sample_file, capsys):
+        # A statistics run reports the same stages as any other.
         assert main(["infer", sample_file, "--timings",
-                     "--parse-lane", "strict"]) == 0
+                     "--stats", "basic"]) == 0
         err = capsys.readouterr().err
-        assert "[strict lane]" in err
+        assert "lane" not in err
         assert "· type" in err
 
 

@@ -2,12 +2,16 @@
 
 The strict parser rejects a value nested deeper than
 :data:`repro.jsonio.parser.MAX_DEPTH` with a located
-:class:`~repro.jsonio.errors.JsonSyntaxError`, and the fast lane defers
-such a record (or one whose decode exhausts the stack) to it.  So a
-too-deep line fails a strict run with its line number and is quarantined
-under ``--permissive`` (skipped under ``--skip-invalid``) on every lane,
-statistics mode, backend and sub-command, while a line at the bound
-goes through every one of them, checkpoint updates included.
+:class:`~repro.jsonio.errors.JsonSyntaxError`, and the map phase's
+decode lane defers such a record (or one whose decode exhausts the
+stack) to it.  So a too-deep line fails a strict run with its line
+number and is quarantined under ``--permissive`` (skipped under
+``--skip-invalid``) in every statistics mode, on every backend and in
+every sub-command, while a line at the bound goes through every one of
+them, checkpoint updates included.
+
+Earlier releases had a ``parse_lane`` knob; its values ``fast`` and
+``strict`` stay as case ids, and both run the one decode lane.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class TestQuarantine:
         self, too_deep, contexts, parse_lane, stats_mode, backend
     ):
         run = infer_ndjson_file(
-            too_deep, permissive=True, parse_lane=parse_lane,
+            too_deep, permissive=True,
             stats_mode=stats_mode, min_split_bytes=1,
             context=contexts.get(backend), num_partitions=4,
         )
@@ -90,7 +94,7 @@ class TestQuarantine:
     @pytest.mark.parametrize("parse_lane", ["fast", "strict"])
     def test_strict_run_names_the_first(self, too_deep, parse_lane,
                                         capsys):
-        assert main(["infer", too_deep, "--parse-lane", parse_lane]) == 1
+        assert main(["infer", too_deep]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: nested deeper than {MAX_DEPTH} levels")
         assert f"({too_deep}, line 3," in err
@@ -145,7 +149,6 @@ class TestAtTheBound:
 
     @pytest.mark.parametrize("flags", [
         [],
-        ["--parse-lane", "strict"],
         ["--parallel", "2", "--backend", "process"],
         ["--stats", "basic"],
         ["--stats", "sketches", "--parallel", "2"],

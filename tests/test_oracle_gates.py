@@ -1,13 +1,13 @@
 """Every configuration point of the NDJSON pipeline against one oracle.
 
-Splitting, parse lanes, backends, cache replay, checkpoint updates and
-shard merges all regroup one ``Fuse`` fold, which associativity and
-commutativity (Theorems 5.4-5.5) make safe.  So each test here runs one
-configuration over a paper corpus and compares it with the pure fold
+Splitting, backends, cache replay, checkpoint updates and shard merges
+all regroup one ``Fuse`` fold, which associativity and commutativity
+(Theorems 5.4-5.5) make safe.  So each test here runs one configuration
+over a paper corpus and compares it with the pure fold
 ``fuse_all(infer_type(v))`` over C-``json``-decoded values: schema
 bytes, record count and distinct count.  Statistics bytes come from a
-sequential ``PartitionAccumulator(stats_mode=...).add`` fold, the call
-the strict lane makes per record.
+sequential ``PartitionAccumulator(stats_mode=...).add`` fold over the
+same values, which is what the map phase does per record.
 
 Corpora come from :mod:`repro.datasets` with fixed seeds, sized so each
 check still exercises what it guards: at least four byte splits, at
@@ -64,7 +64,7 @@ def oracle(path) -> Outcome:
 
 
 def stats_oracle(path, stats_mode: str) -> bytes:
-    """The statistics bytes of a sequential strict-lane fold."""
+    """The statistics bytes of a sequential fold over the values."""
     acc = PartitionAccumulator(stats_mode=stats_mode)
     for value in _values(path):
         acc.add(value)
@@ -113,7 +113,9 @@ def run_on(ctx, path, **kwargs):
 
 
 class TestParseLanes:
-    """Was the ``mapfast-smoke`` CI job: every lane on ``mixed``."""
+    """Was the ``mapfast-smoke`` CI job: the decode lane on ``mixed``.
+    The ids keep the ``parse_lane`` values that job ran; the knob is
+    gone and each case runs the one lane."""
 
     @pytest.mark.parametrize("lane,backend", [
         ("strict", "thread"), ("fast", "thread"), ("fast", "process"),
@@ -122,7 +124,6 @@ class TestParseLanes:
         path, expected = corpus("mixed")
         run, stats = run_on(
             contexts[backend], path, num_partitions=4, min_split_bytes=1,
-            parse_lane=lane,
         )
         assert stats.tasks_completed == 4
         assert outcome(run) == expected
@@ -298,13 +299,11 @@ class TestStatistics:
         monkeypatch.setattr(statistics.StatsBundle, "observe",
                             counting_observe)
         path, expected = corpus("mixed")
-        for parse_lane in ("fast", "strict"):
-            sequential = infer_ndjson_file(path, parse_lane=parse_lane)
-            partitioned, _ = run_on(contexts["thread"], path,
-                                    num_partitions=4, min_split_bytes=1,
-                                    parse_lane=parse_lane)
-            assert outcome(sequential) == outcome(partitioned) == expected
-            assert sequential.stats is None and partitioned.stats is None
+        sequential = infer_ndjson_file(path)
+        partitioned, _ = run_on(contexts["thread"], path,
+                                num_partitions=4, min_split_bytes=1)
+        assert outcome(sequential) == outcome(partitioned) == expected
+        assert sequential.stats is None and partitioned.stats is None
         assert counts == {"bundles": 0, "observed": 0}
         infer_ndjson_file(path, stats_mode="basic")
         assert counts["bundles"] > 0
