@@ -36,7 +36,10 @@ from repro.analysis.diff import diff_schemas
 from repro.analysis.paths import iter_schema_paths, resolve_path
 from repro.analysis.projection import ProjectionError, Projector
 from repro.analysis.report import build_report
-from repro.analysis.stats import SUCCINCTNESS_HEADERS, succinctness_row
+from repro.analysis.stats import (
+    SUCCINCTNESS_HEADERS,
+    succinctness_row_from_run,
+)
 from repro.analysis.tables import render_table
 from repro.core.errors import TypeSystemError
 from repro.core.json_schema import to_json_schema
@@ -48,7 +51,6 @@ from repro.inference.pipeline import (
     ResumableInterrupt,
     infer_ndjson_file,
     infer_schema,
-    run_inference,
 )
 from repro.jsonio.errors import JsonError
 from repro.jsonio.ndjson import read_ndjson
@@ -544,9 +546,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    values = list(read_ndjson(args.file, skip_invalid=args.skip_invalid))
-    row = succinctness_row(values, label=args.file)
-    run = run_inference(values)
+    run = infer_ndjson_file(args.file, stats_mode="basic",
+                            permissive=args.skip_invalid)
+    row = succinctness_row_from_run(run, label=args.file)
     print(render_table(SUCCINCTNESS_HEADERS, [row.cells()]))
     print(f"records: {row.record_count:,}")
     print(f"map phase: {run.map_seconds:.3f}s  reduce phase: "

@@ -333,22 +333,25 @@ class PhaseTimings:
       strict re-parse of any line it misses;
     * ``type_s`` — value to interned type (Fig. 4);
     * ``fuse_s`` — distinct-type tracking plus the memoized incremental
-      fusion of the record's type into the running schema.
+      fusion of the record's type into the running schema;
+    * ``stats_s`` — the statistics walk (:meth:`StatsBundle.observe`)
+      and the final fold of its windows; 0.0 with statistics off.
 
-    Statistics, when on, are timed in none of them.  Wire frames written
-    by earlier builds pickled a ``lane`` field here as well; it unpickles
-    as a stray attribute that nothing reads.
+    Wire frames written by earlier builds pickled a ``lane`` field here
+    as well; it unpickles as a stray attribute that nothing reads.  Their
+    frames lack ``stats_s``, which then reads as its default.
     """
 
     parse_s: float = 0.0
     type_s: float = 0.0
     fuse_s: float = 0.0
     records: int = 0
+    stats_s: float = 0.0
 
     @property
     def map_s(self) -> float:
         """Total attributed map time (sum of the per-stage buckets)."""
-        return self.parse_s + self.type_s + self.fuse_s
+        return self.parse_s + self.type_s + self.fuse_s + self.stats_s
 
     @property
     def records_per_s(self) -> float:
@@ -361,9 +364,12 @@ class PhaseTimings:
 
         >>> PhaseTimings(1.0, 0.5, 0.5, 10000).describe()
         'parse 1.000s · type 0.500s · fuse 0.500s · 5,000 records/s'
+        >>> PhaseTimings(1.0, 0.5, 0.5, 10000, stats_s=0.5).describe()
+        'parse 1.000s · type 0.500s · fuse 0.500s · stats 0.500s · 4,000 records/s'
         """
+        stats = f" · stats {self.stats_s:.3f}s" if self.stats_s else ""
         return (f"parse {self.parse_s:.3f}s · type {self.type_s:.3f}s"
-                f" · fuse {self.fuse_s:.3f}s"
+                f" · fuse {self.fuse_s:.3f}s{stats}"
                 f" · {self.records_per_s:,.0f} records/s")
 
 
@@ -383,6 +389,7 @@ def merge_phase_timings(
         type_s=sum(t.type_s for t in rows),
         fuse_s=sum(t.fuse_s for t in rows),
         records=sum(t.records for t in rows),
+        stats_s=sum(t.stats_s for t in rows),
     )
 
 
@@ -1475,7 +1482,7 @@ class _ItemPass:
         self.source = source
         self.permissive = permissive
         self.perf = time.perf_counter if collect_timings else None
-        self.parse_s = self.type_s = self.fuse_s = 0.0
+        self.parse_s = self.type_s = self.fuse_s = self.stats_s = 0.0
         self.skipped: list[BadRecord] = []
 
     def reject(self, line_number: int, line: str, exc: JsonError) -> None:
@@ -1519,7 +1526,7 @@ class _ItemPass:
         infer, observe, stats = acc._infer, acc.observe, acc.stats
         seen = acc._distinct_ids
         perf = self.perf
-        parse_s = type_s = fuse_s = 0.0
+        parse_s = type_s = fuse_s = stats_s = 0.0
         for line_number, line in numbered:
             if perf is not None:
                 t0 = perf()
@@ -1542,20 +1549,22 @@ class _ItemPass:
                 value, t = typed
             if perf is None:
                 observe(t)
+                if stats is not None:
+                    stats.observe(value, t.size)
             else:
                 t2 = perf()
                 observe(t)
+                t3 = perf()
                 parse_s += t1 - t0
                 type_s += t2 - t1
-                fuse_s += perf() - t2
-            # Outside the timed stages on purpose: statistics are a
-            # fourth concern and must not skew the parse / type / fuse
-            # attribution the timings report.
-            if stats is not None:
-                stats.observe(value, t.size)
+                fuse_s += t3 - t2
+                if stats is not None:
+                    stats.observe(value, t.size)
+                    stats_s += perf() - t3
         self.parse_s += parse_s
         self.type_s += type_s
         self.fuse_s += fuse_s
+        self.stats_s += stats_s
 
     def summary(
         self, line_count: int, bytes_read: int, warm_reused: "bool | None",
@@ -1567,14 +1576,22 @@ class _ItemPass:
             summary = self.acc.summary()
         else:
             # Reading the schema flushes a logarithmic fold's pending
-            # partials: fuse work, so it is timed as fuse.
+            # partials: fuse work, so it is timed as fuse.  The bundle's
+            # windows would fold at its first read; fold them here, as
+            # statistics work.
             t0 = perf()
             summary = self.acc.summary()
+            t1 = perf()
+            stats_s = self.stats_s
+            if summary.stats is not None:
+                summary.stats.flush()
+                stats_s += perf() - t1
             timings = PhaseTimings(
                 parse_s=self.parse_s,
                 type_s=self.type_s,
-                fuse_s=self.fuse_s + perf() - t0,
+                fuse_s=self.fuse_s + t1 - t0,
                 records=summary.record_count,
+                stats_s=stats_s,
             )
         return replace(
             summary,

@@ -187,8 +187,11 @@ class KindCounter:
         self.counts: dict[str, int] = {}
 
     def update(self, value: Kind) -> None:
-        name = value.name
-        self.counts[name] = self.counts.get(name, 0) + 1
+        self.add(value.name, 1)
+
+    def add(self, name: str, times: int) -> None:
+        """Count ``times`` observations of the kind called ``name``."""
+        self.counts[name] = self.counts.get(name, 0) + times
 
     def get(self, kind: Kind) -> int:
         return self.counts.get(kind.name, 0)
@@ -240,7 +243,11 @@ class NumericRange:
         self.maximum: Any = None
 
     def update(self, value: Any) -> None:
-        self.count += 1
+        self.add(value, 1)
+
+    def add(self, value: Any, times: int) -> None:
+        """Fold ``times`` observations of one value."""
+        self.count += times
         bound = _canonical_bound(value)
         if bound is None:
             return
@@ -304,6 +311,10 @@ class RangeStat:
         self.total = 0
 
     def update(self, value: int) -> None:
+        self.add(value, 1)
+
+    def add(self, value: int, times: int) -> None:
+        """Fold ``times`` observations of one value."""
         if self.count == 0:
             self.minimum = value
             self.maximum = value
@@ -312,8 +323,8 @@ class RangeStat:
                 self.minimum = value
             if value > self.maximum:
                 self.maximum = value
-        self.count += 1
-        self.total += value
+        self.count += times
+        self.total += value * times
 
     @property
     def mean(self) -> float:
@@ -543,11 +554,33 @@ class ValueSketches:
         self.bloom = BloomFilter()
 
     def update(self, value: Any) -> None:
-        key = _value_key(value)
-        self.hll.add_hash(_hash64(key))
-        bits = self.bloom.bits
-        for pos in self.bloom._positions(key):
-            bits[pos >> 3] |= 1 << (pos & 7)
+        self.update_all((value,))
+
+    def update_all(self, values: Iterable[Any]) -> None:
+        """Sketch each of ``values``.
+
+        One loop with :func:`_hash64`, :meth:`HyperLogLog.add_hash` and
+        :meth:`BloomFilter._positions` written out inline: the same
+        digests, registers and bits, without five calls per value.
+        """
+        hll, bloom = self.hll, self.bloom
+        registers = hll.registers
+        shift = 64 - hll.p
+        mask = (1 << shift) - 1
+        bits, m, k = bloom.bits, bloom.m_bits, bloom.k
+        from_bytes = int.from_bytes
+        for value in values:
+            key = _value_key(value)
+            h = from_bytes(blake2b(key, digest_size=8).digest(), "big")
+            rank = shift - (h & mask).bit_length() + 1
+            if rank > registers[h >> shift]:
+                registers[h >> shift] = rank
+            digest = blake2b(key, digest_size=16).digest()
+            h1 = from_bytes(digest[:8], "big")
+            h2 = from_bytes(digest[8:], "big") | 1
+            for i in range(k):
+                pos = (h1 + i * h2) % m
+                bits[pos >> 3] |= 1 << (pos & 7)
 
     def merge(self, other: "ValueSketches") -> "ValueSketches":
         out = ValueSketches()
@@ -595,17 +628,6 @@ class PathStats:
         self.strings = RangeStat()
         self.arrays = RangeStat()
         self.values: ValueSketches | None = ValueSketches() if sketches else None
-
-    def observe(self, value: Any, kind: Kind) -> None:
-        self.kinds.update(kind)
-        if kind is Kind.NUM:
-            self.numbers.update(value)
-        elif kind is Kind.STR:
-            self.strings.update(len(value))
-        elif kind is Kind.ARRAY:
-            self.arrays.update(len(value))
-        if self.values is not None and kind.is_basic:
-            self.values.update(value)
 
     def merge(self, other: "PathStats", sketches: bool) -> "PathStats":
         out = PathStats(False)
@@ -662,21 +684,81 @@ class PathStats:
         return f"PathStats(kinds={self.kinds.counts!r})"
 
 
-def _kind_of(value: Any) -> Kind:
-    # bool is an int subclass: test it first, mirroring the kernel.
-    if value is None:
-        return Kind.NULL
-    if isinstance(value, bool):
-        return Kind.BOOL
-    if isinstance(value, (int, float)):
-        return Kind.NUM
-    if isinstance(value, str):
-        return Kind.STR
-    if isinstance(value, dict):
-        return Kind.RECORD
-    if isinstance(value, list):
-        return Kind.ARRAY
-    raise TypeError(f"cannot compute statistics for {type(value).__name__}")
+#: Distinct ``(class, value)`` pairs one trie node holds before it folds
+#: them into its :class:`PathStats`.  Repeats inside a window cost one
+#: dict increment; the bound keeps the values a window holds alive, and
+#: with them worker memory, small.
+WINDOW = 128
+
+#: The kind each exact JSON class counts as (an array's window entry is
+#: ``(list, length)``, whatever its class).
+_KIND_NAMES: dict[type, str] = {
+    type(None): "NULL", bool: "BOOL", int: "NUM", float: "NUM", str: "STR",
+    list: "ARRAY",
+}
+
+
+def _kind_name(cls: type) -> str:
+    """Kind of a scalar class, subclasses of the JSON builtins included."""
+    name = _KIND_NAMES.get(cls)
+    if name is not None:
+        return name
+    # bool is final, so a subclass of int is a number.
+    for base in (int, float, str):
+        if issubclass(cls, base):
+            return _KIND_NAMES[base]
+    raise TypeError(f"cannot compute statistics for {cls.__name__}")
+
+
+class _PathNode:
+    """One node of a bundle's observation trie.
+
+    A node is one document path as reached through one chain of record
+    keys and ``[*]`` steps; its :class:`PathStats` is shared by every
+    node whose path reads the same (``{"a.b": 1}`` and
+    ``{"a": {"b": 1}}`` both address ``$.a.b``).  Observations wait in
+    ``window``, keyed by exact class and value (``True``, ``1`` and
+    ``1.0`` are three entries), with their multiplicity; ``records``
+    counts record observations.  :meth:`fold` moves them into the stats.
+    """
+
+    __slots__ = ("path", "stats", "fields", "items", "records", "window")
+
+    def __init__(self, path: str, stats: PathStats) -> None:
+        self.path = path
+        self.stats = stats
+        self.fields: dict[str, _PathNode] = {}
+        self.items: _PathNode | None = None
+        self.records = 0
+        self.window: dict[tuple[type, Any], int] = {}
+
+    def fold(self) -> None:
+        """Fold the pending observations, each distinct pair once."""
+        if self.records:
+            self.stats.kinds.add("RECORD", self.records)
+            self.records = 0
+        _fold_pairs(self.stats, self.window.items())
+        self.window.clear()
+
+
+def _fold_pairs(stats: PathStats, pairs: Iterable[tuple[tuple[type, Any], int]]) -> None:
+    # Counts and length totals take the multiplicity; bounds and
+    # sketches are idempotent, so one update stands for every repeat.
+    kinds = stats.kinds
+    scalars = []
+    for (cls, value), times in pairs:
+        kind = _KIND_NAMES.get(cls) or _kind_name(cls)
+        kinds.add(kind, times)
+        if kind == "STR":
+            stats.strings.add(len(value), times)
+        elif kind == "NUM":
+            stats.numbers.add(value, times)
+        elif kind == "ARRAY":
+            stats.arrays.add(value, times)
+            continue
+        scalars.append(value)
+    if stats.values is not None:
+        stats.values.update_all(scalars)
 
 
 class StatsBundle:
@@ -693,7 +775,9 @@ class StatsBundle:
     be observed.
     """
 
-    __slots__ = ("mode", "record_count", "type_sizes", "paths")
+    __slots__ = (
+        "mode", "record_count", "type_sizes", "_paths", "_nodes", "_pending",
+    )
 
     def __init__(self, mode: str = "basic") -> None:
         if mode not in STATS_MODES or mode == "off":
@@ -703,7 +787,18 @@ class StatsBundle:
         #: Range over ``Type.size`` of every observed record — exact
         #: int totals, so succinctness tables no longer need the values.
         self.type_sizes = RangeStat()
-        self.paths: dict[str, PathStats] = {}
+        self._paths: dict[str, PathStats] = {}
+        #: The observation trie, root first; built by :meth:`observe`.
+        self._nodes: list[_PathNode] = []
+        #: Whether some node may hold observations not yet folded.
+        self._pending = False
+
+    @property
+    def paths(self) -> dict[str, PathStats]:
+        """Path -> :class:`PathStats`, every observation folded in."""
+        if self._pending:
+            self.flush()
+        return self._paths
 
     @property
     def sketches(self) -> bool:
@@ -716,23 +811,103 @@ class StatsBundle:
     # -- observation --------------------------------------------------
 
     def observe(self, value: Any, type_size: int) -> None:
+        """Walk one record down the observation trie.
+
+        Each node's window collects the record's values at that path;
+        :meth:`flush` (which every reader runs first) folds them.
+        """
         self.record_count += 1
         self.type_sizes.update(type_size)
-        self._walk(value, "$")
+        self._pending = True
+        nodes = self._nodes
+        root = nodes[0] if nodes else self._node("$")
+        cls = value.__class__
+        if cls is dict:
+            self._record(root, value)
+        elif cls is list:
+            self._array(root, value)
+        else:
+            self._other(root, value)
 
-    def _walk(self, value: Any, path: str) -> None:
-        node = self.paths.get(path)
-        if node is None:
-            node = self.paths[path] = PathStats(self.mode == "sketches")
-        kind = _kind_of(value)
-        node.observe(value, kind)
-        if kind is Kind.RECORD:
-            for key, sub in value.items():
-                self._walk(sub, f"{path}.{key}")
-        elif kind is Kind.ARRAY:
-            sub_path = f"{path}[*]"
-            for sub in value:
-                self._walk(sub, sub_path)
+    def flush(self) -> None:
+        """Fold every pending observation into :attr:`paths`."""
+        for node in self._nodes:
+            if node.records or node.window:
+                node.fold()
+        self._pending = False
+
+    def _node(self, path: str) -> _PathNode:
+        # The one place a path string is built: the first time a trie
+        # node is reached.
+        stats = self._paths.get(path)
+        if stats is None:
+            stats = self._paths[path] = PathStats(self.mode == "sketches")
+        node = _PathNode(path, stats)
+        self._nodes.append(node)
+        return node
+
+    # _record and _array inline the scalar step: most nodes are scalars.
+
+    def _record(self, node: _PathNode, record: dict) -> None:
+        node.records += 1
+        fields = node.fields
+        for key, value in record.items():
+            child = fields.get(key)
+            if child is None:
+                child = fields[key] = self._node(f"{node.path}.{key}")
+            cls = value.__class__
+            if cls is dict:
+                self._record(child, value)
+            elif cls is list:
+                self._array(child, value)
+            elif cls in _KIND_NAMES:
+                window = child.window
+                pair = (cls, value)
+                window[pair] = window.get(pair, 0) + 1
+                if len(window) >= WINDOW:
+                    child.fold()
+            else:
+                self._other(child, value)
+
+    def _array(self, node: _PathNode, array: list) -> None:
+        window = node.window
+        pair = (list, len(array))
+        window[pair] = window.get(pair, 0) + 1
+        if len(window) >= WINDOW:
+            node.fold()
+        if not array:
+            return
+        child = node.items
+        if child is None:
+            child = node.items = self._node(f"{node.path}[*]")
+        window = child.window
+        for value in array:
+            cls = value.__class__
+            if cls is dict:
+                self._record(child, value)
+            elif cls is list:
+                self._array(child, value)
+            elif cls in _KIND_NAMES:
+                pair = (cls, value)
+                window[pair] = window.get(pair, 0) + 1
+                if len(window) >= WINDOW:
+                    child.fold()
+            else:
+                self._other(child, value)
+
+    def _other(self, node: _PathNode, value: Any) -> None:
+        """A scalar at the root, or a value of a subclass of the JSON
+        builtins (which only :meth:`PartitionAccumulator.add` passes).
+
+        Both are rare, so a scalar is folded at once: a subclass may
+        not hash, and a non-JSON value raises here, not at a read.
+        """
+        if isinstance(value, dict):
+            self._record(node, value)
+        elif isinstance(value, list):
+            self._array(node, value)
+        else:
+            _fold_pairs(node.stats, [((value.__class__, value), 1)])
 
     # -- monoid -------------------------------------------------------
 
@@ -742,15 +917,16 @@ class StatsBundle:
         out = StatsBundle(mode)
         out.record_count = self.record_count + other.record_count
         out.type_sizes = self.type_sizes.merge(other.type_sizes)
-        paths = out.paths
-        for path, node in self.paths.items():
-            other_node = other.paths.get(path)
+        paths = out._paths
+        mine, theirs = self.paths, other.paths
+        for path, node in mine.items():
+            other_node = theirs.get(path)
             if other_node is None:
                 paths[path] = node.copy(sketches)
             else:
                 paths[path] = node.merge(other_node, sketches)
-        for path, node in other.paths.items():
-            if path not in self.paths:
+        for path, node in theirs.items():
+            if path not in mine:
                 paths[path] = node.copy(sketches)
         return out
 
@@ -759,7 +935,7 @@ class StatsBundle:
         out.record_count = self.record_count
         out.type_sizes = self.type_sizes.copy()
         sketches = self.sketches
-        out.paths = {path: node.copy(sketches) for path, node in self.paths.items()}
+        out._paths = {path: node.copy(sketches) for path, node in self.paths.items()}
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -777,15 +953,33 @@ class StatsBundle:
             f"paths={len(self.paths)})"
         )
 
+    def __getstate__(self) -> Any:
+        # The slots as pickled before the trie existed; the trie is
+        # rebuilt by the next observe.
+        return None, {
+            "mode": self.mode,
+            "record_count": self.record_count,
+            "type_sizes": self.type_sizes,
+            "paths": self.paths,
+        }
+
+    def __setstate__(self, state: Any) -> None:
+        slots = state[1]
+        self.__init__(slots["mode"])
+        self.record_count = slots["record_count"]
+        self.type_sizes = slots["type_sizes"]
+        self._paths = slots["paths"]
+
     # -- wire (pickle-friendly tuples for summary payloads) ----------
 
     def to_wire(self) -> Any:
+        paths = self.paths
         return (
             STATS_WIRE_VERSION,
             self.mode,
             self.record_count,
             self.type_sizes.to_wire(),
-            tuple((path, self.paths[path].to_wire()) for path in sorted(self.paths)),
+            tuple((path, paths[path].to_wire()) for path in sorted(paths)),
         )
 
     @classmethod
@@ -796,7 +990,7 @@ class StatsBundle:
         out = cls(mode)
         out.record_count = int(record_count)
         out.type_sizes = RangeStat.from_wire(type_sizes)
-        out.paths = {str(path): PathStats.from_wire(node) for path, node in paths}
+        out._paths = {str(path): PathStats.from_wire(node) for path, node in paths}
         return out
 
     # -- bytes (canonical JSON for checkpoint persistence) -----------
@@ -823,7 +1017,7 @@ class StatsBundle:
             out = cls(doc["mode"])
             out.record_count = int(doc["record_count"])
             out.type_sizes = RangeStat.from_wire(doc["type_sizes"])
-            out.paths = {
+            out._paths = {
                 path: _path_from_json(node) for path, node in doc["paths"].items()
             }
         except ValueError:

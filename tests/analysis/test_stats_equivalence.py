@@ -20,23 +20,10 @@ from repro.core.kinds import Kind
 from repro.core.types import RecordType, StarArrayType, UnionType
 from repro.inference.counting import FieldPresence, presence_report
 from repro.inference.pipeline import run_inference
+from repro.inference.statistics import PathStats, StatsBundle
 from tests.conftest import json_records, make_corpus
 
 record_lists = st.lists(json_records, min_size=1, max_size=12)
-
-
-def _kind_of_value(value):
-    if value is None:
-        return Kind.NULL
-    if isinstance(value, bool):
-        return Kind.BOOL
-    if isinstance(value, (int, float)):
-        return Kind.NUM
-    if isinstance(value, str):
-        return Kind.STR
-    if isinstance(value, dict):
-        return Kind.RECORD
-    return Kind.ARRAY
 
 
 class StatisticsCollector:
@@ -57,7 +44,7 @@ class StatisticsCollector:
 
     def _walk(self, value, path):
         self.path_counts[path] += 1
-        self.kind_counts[(path, _kind_of_value(value))] += 1
+        self.kind_counts[(path, _kind_of(value))] += 1
         if isinstance(value, dict):
             for key, sub in value.items():
                 self._walk(sub, f"{path}.{key}")
@@ -98,6 +85,66 @@ class StatisticsCollector:
                 self._report(fld.type, sub_path, out)
         elif isinstance(t, StarArrayType):
             self._report(t.body, f"{path}[*]", out)
+
+
+def _kind_of(value):
+    # bool is an int subclass: test it first, mirroring the kernel.
+    if value is None:
+        return Kind.NULL
+    if isinstance(value, bool):
+        return Kind.BOOL
+    if isinstance(value, (int, float)):
+        return Kind.NUM
+    if isinstance(value, str):
+        return Kind.STR
+    if isinstance(value, dict):
+        return Kind.RECORD
+    if isinstance(value, list):
+        return Kind.ARRAY
+    raise TypeError(f"cannot compute statistics for {type(value).__name__}")
+
+
+def _observe_path(node, value, kind):
+    node.kinds.update(kind)
+    if kind is Kind.NUM:
+        node.numbers.update(value)
+    elif kind is Kind.STR:
+        node.strings.update(len(value))
+    elif kind is Kind.ARRAY:
+        node.arrays.update(len(value))
+    if node.values is not None and kind.is_basic:
+        # The sketch primitives, not ValueSketches.update_all's inlined
+        # loop: the same digests, registers and bits, computed apart.
+        node.values.hll.update(value)
+        node.values.bloom.update(value)
+
+
+def _walk(paths, sketches, value, path):
+    node = paths.get(path)
+    if node is None:
+        node = paths[path] = PathStats(sketches)
+    kind = _kind_of(value)
+    _observe_path(node, value, kind)
+    if kind is Kind.RECORD:
+        for key, sub in value.items():
+            _walk(paths, sketches, sub, f"{path}.{key}")
+    elif kind is Kind.ARRAY:
+        sub_path = f"{path}[*]"
+        for sub in value:
+            _walk(paths, sketches, sub, sub_path)
+
+
+def oracle_bundle(values, mode):
+    """The plain statistics walk, the oracle of :class:`StatsBundle`'s
+    observation trie: a path string and a kind test per node, every
+    scalar sketched, every statistic updated once per observation.
+    ``values`` holds ``(value, type_size)`` pairs."""
+    bundle = StatsBundle(mode)
+    for value, type_size in values:
+        bundle.record_count += 1
+        bundle.type_sizes.update(type_size)
+        _walk(bundle.paths, mode == "sketches", value, "$")
+    return bundle
 
 
 def collector_view(bundle):

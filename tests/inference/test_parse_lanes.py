@@ -336,6 +336,18 @@ class TestPhaseTimings:
         assert s.timings.type_s > 0.0
         assert s.timings.map_s > 0.0
         assert s.timings.records_per_s > 0.0
+        assert s.timings.stats_s == 0.0
+
+    def test_statistics_are_their_own_stage(self):
+        s = accumulate_ndjson_partition(_numbered(GOOD_LINES),
+                                        collect_timings=True,
+                                        stats_mode="basic")
+        timings = s.timings
+        assert timings.stats_s > 0.0
+        assert timings.map_s == pytest.approx(
+            timings.parse_s + timings.type_s + timings.fuse_s
+            + timings.stats_s
+        )
 
     def test_run_carries_merged_timings(self, tmp_path):
         path = tmp_path / "data.ndjson"
@@ -351,9 +363,10 @@ class TestPhaseTimings:
 
     def test_merge_sums_and_tracks_lane(self):
         a = PhaseTimings(1.0, 0.25, 0.5, 10)
-        b = PhaseTimings(2.0, 0.5, 0.5, 20)
+        b = PhaseTimings(2.0, 0.5, 0.5, 20, stats_s=0.75)
         merged = merge_phase_timings([a, b, None])
-        assert merged == PhaseTimings(3.0, 0.75, 1.0, 30)
+        assert merged == PhaseTimings(3.0, 0.75, 1.0, 30, stats_s=0.75)
+        assert merged.map_s == 5.5
         assert merge_phase_timings([]) is None
         assert merge_phase_timings([None]) is None
         # Earlier builds pickled a ``lane`` field too: such timings still
@@ -363,11 +376,23 @@ class TestPhaseTimings:
         revived = pickle.loads(pickle.dumps(old))
         assert revived == a
         assert merge_phase_timings([revived, b]) == merged
+        # ... and pickled no ``stats_s``: it reads as 0.0.
+        old = PhaseTimings(1.0, 0.25, 0.5, 10)
+        object.__delattr__(old, "stats_s")
+        assert "stats_s" not in pickle.dumps(old).decode("latin-1")
+        revived = pickle.loads(pickle.dumps(old))
+        assert revived.stats_s == 0.0
+        assert revived == a
+        assert merge_phase_timings([revived, b]) == merged
 
     def test_describe_formats(self):
         timings = PhaseTimings(1.0, 0.5, 0.5, 10000)
         assert timings.describe() == (
             "parse 1.000s · type 0.500s · fuse 0.500s · 5,000 records/s"
+        )
+        assert replace(timings, stats_s=0.5).describe() == (
+            "parse 1.000s · type 0.500s · fuse 0.500s · stats 0.500s"
+            " · 4,000 records/s"
         )
         assert replace(timings, records=0).describe().endswith(
             " · 0 records/s"

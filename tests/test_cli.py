@@ -1,13 +1,17 @@
 """End-to-end tests for the command-line interface (repro.cli)."""
 
+import json
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.stats import SUCCINCTNESS_HEADERS, succinctness_row
+from repro.analysis.tables import render_table
 from repro.cli import main
 from repro.datasets import write_dataset
 from repro.jsonio.parser import loads
 from repro.jsonio.ndjson import write_ndjson
+from tests.conftest import make_corpus
 
 
 @pytest.fixture()
@@ -74,12 +78,16 @@ class TestInfer:
         assert "reduce" in err
 
     def test_timings_report_strict_lane(self, sample_file, capsys):
-        # A statistics run reports the same stages as any other.
+        # A statistics run reports the same stages as any other, and
+        # its statistics as one more.
         assert main(["infer", sample_file, "--timings",
                      "--stats", "basic"]) == 0
         err = capsys.readouterr().err
         assert "lane" not in err
         assert "· type" in err
+        assert "· stats " in err
+        assert main(["infer", sample_file, "--timings"]) == 0
+        assert "stats" not in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -138,6 +146,34 @@ class TestStats:
         assert "# types" in out
         assert "records: 2" in out
         assert "map phase" in out
+
+    @pytest.mark.parametrize("bad_line", [False, True])
+    def test_row_is_the_row_over_the_values(self, tmp_path, capsys,
+                                            bad_line):
+        values = make_corpus(40, seed=6)
+        lines = [json.dumps(value) for value in values]
+        args = ["stats", str(tmp_path / "corpus.ndjson")]
+        if bad_line:
+            lines.insert(17, '{"id": 17,')
+            args.append("--skip-invalid")
+        Path(args[1]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        row = succinctness_row(values, label=args[1])
+        assert out.startswith(
+            render_table(SUCCINCTNESS_HEADERS, [row.cells()]) + "\n"
+            f"records: {len(values)}\n"
+        )
+
+    def test_bad_line_is_an_error_without_skip_invalid(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "bad.ndjson"
+        path.write_text('{"a": 1}\n{"a": 2,\n{"a": 3}\n', encoding="utf-8")
+        assert main(["stats", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "line 2" in captured.err
 
 
 class TestGenerate:
