@@ -491,12 +491,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                     sorted(stats.tasks_per_worker.items())
                 )
                 print(f"workers: {spread}", file=sys.stderr)
-            if stats.warm_state_builds or stats.warm_state_reuses:
-                print(
-                    f"warm state: {stats.warm_state_builds} built · "
-                    f"{stats.warm_state_reuses} reused",
-                    file=sys.stderr,
-                )
             if stats.summary_wire_bytes_decoded:
                 print(
                     f"summary wire: {stats.summary_wire_bytes_encoded:,} B "
@@ -592,7 +586,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
-    schema = infer_schema(read_ndjson(args.file, skip_invalid=args.skip_invalid))
+    schema = infer_ndjson_file(args.file, permissive=args.skip_invalid).schema
     for path, guaranteed in sorted(iter_schema_paths(schema)):
         marker = "mandatory" if guaranteed else "optional "
         print(f"{marker}  {path}")
@@ -600,7 +594,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_path(args: argparse.Namespace) -> int:
-    schema = infer_schema(read_ndjson(args.file, skip_invalid=args.skip_invalid))
+    schema = infer_ndjson_file(args.file, permissive=args.skip_invalid).schema
     info = resolve_path(schema, args.path)
     if not info.exists:
         print(f"{args.path}: not present in any record")
@@ -611,8 +605,8 @@ def _cmd_check_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    old = infer_schema(read_ndjson(args.old, skip_invalid=args.skip_invalid))
-    new = infer_schema(read_ndjson(args.new, skip_invalid=args.skip_invalid))
+    old = infer_ndjson_file(args.old, permissive=args.skip_invalid).schema
+    new = infer_ndjson_file(args.new, permissive=args.skip_invalid).schema
     changes = diff_schemas(old, new)
     if not changes:
         print("schemas are identical")

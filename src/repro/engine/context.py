@@ -155,11 +155,9 @@ class Context:
     default is no injection.  See :mod:`repro.engine.scheduler` and
     :mod:`repro.engine.faults`.
 
-    Worker pools persist across jobs until :meth:`stop`, and the
-    inference kernel's partition tasks keep per-worker state (type
-    interner, fusion memo, key cache) warm across tasks and jobs too — a
-    long-lived context gets faster on the second job over similar data,
-    with identical results.
+    Worker pools persist across jobs until :meth:`stop`.  The workers
+    only map: each inference task types its partition through a fresh
+    accumulator, and the partial summaries fold at the driver.
     """
 
     def __init__(
@@ -275,10 +273,10 @@ class Context:
 
         The distributed face of :func:`repro.store.merge_checkpoints`:
         checkpoint loads (parsing the stored type files) run as parallel
-        tasks, and above the kernel's tree-merge threshold the pairwise
-        summary merges do too — safe in any grouping by associativity
-        (Theorem 5.5).  Loads, saves and reused record counts are
-        accounted in :class:`~repro.engine.scheduler.SchedulerStats`.
+        tasks, and the loaded summaries fold at the driver — safe in any
+        order by associativity and commutativity (Theorems 5.4-5.5).
+        Loads, saves and reused record counts are accounted in
+        :class:`~repro.engine.scheduler.SchedulerStats`.
         With ``out``, the merged checkpoint is saved there.  Returns the
         merged :class:`~repro.store.Checkpoint`.
         """

@@ -66,7 +66,6 @@ remain inline and unbounded.
 from __future__ import annotations
 
 import gc
-import itertools
 import os
 import pickle
 import random
@@ -262,13 +261,6 @@ class SchedulerStats:
     checkpoints_loaded: int = 0
     checkpoints_saved: int = 0
     checkpoint_records_merged: int = 0
-    #: Warm per-worker kernel state (interner/memo/key cache) accounting,
-    #: maintained by the pipelines from summary telemetry: how many
-    #: partition tasks found a warm state waiting in their worker versus
-    #: how many had to build one from scratch (first task on a worker for
-    #: this scheduler).
-    warm_state_reuses: int = 0
-    warm_state_builds: int = 0
     #: Compact summary wire format accounting (pipelines): bytes of
     #: flat-table-encoded summaries decoded at the driver — process-backend
     #: task results, journal replays and summary-cache hits.  Zero when
@@ -311,8 +303,6 @@ class SchedulerStats:
         self.checkpoints_loaded = 0
         self.checkpoints_saved = 0
         self.checkpoint_records_merged = 0
-        self.warm_state_reuses = 0
-        self.warm_state_builds = 0
         self.summary_wire_bytes_encoded = 0
         self.summary_wire_bytes_decoded = 0
         self.cache_hits = 0
@@ -344,16 +334,6 @@ def available_parallelism() -> int:
 
 def _default_parallelism() -> int:
     return max(2, available_parallelism())
-
-
-#: Process-wide source of warm-state generation tags.  Each scheduler
-#: draws a fresh generation at construction, so workers shared between
-#: schedulers can tell stale per-worker kernel state from current state
-#: by comparing tags.  A plain counter: generations only need to be
-#: unique within the process, and forked workers inherit a snapshot that
-#: can never collide with later driver draws in a way that matters (a
-#: stale tag mismatch just rebuilds state).
-_WARM_GENERATIONS = itertools.count(1)
 
 
 def _process_worker_init() -> None:
@@ -424,12 +404,6 @@ class Scheduler:
         self.retry_policy = retry_policy or RetryPolicy()
         self.fault_plan = fault_plan if fault_plan else None
         self.stats = SchedulerStats()
-        #: Tag of the per-worker kernel state (interner, fusion memo, key
-        #: cache) the kernel's partition tasks keep warm across tasks and
-        #: jobs of this scheduler; the pools persist across :meth:`run`
-        #: calls.  Results are identical to a cold task's, which the
-        #: oracle tests check.
-        self.warm_generation = next(_WARM_GENERATIONS)
         self._pool: ThreadPoolExecutor | None = None
         self._process_pool: ProcessPoolExecutor | None = None
         # Futures abandoned on timeout that may still be running on a
@@ -493,12 +467,9 @@ class Scheduler:
     def _rebuild_process_pool(self) -> None:
         """Discard a broken process pool so the next round gets a fresh one.
 
-        Warm per-worker kernel state needs no explicit invalidation here:
-        it lives in the crashed workers and dies with them, and the fresh
-        pool's workers start cold and rebuild on their first task — so
-        crash recovery composes with the warm pool without any change to
-        the :class:`RetryPolicy` semantics (the in-flight partitions are
-        re-dispatched exactly as before).
+        Workers keep no state between tasks, so the in-flight partitions
+        are simply re-dispatched to the fresh pool under the same
+        :class:`RetryPolicy`.
         """
         if self._process_pool is not None:
             self._process_pool.shutdown(wait=False, cancel_futures=True)

@@ -86,10 +86,7 @@ __all__ = [
     "PartitionAccumulator",
     "PartitionSummary",
     "PhaseTimings",
-    "TREE_MERGE_THRESHOLD",
-    "WARM_STATE_NODE_LIMIT",
     "WIRE_FORMAT_VERSION",
-    "WarmState",
     "accumulate_ndjson_item",
     "accumulate_ndjson_partition",
     "accumulate_partition",
@@ -99,7 +96,6 @@ __all__ = [
     "merge_phase_timings",
     "merge_summaries_full",
     "merge_summary_group",
-    "warm_state_for",
 ]
 
 
@@ -434,13 +430,10 @@ class PartitionSummary:
     #: bytes-shipped vs bytes-read accounting.
     bytes_read: int = 0
     #: Telemetry: which worker produced this summary
-    #: (``pid<N>/<thread-name>``) and whether it found warm per-worker
-    #: kernel state waiting (``None`` when warm state was not in play).
-    #: Excluded from equality — two runs of the same partition are the
-    #: same result regardless of which worker computed it.
+    #: (``pid<N>/<thread-name>``).  Excluded from equality — two runs of
+    #: the same partition are the same result regardless of which worker
+    #: computed it.
     worker: str = field(default="", compare=False, repr=False)
-    warm_reused: "bool | None" = field(default=None, compare=False,
-                                       repr=False)
     #: Optional mergeable per-path statistics
     #: (:class:`repro.inference.statistics.StatsBundle`).  ``None`` when
     #: the run had ``stats="off"`` — the default, which keeps the hot
@@ -474,20 +467,6 @@ class PartitionSummary:
         return len(self.skipped)
 
 
-#: A warm worker state whose interner has pooled more distinct type nodes
-#: than this is retired and rebuilt on the worker's next task.  Interners
-#: only grow (every distinct subtree stays alive for pointer-keyed
-#: memoization), so a long-lived worker crossing many heterogeneous
-#: datasets needs *some* bound; real schemas stay orders of magnitude
-#: below it, so the cap never fires on a well-behaved feed.  The
-#: logarithmic fold (see :data:`_LOG_FOLD_THRESHOLD`) interns its
-#: intermediate partial schemas too, so a key-explosion partition pools
-#: more nodes than a left fold: 5,777 against 4,070 for a cold
-#: 625-record ``wikidata`` partition.  Memory still falls, because the
-#: left fold pools one schema-wide record per record (586,224 pooled
-#: fields there, against 59,155).
-WARM_STATE_NODE_LIMIT = 2_000_000
-
 #: Schema size (:attr:`Type.size`, in AST nodes) from which
 #: :meth:`PartitionAccumulator.observe` stops left-folding.  Of the paper
 #: corpora only ``wikidata`` crosses it (after about 10 records);
@@ -515,80 +494,6 @@ def _deeper_than(t: Type, limit: int) -> bool:
     )
 
 
-class WarmState:
-    """Per-worker kernel state kept warm across partition tasks.
-
-    The expensive part of a partition task is not the accumulator's
-    counters — it is re-discovering the dataset's type universe: interning
-    every distinct subtree, re-memoizing every fuse pair, re-deduplicating
-    every field name.  Workers in a persistent pool process many
-    partitions of the *same* dataset (and, across jobs, of similar ones),
-    so that discovery work is shared here: one
-    :class:`~repro.core.interning.TypeInterner`, one :class:`FusionMemo`
-    and the construction pools per worker, handed to every accumulator
-    the worker builds.
-
-    Purely an optimization: canonicality is per-interner, and per-task
-    *results* (schema, counts, distinct sets) live in the accumulator,
-    which stays fresh per task — so summaries are identical to those of
-    a task without warm state (the sequential path's), which the oracle
-    tests check.
-
-    ``generation`` tags the state with the scheduler it was built for;
-    :func:`warm_state_for` rebuilds on a mismatch, so a worker shared
-    with another scheduler never carries state across.
-    """
-
-    __slots__ = ("generation", "interner", "memo", "record_pool",
-                 "array_pool", "scalar_fields", "tasks_served", "reused")
-
-    def __init__(self, generation: int) -> None:
-        self.generation = generation
-        self.interner = TypeInterner()
-        self.memo = FusionMemo(self.interner)
-        self.record_pool: dict[tuple[Field, ...], Type] = {}
-        self.array_pool: dict[tuple[Type, ...], Type] = {}
-        self.scalar_fields: dict[tuple[str, type], Field] = {}
-        #: Tasks this state has served (including the one that built it).
-        self.tasks_served = 0
-        #: Whether the *current* task found this state already built —
-        #: the flag each summary reports as ``warm_reused``.
-        self.reused = False
-
-
-# One warm state per worker *thread*: process-pool workers are
-# single-threaded so this is per-process there, thread-pool workers each
-# get their own (sharing one interner across concurrent tasks would race),
-# and inline/re-entrant execution on the driver thread warms the driver's
-# own slot harmlessly.
-_WARM_STATES = threading.local()
-
-
-def warm_state_for(
-    generation: "int | None",
-    node_limit: int = WARM_STATE_NODE_LIMIT,
-) -> "WarmState | None":
-    """This worker's warm state for ``generation``; ``None`` disables.
-
-    Returns the thread-local :class:`WarmState`, rebuilding it when the
-    generation tag differs (another scheduler's task) or the interner
-    has outgrown ``node_limit``.  A fresh worker
-    — including one forked after a pool crash — simply builds on first
-    use, which is what keeps crash recovery oblivious to warming.
-    """
-    if generation is None:
-        return None
-    state: WarmState | None = getattr(_WARM_STATES, "state", None)
-    if (state is None or state.generation != generation
-            or len(state.interner) > node_limit):
-        state = WarmState(generation)
-        _WARM_STATES.state = state
-    else:
-        state.reused = True
-    state.tasks_served += 1
-    return state
-
-
 class PartitionAccumulator:
     """Streaming schema accumulator: one pass, no materialised type list.
 
@@ -600,38 +505,25 @@ class PartitionAccumulator:
     >>> acc.record_count, acc.distinct_type_count
     (3, 2)
 
-    With a :class:`WarmState`, the interner, fusion memo and construction
-    pools come from (and keep feeding) the worker's warm caches, while the
-    per-task results — schema, record count, distinct set — always start
-    fresh; results are identical either way.
+    Every accumulator owns its interner, fusion memo and construction
+    pools: a map task builds a fresh one and drops it with the task.
     """
 
-    def __init__(
-        self,
-        warm: "WarmState | None" = None,
-        stats_mode: str = "off",
-    ) -> None:
-        if warm is None:
-            self.interner = TypeInterner()
-            self.memo = FusionMemo(self.interner)
-            # Construction pools: map tuples of canonical children straight
-            # to the canonical node, skipping node construction (sort,
-            # hash, size) for shapes seen before.  Keyed on the *unsorted*
-            # child tuple, so two key orders of one record shape occupy two
-            # entries mapping to the same canonical type — a deliberate
-            # trade of a little memory for never re-sorting.
-            self._record_pool: dict[tuple[Field, ...], Type] = {}
-            self._array_pool: dict[tuple[Type, ...], Type] = {}
-            #: ``(key, value class) -> canonical field`` for the fields
-            #: whose value is a JSON scalar: most of a record's fields
-            #: cost :meth:`_infer` one lookup here.
-            self._scalar_fields: dict[tuple[str, type], Field] = {}
-        else:
-            self.interner = warm.interner
-            self.memo = warm.memo
-            self._record_pool = warm.record_pool
-            self._array_pool = warm.array_pool
-            self._scalar_fields = warm.scalar_fields
+    def __init__(self, stats_mode: str = "off") -> None:
+        self.interner = TypeInterner()
+        self.memo = FusionMemo(self.interner)
+        # Construction pools: map tuples of canonical children straight
+        # to the canonical node, skipping node construction (sort, hash,
+        # size) for shapes seen before.  Keyed on the *unsorted* child
+        # tuple, so two key orders of one record shape occupy two entries
+        # mapping to the same canonical type — a deliberate trade of a
+        # little memory for never re-sorting.
+        self._record_pool: dict[tuple[Field, ...], Type] = {}
+        self._array_pool: dict[tuple[Type, ...], Type] = {}
+        #: ``(key, value class) -> canonical field`` for the fields whose
+        #: value is a JSON scalar: most of a record's fields cost
+        #: :meth:`_infer` one lookup here.
+        self._scalar_fields: dict[tuple[str, type], Field] = {}
         self._schema: Type = EMPTY
         #: ``None`` while :meth:`observe` left-folds; once the schema has
         #: reached :data:`_LOG_FOLD_THRESHOLD` nodes, the binary-counter
@@ -645,8 +537,6 @@ class PartitionAccumulator:
         #: :meth:`add_summary`); possibly overlapping ``_distinct``.
         self._foreign: set[bytes] = set()
         #: Per-path statistics bundle, or ``None`` when stats are off.
-        #: Always accumulator-private (never borrowed from warm state):
-        #: statistics are per-task results, not shared caches.
         self.stats: "StatsBundle | None" = create_stats_bundle(stats_mode)
 
     @property
@@ -935,6 +825,9 @@ _SCALAR_TYPES: dict[type, Type] = {
 #: type cache that has since been removed; v3 appended the optional
 #: statistics block (``None`` when stats are off).  v4 carries the
 #: distinct set as digests instead of ops and drops the three v2 slots.
+#: The slot after ``worker`` is reserved: earlier encoders of every
+#: version wrote a per-worker cache flag there, and the decoder skips it,
+#: so their frames decode like frames that carry ``None``.
 WIRE_FORMAT_VERSION = 4
 
 #: The versions :func:`decode_summary` reads, with their frame lengths.
@@ -1064,7 +957,7 @@ def encode_summary(summary: PartitionSummary) -> bytes:
         summary.line_count,
         summary.bytes_read,
         summary.worker,
-        summary.warm_reused,
+        None,  # reserved (see WIRE_FORMAT_VERSION)
         None if summary.stats is None else summary.stats.to_wire(),
     )
     return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
@@ -1159,14 +1052,14 @@ def decode_summary(
     try:
         if version == WIRE_FORMAT_VERSION:
             (_, keys, ops, schema_i, packed, record_count, skipped,
-             timings, line_count, bytes_read, worker, warm_reused,
+             timings, line_count, bytes_read, worker, _,
              stats_wire) = frame
             digests = unpack_digests(packed)
         else:
             if version == 2:
                 frame = (*frame, None)  # no stats block
             (_, keys, ops, schema_i, distinct_i, record_count, skipped,
-             timings, line_count, bytes_read, worker, warm_reused,
+             timings, line_count, bytes_read, worker, _,
              _, _, _, stats_wire) = frame
             node_digests, node_pos = _walk_wire_digests(keys, ops)
             digests = frozenset(node_digests[i] for i in distinct_i)
@@ -1193,7 +1086,6 @@ def decode_summary(
         line_count=line_count,
         bytes_read=bytes_read,
         worker=worker,
-        warm_reused=warm_reused,
         stats=stats,
         distinct_digests=digests,
     )
@@ -1424,29 +1316,21 @@ def _worker_name() -> str:
 
 def accumulate_partition(
     values: Iterable[Any],
-    warm_generation: "int | None" = None,
     wire: bool = False,
     stats_mode: str = "off",
 ) -> "PartitionSummary | bytes":
-    """Stream one partition through an accumulator.
+    """Stream one partition through a fresh accumulator.
 
     A module-level function on purpose: it is picklable, so the scheduler's
     process backend can ship it (with the partition's raw values) to a
-    worker process and get the tiny summary back.  ``warm_generation``
-    (from :attr:`repro.engine.scheduler.Scheduler.warm_generation`)
-    enables the worker's warm kernel state; ``wire=True`` returns the
-    summary wire-encoded (see :func:`encode_summary`); ``stats_mode``
+    worker process and get the tiny summary back.  ``wire=True`` returns
+    the summary wire-encoded (see :func:`encode_summary`); ``stats_mode``
     (``off``/``basic``/``sketches``) opts the summary into per-path
     statistics.
     """
-    warm = warm_state_for(warm_generation)
-    acc = PartitionAccumulator(warm, stats_mode=stats_mode)
+    acc = PartitionAccumulator(stats_mode=stats_mode)
     acc.add_many(values)
-    summary = replace(
-        acc.summary(),
-        worker=_worker_name(),
-        warm_reused=warm.reused if warm is not None else None,
-    )
+    summary = replace(acc.summary(), worker=_worker_name())
     return encode_summary(summary) if wire else summary
 
 
@@ -1566,9 +1450,7 @@ class _ItemPass:
         self.fuse_s += fuse_s
         self.stats_s += stats_s
 
-    def summary(
-        self, line_count: int, bytes_read: int, warm_reused: "bool | None",
-    ) -> PartitionSummary:
+    def summary(self, line_count: int, bytes_read: int) -> PartitionSummary:
         """The item's summary, stamped with the worker's telemetry."""
         perf = self.perf
         timings = None
@@ -1600,7 +1482,6 @@ class _ItemPass:
             line_count=line_count,
             bytes_read=bytes_read,
             worker=_worker_name(),
-            warm_reused=warm_reused,
         )
 
 
@@ -1609,7 +1490,6 @@ def accumulate_ndjson_item(
     source: str | None = None,
     permissive: bool = False,
     collect_timings: bool = False,
-    warm_generation: "int | None" = None,
     wire: bool = False,
     stats_mode: str = "off",
 ) -> "PartitionSummary | bytes":
@@ -1629,14 +1509,13 @@ def accumulate_ndjson_item(
     line-oriented run's.
 
     ``collect_timings`` and ``stats_mode`` are as in
-    :func:`accumulate_ndjson_partition`; ``warm_generation`` enables the
-    worker's warm kernel state (see :class:`WarmState`); ``wire=True``
-    returns the summary wire-encoded (see :func:`encode_summary`).
+    :func:`accumulate_ndjson_partition`; ``wire=True`` returns the
+    summary wire-encoded (see :func:`encode_summary`).  Every item
+    streams through a fresh accumulator.
     """
-    warm = warm_state_for(warm_generation)
     split = item if isinstance(item, FileSplit) else None
     run = _ItemPass(
-        PartitionAccumulator(warm, stats_mode=stats_mode),
+        PartitionAccumulator(stats_mode=stats_mode),
         split.path if split is not None else source,
         permissive, collect_timings,
     )
@@ -1651,7 +1530,6 @@ def accumulate_ndjson_item(
     summary = run.summary(
         reader.line_count if reader is not None else 0,
         reader.bytes_read if reader is not None else 0,
-        warm.reused if warm is not None else None,
     )
     return encode_summary(summary) if wire else summary
 
@@ -1661,7 +1539,6 @@ def accumulate_ndjson_partition(
     source: str | None = None,
     permissive: bool = False,
     collect_timings: bool = False,
-    warm_generation: "int | None" = None,
     wire: bool = False,
     stats_mode: str = "off",
 ) -> "PartitionSummary | bytes":
@@ -1693,8 +1570,7 @@ def accumulate_ndjson_partition(
     reads per record; the default leaves the hot loop untimed and the
     summary's ``timings`` as ``None``.
 
-    ``warm_generation`` enables the worker's warm kernel state (see
-    :class:`WarmState`); ``wire=True`` returns the wire-encoded summary.
+    ``wire=True`` returns the wire-encoded summary.
 
     ``stats_mode`` other than ``off`` collects per-path statistics over
     the decoded values; the schema is the same in every mode.
@@ -1704,17 +1580,9 @@ def accumulate_ndjson_partition(
         source=source,
         permissive=permissive,
         collect_timings=collect_timings,
-        warm_generation=warm_generation,
         wire=wire,
         stats_mode=stats_mode,
     )
-
-
-#: Partition counts up to this fold sequentially at the driver; above it,
-#: :func:`merge_summaries_full` tree-merges pairs on the scheduler when one
-#: is provided.  Sized so small jobs never pay task-dispatch overhead for
-#: a reduce that is already trivial.
-TREE_MERGE_THRESHOLD = 16
 
 
 def merge_summary_group(
@@ -1722,8 +1590,6 @@ def merge_summary_group(
 ) -> PartitionSummary:
     """Combine adjacent partition summaries into one partial summary.
 
-    The unit task of the tree reduce: a module-level function over
-    picklable data, so the scheduler can run it on either backend.
     The partial schemas fold through a fresh :class:`TypeInterner` and
     :class:`FusionMemo`, so a subtree the partials share is fused once
     however often it recurs in the (tree-sized) schemas.
@@ -1732,8 +1598,8 @@ def merge_summary_group(
     digests, the union is taken over digests (digesting the other
     partials' types).  Quarantined records concatenate in partition
     order, and ``line_count`` / ``bytes_read`` add — every component is
-    associative, so any grouping of the tree yields the same final merge
-    (Theorem 5.5).
+    associative, so any grouping of the summaries yields the same final
+    merge (Theorem 5.5).
     """
     interner = TypeInterner()
     memo = FusionMemo(interner)
@@ -1782,8 +1648,6 @@ def merge_summary_group(
 
 def merge_summaries_full(
     summaries: "Sequence[PartitionSummary]",
-    scheduler: "Any | None" = None,
-    tree_threshold: int = TREE_MERGE_THRESHOLD,
 ) -> PartitionSummary:
     """Merge partition summaries, in partition order, into one.
 
@@ -1798,16 +1662,8 @@ def merge_summaries_full(
     partial carries digests, as digest sets; quarantined records
     concatenate in partition order (i.e. file order).
 
-    By default the fold is sequential at the driver.  With a
-    ``scheduler`` (any object with the
-    :meth:`repro.engine.scheduler.Scheduler.run` signature), lists
-    longer than ``tree_threshold`` first shrink by rounds of pairwise
-    :func:`merge_summary_group` tasks — a balanced tree whose depth is
-    logarithmic in the partition count.
+    The fold is one pass at the driver, whatever the partition count:
+    each partial is small (Section 6.2), so shipping pairs of them back
+    to workers costs more than folding them here.
     """
-    rows = list(summaries)
-    if scheduler is not None:
-        while len(rows) > tree_threshold:
-            pairs = [rows[i:i + 2] for i in range(0, len(rows), 2)]
-            rows = scheduler.run(merge_summary_group, pairs)
-    return merge_summary_group(rows)
+    return merge_summary_group(summaries)

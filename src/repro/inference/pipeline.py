@@ -140,28 +140,12 @@ def infer_schema(values: Iterable[Any], context: Context | None = None,
     return run_inference(values, context, num_partitions).schema
 
 
-def _warm_task(context: Context, stats_mode: str = "off"):
-    """:func:`accumulate_partition` carrying the scheduler's warm tag.
-
-    The generation tag lets each worker keep (and reuse) per-worker
-    kernel state across tasks and jobs.  ``stats_mode`` rides along only
-    when statistics are on, keeping the shipped task identical to
-    previous releases otherwise.
-    """
-    kwargs: dict[str, Any] = {
-        "warm_generation": context.scheduler.warm_generation,
-    }
-    if stats_mode != "off":
-        kwargs["stats_mode"] = stats_mode
-    return partial(accumulate_partition, **kwargs)
-
-
 def _note_summary_telemetry(stats, summaries) -> None:
     """Fold the summaries' worker telemetry into the scheduler stats.
 
     Workers cannot mutate driver-side stats across a process boundary,
-    so each summary carries its executing worker's identity and whether
-    it reused warm state; the driver aggregates here, pre-merge.
+    so each summary carries its executing worker's identity; the driver
+    aggregates here, pre-merge.
     """
     if stats is None:
         return
@@ -171,10 +155,6 @@ def _note_summary_telemetry(stats, summaries) -> None:
             per_worker[summary.worker] = (
                 per_worker.get(summary.worker, 0) + 1
             )
-        if summary.warm_reused is True:
-            stats.warm_state_reuses += 1
-        elif summary.warm_reused is False:
-            stats.warm_state_builds += 1
         if summary.stats is not None:
             stats.stats_bundles_merged += 1
 
@@ -299,7 +279,7 @@ def run_inference(
     # partial of a module-level function so the process backend can
     # serialize it.
     summaries = context.scheduler.run(
-        _warm_task(context, stats_mode), parts
+        partial(accumulate_partition, stats_mode=stats_mode), parts
     )
     map_seconds = time.perf_counter() - start
     _note_summary_telemetry(context.scheduler.stats, summaries)
@@ -356,11 +336,11 @@ def _scrub_replayed_telemetry(summary: PartitionSummary) -> PartitionSummary:
 
     A cache hit or a journal replay brings back the summary *content*
     (schema, counts, quarantine, statistics) of the run that produced
-    it, but its worker identity, warm-state flag and phase timings
-    describe that old run — left in place they would count its workers
-    and its stage times as this run's.
+    it, but its worker identity and phase timings describe that old run
+    — left in place they would count its workers and its stage times as
+    this run's.
     """
-    return replace(summary, worker="", warm_reused=None, timings=None)
+    return replace(summary, worker="", timings=None)
 
 
 #: Version of the run-level (whole-plan) cache entry payload.
@@ -754,13 +734,12 @@ def infer_ndjson_file(
     docs/INCREMENTAL.md): ``update_from`` names a checkpoint directory
     whose stored summary is fused with the freshly mapped partitions —
     only the new file is parsed, and the stored summary enters the
-    reduce as one more partial (participating in the scheduler's
-    tree-merge like any partition summary).  ``checkpoint_to`` persists
-    the merged result (schema, record count, distinct types, source
-    fingerprints) after the run; pass the same directory for both to
-    maintain a long-lived schema over an arriving feed.  By
-    associativity (Theorem 5.5) the update result is *identical* to
-    recomputing over all the data from scratch.
+    driver's reduce as one more partial, like any partition summary.
+    ``checkpoint_to`` persists the merged result (schema, record count,
+    distinct types, source fingerprints) after the run; pass the same
+    directory for both to maintain a long-lived schema over an arriving
+    feed.  By associativity (Theorem 5.5) the update result is
+    *identical* to recomputing over all the data from scratch.
 
     ``split_mode`` picks the ingestion model (see
     :func:`resolve_split_mode` for how ``"auto"`` chooses):
@@ -799,9 +778,9 @@ def infer_ndjson_file(
     format (:func:`repro.inference.kernel.encode_summary`), not as a
     pickled type-object graph; thread and in-line tasks share their
     summaries by reference.  Results are bit-identical either way.
-    Every task also carries the scheduler's warm-state generation tag,
-    letting workers reuse their interner/memo/key-cache across tasks
-    and jobs — see :class:`repro.engine.context.Context`.
+    Every task types its records through a fresh accumulator, and the
+    reduce is one fold of the task summaries at the driver
+    (:func:`repro.inference.kernel.merge_summaries_full`).
 
     Dirty-data handling:
 
@@ -861,7 +840,7 @@ def infer_ndjson_file(
     — enriches every partition summary with mergeable per-path
     statistics (see :mod:`repro.inference.statistics`).  Statistics ride
     the same commutative/associative merge path as the schema, so
-    journals, caches, tree-merge and incremental updates keep working;
+    journals, caches and incremental updates keep working;
     the inferred schema is byte-identical in every mode.  Statistics
     observe the values the map phase decodes anyway; ``"off"`` pays
     nothing.
@@ -897,9 +876,6 @@ def infer_ndjson_file(
     wire = context is not None and context.backend == "process"
     stats = context.scheduler.stats if context is not None else None
     scheduler = context.scheduler if context is not None else None
-    warm_generation = (
-        scheduler.warm_generation if scheduler is not None else None
-    )
 
     loaded = None
     if update_from is not None or checkpoint_to is not None:
@@ -950,8 +926,7 @@ def infer_ndjson_file(
     )
     task_options = dict(
         source=source, permissive=permissive,
-        collect_timings=collect_timings, warm_generation=warm_generation,
-        wire=wire, stats_mode=stats_mode,
+        collect_timings=collect_timings, wire=wire, stats_mode=stats_mode,
     )
     if mode == "lines" and context is None:
         # Feed the accumulator straight off the file iterator: the
@@ -1112,9 +1087,9 @@ def infer_ndjson_file(
                 per_partition.add_count(index, summary.skipped_count)
         if loaded is not None:
             # The stored summary is just one more partial: it enters the
-            # same (possibly tree-shaped) reduce as the fresh partitions.
+            # same reduce as the fresh partitions.
             summaries = list(summaries) + [loaded.summary]
-        merged = merge_summaries_full(summaries, scheduler=scheduler)
+        merged = merge_summaries_full(summaries)
         distinct_count = merged.distinct_type_count
         reduce_seconds = time.perf_counter() - start
 

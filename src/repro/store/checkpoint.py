@@ -14,8 +14,8 @@ stops being a one-shot batch job:
 * :func:`load_checkpoint` reads it back, verifying version and digests,
   and yields a summary that is *exactly* a partition summary: it can be
   appended to a fresh run's partials and ride the existing merge path
-  (:func:`~repro.inference.kernel.merge_summary_group`), including the
-  scheduler's tree-merge reduce.
+  (:func:`~repro.inference.kernel.merge_summary_group`), the driver's
+  one fold.
 * :func:`merge_checkpoints` unions any number of checkpoints — the
   cross-shard schema union: shards infer independently, checkpoint, and
   their checkpoints merge in any order or grouping to the same schema.
@@ -845,11 +845,10 @@ def merge_checkpoints(
     schemas fuse, record counts add, distinct sets union as digests —
     so shards (of either format) may be merged in any order or grouping
     and the result is the schema a single pass over all the shards'
-    data would have produced (Theorem 5.5).  The merge is the kernel's one reduce
-    (:func:`~repro.inference.kernel.merge_summaries_full`), and with a
-    ``scheduler`` both the checkpoint *loads* and — above the kernel's
-    tree-merge threshold — the pairwise merge rounds run as parallel
-    tasks.
+    data would have produced (Theorem 5.5).  The merge is the kernel's
+    one reduce (:func:`~repro.inference.kernel.merge_summaries_full`),
+    a fold at the driver; with a ``scheduler`` the checkpoint *loads*
+    run as parallel tasks first.
 
     With ``out``, the merged checkpoint is saved there (its manifest
     unions the inputs' source fingerprints) and the returned
@@ -903,9 +902,7 @@ def merge_checkpoints(
     sources = [s for c in checkpoints for s in c.manifest.sources]
     skipped = sum(c.manifest.skipped_count for c in checkpoints)
 
-    merged = merge_summaries_full(
-        [c.summary for c in checkpoints], scheduler=scheduler
-    )
+    merged = merge_summaries_full([c.summary for c in checkpoints])
 
     if out is not None:
         return save_checkpoint(

@@ -301,6 +301,5 @@ class TestResumedTelemetry:
             stats = ctx.scheduler.stats
             assert stats.tasks_completed == 2
             assert sum(stats.tasks_per_worker.values()) == 2
-            assert stats.warm_state_builds + stats.warm_state_reuses == 2
         assert run.record_count == 600
         assert run.phase_timings.records == 600 - replayed

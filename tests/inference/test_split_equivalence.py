@@ -16,10 +16,7 @@ import pytest
 
 from repro.core.printer import print_type
 from repro.engine import Context
-from repro.inference.kernel import (
-    TREE_MERGE_THRESHOLD,
-    accumulate_ndjson_item,
-)
+from repro.inference.kernel import accumulate_ndjson_item
 from repro.inference.pipeline import (
     SPLIT_MODES,
     infer_ndjson_file,
@@ -172,6 +169,9 @@ class TestZeroCopyShipping:
 
 
 class TestTreeMerge:
+    """48 partials on four workers: the driver folds them all, and the
+    result equals the streaming reference's."""
+
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_many_partitions_trigger_scheduler_reduce(
         self, tmp_path, backend
@@ -182,7 +182,7 @@ class TestTreeMerge:
             run = infer_ndjson_file(
                 path,
                 context=ctx,
-                num_partitions=TREE_MERGE_THRESHOLD * 3,
+                num_partitions=48,
                 permissive=True,
                 split_mode="bytes",
                 min_split_bytes=1,

@@ -196,6 +196,59 @@ class TestSketchWire:
         with pytest.raises(ValueError, match="bit block"):
             BloomFilter.from_wire((BLOOM_BITS, BLOOM_HASHES, b"\x00" * 3))
 
+    @pytest.mark.parametrize("p", [4, HLL_PRECISION])
+    def test_hll_unreachable_rank_rejected(self, p):
+        """``add_hash`` writes at most rank ``65 - p``, and the big-int
+        merge is exact only below 128: a larger register is damage."""
+        block = bytearray(1 << p)
+        for bad in (66 - p, 255):
+            block[-1] = bad
+            with pytest.raises(ValueError, match="register"):
+                HyperLogLog.from_wire((p, bytes(block)))
+        block[-1] = 65 - p
+        assert HyperLogLog.from_wire((p, bytes(block))).registers == block
+
+
+class TestSketchMerge:
+    """Both merges run as big-int operations over the whole block; they
+    must equal the bytewise max and the bitwise or."""
+
+    @given(p=st.integers(min_value=4, max_value=HLL_PRECISION),
+           data=st.data())
+    @settings(max_examples=60)
+    def test_hll_merge_is_the_register_max(self, p, data):
+        def block() -> bytes:
+            raw = data.draw(st.binary(min_size=1 << p, max_size=1 << p))
+            # Keep the extremes 0 and 65 - p as likely as any register.
+            return bytes(min(r % 68, 65 - p) for r in raw)
+
+        a, b = block(), block()
+        merged = HyperLogLog.from_wire((p, a)).merge(
+            HyperLogLog.from_wire((p, b))
+        )
+        assert merged.registers == bytearray(map(max, a, b))
+
+    def test_hll_merge_at_the_extremes(self):
+        top = 65 - HLL_PRECISION
+        n = 1 << HLL_PRECISION
+        a = bytes([top, 0, top, 0] * (n // 4))
+        b = bytes([0, top, top, 0] * (n // 4))
+        merged = HyperLogLog.from_wire((HLL_PRECISION, a)).merge(
+            HyperLogLog.from_wire((HLL_PRECISION, b))
+        )
+        assert merged.registers == bytearray([top, top, top, 0] * (n // 4))
+
+    @given(size=st.integers(min_value=1, max_value=BLOOM_BITS // 8),
+           data=st.data())
+    @settings(max_examples=60)
+    def test_bloom_merge_is_the_bitwise_or(self, size, data):
+        a, b = (data.draw(st.binary(min_size=size, max_size=size))
+                for _ in range(2))
+        merged = BloomFilter.from_wire((size * 8, BLOOM_HASHES, a)).merge(
+            BloomFilter.from_wire((size * 8, BLOOM_HASHES, b))
+        )
+        assert merged.bits == bytearray(x | y for x, y in zip(a, b))
+
 
 # ---------------------------------------------------------------------------
 # Value canonicalization

@@ -99,14 +99,13 @@ class TestRoundTrip:
         payload = accumulate_ndjson_partition(
             [(1, '{"a": 1}'), (2, "nope"), (3, '{"a": "x"}')],
             source=str(path), permissive=True, collect_timings=True,
-            warm_generation=1, wire=True,
+            wire=True,
         )
         summary = decode_summary(payload)
         assert summary.record_count == 2
         assert [b.line_number for b in summary.skipped] == [2]
         assert summary.timings is not None
         assert summary.worker
-        assert summary.warm_reused is False
 
 
 class TestCanonicalAdoption:
@@ -180,6 +179,22 @@ class TestVersioning:
         mangled = (version, keys, [99] + list(ops[1:]), *rest)
         with pytest.raises(ValueError):
             decode_summary(pickle.dumps(mangled))
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_reserved_slot_is_ignored(self, flag):
+        """Earlier v4 encoders wrote a per-worker cache flag in the slot
+        after ``worker``; such a frame decodes like one with ``None``."""
+        summary = accumulate_ndjson_partition(
+            [(1, '{"a": 1}'), (2, '{"a": "x", "b": [true]}')],
+            collect_timings=True,
+        )
+        frame = pickle.loads(encode_summary(summary))
+        assert len(frame) == 13 and frame[11] is None
+        flagged = frame[:11] + (flag,) + frame[12:]
+        decoded = decode_summary(pickle.dumps(flagged))
+        assert decoded == decode_summary(pickle.dumps(frame))
+        assert decoded.worker == summary.worker
+        assert decoded.timings == summary.timings
 
 
 def _summaries_of(values):

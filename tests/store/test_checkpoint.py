@@ -391,7 +391,7 @@ class TestContextMerge:
 
     def test_parallel_merge_matches_serial(self, tmp_path):
         shards = []
-        for i in range(20):  # above TREE_MERGE_THRESHOLD
+        for i in range(20):
             p = tmp_path / f"s{i}"
             save_checkpoint(
                 p, accumulate_partition([{"k": i}, {"k": str(i)}])

@@ -5,12 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.diff import diff_schemas
+from repro.analysis.paths import iter_schema_paths, resolve_path
 from repro.analysis.stats import SUCCINCTNESS_HEADERS, succinctness_row
 from repro.analysis.tables import render_table
 from repro.cli import main
+from repro.core.printer import print_type
 from repro.datasets import write_dataset
+from repro.inference.pipeline import infer_schema
 from repro.jsonio.parser import loads
-from repro.jsonio.ndjson import write_ndjson
+from repro.jsonio.ndjson import read_ndjson, write_ndjson
 from tests.conftest import make_corpus
 
 
@@ -236,6 +240,65 @@ class TestDiff:
         assert "[type-changed] $.a" in out
         assert "[removed] $.b" in out
         assert "[added] $.c" in out
+
+
+class TestSchemaCommandsSkipInvalid:
+    """``paths``, ``check-path`` and ``diff`` infer through the decode
+    lane: with ``--skip-invalid`` they print what the pure fold over the
+    lines ``read_ndjson`` accepts gives, and without it the malformed
+    line is an error naming its line."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        lines = [json.dumps(v) for v in make_corpus(60, seed=8)]
+        lines.insert(12, '{"id": 12,')
+        dirty = tmp_path / "dirty.ndjson"
+        dirty.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        clean = tmp_path / "clean.ndjson"
+        write_ndjson(clean, [{"id": "x", "kind": "a", "added": True}])
+        return str(dirty), str(clean)
+
+    @staticmethod
+    def oracle(path):
+        return infer_schema(read_ndjson(path, skip_invalid=True))
+
+    def expected(self, command, dirty, clean):
+        schema = self.oracle(dirty)
+        if command == "paths":
+            return "".join(
+                f"{'mandatory' if guaranteed else 'optional '}  {path}\n"
+                for path, guaranteed in sorted(iter_schema_paths(schema))
+            )
+        if command == "check-path":
+            info = resolve_path(schema, "payload.tags[*]")
+            assert info.exists and not info.guaranteed
+            return f"payload.tags[*]: optional, type {print_type(info.type)}\n"
+        changes = diff_schemas(schema, self.oracle(clean))
+        assert changes
+        return "".join(f"{change}\n" for change in changes)
+
+    @staticmethod
+    def argv(command, dirty, clean):
+        return {
+            "paths": ["paths", dirty],
+            "check-path": ["check-path", dirty, "payload.tags[*]"],
+            "diff": ["diff", dirty, clean],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["paths", "check-path", "diff"])
+    def test_skip_invalid_matches_the_pure_fold(self, command, files,
+                                                capsys):
+        argv = self.argv(command, *files) + ["--skip-invalid"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == self.expected(command, *files)
+
+    @pytest.mark.parametrize("command", ["paths", "check-path", "diff"])
+    def test_malformed_line_is_an_error(self, command, files, capsys):
+        assert main(self.argv(command, *files)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"({files[0]}, line 13, column" in captured.err
 
 
 class TestProject:

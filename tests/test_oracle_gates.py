@@ -98,7 +98,7 @@ def corpus(tmp_path_factory):
 @pytest.fixture(scope="module")
 def contexts():
     """One long-lived context per backend: every job after the first
-    runs on warm workers, the CLI's steady state."""
+    runs on the workers the first one started."""
     opened = {b: Context(parallelism=WORKERS, backend=b) for b in BACKENDS}
     yield opened
     for ctx in opened.values():
@@ -149,7 +149,7 @@ class TestSplitModes:
 
 class TestManySplits:
     """Was the ``scaling-smoke`` CI job: eight byte splits per worker,
-    twice on one context, so the second job reuses warm worker state."""
+    twice on one context, so the second job runs on started workers."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", ["github", "mixed"])
@@ -163,7 +163,17 @@ class TestManySplits:
             )
             assert stats.tasks_completed == 8 * WORKERS
             assert outcome(run) == expected
-        assert stats.warm_state_reuses > 0
+
+    def test_workers_map_and_the_driver_reduces(self, corpus, contexts):
+        """48 partials fold at the driver: the run is one scheduler job
+        of 48 map tasks, and no merge task follows it."""
+        path, expected = corpus("github")
+        run, stats = run_on(
+            contexts["thread"], path, num_partitions=48,
+            split_mode="bytes", min_split_bytes=1,
+        )
+        assert outcome(run) == expected
+        assert (stats.jobs, stats.tasks_completed) == (1, 48)
 
 
 class TestIncremental:
