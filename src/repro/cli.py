@@ -50,7 +50,7 @@ from repro.datasets.base import DATASET_NAMES, write_dataset
 from repro.inference.pipeline import (
     ResumableInterrupt,
     infer_ndjson_file,
-    infer_schema,
+    run_inference,
 )
 from repro.jsonio.errors import JsonError
 from repro.jsonio.ndjson import read_ndjson
@@ -493,8 +493,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                 print(f"workers: {spread}", file=sys.stderr)
             if stats.summary_wire_bytes_decoded:
                 print(
-                    f"summary wire: {stats.summary_wire_bytes_encoded:,} B "
-                    f"encoded · {stats.summary_wire_bytes_decoded:,} B "
+                    f"summary wire: {stats.summary_wire_bytes_decoded:,} B "
                     f"decoded",
                     file=sys.stderr,
                 )
@@ -618,7 +617,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_project(args: argparse.Namespace) -> int:
     values = list(read_ndjson(args.file, skip_invalid=args.skip_invalid))
-    projector = Projector(infer_schema(values), args.paths)
+    projector = Projector(run_inference(values).schema, args.paths)
     for pruned in projector.project_many(values):
         print(dumps(pruned))
     return 0

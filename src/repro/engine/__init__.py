@@ -10,11 +10,7 @@
   the Table 7/8 scalability experiments, including node-failure modelling.
 """
 
-from repro.engine.accumulators import (
-    Accumulator,
-    CounterAccumulator,
-    MapAccumulator,
-)
+from repro.engine.accumulators import Accumulator, CounterAccumulator
 from repro.engine.cluster import (
     Block,
     ClusterSimulator,
@@ -46,7 +42,7 @@ __all__ = [
     "Context", "RDD", "Scheduler", "split_evenly",
     "RetryPolicy", "SchedulerStats", "TaskTimeoutError", "JobCancelled",
     "Fault", "FaultInjected", "FaultPlan", "TransientError",
-    "Accumulator", "CounterAccumulator", "MapAccumulator",
+    "Accumulator", "CounterAccumulator",
     "NodeSpec", "Block", "ClusterSimulator", "SimulationResult",
     "NodeFailure",
     "default_cluster", "place_on_single_node", "place_round_robin",

@@ -2,8 +2,8 @@
 
 Tasks running on the scheduler's worker threads can add to an accumulator;
 the driver reads the total after the action completes.  Used by the
-pipelines to count records, parse failures and distinct types without a
-second pass over the data.
+RDD pipelines to count records and parse failures without a second pass
+over the data.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Generic, TypeVar
 
-__all__ = ["Accumulator", "CounterAccumulator", "MapAccumulator"]
+__all__ = ["Accumulator", "CounterAccumulator"]
 
 T = TypeVar("T")
 
@@ -50,26 +50,3 @@ class CounterAccumulator(Accumulator[int]):
     def increment(self, by: int = 1) -> None:
         """Add ``by`` (default 1) to the counter."""
         self.add(by)
-
-
-def _merge_counts(a: dict, b: dict) -> dict:
-    merged = dict(a)
-    for key, count in b.items():
-        merged[key] = merged.get(key, 0) + count
-    return merged
-
-
-class MapAccumulator(Accumulator[dict]):
-    """Per-key integer counts — e.g. skipped records *per partition*.
-
-    The permissive ingestion pipeline uses one of these to attribute
-    quarantined rows to the partition that skipped them, which is what
-    turns "something was dropped somewhere" into an actionable report.
-    """
-
-    def __init__(self) -> None:
-        super().__init__({}, _merge_counts)
-
-    def add_count(self, key, by: int = 1) -> None:
-        """Add ``by`` to the count kept under ``key``."""
-        self.add({key: by})

@@ -20,11 +20,6 @@ from repro.engine.scheduler import RetryPolicy, Scheduler
 from repro.jsonio.errors import JsonError
 from repro.jsonio.ndjson import iter_lines
 from repro.jsonio.parser import loads
-from repro.jsonio.splits import (
-    DEFAULT_MIN_SPLIT_BYTES,
-    iter_split_lines,
-    plan_splits,
-)
 
 __all__ = ["Context", "SequenceView", "split_evenly"]
 
@@ -129,23 +124,6 @@ class _ParallelizedRDD(RDD[T]):
         return self._partitions[index]
 
 
-class _SplitFileRDD(RDD[str]):
-    """Source RDD over a file's byte-range splits: one split per partition.
-
-    The driver holds only :class:`~repro.jsonio.splits.FileSplit`
-    descriptors; each partition opens the file and reads its own byte
-    range when computed — on the engine's workers, in parallel — so no
-    line text ever lives at the driver.
-    """
-
-    def __init__(self, context: "Context", splits: list) -> None:
-        super().__init__(context, len(splits))
-        self._splits = splits
-
-    def _compute(self, index: int) -> list[str]:
-        return [text for _, text in iter_split_lines(self._splits[index])]
-
-
 class Context:
     """Driver-side entry point: creates source RDDs and owns the scheduler.
 
@@ -207,33 +185,10 @@ class Context:
         return _ParallelizedRDD(self, [list(p) for p in partitions])
 
     def text_file(
-        self,
-        path: str | Path,
-        num_partitions: int | None = None,
-        split_mode: str = "lines",
-        min_split_bytes: int = DEFAULT_MIN_SPLIT_BYTES,
+        self, path: str | Path, num_partitions: int | None = None
     ) -> RDD[str]:
-        """One element per non-blank line of ``path``.
-
-        ``split_mode="lines"`` (default) reads the file at the driver and
-        distributes the lines.  ``split_mode="bytes"`` plans byte-range
-        splits from the file size alone (see
-        :func:`repro.jsonio.splits.plan_splits`) and each partition reads
-        its own range when computed — the driver never materialises the
-        file, and partition computation parallelises the I/O.
-        """
-        if split_mode == "bytes":
-            splits = plan_splits(
-                path,
-                num_partitions or self.default_parallelism,
-                min_split_bytes,
-            )
-            return _SplitFileRDD(self, splits)
-        if split_mode != "lines":
-            raise ValueError(
-                f"unknown split_mode {split_mode!r}; expected 'lines' or "
-                "'bytes'"
-            )
+        """One element per non-blank line of ``path``, read at the driver
+        and distributed over ``num_partitions``."""
         return self.parallelize(iter_lines(path), num_partitions)
 
     def ndjson_file(
@@ -242,22 +197,19 @@ class Context:
         num_partitions: int | None = None,
         permissive: bool = False,
         skipped: CounterAccumulator | None = None,
-        split_mode: str = "lines",
     ) -> RDD[Any]:
         """One parsed JSON record per line of ``path``.
 
         Parsing happens inside the partitions (i.e. in parallel), not at
-        RDD-creation time; ``split_mode="bytes"`` additionally moves the
-        file *reading* into the partitions (see :meth:`text_file`).  With
-        ``permissive=True`` malformed lines are dropped instead of
-        failing the job; pass a ``skipped`` accumulator to count them.
-        (Accumulator updates require the thread backend to be visible
-        driver-side; the file pipeline
+        RDD-creation time.  With ``permissive=True`` malformed lines are
+        dropped instead of failing the job; pass a ``skipped``
+        accumulator to count them.  (Accumulator updates require the
+        thread backend to be visible driver-side; the file pipeline
         :func:`repro.inference.pipeline.infer_ndjson_file` carries
         quarantine counts through partition summaries instead and works
         on every backend.)
         """
-        lines = self.text_file(path, num_partitions, split_mode=split_mode)
+        lines = self.text_file(path, num_partitions)
         if not permissive:
             return lines.map(loads)
         return lines.map_quarantined(

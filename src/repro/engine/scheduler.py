@@ -79,7 +79,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence, TypeVar
 from weakref import WeakKeyDictionary
 
@@ -265,7 +265,6 @@ class SchedulerStats:
     #: flat-table-encoded summaries decoded at the driver — process-backend
     #: task results, journal replays and summary-cache hits.  Zero when
     #: every summary arrived by reference (thread backend or in-line).
-    summary_wire_bytes_encoded: int = 0
     summary_wire_bytes_decoded: int = 0
     #: Cross-run summary cache accounting (pipelines, from the driver's
     #: probe of :class:`repro.store.summarycache.SummaryCache`):
@@ -289,28 +288,9 @@ class SchedulerStats:
 
     def reset(self) -> None:
         """Zero every counter."""
-        self.retries = 0
-        self.timeouts = 0
-        self.pool_rebuilds = 0
-        self.thread_pool_replacements = 0
-        self.thread_fallbacks = 0
-        self.faults_injected = 0
-        self.jobs = 0
-        self.tasks_completed = 0
-        self.job_time_s = 0.0
-        self.input_bytes_shipped = 0
-        self.input_bytes_read = 0
-        self.checkpoints_loaded = 0
-        self.checkpoints_saved = 0
-        self.checkpoint_records_merged = 0
-        self.summary_wire_bytes_encoded = 0
-        self.summary_wire_bytes_decoded = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_stores = 0
-        self.cache_bytes_skipped = 0
-        self.stats_bundles_merged = 0
-        self.tasks_per_worker = {}
+        zero = SchedulerStats()
+        for counter in fields(self):
+            setattr(self, counter.name, getattr(zero, counter.name))
 
 
 def available_parallelism() -> int:

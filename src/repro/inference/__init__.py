@@ -8,9 +8,6 @@
   pipelines run on: per-partition interning accumulator with memoized
   fusion, merged at the driver by one reduce
   (:func:`~repro.inference.kernel.merge_summaries_full`).
-* :mod:`repro.inference.typestream` — the map phase's decoder: the C
-  ``json`` scanner behind guards that leave every record it cannot
-  vouch for to the strict parser.
 * :mod:`repro.inference.statistics` — mergeable per-path statistics
   (counters, ranges, HyperLogLog / Bloom sketches) riding the summary
   monoid, JSONoid-style: the statistics enrichment sketched as future
@@ -57,7 +54,7 @@ from repro.inference.parametric import (
     infer_schema_labelled,
     label_equivalence,
 )
-from repro.inference.typestream import FastLaneMiss, guarded_decoder
+from repro.jsonio.typestream import FastLaneMiss, guarded_decoder
 
 from repro.inference.pipeline import (
     InferenceRun,

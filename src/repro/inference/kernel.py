@@ -30,7 +30,7 @@ this module computes all three in *one* pass per partition:
   :class:`PartitionSummary` (schema + counts + distinct types), which is
   what crosses a process boundary when the scheduler runs with
   ``backend="process"`` — wire-encoded, with the distinct types as
-  32-byte digests (:func:`type_digest`).  :func:`merge_summary_group`
+  32-byte digests (:func:`type_digest`).  :func:`merge_summaries_full`
   recombines the partials at the driver through a fresh interner and
   memo.  Any grouping of the merge yields the same schema — that is
   exactly the associativity theorem (Theorem 5.5), the same property
@@ -75,11 +75,11 @@ from repro.inference.statistics import (
     create_stats_bundle,
     merge_stats,
 )
-from repro.inference.typestream import FastLaneMiss, guarded_decoder
 from repro.jsonio.errors import JsonError, JsonSyntaxError
 from repro.jsonio.ndjson import BadRecord
 from repro.jsonio.parser import MAX_DEPTH, loads
 from repro.jsonio.splits import FileSplit, SplitLineReader, count_lines_before
+from repro.jsonio.typestream import FastLaneMiss, guarded_decoder
 
 __all__ = [
     "FusionMemo",
@@ -95,7 +95,6 @@ __all__ = [
     "encode_summary",
     "merge_phase_timings",
     "merge_summaries_full",
-    "merge_summary_group",
 ]
 
 
@@ -325,7 +324,7 @@ class PhaseTimings:
     stages, accumulated across the partition's records:
 
     * ``parse_s`` — the guarded C decode of each line into a value
-      (:func:`repro.inference.typestream.guarded_decoder`), plus the
+      (:func:`repro.jsonio.typestream.guarded_decoder`), plus the
       strict re-parse of any line it misses;
     * ``type_s`` — value to interned type (Fig. 4);
     * ``fuse_s`` — distinct-type tracking plus the memoized incremental
@@ -661,7 +660,7 @@ class PartitionAccumulator:
 
         The incremental-update primitive: a loaded checkpoint (or any
         other partial summary) merges into live state exactly as
-        :func:`merge_summary_group` would merge it at the driver — the
+        :func:`merge_summaries_full` would merge it at the driver — the
         schema fuses in, the record counts add, and the summary's
         distinct set joins this accumulator's.  Distinct *types* join
         structurally (they are interned here first, so the usual
@@ -1551,7 +1550,7 @@ def accumulate_ndjson_partition(
     task: :func:`accumulate_ndjson_item` over a chunk of lines.
 
     Each record is decoded by the guarded C decoder
-    (:func:`repro.inference.typestream.guarded_decoder`), typed, fused
+    (:func:`repro.jsonio.typestream.guarded_decoder`), typed, fused
     and, with statistics on, observed.  Any record the decoder misses —
     malformed text, duplicate keys, surrogate escapes, nesting past
     :data:`repro.jsonio.parser.MAX_DEPTH` — is re-parsed by the strict
@@ -1585,21 +1584,28 @@ def accumulate_ndjson_partition(
     )
 
 
-def merge_summary_group(
+def merge_summaries_full(
     summaries: "Sequence[PartitionSummary]",
 ) -> PartitionSummary:
-    """Combine adjacent partition summaries into one partial summary.
+    """Merge partition summaries, in partition order, into one.
 
-    The partial schemas fold through a fresh :class:`TypeInterner` and
-    :class:`FusionMemo`, so a subtree the partials share is fused once
-    however often it recurs in the (tree-sized) schemas.
-    While every partial holds its distinct set as types, the types
-    deduplicate structurally in first-seen order; once any partial holds
-    digests, the union is taken over digests (digesting the other
+    The one driver-side reduce: the run-time merge of every partition
+    summary and the checkpoint-shard union
+    (:func:`repro.store.checkpoint.merge_checkpoints`) both go through
+    it.  The partial schemas fold through a fresh :class:`TypeInterner`
+    and :class:`FusionMemo`, so a subtree the partials share is fused
+    once however often it recurs in the (tree-sized) schemas.  While
+    every partial holds its distinct set as types, the types
+    deduplicate structurally in first-seen order; once any partial
+    holds digests, the union is taken over digests (digesting the other
     partials' types).  Quarantined records concatenate in partition
-    order, and ``line_count`` / ``bytes_read`` add — every component is
-    associative, so any grouping of the summaries yields the same final
-    merge (Theorem 5.5).
+    order (i.e. file order), and ``line_count`` / ``bytes_read`` add —
+    every component is associative, so any grouping of the summaries
+    yields the same merge (Theorem 5.5).
+
+    The fold is one pass at the driver, whatever the partition count:
+    each partial is small (Section 6.2), so shipping pairs of them back
+    to workers costs more than folding them here.
     """
     interner = TypeInterner()
     memo = FusionMemo(interner)
@@ -1644,26 +1650,3 @@ def merge_summary_group(
         stats=stats,
         distinct_digests=frozenset(digests or ()),
     )
-
-
-def merge_summaries_full(
-    summaries: "Sequence[PartitionSummary]",
-) -> PartitionSummary:
-    """Merge partition summaries, in partition order, into one.
-
-    The one driver-side reduce: the run-time merge of every partition
-    summary and the checkpoint-shard union
-    (:func:`repro.store.checkpoint.merge_checkpoints`) both go through
-    it.  The result is the :class:`PartitionSummary` that
-    :func:`merge_summary_group` builds: the schema fold is safe in any
-    grouping by associativity (Theorem 5.5); distinct sets unite
-    *across* partitions structurally (canonical objects from different
-    interners are distinct objects but compare equal) or, once any
-    partial carries digests, as digest sets; quarantined records
-    concatenate in partition order (i.e. file order).
-
-    The fold is one pass at the driver, whatever the partition count:
-    each partial is small (Section 6.2), so shipping pairs of them back
-    to workers costs more than folding them here.
-    """
-    return merge_summary_group(summaries)

@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.core.types import EMPTY, Type
-from repro.engine.accumulators import MapAccumulator
 from repro.engine.context import Context, split_evenly
 from repro.engine.scheduler import JobCancelled
 from repro.inference.fusion import fuse_all
@@ -59,7 +58,6 @@ from repro.inference.kernel import (
     # Not called here: the e2e tracer (benchmarks/e2e/tracing.py) wraps
     # this module attribute by name and refuses to run without it.
     decode_summary_light,
-    encode_summary,
     merge_summaries_full,
 )
 from repro.inference.statistics import (
@@ -75,6 +73,7 @@ from repro.jsonio.ndjson import (
 )
 from repro.jsonio.splits import (
     DEFAULT_MIN_SPLIT_BYTES,
+    FileSplit,
     digest_splits,
     plan_splits,
     rebase_bad_records,
@@ -331,191 +330,48 @@ def _digest_numbered_lines(part) -> str:
     return digest.hexdigest()
 
 
-def _scrub_replayed_telemetry(summary: PartitionSummary) -> PartitionSummary:
-    """Zero the run-local telemetry a replayed summary carries.
+def _text_bytes(part) -> int:
+    """Bytes of record text in one lines-mode partition."""
+    return sum(len(text) for _, text in part)
 
-    A cache hit or a journal replay brings back the summary *content*
-    (schema, counts, quarantine, statistics) of the run that produced
-    it, but its worker identity and phase timings describe that old run
-    — left in place they would count its workers and its stage times as
-    this run's.
+
+def _describe(item) -> "list[int] | str":
+    """What the journal plan records of one work item: a split's
+    ``[offset, length]``, a line chunk's ``[first line, count]`` (``-1``
+    for an empty chunk), or ``"stream"`` for the sequential pass over
+    the whole file."""
+    if isinstance(item, FileSplit):
+        return [item.offset, item.length]
+    if isinstance(item, Sequence):
+        return [item[0][0] if item else -1, len(item)]
+    return "stream"
+
+
+def _arrived(result, adopt: PartitionAccumulator, stats,
+             replayed: bool) -> PartitionSummary:
+    """One partial summary arrived: a map task's result, a journal frame
+    or a cache entry, as a :class:`PartitionSummary`.
+
+    Wire payloads (process-pool results, journal frames, cache entries)
+    decode through the adoption accumulator ``adopt``.  One accumulator
+    means one interner: structurally equal schema subtrees from
+    *different* partitions decode to pointer-identical nodes.  Their
+    size feeds ``--timings``.  Summary objects (thread and in-line
+    results) pass through.  A ``replayed`` summary — a cache hit or a
+    journal frame — brings back the content (schema, counts, quarantine,
+    statistics) of the run that produced it, but its worker identity and
+    phase timings describe that old run: left in place they would count
+    its workers and its stage times as this run's, so they are dropped.
     """
-    return replace(summary, worker="", timings=None)
-
-
-#: Version of the run-level (whole-plan) cache entry payload.
-_RUN_ENTRY_VERSION = 1
-
-#: Signature suffix that separates run-level entries from per-partition
-#: entries in the same cache directory (it shows up in entry file names,
-#: so the two populations are distinguishable on disk).
-_RUN_SIGNATURE_SUFFIX = "-run"
-
-
-def _run_level_key(digests: Sequence[str]) -> str:
-    """Content key of the *whole plan*: a digest over the ordered
-    per-partition digests.  Any content change, any boundary change and
-    any partition-count change alters at least one member, so a run-level
-    hit certifies that every partition — and their arrangement — is
-    byte-identical to the run that stored the entry."""
-    return hashlib.sha256("\n".join(digests).encode("ascii")).hexdigest()
-
-
-def _encode_run_entry(
-    merged: PartitionSummary,
-    distinct_count: int,
-    skipped_per_partition: "dict[int, int]",
-    bytes_skipped: int,
-) -> bytes:
-    """Run-level entry: the merged result minus its distinct-type *set*.
-
-    A plain inference run only ever observes the distinct *count*; the
-    set itself (which dwarfs the schema — decoding it dominates warm
-    replay on heterogeneous data) is only needed by checkpoint writes
-    and incremental updates, which bypass run-level replay entirely.
-    ``skipped_per_partition`` rides along because the merged result no
-    longer attributes quarantined rows to partitions.  ``bytes_skipped``
-    — what per-partition hits on every partition would count — rides
-    in the slim summary's ``bytes_read`` and feeds the replay's
-    bytes-skipped telemetry.
-    """
-    slim = PartitionSummary(
-        schema=merged.schema,
-        record_count=merged.record_count,
-        distinct_types=(),
-        skipped=merged.skipped,
-        bytes_read=bytes_skipped,
-        stats=merged.stats,
-    )
-    return pickle.dumps(
-        (
-            _RUN_ENTRY_VERSION,
-            encode_summary(slim),
-            distinct_count,
-            dict(skipped_per_partition),
-        ),
-        pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def _decode_run_entry(payload: bytes):
-    """Inverse of :func:`_encode_run_entry`; ``None`` for anything
-    malformed or version-skewed (the caller recomputes)."""
-    try:
-        version, wire_bytes, distinct_count, per_partition = (
-            pickle.loads(payload)
-        )
-        if version != _RUN_ENTRY_VERSION:
-            return None
-        summary = decode_summary(wire_bytes)
-    except Exception:
-        return None
-    return summary, distinct_count, per_partition
-
-
-def _replay_run_entry(
-    cache, run_key: str, signature: str, stats, n_partitions: int,
-) -> "tuple[PartitionSummary, int, dict[int, int]] | None":
-    """Whole-run replay: the run-level entry for this exact plan as
-    ``(merged summary, distinct count, skipped per partition)``, or
-    ``None`` when it is absent or damaged (a damaged entry is dropped,
-    so the recomputed run stores its own).  A hit needs no dispatch, no
-    per-partition decode and no merge — the map *and* reduce phases are
-    both pure functions of the plan's content."""
-    signature += _RUN_SIGNATURE_SUFFIX
-    payload = cache.get(run_key, signature)
-    if payload is None:
-        return None
-    decoded = _decode_run_entry(payload)
-    if decoded is None:
-        cache.discard(run_key, signature)
-        return None
-    summary, distinct_count, per_partition = decoded
-    if stats is not None:
-        stats.cache_hits += n_partitions
-        stats.cache_bytes_skipped += summary.bytes_read
-    return _scrub_replayed_telemetry(summary), distinct_count, per_partition
-
-
-def _finish_run(
-    merged: PartitionSummary,
-    distinct_count: int,
-    skipped_per_partition: "dict[int, int]",
-    map_seconds: float,
-    reduce_seconds: float,
-    bad_records_path,
-    max_error_rate,
-    checkpoint_records: int = 0,
-) -> InferenceRun:
-    """The tail every NDJSON run shares, whether computed or replayed
-    from a run-level cache entry.
-
-    Spills the quarantine sidecar first (it is still written when the
-    run then aborts, for post-mortems), enforces ``max_error_rate`` and
-    builds the :class:`InferenceRun`.  The error rate is judged over the
-    records this run actually read: the ``checkpoint_records`` an update
-    folded in from its checkpoint must not dilute a dirty new batch.
-    """
-    if bad_records_path is not None and merged.skipped:
-        write_bad_records(bad_records_path, merged.skipped)
-    if max_error_rate is not None:
-        total = (merged.record_count - checkpoint_records
-                 + merged.skipped_count)
-        if total and merged.skipped_count / total > max_error_rate:
-            raise ErrorRateExceeded(
-                merged.skipped_count, total, max_error_rate
-            )
-    return InferenceRun(
-        schema=merged.schema,
-        record_count=merged.record_count,
-        distinct_type_count=distinct_count,
-        map_seconds=map_seconds,
-        reduce_seconds=reduce_seconds,
-        skipped_count=merged.skipped_count,
-        bad_records=merged.skipped,
-        skipped_per_partition=dict(skipped_per_partition),
-        phase_timings=merged.timings,
-        checkpoint_record_count=checkpoint_records,
-        stats=stats_if_complete(merged.stats, merged.record_count),
-    )
-
-
-def _decode_payload(
-    payload: bytes, adopt: PartitionAccumulator, stats
-) -> PartitionSummary:
-    """Decode one wire payload through the adoption accumulator ``adopt``.
-
-    One accumulator means one interner: structurally equal schema
-    subtrees from *different* partitions decode to pointer-identical
-    nodes.  The byte counters feed ``--timings``; encoded and decoded
-    totals are tallied from the same payloads (every payload the driver
-    decodes was encoded exactly once).
-    """
-    summary = decode_summary(payload, adopt)
-    if stats is not None:
-        stats.summary_wire_bytes_encoded += len(payload)
-        stats.summary_wire_bytes_decoded += len(payload)
+    if isinstance(result, (bytes, bytearray)):
+        summary = decode_summary(bytes(result), adopt)
+        if stats is not None:
+            stats.summary_wire_bytes_decoded += len(result)
+    else:
+        summary = result
+    if replayed:
+        summary = replace(summary, worker="", timings=None)
     return summary
-
-
-def _decode_wire_summaries(
-    entries, stats, adopt: PartitionAccumulator, replayed: "set[int]",
-) -> list[PartitionSummary]:
-    """Per-task results as summaries: wire payloads (process-pool
-    results, replayed journal frames) decode through
-    :func:`_decode_payload`; :class:`PartitionSummary` objects (thread
-    and in-line results, decoded cache hits) pass through.  The entries
-    at ``replayed`` indices — journal frames and cache hits — come from
-    an earlier run and lose its telemetry
-    (:func:`_scrub_replayed_telemetry`)."""
-    summaries = []
-    for index, entry in enumerate(entries):
-        if isinstance(entry, (bytes, bytearray)):
-            entry = _decode_payload(bytes(entry), adopt, stats)
-        if index in replayed:
-            entry = _scrub_replayed_telemetry(entry)
-        summaries.append(entry)
-    return summaries
 
 
 def _journal_header(plan_desc: dict, signature: str, total: int) -> dict:
@@ -585,97 +441,53 @@ def _validate_resume(state, plan_desc: dict, signature: str,
     )
 
 
-def _run_journaled_tasks(
-    task,
-    work_items: list,
-    plan_desc: dict,
-    scheduler,
-    journal_path,
-    resume: bool,
-    stop_event,
-):
-    """Dispatch ``work_items``, journaling each completion; returns
-    ``(entries, replayed, journal)``.
+def _open_journal(journal_path, resume: bool, plan_desc: dict):
+    """The run journal for ``plan_desc`` and the wire payloads it already
+    holds, by task index: ``(journal, completed)``.
 
-    ``entries`` is indexed by task: journal-replayed tasks — the indices
-    in ``replayed`` — hold their recorded wire payload (bytes), freshly
-    executed tasks hold whatever the task returned (wire bytes or a
-    summary object).  The returned
-    journal is still open — the caller appends the commit frame after
-    the merge and closes it; on every error path here the journal is
-    closed before the exception propagates.
-
-    Without a ``journal_path`` this degrades to a plain dispatch.
+    A fresh run creates the journal, recording the task plan up front.
+    A resume opens it, refuses a journal of another plan
+    (:func:`_validate_resume`) and returns the payloads of the tasks
+    that finished before the interruption.  The caller owns the open
+    journal: it appends each task as it completes, appends the commit
+    frame after the merge and closes it on every path.
     """
-    journal = None
-    replayed: dict[int, bytes] = {}
-    total = len(work_items)
-    if journal_path is not None:
-        from repro.store.journal import RunJournal, plan_signature
+    from repro.store.journal import RunJournal, plan_signature
 
-        signature = plan_signature(plan_desc)
-        if resume:
-            journal, state = RunJournal.open_resume(journal_path)
-            try:
-                _validate_resume(state, plan_desc, signature, total)
-            except BaseException:
-                journal.close()
-                raise
-            replayed = {
-                i: payload for i, payload in state.completed.items()
-                if 0 <= i < total
-            }
-        else:
-            journal = RunJournal.create(
-                journal_path, _journal_header(plan_desc, signature, total)
-            )
-
-    remaining = [i for i in range(total) if i not in replayed]
-    entries: list = [None] * total
-    for i, payload in replayed.items():
-        entries[i] = payload
-
-    on_result = None
-    if journal is not None:
-        def on_result(local_index: int, result) -> None:
-            payload = (
-                bytes(result) if isinstance(result, (bytes, bytearray))
-                else encode_summary(result)
-            )
-            journal.append_task(remaining[local_index], payload)
-
+    signature = plan_signature(plan_desc)
+    total = len(plan_desc["tasks"])
+    if not resume:
+        header = _journal_header(plan_desc, signature, total)
+        return RunJournal.create(journal_path, header), {}
+    journal, state = RunJournal.open_resume(journal_path)
     try:
-        if scheduler is None:
-            fresh = []
-            for local, index in enumerate(remaining):
-                if stop_event is not None and stop_event.is_set():
-                    raise JobCancelled(local, len(remaining))
-                result = task(work_items[index])
-                if on_result is not None:
-                    on_result(local, result)
-                fresh.append(result)
-        else:
-            fresh = scheduler.run(
-                task,
-                [work_items[i] for i in remaining],
-                on_result=on_result,
-                stop_event=stop_event,
-            )
-    except JobCancelled as exc:
-        if journal is not None:
-            journal.close()
-            raise ResumableInterrupt(
-                str(journal_path), len(replayed) + exc.completed, total
-            ) from exc
-        raise
+        _validate_resume(state, plan_desc, signature, total)
     except BaseException:
-        if journal is not None:
-            journal.close()
+        journal.close()
         raise
+    return journal, {
+        i: payload for i, payload in state.completed.items()
+        if 0 <= i < total
+    }
 
-    for local, index in enumerate(remaining):
-        entries[index] = fresh[local]
-    return entries, set(replayed), journal
+
+def _dispatch(task, items: list, scheduler, stop_event, on_result) -> list:
+    """``task`` over ``items`` as one scheduler job, or in-line without a
+    scheduler under the same ``on_result`` and ``stop_event`` contract
+    (see :meth:`~repro.engine.scheduler.Scheduler.run`)."""
+    if scheduler is not None:
+        return scheduler.run(
+            task, items, on_result=on_result, stop_event=stop_event
+        )
+    results = []
+    for local, item in enumerate(items):
+        if stop_event is not None and stop_event.is_set():
+            raise JobCancelled(local, len(items))
+        result = task(item)
+        if on_result is not None:
+            on_result(local, result)
+        results.append(result)
+    return results
 
 
 def _splittable(path: "str | Path | None") -> bool:
@@ -763,7 +575,7 @@ def infer_ndjson_file(
     re-bases with a prefix sum over the splits' line counts.
 
     The map phase decodes each record with a guarded C decoder
-    (:func:`repro.inference.typestream.guarded_decoder`) and re-parses
+    (:func:`repro.jsonio.typestream.guarded_decoder`) and re-parses
     any record it misses with the strict parser, so results, error
     diagnostics and quarantine behaviour are those of the strict parser
     on every input.  With ``collect_timings=True`` (the CLI's
@@ -778,9 +590,16 @@ def infer_ndjson_file(
     format (:func:`repro.inference.kernel.encode_summary`), not as a
     pickled type-object graph; thread and in-line tasks share their
     summaries by reference.  Results are bit-identical either way.
-    Every task types its records through a fresh accumulator, and the
-    reduce is one fold of the task summaries at the driver
-    (:func:`repro.inference.kernel.merge_summaries_full`).
+    Every task types its records through a fresh accumulator.
+
+    A run has four stages.  *Plan* lists the work items.  *Gather*
+    fills one partial summary per item, in plan order: from a cache
+    hit, a journal frame or a fresh map task, each arriving through one
+    decode.  *Reduce* is one fold of those partials at the driver
+    (:func:`repro.inference.kernel.merge_summaries_full`), with an
+    update's stored summary as one more partial.  *Persist* writes the
+    quarantine sidecar, checks the error rate, saves the checkpoint and
+    commits the journal.
 
     Dirty-data handling:
 
@@ -889,41 +708,8 @@ def infer_ndjson_file(
             "resume=True requires journal_path (nothing to resume from)"
         )
 
-    def _plan_desc(tasks: list) -> dict:
-        """The canonical plan descriptor the journal header signs."""
-        if journal_path is None:
-            return {}
-        from repro.store.checkpoint import fingerprint_source
-
-        desc = {
-            "source": fingerprint_source(source).to_dict(),
-            "split_mode": mode,
-            "parse_lane": _lane_label(stats_mode),
-            "permissive": bool(permissive),
-            "update": str(update_from) if update_from is not None else None,
-            "tasks": tasks,
-        }
-        if stats_mode != "off":
-            # Only when enabled, so stats-off plans hash identically to
-            # pre-stats journals and remain resumable by them.
-            desc["stats"] = stats_mode
-        return desc
-
+    # Plan: the work items, one task each, and their content digests.
     start = time.perf_counter()
-    #: Every wire payload of this run decodes through this accumulator.
-    adopt = PartitionAccumulator()
-    #: Work-item index -> decoded cache hit, for this run's plan.
-    hits: dict[int, PartitionSummary] = {}
-    #: Whole-plan cache key (run-level entry), when a cache is active.
-    run_key: "str | None" = None
-    # Run-level replay and store are sound only when the result is a pure
-    # function of this plan's content: incremental updates fold in
-    # checkpointed history, checkpoint writes need the distinct-type set
-    # the slim entry drops, and journaled runs owe the caller a journal.
-    run_replay_ok = (
-        update_from is None and checkpoint_to is None
-        and journal_path is None
-    )
     task_options = dict(
         source=source, permissive=permissive,
         collect_timings=collect_timings, wire=wire, stats_mode=stats_mode,
@@ -935,15 +721,9 @@ def infer_ndjson_file(
         # journal task: either it completed before the crash (and
         # resume replays it without re-reading the file) or it runs
         # from the start.
+        items = [iter_numbered_lines(path)]
         task = partial(accumulate_ndjson_partition, **task_options)
-        entries, replayed, journal = _run_journaled_tasks(
-            lambda _item: task(iter_numbered_lines(path)),
-            [None], _plan_desc([["stream"]]), None,
-            journal_path, resume, stop_event,
-        )
     else:
-        # Only planning differs by split mode: the work items, their
-        # content digests, and how the input-bytes telemetry sizes them.
         count = num_partitions or (
             context.default_parallelism if context is not None else 1
         )
@@ -951,165 +731,171 @@ def infer_ndjson_file(
             items = plan_splits(
                 source, count, min_split_bytes, stable=cache is not None
             )
-
-            def describe(split) -> list[int]:
-                return [split.offset, split.length]
-
-            def digest_items() -> list[str]:
-                # One hash pass over the file (memory bandwidth, no
-                # typing) keys every split.
-                return digest_splits(source, items)
-
-            def shipped_bytes(misses: list) -> int:
-                # The entire driver-to-worker input payload: the
-                # pickled descriptors.  Compare with input_bytes_read.
-                return len(pickle.dumps(misses))
-
-            def hit_bytes(index: int, summary: PartitionSummary) -> int:
-                return summary.bytes_read
         else:
             items = split_evenly(list(iter_numbered_lines(path)), count)
-
-            def describe(part) -> list[int]:
-                return [part[0][0] if part else -1, len(part)]
-
-            def digest_items() -> list[str]:
-                return [_digest_numbered_lines(part) for part in items]
-
-            def shipped_bytes(misses: list) -> int:
-                # Approximate payload the driver hands to the tasks: the
-                # text of every dispatched record.
-                return sum(len(text) for part in misses for _, text in part)
-
-            def hit_bytes(index: int, summary: PartitionSummary) -> int:
-                return sum(len(text) for _, text in items[index])
-
-        digests: "list[str] | None" = None
-        if cache is not None and items:
-            digests = digest_items()
-            run_key = _run_level_key(digests)
-            if run_replay_ok:
-                replayed = _replay_run_entry(
-                    cache, run_key, cache_signature, stats, len(items),
-                )
-                if replayed is not None:
-                    merged, distinct_count, per_partition = replayed
-                    return _finish_run(
-                        merged, distinct_count, per_partition,
-                        time.perf_counter() - start, 0.0,
-                        bad_records_path, max_error_rate,
-                    )
-            for index, digest in enumerate(digests):
-                payload = cache.get(digest, cache_signature)
-                if payload is None:
-                    continue
-                try:
-                    hits[index] = _decode_payload(payload, adopt, stats)
-                except ValueError:
-                    # Well framed but undecodable (another wire version,
-                    # say): a miss, dropped so that the recomputed
-                    # summary is stored in its place.
-                    cache.discard(digest, cache_signature)
-        miss_indices = [i for i in range(len(items)) if i not in hits]
-        misses = [items[i] for i in miss_indices]
-        if stats is not None:
-            # Cache hits never ship.
-            stats.input_bytes_shipped += shipped_bytes(misses)
-        # One task per item.  The journal plan keeps one list per task
-        # (``[[offset, length]]``), the shape earlier releases wrote, so
-        # their journals still resume.  The task is not this module's
-        # ``accumulate_ndjson_partition``: the e2e tracer replaces that
-        # name with a closure, which the process backend cannot ship.
-        miss_results, resumed, journal = _run_journaled_tasks(
-            partial(accumulate_ndjson_item, **task_options), misses,
-            _plan_desc([[describe(item)] for item in misses]),
-            scheduler, journal_path, resume, stop_event,
+        # Not this module's ``accumulate_ndjson_partition``: the e2e
+        # tracer replaces that name with a closure, which the process
+        # backend cannot ship.
+        task = partial(accumulate_ndjson_item, **task_options)
+    digests: "list[str] | None" = None
+    if cache is not None and items:
+        # One hash pass over the file (memory bandwidth, no typing) keys
+        # every split.
+        digests = (
+            digest_splits(source, items) if mode == "bytes"
+            else [_digest_numbered_lines(part) for part in items]
         )
-        replayed = {miss_indices[i] for i in resumed} | hits.keys()
-        if digests is not None:
-            stored = 0
-            for local, index in enumerate(miss_indices):
-                if cache.put(
-                    digests[index], cache_signature,
-                    as_wire_payload(miss_results[local]),
-                ):
-                    stored += 1
-            if stats is not None:
-                stats.cache_stores += stored
-        entries = miss_results
-        if hits:
-            entries = [None] * len(items)
-            for index, summary in hits.items():
-                entries[index] = summary
-            for local, index in enumerate(miss_indices):
-                entries[index] = miss_results[local]
-    summaries = _decode_wire_summaries(entries, stats, adopt, replayed)
+
+    # Gather: one partial per work item, in plan order, from the cache,
+    # the journal or a fresh map task.
+    #: Every wire payload of this run decodes through this accumulator.
+    adopt = PartitionAccumulator()
+    partials: list = [None] * len(items)
+    for index, digest in enumerate(digests or ()):
+        payload = cache.get(digest, cache_signature)
+        if payload is None:
+            continue
+        try:
+            partials[index] = _arrived(payload, adopt, stats, replayed=True)
+        except ValueError:
+            # Well framed but undecodable (another wire version, say): a
+            # miss, dropped so that the recomputed summary is stored in
+            # its place.
+            cache.discard(digest, cache_signature)
+    hits = [i for i, summary in enumerate(partials) if summary is not None]
+    planned = [i for i, summary in enumerate(partials) if summary is None]
     if stats is not None:
-        if cache is not None:
-            # A cache is only ever active on the partitioned flow.
-            stats.cache_hits += len(hits)
-            stats.cache_misses += len(miss_indices)
-            stats.cache_bytes_skipped += sum(
-                hit_bytes(index, summaries[index]) for index in hits
-            )
-        stats.input_bytes_read += sum(
-            summary.bytes_read
-            for index, summary in enumerate(summaries)
-            if index not in replayed
+        # Cache hits never ship.  Byte splits ship only their pickled
+        # descriptors (compare with input_bytes_read); line chunks ship
+        # the text of every record.
+        shipped = [items[i] for i in planned]
+        stats.input_bytes_shipped += (
+            len(pickle.dumps(shipped)) if mode == "bytes"
+            else sum(map(_text_bytes, shipped))
         )
-    # Byte-split workers only know split-local line numbers; a prefix sum
-    # over the line counts re-anchors quarantined records to their
-    # absolute file lines before anything downstream sees them.  Cache
-    # entries store split-local numbers too, so hits and misses rebase
-    # uniformly; line chunks are numbered absolutely and count no lines.
-    rebased = []
-    base = 0
-    for summary in summaries:
-        if summary.skipped and base:
-            summary = replace(
-                summary, skipped=rebase_bad_records(summary.skipped, base)
-            )
-        base += summary.line_count
-        rebased.append(summary)
-    summaries = rebased
-    map_seconds = time.perf_counter() - start
-    _note_summary_telemetry(stats, summaries)
+    journal, completed = None, {}
+    if journal_path is not None:
+        from repro.store.checkpoint import fingerprint_source
 
+        plan_desc = {
+            "source": fingerprint_source(source).to_dict(),
+            "split_mode": mode,
+            "parse_lane": _lane_label(stats_mode),
+            "permissive": bool(permissive),
+            "update": str(update_from) if update_from is not None else None,
+            # One list per task, the shape earlier releases wrote, so
+            # their journals still resume.  A cached run plans only the
+            # items the cache missed.
+            "tasks": [[_describe(items[i])] for i in planned],
+        }
+        if stats_mode != "off":
+            # Only when enabled, so stats-off plans hash identically to
+            # pre-stats journals and remain resumable by them.
+            plan_desc["stats"] = stats_mode
+        journal, completed = _open_journal(journal_path, resume, plan_desc)
     try:
+        todo = [local for local in range(len(planned))
+                if local not in completed]
+        on_result = None
+        if journal is not None:
+            def on_result(done: int, result) -> None:
+                journal.append_task(todo[done], as_wire_payload(result))
+
+        try:
+            fresh = _dispatch(
+                task, [items[planned[local]] for local in todo],
+                scheduler, stop_event, on_result,
+            )
+        except JobCancelled as exc:
+            if journal is None:
+                raise
+            raise ResumableInterrupt(
+                str(journal_path), len(completed) + exc.completed,
+                len(planned),
+            ) from exc
+        results = dict(completed)
+        results.update(zip(todo, fresh))
+        stored = 0
+        for local, index in enumerate(planned):
+            if digests is not None and cache.put(
+                digests[index], cache_signature,
+                as_wire_payload(results[local]),
+            ):
+                stored += 1
+            partials[index] = _arrived(
+                results[local], adopt, stats, replayed=local in completed
+            )
+        if stats is not None:
+            if cache is not None:
+                stats.cache_hits += len(hits)
+                stats.cache_misses += len(planned)
+                stats.cache_stores += stored
+                stats.cache_bytes_skipped += sum(
+                    partials[i].bytes_read if mode == "bytes"
+                    else _text_bytes(items[i])
+                    for i in hits
+                )
+            stats.input_bytes_read += sum(
+                partials[planned[local]].bytes_read for local in todo
+            )
+        # Byte-split workers only know split-local line numbers; a prefix
+        # sum over the line counts re-anchors quarantined records to
+        # their absolute file lines before anything downstream sees
+        # them.  Cache entries store split-local numbers too, so hits and
+        # misses rebase uniformly; line chunks are numbered absolutely
+        # and count no lines.
+        base = 0
+        for index, summary in enumerate(partials):
+            if summary.skipped and base:
+                partials[index] = replace(
+                    summary,
+                    skipped=rebase_bad_records(summary.skipped, base),
+                )
+            base += summary.line_count
+        map_seconds = time.perf_counter() - start
+        _note_summary_telemetry(stats, partials)
+
+        # Reduce: the stored summary of an update is just one more
+        # partial, and every partial enters one fold.
         start = time.perf_counter()
-        # Attribute quarantined rows to their partitions through the
-        # engine's accumulator machinery (summaries carry the counts
-        # across process boundaries; the accumulator merges them
-        # driver-side).
-        per_partition = MapAccumulator()
-        for index, summary in enumerate(summaries):
-            if summary.skipped_count:
-                per_partition.add_count(index, summary.skipped_count)
+        skipped_per_partition = {
+            index: summary.skipped_count
+            for index, summary in enumerate(partials)
+            if summary.skipped_count
+        }
+        checkpoint_records = 0
         if loaded is not None:
-            # The stored summary is just one more partial: it enters the
-            # same reduce as the fresh partitions.
-            summaries = list(summaries) + [loaded.summary]
-        merged = merge_summaries_full(summaries)
-        distinct_count = merged.distinct_type_count
+            partials.append(loaded.summary)
+            checkpoint_records = loaded.record_count
+        merged = merge_summaries_full(partials)
         reduce_seconds = time.perf_counter() - start
 
-        if run_key is not None and update_from is None:
-            # Merged results are pure for non-incremental runs, so the
-            # whole reduce is cacheable too: the next identical-content
-            # run replays this entry and skips map *and* reduce.
-            if cache.put(
-                run_key, cache_signature + _RUN_SIGNATURE_SUFFIX,
-                _encode_run_entry(
-                    merged, distinct_count, per_partition.value,
-                    sum(hit_bytes(i, s) for i, s in enumerate(summaries)),
-                ),
-            ) and stats is not None:
-                stats.cache_stores += 1
-
-        run = _finish_run(
-            merged, distinct_count, per_partition.value, map_seconds,
-            reduce_seconds, bad_records_path, max_error_rate,
-            loaded.record_count if loaded is not None else 0,
+        # Persist.  The quarantine sidecar goes first: it is still
+        # written when the run then aborts, for post-mortems.  The error
+        # rate is judged over the records this run actually read: the
+        # records an update folded in from its checkpoint must not
+        # dilute a dirty new batch.
+        if bad_records_path is not None and merged.skipped:
+            write_bad_records(bad_records_path, merged.skipped)
+        if max_error_rate is not None:
+            total = (merged.record_count - checkpoint_records
+                     + merged.skipped_count)
+            if total and merged.skipped_count / total > max_error_rate:
+                raise ErrorRateExceeded(
+                    merged.skipped_count, total, max_error_rate
+                )
+        run = InferenceRun(
+            schema=merged.schema,
+            record_count=merged.record_count,
+            distinct_type_count=merged.distinct_type_count,
+            map_seconds=map_seconds,
+            reduce_seconds=reduce_seconds,
+            skipped_count=merged.skipped_count,
+            bad_records=merged.skipped,
+            skipped_per_partition=skipped_per_partition,
+            phase_timings=merged.timings,
+            checkpoint_record_count=checkpoint_records,
+            stats=stats_if_complete(merged.stats, merged.record_count),
         )
         if checkpoint_to is not None:
             previous_sources = (
@@ -1137,8 +923,7 @@ def infer_ndjson_file(
 
         if journal is not None:
             # The run is complete (merge done, checkpoint — if any —
-            # durable): seal the journal.  A resume of a committed
-            # journal short-circuits instead of re-merging.
+            # durable): seal the journal.
             from repro.core.printer import print_type
 
             journal.append_commit({

@@ -21,10 +21,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, MutableSequence
+from typing import Any, Callable, Iterable, Iterator, MutableSequence
 
 from repro.jsonio.errors import JsonError, JsonSyntaxError
-from repro.jsonio.parser import loads
+from repro.jsonio.parser import MAX_DEPTH, loads
+from repro.jsonio.typestream import FastLaneMiss, guarded_decoder
 from repro.jsonio.writer import dumps
 
 __all__ = [
@@ -83,17 +84,43 @@ def iter_lines(path: str | Path) -> Iterator[str]:
         yield line
 
 
+def _record_parser(source: str) -> Callable[[str, int], Any]:
+    """``parse(line, line_number)``: one record's value, as :func:`loads`
+    gives it.
+
+    Each line goes first to one guarded C decoder
+    (:func:`repro.jsonio.typestream.guarded_decoder`); every line it
+    misses is re-parsed by :func:`loads`, so values and errors are a
+    ``loads``-only read's.  So is every line with more than
+    :data:`~repro.jsonio.parser.MAX_DEPTH` ``{``/``[`` characters: the C
+    scanner accepts nesting past the strict limit.
+    """
+    decode = guarded_decoder()
+
+    def parse(line: str, line_number: int) -> Any:
+        if line.count("{") + line.count("[") <= MAX_DEPTH:
+            try:
+                return decode(line)
+            except FastLaneMiss:
+                pass
+        return loads(line, source=source, first_line=line_number)
+
+    return parse
+
+
 def read_ndjson(path: str | Path, skip_invalid: bool = False) -> Iterator[Any]:
     """Stream the JSON records of an NDJSON file.
 
     With ``skip_invalid=True``, unparseable lines are silently dropped —
     useful for raw crawls; the default propagates the parse error carrying
-    the source path and the absolute file line number.
+    the source path and the absolute file line number.  Records decode
+    as :func:`_record_parser` describes.
     """
     source = str(path)
+    parse = _record_parser(source)
     for line_number, line in iter_numbered_lines(path):
         try:
-            yield loads(line, source=source, first_line=line_number)
+            yield parse(line, line_number)
         except JsonError as exc:
             if skip_invalid:
                 continue
@@ -113,9 +140,10 @@ def read_ndjson_quarantined(
     means (see the pipelines' ``max_error_rate``).
     """
     source = str(path)
+    parse = _record_parser(source)
     for line_number, line in iter_numbered_lines(path):
         try:
-            yield loads(line, source=source, first_line=line_number)
+            yield parse(line, line_number)
         except JsonError as exc:
             quarantine.append(
                 BadRecord(source, line_number, str(exc), line)

@@ -57,7 +57,6 @@ __all__ = [
     "SplitLineReader",
     "count_lines_before",
     "digest_splits",
-    "iter_split_lines",
     "plan_splits",
     "rebase_bad_records",
     "split_content_span",
@@ -414,17 +413,6 @@ def digest_splits(path: "str | Path", splits: list[FileSplit]) -> list[str]:
     finally:
         if isinstance(buf, mmap.mmap):
             buf.close()
-
-
-def iter_split_lines(split: FileSplit) -> Iterator[tuple[int, str]]:
-    """Yield ``(split_local_line_number, stripped_line)`` for one split.
-
-    The function-shaped convenience over :class:`SplitLineReader` for
-    callers that do not need the split's line count.  Across the splits
-    of one :func:`plan_splits` plan, every non-blank line of the file is
-    yielded exactly once.
-    """
-    yield from SplitLineReader(split)
 
 
 def count_lines_before(path: str | Path, offset: int) -> int:

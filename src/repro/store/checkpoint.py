@@ -14,7 +14,7 @@ stops being a one-shot batch job:
 * :func:`load_checkpoint` reads it back, verifying version and digests,
   and yields a summary that is *exactly* a partition summary: it can be
   appended to a fresh run's partials and ride the existing merge path
-  (:func:`~repro.inference.kernel.merge_summary_group`), the driver's
+  (:func:`~repro.inference.kernel.merge_summaries_full`), the driver's
   one fold.
 * :func:`merge_checkpoints` unions any number of checkpoints — the
   cross-shard schema union: shards infer independently, checkpoint, and

@@ -6,8 +6,8 @@ Contracts pinned here:
   partitioned strict run with the same absolute line number as
   sequential.
 * **Dispatch pin** — the journal's task plan (one work item per task)
-  and the scheduler counters of an uncached, a cold-cached, a
-  warm-cached and a run-level-replayed job, as literals.
+  and the scheduler counters of an uncached, a cold-cached and two
+  warm-cached jobs, as literals.
 
 Results against the pure oracle, per configuration point, are checked
 in ``tests/test_oracle_gates.py``.
@@ -69,23 +69,22 @@ class TestDispatchPin:
     Each configuration runs four jobs over one fixed dirty file, each
     in a fresh thread Context: uncached, then cold and warm against one
     summary cache, each with its own journal; then warm again without a
-    journal, so the run-level cache entry replays.  Every task is one
-    work item (the ``1`` of each configuration), so the journal plan
-    holds one ``[offset, length]`` (or ``[first line, count]``) list per
-    task, the shape earlier releases wrote.  The journal header's task
-    plan (``None`` without a journal) and the scheduler counters are
-    pinned as literals: a run-level replay skips exactly the input bytes
-    the journaled warm job's per-partition hits skip.  Relative paths
-    keep the pickled split descriptors, and so ``input_bytes_shipped``,
-    independent of the temporary directory.
-    The wire-byte counters are the sizes of wire v4 frames, whose
+    journal.  Every task is one work item (the ``1`` of each
+    configuration), so the journal plan holds one ``[offset, length]``
+    (or ``[first line, count]``) list per task, the shape earlier
+    releases wrote.  The journal header's task plan (``None`` without a
+    journal) and the scheduler counters are pinned as literals: both
+    warm jobs replay every partition from the cache, so their counters
+    are equal.  Relative paths keep the pickled split descriptors, and
+    so ``input_bytes_shipped``, independent of the temporary directory.
+    The wire-byte counter is the size of the wire v4 frames, whose
     distinct sets are 32-byte digests.
     """
 
     COUNTERS = (
         "tasks_completed", "input_bytes_shipped", "input_bytes_read",
         "cache_hits", "cache_misses", "cache_stores", "cache_bytes_skipped",
-        "summary_wire_bytes_encoded", "summary_wire_bytes_decoded",
+        "summary_wire_bytes_decoded",
     )
     BYTES_STABLE = [
         [[0, 186]], [[186, 186]], [[372, 186]],
@@ -97,16 +96,16 @@ class TestDispatchPin:
         ("bytes", 1): [
             ([[[0, 186]], [[186, 186]], [[372, 186]], [[558, 185]],
               [[743, 186]], [[929, 186]]],
-             [6, 248, 1158, 0, 0, 0, 0, 0, 0]),
-            (BYTES_STABLE, [6, 248, 1156, 0, 6, 7, 0, 0, 0]),
-            ([], [0, 5, 0, 6, 0, 0, 1156, 1984, 1984]),
-            (None, [0, 0, 0, 6, 0, 0, 1156, 0, 0]),
+             [6, 248, 1158, 0, 0, 0, 0, 0]),
+            (BYTES_STABLE, [6, 248, 1156, 0, 6, 6, 0, 0]),
+            ([], [0, 5, 0, 6, 0, 0, 1156, 1984]),
+            (None, [0, 5, 0, 6, 0, 0, 1156, 1984]),
         ],
         ("lines", 1): [
-            (LINES, [6, 1067, 0, 0, 0, 0, 0, 0, 0]),
-            (LINES, [6, 1067, 0, 0, 6, 7, 0, 0, 0]),
-            ([], [0, 0, 0, 6, 0, 0, 1067, 1988, 1988]),
-            (None, [0, 0, 0, 6, 0, 0, 1067, 0, 0]),
+            (LINES, [6, 1067, 0, 0, 0, 0, 0, 0]),
+            (LINES, [6, 1067, 0, 0, 6, 6, 0, 0]),
+            ([], [0, 0, 0, 6, 0, 0, 1067, 1988]),
+            (None, [0, 0, 0, 6, 0, 0, 1067, 1988]),
         ],
     }
 

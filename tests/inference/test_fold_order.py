@@ -3,7 +3,7 @@
 :meth:`PartitionAccumulator.observe` left-folds while the running schema
 is narrow and switches to a logarithmic fold (a binary-counter stack of
 partial schemas) once it reaches ``kernel._LOG_FOLD_THRESHOLD`` nodes;
-:func:`merge_summary_group` folds partial schemas through a fresh
+:func:`merge_summaries_full` folds partial schemas through a fresh
 interner and fusion memo.  Fuse is commutative and associative
 (Theorems 5.4 and 5.5), so none of this may be observable: every order,
 grouping and threshold must print the schema of the reference
@@ -28,7 +28,7 @@ from repro.inference.kernel import (
     PartitionAccumulator,
     decode_summary,
     encode_summary,
-    merge_summary_group,
+    merge_summaries_full,
 )
 from tests.conftest import json_records, wide_key_records
 
@@ -100,8 +100,8 @@ class TestOrderInvariance:
             while len(rows) > 1:
                 i = data.draw(st.integers(0, len(rows) - 2), label="at")
                 j = data.draw(st.integers(i + 2, len(rows)), label="to")
-                rows[i:j] = [merge_summary_group(rows[i:j])]
-            merged = merge_summary_group(rows)
+                rows[i:j] = [merge_summaries_full(rows[i:j])]
+            merged = merge_summaries_full(rows)
         assert observed(merged) == reference(values)
 
 
@@ -129,18 +129,18 @@ class TestMergeSummaryGroup:
         return summaries
 
     def test_separate_accumulators(self):
-        merged = merge_summary_group(self.partials())
+        merged = merge_summaries_full(self.partials())
         assert observed(merged) == reference(self.VALUES)
 
     def test_wire_decoded_through_an_adoption_accumulator(self):
         adopt = PartitionAccumulator()
         decoded = [decode_summary(encode_summary(s), adopt)
                    for s in self.partials()]
-        merged = merge_summary_group(decoded)
+        merged = merge_summaries_full(decoded)
         assert observed(merged) == reference(self.VALUES)
 
     def test_wire_decoded_without_an_adoption_accumulator(self):
         decoded = [decode_summary(encode_summary(s))
                    for s in self.partials()]
-        merged = merge_summary_group(decoded)
+        merged = merge_summaries_full(decoded)
         assert observed(merged) == reference(self.VALUES)

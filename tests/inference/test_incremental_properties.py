@@ -28,7 +28,6 @@ from repro.core.printer import print_type
 from repro.inference.kernel import (
     PartitionAccumulator,
     accumulate_partition,
-    merge_summary_group,
     merge_summaries_full,
 )
 from repro.inference.pipeline import SchemaInferencer, infer_ndjson_file
@@ -68,8 +67,8 @@ class TestPartitionOrderInvariance:
     @given(record_batches)
     def test_summary_merge_commutes(self, batches):
         summaries = [accumulate_partition(b) for b in batches]
-        forward = merge_summary_group(summaries)
-        backward = merge_summary_group(summaries[::-1])
+        forward = merge_summaries_full(summaries)
+        backward = merge_summaries_full(summaries[::-1])
         assert forward.schema == backward.schema
         assert forward.record_count == backward.record_count
         assert forward.digest_set() == backward.digest_set()
@@ -85,7 +84,7 @@ class TestBatchSplitInvariance:
         whole = accumulate_partition(records)
         left = accumulate_partition(records[:cut])
         right = accumulate_partition(records[cut:])
-        merged = merge_summary_group([left, right])
+        merged = merge_summaries_full([left, right])
         assert merged.schema == whole.schema
         assert merged.record_count == whole.record_count
         assert merged.digest_set() == whole.digest_set()
@@ -97,7 +96,7 @@ class TestBatchSplitInvariance:
         pairwise = summaries
         while len(pairwise) > 1:
             pairwise = [
-                merge_summary_group(pairwise[i:i + 2])
+                merge_summaries_full(pairwise[i:i + 2])
                 for i in range(0, len(pairwise), 2)
             ]
         tree = pairwise[0]
@@ -111,7 +110,7 @@ class TestBatchSplitInvariance:
         acc = PartitionAccumulator()
         for s in summaries:
             acc.add_summary(s)
-        merged = merge_summary_group(summaries)
+        merged = merge_summaries_full(summaries)
         adopted = acc.summary()
         assert adopted.schema == merged.schema
         assert adopted.record_count == merged.record_count
@@ -129,8 +128,8 @@ class TestCheckpointRoundTripIdentity:
         with tempfile.TemporaryDirectory() as d:
             save_checkpoint(d, s)
             reloaded = load_checkpoint(d).summary
-        direct = merge_summary_group([s, t])
-        via_disk = merge_summary_group([reloaded, t])
+        direct = merge_summaries_full([s, t])
+        via_disk = merge_summaries_full([reloaded, t])
         assert via_disk.schema == direct.schema
         assert via_disk.record_count == direct.record_count
         assert via_disk.digest_set() == direct.digest_set()

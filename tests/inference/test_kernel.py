@@ -32,7 +32,6 @@ from repro.inference.kernel import (
     digest_types,
     encode_summary,
     merge_summaries_full,
-    merge_summary_group,
 )
 from repro.inference.pipeline import run_inference
 from tests.conftest import json_values, normal_types
@@ -107,13 +106,13 @@ class TestDigestBoundary:
         summary = accumulate_partition([{"a": 1}, {"a": "x"}, {"a": 1}])
         assert len(summary.distinct_types) == 2
         assert summary.distinct_digests == frozenset()
-        merged = merge_summary_group([summary, accumulate_partition([2])])
+        merged = merge_summaries_full([summary, accumulate_partition([2])])
         assert len(merged.distinct_types) == 3
         assert merged.distinct_digests == frozenset()
 
     @given(json_value_lists, json_value_lists)
     def test_mixed_merge_unions_digests(self, left, right):
-        merged = merge_summary_group(
+        merged = merge_summaries_full(
             [self.crossed(left), accumulate_partition(right)]
         )
         if left:  # an empty set is in neither form

@@ -33,7 +33,7 @@ from repro.inference.kernel import (
     merge_phase_timings,
 )
 from repro.inference.pipeline import infer_ndjson_file
-from repro.inference.typestream import guarded_decoder
+from repro.jsonio.typestream import guarded_decoder
 from repro.jsonio.errors import DuplicateKeyError, JsonError
 from repro.jsonio.parser import loads
 from repro.store.journal import JournalMismatchError, read_journal

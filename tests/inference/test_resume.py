@@ -45,13 +45,24 @@ kwargs = dict(
     journal_path=cfg["journal"],
     resume=cfg["resume"],
     checkpoint_to=cfg.get("checkpoint"),
+    update_from=cfg.get("update"),
+    summary_cache=cfg.get("cache"),
+    permissive=cfg.get("permissive", False),
 )
 if cfg["backend"] == "none":
     run = infer_ndjson_file(cfg["file"], **kwargs)
 else:
     with Context(parallelism=2, backend=cfg["backend"]) as ctx:
         run = infer_ndjson_file(cfg["file"], context=ctx, **kwargs)
+    stats = ctx.scheduler.stats
 print(print_type(run.schema), run.record_count)
+if cfg.get("report"):
+    print(json.dumps({
+        "distinct": run.distinct_type_count,
+        "bad_lines": [bad.line_number for bad in run.bad_records],
+        "cache_hits": stats.cache_hits,
+        "tasks": stats.tasks_completed,
+    }))
 """
 
 
@@ -72,13 +83,16 @@ def dataset(tmp_path_factory):
 
 
 def run_driver(dataset, journal, mode="bytes", backend="thread",
-               resume=False, checkpoint=None, crash_point=None):
+               resume=False, checkpoint=None, crash_point=None, **extra):
+    """Run :data:`DRIVER` in a subprocess; ``extra`` adds the optional
+    config keys (``update``, ``cache``, ``permissive``, ``report``)."""
     cfg = {
         "file": str(dataset),
         "journal": str(journal),
         "mode": mode,
         "backend": backend,
         "resume": resume,
+        **extra,
     }
     if checkpoint is not None:
         cfg["checkpoint"] = str(checkpoint)
@@ -303,3 +317,101 @@ class TestResumedTelemetry:
             assert sum(stats.tasks_per_worker.values()) == 2
         assert run.record_count == 600
         assert run.phase_timings.records == 600 - replayed
+
+
+class TestResumeFromEverySource:
+    """One resumed run fed by all four sources of a partial summary: the
+    update's base checkpoint, summary-cache hits, journal frames and a
+    fresh map task."""
+
+    @staticmethod
+    def _fixed_width(path, lines=1200):
+        """Every line 23 bytes, every 37th malformed: a digit can turn
+        into ``!`` (and back) without moving a byte offset, so the
+        untouched splits keep their cache keys."""
+        rows = [
+            b'{"s": "%06d", "n": %s}' % (i, b"!" if i % 37 == 9
+                                            else b"%d" % (i % 10))
+            for i in range(lines)
+        ]
+        path.write_bytes(b"\n".join(rows) + b"\n")
+
+    @staticmethod
+    def _mutate(path, k):
+        """Flip the ``"n"`` byte of the line in the middle of split
+        ``k`` of the driver's cached plan, in place."""
+        from repro.jsonio.splits import plan_splits
+
+        split = plan_splits(path, 4, 2048, stable=True)[k]
+        data = bytearray(path.read_bytes())
+        start = data.index(b"\n", split.offset + split.length // 2) + 1
+        flip = data.index(b"\n", start) - 2
+        assert flip < split.end - 1
+        data[flip] = ord("!") if chr(data[flip]).isdigit() else ord("7")
+        path.write_bytes(bytes(data))
+
+    @staticmethod
+    def _files(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_matches_an_uncached_unjournaled_update(self, tmp_path, backend):
+        import shutil
+
+        from repro.core.printer import print_type
+        from repro.engine.context import Context
+        from repro.inference.pipeline import infer_ndjson_file
+        from repro.jsonio.splits import plan_splits
+
+        base_data = tmp_path / "base.ndjson"
+        base_data.write_text("".join(
+            '{"s": %d, "m": [%d, "x"]}\n' % (i, i) for i in range(50)
+        ))
+        base = tmp_path / "base_ckpt"
+        infer_ndjson_file(base_data, checkpoint_to=base)
+        resumed_ckpt, reference_ckpt = tmp_path / "a", tmp_path / "b"
+        shutil.copytree(base, resumed_ckpt)
+        shutil.copytree(base, reference_ckpt)
+
+        data = tmp_path / "data.ndjson"
+        self._fixed_width(data)
+        n_splits = len(plan_splits(data, 4, 2048, stable=True))
+        assert n_splits == 4
+        cache = tmp_path / "cache"
+        with Context(parallelism=2, backend="thread") as ctx:
+            infer_ndjson_file(
+                data, context=ctx, num_partitions=4, min_split_bytes=2048,
+                permissive=True, summary_cache=cache,
+            )
+        self._mutate(data, 1)
+        self._mutate(data, 2)
+
+        cfg = dict(update=str(resumed_ckpt), cache=str(cache),
+                   permissive=True, report=True)
+        journal = tmp_path / "run.journal"
+        crashed = run_driver(data, journal, backend=backend,
+                             checkpoint=resumed_ckpt,
+                             crash_point="journal.append.post:1", **cfg)
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
+        resumed = run_driver(data, journal, backend=backend,
+                             checkpoint=resumed_ckpt, resume=True, **cfg)
+        assert resumed.returncode == 0, resumed.stderr
+        printed, report = resumed.stdout.splitlines()
+        report = json.loads(report)
+
+        with Context(parallelism=2, backend="thread") as ctx:
+            reference = infer_ndjson_file(
+                data, context=ctx, num_partitions=4, min_split_bytes=2048,
+                permissive=True, update_from=reference_ckpt,
+                checkpoint_to=reference_ckpt,
+            )
+        assert printed == (
+            f"{print_type(reference.schema)} {reference.record_count}"
+        )
+        assert report["distinct"] == reference.distinct_type_count
+        assert report["bad_lines"] == [
+            bad.line_number for bad in reference.bad_records
+        ]
+        assert self._files(resumed_ckpt) == self._files(reference_ckpt)
+        assert report["cache_hits"] == n_splits - 2
+        assert report["tasks"] == 1

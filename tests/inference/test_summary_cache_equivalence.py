@@ -120,9 +120,8 @@ class TestSingleSplitMutation:
         _, (hits, cold_misses, stores) = cached_run(
             path, backend, split_mode, cache_dir
         )
-        # Every partition misses and is stored, plus one run-level
-        # (whole-plan) entry for future identical-content replays.
-        assert hits == 0 and stores == cold_misses + 1 and cold_misses > 1
+        # Every partition misses and is stored.
+        assert hits == 0 and stores == cold_misses and cold_misses > 1
 
         n_splits = mutate_one_split(path, k=len(
             plan_splits(path, N_PARTS, min_split_bytes=MIN_SPLIT, stable=True)
@@ -133,7 +132,7 @@ class TestSingleSplitMutation:
         warm, (hits, misses, stores) = cached_run(
             path, backend, split_mode, cache_dir
         )
-        assert misses == 1 and stores == 2  # the split + the new run entry
+        assert misses == 1 and stores == 1
         assert hits == cold_misses - 1
         assert observables(warm) == observables(uncached_run(path, split_mode))
 
@@ -170,41 +169,29 @@ class TestSingleSplitMutation:
 
 class TestCorruptionFallback:
     def _partition_entries(self, cache_dir):
-        return sorted(
-            entry
-            for entry in (cache_dir / "objects").glob("*/*.sum")
-            if not entry.name.endswith("-run.sum")
-        )
-
-    def _run_entries(self, cache_dir):
-        return sorted((cache_dir / "objects").glob("*/*-run.sum"))
+        return sorted((cache_dir / "objects").glob("*/*.sum"))
 
     def test_bit_flipped_entry_recomputes(self, tmp_path):
         path = corpus(tmp_path)
         cache_dir = tmp_path / "cache"
         cold, (_, total, _) = cached_run(path, "thread", "bytes", cache_dir)
-        # Flip a bit in one partition entry and in the run-level entry:
-        # both must classify as misses, and the per-partition fallback
-        # must recompute exactly the broken split.
-        for victim in (
-            self._partition_entries(cache_dir)[total // 2],
-            self._run_entries(cache_dir)[0],
-        ):
-            blob = bytearray(victim.read_bytes())
-            blob[-5] ^= 0x10
-            victim.write_bytes(bytes(blob))
+        # Flip a bit in one partition entry: it must classify as a
+        # miss, and the run must recompute exactly the broken split.
+        victim = self._partition_entries(cache_dir)[total // 2]
+        blob = bytearray(victim.read_bytes())
+        blob[-5] ^= 0x10
+        victim.write_bytes(bytes(blob))
 
         warm, (hits, misses, stores) = cached_run(
             path, "thread", "bytes", cache_dir
         )
-        assert (hits, misses, stores) == (total - 1, 1, 2)
+        assert (hits, misses, stores) == (total - 1, 1, 1)
         assert observables(warm) == observables(cold)
 
     def test_truncated_entry_recomputes(self, tmp_path):
         path = corpus(tmp_path)
         cache_dir = tmp_path / "cache"
         cold, (_, total, _) = cached_run(path, "thread", "bytes", cache_dir)
-        self._run_entries(cache_dir)[0].unlink()
         victim = self._partition_entries(cache_dir)[0]
         victim.write_bytes(victim.read_bytes()[:20])
 
@@ -212,20 +199,6 @@ class TestCorruptionFallback:
             path, "thread", "bytes", cache_dir
         )
         assert (hits, misses) == (total - 1, 1)
-        assert observables(warm) == observables(cold)
-
-    def test_corrupt_run_entry_falls_back_to_partition_hits(self, tmp_path):
-        path = corpus(tmp_path)
-        cache_dir = tmp_path / "cache"
-        cold, (_, total, _) = cached_run(path, "thread", "bytes", cache_dir)
-        run_entry = self._run_entries(cache_dir)[0]
-        run_entry.write_bytes(b"garbage")
-
-        warm, (hits, misses, stores) = cached_run(
-            path, "thread", "bytes", cache_dir
-        )
-        # All partitions replay; the run entry is re-stored for next time.
-        assert (hits, misses, stores) == (total, 0, 1)
         assert observables(warm) == observables(cold)
 
     def test_all_entries_garbage_recomputes_everything(self, tmp_path):

@@ -54,7 +54,7 @@ from repro.inference.kernel import (
     decode_summary_light,
     digest_types,
     encode_summary,
-    merge_summary_group,
+    merge_summaries_full,
     type_digest,
 )
 from repro.jsonio.splits import plan_splits
@@ -199,18 +199,18 @@ class TestVersioning:
 
 def _summaries_of(values):
     """One partition's summary of ``values``, and two merged summaries —
-    :func:`merge_summary_group` of two halves, as values and as NDJSON
+    :func:`merge_summaries_full` of two halves, as values and as NDJSON
     line chunks — whose schemas come from another interner than their
     distinct types."""
     half = len(values) // 2
     lines = [(i + 1, dumps(v)) for i, v in enumerate(values)]
     return [
         accumulate_partition(values),
-        merge_summary_group([
+        merge_summaries_full([
             accumulate_partition(values[:half]),
             accumulate_partition(values[half:]),
         ]),
-        merge_summary_group([
+        merge_summaries_full([
             accumulate_ndjson_partition(lines[:half]),
             accumulate_ndjson_partition(lines[half:]),
         ]),

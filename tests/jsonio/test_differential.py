@@ -171,6 +171,26 @@ def _nested(shape: str, depth: int) -> str:
     return '{"a": ' * depth + "1" + "}" * depth
 
 
+#: Texts the guarded decoder must miss, for :func:`loads` to decide.
+MUST_MISS = [
+    pytest.param('{"k": 1, "k": 2}', id="duplicate-key"),
+    pytest.param('{"o": {"k": 1, "k": 2}}', id="nested-duplicate-key"),
+    pytest.param('[{"k": [{"j": 1, "j": 1}]}]', id="deep-duplicate-key"),
+    pytest.param("NaN", id="NaN"),
+    pytest.param('{"a": Infinity}', id="Infinity"),
+    pytest.param("[-Infinity]", id="-Infinity"),
+    pytest.param('"\\ud800"', id="lone-high-surrogate"),
+    pytest.param('"\\udc00"', id="lone-low-surrogate"),
+    pytest.param('{"a": "\\uD800"}', id="uppercase-surrogate"),
+    pytest.param('"\\ud83d\\ude00"', id="paired-surrogates"),
+    pytest.param('{"n": ' + "9" * 5000 + "}", id="5000-digit-int"),
+    pytest.param(_nested("array", MAX_DEPTH + 1), id="array-129"),
+    pytest.param(_nested("record", MAX_DEPTH + 1), id="record-129"),
+    pytest.param(_nested("array", 5000), id="array-5000"),
+    pytest.param(_nested("record", 5000), id="record-5000"),
+]
+
+
 class TestDecoder:
     """The map phase's guarded C decoder against :func:`loads`, its
     arbiter: the decoder returns what ``loads`` returns, typed to the
@@ -180,7 +200,7 @@ class TestDecoder:
     def test_decodes_what_loads_parses_or_misses(self, value):
         from repro.inference.infer import infer_type
         from repro.inference.kernel import PartitionAccumulator
-        from repro.inference.typestream import FastLaneMiss, guarded_decoder
+        from repro.jsonio.typestream import FastLaneMiss, guarded_decoder
 
         text = dumps(value)
         expected = loads(text)
@@ -194,23 +214,7 @@ class TestDecoder:
             infer_type(expected)
         )
 
-    @pytest.mark.parametrize("text", [
-        pytest.param('{"k": 1, "k": 2}', id="duplicate-key"),
-        pytest.param('{"o": {"k": 1, "k": 2}}', id="nested-duplicate-key"),
-        pytest.param('[{"k": [{"j": 1, "j": 1}]}]', id="deep-duplicate-key"),
-        pytest.param("NaN", id="NaN"),
-        pytest.param('{"a": Infinity}', id="Infinity"),
-        pytest.param("[-Infinity]", id="-Infinity"),
-        pytest.param('"\\ud800"', id="lone-high-surrogate"),
-        pytest.param('"\\udc00"', id="lone-low-surrogate"),
-        pytest.param('{"a": "\\uD800"}', id="uppercase-surrogate"),
-        pytest.param('"\\ud83d\\ude00"', id="paired-surrogates"),
-        pytest.param('{"n": ' + "9" * 5000 + "}", id="5000-digit-int"),
-        pytest.param(_nested("array", MAX_DEPTH + 1), id="array-129"),
-        pytest.param(_nested("record", MAX_DEPTH + 1), id="record-129"),
-        pytest.param(_nested("array", 5000), id="array-5000"),
-        pytest.param(_nested("record", 5000), id="record-5000"),
-    ])
+    @pytest.mark.parametrize("text", MUST_MISS)
     def test_must_miss(self, text, monkeypatch):
         """Each text misses: the lane hands it to ``arbitrate``, and the
         record's fate is then exactly what ``loads`` says."""
@@ -240,7 +244,86 @@ class TestDecoder:
 
     def test_non_surrogate_escapes_decode(self):
         """``\\u`` escapes outside U+D800-DFFF stay in the lane."""
-        from repro.inference.typestream import guarded_decoder
+        from repro.jsonio.typestream import guarded_decoder
 
         text = '{"a": "\\u00d8\\u0041\\n"}'
         assert _same_value(guarded_decoder()(text), loads(text))
+
+
+def _read_all(reader, *args, **kwargs):
+    """``(values, error)`` of one pass of ``reader``: every value it
+    yielded, then ``(class, message)`` of the error that ended it, or
+    ``None``."""
+    values = []
+    try:
+        for value in reader(*args, **kwargs):
+            values.append(value)
+    except JsonError as exc:
+        return values, (type(exc), str(exc))
+    return values, None
+
+
+class TestReaders:
+    """``read_ndjson`` and ``read_ndjson_quarantined`` decode through the
+    guarded decoder; they must give the values, errors and
+    :class:`~repro.jsonio.ndjson.BadRecord` entries of the same readers
+    over ``loads`` alone (a decoder that misses every line)."""
+
+    LINES = [
+        *(param.values[0] for param in MUST_MISS),
+        _nested("array", MAX_DEPTH),
+        _nested("record", MAX_DEPTH),
+        _nested("array", 1000),
+        _nested("record", 1000),
+        '{"s": "' + "{[" * MAX_DEPTH + '"}',
+        '{"ok": [1, 2.5, -0.0, true, null, "\\u00d8"], "n": {}}',
+        "[1, 2,]",
+        '{"a": 1',
+        "12 13",
+    ]
+
+    @staticmethod
+    def _outcomes(path, single: bool):
+        from repro.jsonio.ndjson import read_ndjson, read_ndjson_quarantined
+
+        quarantine = []
+        outcomes = [
+            _read_all(read_ndjson, path),
+            _read_all(read_ndjson_quarantined, path, quarantine),
+            quarantine,
+        ]
+        if not single:
+            outcomes.append(_read_all(read_ndjson, path, skip_invalid=True))
+        return outcomes
+
+    def _compare(self, path, monkeypatch, single=False):
+        from repro.jsonio import ndjson
+        from repro.jsonio.typestream import FastLaneMiss
+
+        def loads_only():
+            def decode(text):
+                raise FastLaneMiss("loads only")
+            return decode
+
+        ours = self._outcomes(path, single)
+        with monkeypatch.context() as patch:
+            patch.setattr(ndjson, "guarded_decoder", loads_only)
+            theirs = self._outcomes(path, single)
+        for got, want in zip(ours, theirs):
+            if isinstance(got, tuple):
+                assert _same_value(got[0], want[0])
+                assert got[1] == want[1]
+            else:
+                assert got == want
+
+    def test_each_line_strict_and_quarantined(self, tmp_path, monkeypatch):
+        for number, line in enumerate(self.LINES):
+            path = tmp_path / f"line{number}.ndjson"
+            path.write_text('{"first": [1]}\n' + line + "\n",
+                            encoding="utf-8")
+            self._compare(path, monkeypatch, single=True)
+
+    def test_all_lines_skipped_and_quarantined(self, tmp_path, monkeypatch):
+        path = tmp_path / "all.ndjson"
+        path.write_text("\n\n".join(self.LINES) + "\n", encoding="utf-8")
+        self._compare(path, monkeypatch)

@@ -20,7 +20,6 @@ from repro.jsonio.splits import (
     SplitLineReader,
     count_lines_before,
     digest_splits,
-    iter_split_lines,
     plan_splits,
     rebase_bad_records,
     split_content_span,
@@ -170,7 +169,7 @@ class TestSplitLineReader:
 
     def test_empty_split_yields_nothing(self, tmp_path):
         path = write_bytes(tmp_path, b'{"a":1}\n')
-        assert list(iter_split_lines(FileSplit(str(path), 3, 0, 0))) == []
+        assert list(SplitLineReader(FileSplit(str(path), 3, 0, 0))) == []
 
     @given(
         lines=st.lists(

@@ -132,12 +132,7 @@ class TestUndecodableHits:
             return result, ctx.scheduler.stats
 
         cold, _ = run()
-        entries = sorted(cache_dir.glob("objects/*/*.sum"))
-        # Without the run-level entry the warm run probes every split.
-        for path in entries:
-            if path.stem.endswith("-run"):
-                path.unlink()
-        splits = [p for p in entries if not p.stem.endswith("-run")]
+        splits = sorted(cache_dir.glob("objects/*/*.sum"))
         victim = splits[0]
         payload = _unframe(victim.read_bytes())
         if damage == "foreign-version":
@@ -152,7 +147,7 @@ class TestUndecodableHits:
             cold.record_count, cold.distinct_type_count,
         )
         assert (stats.cache_hits, stats.cache_misses) == (len(splits) - 1, 1)
-        assert stats.cache_stores == 2  # the split and the run-level entry
+        assert stats.cache_stores == 1
         restored = decode_summary(_unframe(victim.read_bytes()))
         assert restored.record_count > 0
 
