@@ -28,7 +28,7 @@ def build_report(values: Sequence[Any], name: str = "dataset",
                  max_paths: int = 200) -> str:
     """Render a Markdown audit report for a collection of JSON records.
 
-    Sections: overview (record/type counts, sizes, timings), the fused
+    Sections: overview (record/type counts, sizes), the fused
     schema, the path inventory split into always-present and optional
     paths (the introduction's three user guarantees), presence ratios for
     the optional fields, and array-length statistics.
@@ -58,11 +58,6 @@ def build_report(values: Sequence[Any], name: str = "dataset",
             f"{row.ratio:.2f}",
         ]],
     ))
-    lines.append("")
-    lines.append(
-        f"Inference took {run.map_seconds:.3f}s (typing) + "
-        f"{run.reduce_seconds:.3f}s (fusion)."
-    )
     lines.append("")
 
     # -- schema ---------------------------------------------------------------

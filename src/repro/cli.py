@@ -146,17 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
              "free of per-record clock reads",
     )
     p_infer.add_argument(
-        "--split-mode", choices=["auto", "bytes", "lines"], default="auto",
-        help="input ingestion model: 'bytes' ships byte-range split "
-             "descriptors and workers read the file themselves (zero-copy "
-             "driver), 'lines' reads and distributes lines at the driver, "
-             "'auto' picks bytes when --parallel is set and FILE is a "
-             "regular file, not a pipe (default: auto)",
-    )
-    p_infer.add_argument(
         "--min-split-mb", type=_SPLIT_MB, metavar="MB", default=None,
-        help="with --split-mode bytes/auto: smallest byte-range split to "
-             "plan, in MiB (default: 1)",
+        help="smallest byte-range split to plan over a regular file, in "
+             "MiB (default: 1)",
     )
     p_infer.add_argument(
         "--checkpoint", metavar="DIR", default=None,
@@ -187,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write-ahead run journal: record the task plan up front and "
              "each completed partition summary durably, so a crashed or "
              "interrupted run can be finished with --resume (Ctrl-C "
-             "drains in-flight tasks and exits with code 75)",
+             "drains in-flight tasks and exits with code 75); FILE must "
+             "be a regular file, not a pipe",
     )
     p_infer.add_argument(
         "--resume", action="store_true",
@@ -428,7 +421,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         bad_records_path=args.bad_records,
         max_error_rate=args.max_error_rate,
         collect_timings=args.timings,
-        split_mode=args.split_mode,
         min_split_bytes=(
             int(args.min_split_mb * (1 << 20))
             if args.min_split_mb is not None else DEFAULT_MIN_SPLIT_BYTES

@@ -18,8 +18,7 @@ from repro.engine.faults import FaultPlan
 from repro.engine.rdd import RDD
 from repro.engine.scheduler import RetryPolicy, Scheduler
 from repro.jsonio.errors import JsonError
-from repro.jsonio.ndjson import iter_lines
-from repro.jsonio.parser import loads
+from repro.jsonio.ndjson import _record_parser, iter_lines
 
 __all__ = ["Context", "SequenceView", "split_evenly"]
 
@@ -201,20 +200,34 @@ class Context:
         """One parsed JSON record per line of ``path``.
 
         Parsing happens inside the partitions (i.e. in parallel), not at
-        RDD-creation time.  With ``permissive=True`` malformed lines are
-        dropped instead of failing the job; pass a ``skipped``
+        RDD-creation time.  Each partition decodes its lines through a
+        guarded C decoder of its own, never shared with a concurrent
+        task, and hands every line it misses to
+        :func:`~repro.jsonio.parser.loads` (see
+        :func:`repro.jsonio.ndjson._record_parser`), so each value or
+        error is ``loads(line)``'s.  With ``permissive=True`` malformed
+        lines are dropped instead of failing the job; pass a ``skipped``
         accumulator to count them.  (Accumulator updates require the
         thread backend to be visible driver-side; the file pipeline
         :func:`repro.inference.pipeline.infer_ndjson_file` carries
         quarantine counts through partition summaries instead and works
         on every backend.)
         """
-        lines = self.text_file(path, num_partitions)
-        if not permissive:
-            return lines.map(loads)
-        return lines.map_quarantined(
-            loads, skipped=skipped, errors=(JsonError,)
-        )
+        def parse(lines: list[str]) -> Iterator[Any]:
+            parse_line = _record_parser(None)
+            dropped = 0
+            for line in lines:
+                try:
+                    # Line 1 of no source: ``loads(line)``'s positions.
+                    yield parse_line(line, 1)
+                except JsonError:
+                    if not permissive:
+                        raise
+                    dropped += 1
+            if dropped and skipped is not None:
+                skipped.add(dropped)
+
+        return self.text_file(path, num_partitions).map_partitions(parse)
 
     def merge_checkpoints(
         self,

@@ -105,36 +105,6 @@ class RDD(Generic[T]):
             self, lambda part, _i: [y for x in part for y in fn(x)]
         )
 
-    def map_quarantined(
-        self,
-        fn: Callable[[T], U],
-        skipped: "Any | None" = None,
-        errors: tuple[type[BaseException], ...] = (Exception,),
-    ) -> "RDD[U]":
-        """Element-wise transformation that drops failing elements.
-
-        Elements for which ``fn`` raises one of ``errors`` are skipped
-        instead of failing the whole job — the engine-level half of the
-        permissive-ingestion story (``Context.ndjson_file`` uses it to
-        keep one bad record from killing a partition).  Pass a
-        ``skipped`` accumulator (anything with ``add(int)``, e.g.
-        :class:`repro.engine.accumulators.CounterAccumulator`) to count
-        the drops per partition.
-        """
-        def apply(part: list[T], _i: int) -> list[U]:
-            out: list[U] = []
-            dropped = 0
-            for x in part:
-                try:
-                    out.append(fn(x))
-                except errors:
-                    dropped += 1
-            if dropped and skipped is not None:
-                skipped.add(dropped)
-            return out
-
-        return _MapPartitionsRDD(self, apply)
-
     def map_partitions(
         self, fn: Callable[[list[T]], Iterable[U]]
     ) -> "RDD[U]":

@@ -232,11 +232,12 @@ class SchedulerStats:
     data reached the workers (maintained by the ingestion pipelines, not
     the dispatch loop): bytes of input payload the *driver* materialised
     and handed to partition tasks, versus bytes the *workers* read
-    directly from source files via byte-range splits.  A
-    ``split_mode="bytes"`` run ships a few hundred descriptor bytes and
-    reads the whole file worker-side; a ``split_mode="lines"`` run is
-    the mirror image — that contrast is the observable win of the
-    input-split model (surfaced by the CLI's ``--timings``).
+    directly from source files via byte-range splits.  A run over a
+    regular file ships a few hundred descriptor bytes and reads the
+    whole file worker-side; a run over a pipe, whose lines the driver
+    reads and deals out, is the mirror image — that contrast is the
+    observable win of the input-split model (surfaced by the CLI's
+    ``--timings``).
 
     ``checkpoints_loaded`` / ``checkpoints_saved`` /
     ``checkpoint_records_merged`` account for incremental maintenance

@@ -1494,18 +1494,19 @@ def accumulate_ndjson_item(
 ) -> "PartitionSummary | bytes":
     """Stream one NDJSON work item as one task.
 
-    The map task of :func:`repro.inference.pipeline.infer_ndjson_file`'s
-    partitioned path.  A work item is a byte-range
+    The map task of :func:`repro.inference.pipeline.infer_ndjson_file`.
+    A regular file's work item is a byte-range
     :class:`~repro.jsonio.splits.FileSplit` — the driver ships only the
-    descriptor and the worker reads its own range, line by line (see
-    :mod:`repro.jsonio.splits` for the boundary rules) — or a chunk of
-    ``(absolute line number, text)`` pairs read by the driver, whose
-    records come from ``source``.  A split reports split-local line
-    numbers plus its ``line_count`` and ``bytes_read``, which the
-    driver's prefix sum over the splits anchors absolutely; a
-    strict-mode error is re-anchored to its absolute file line here (one
-    prefix read, on the error path only), so its message matches a
-    line-oriented run's.
+    descriptor and the task reads its own range, one block at a time
+    (see :mod:`repro.jsonio.splits` for the boundary rules); a
+    sequential run's one split spans the whole file.  A pipe's work
+    item is its ``(absolute line number, text)`` pairs (or a chunk of
+    them the driver dealt), whose records come from ``source``.  A
+    split reports split-local line numbers plus its ``line_count`` and
+    ``bytes_read``, which the driver's prefix sum over the splits
+    anchors absolutely; a strict-mode error is re-anchored to its
+    absolute file line here (one prefix read, on the error path only),
+    so its message matches a line-oriented read's.
 
     ``collect_timings`` and ``stats_mode`` are as in
     :func:`accumulate_ndjson_partition`; ``wire=True`` returns the
@@ -1546,8 +1547,10 @@ def accumulate_ndjson_partition(
     ``numbered_lines`` pairs each record's text with its absolute file
     line number, so parsing *inside the partition* (in parallel, possibly
     in another process) still produces errors and quarantine entries that
-    point at the right line of the right file.  The sequential path's
-    task: :func:`accumulate_ndjson_item` over a chunk of lines.
+    point at the right line of the right file.  It may be any work item
+    :func:`accumulate_ndjson_item` takes: this is the in-line task of
+    :func:`repro.inference.pipeline.infer_ndjson_file`, which hands it
+    a sequential run's whole-file split or a pipe's line stream.
 
     Each record is decoded by the guarded C decoder
     (:func:`repro.jsonio.typestream.guarded_decoder`), typed, fused

@@ -73,7 +73,6 @@ from repro.jsonio.ndjson import (
 )
 from repro.jsonio.splits import (
     DEFAULT_MIN_SPLIT_BYTES,
-    FileSplit,
     digest_splits,
     plan_splits,
     rebase_bad_records,
@@ -82,7 +81,6 @@ from repro.jsonio.splits import (
 __all__ = [
     "infer_schema",
     "infer_ndjson_file",
-    "resolve_split_mode",
     "run_inference",
     "InferenceRun",
     "ResumableInterrupt",
@@ -90,7 +88,6 @@ __all__ = [
     "infer_partitioned",
     "PartitionReport",
     "PartitionedRun",
-    "SPLIT_MODES",
 ]
 
 
@@ -296,57 +293,6 @@ def run_inference(
     )
 
 
-#: Public values of ``infer_ndjson_file``'s ``split_mode``.
-SPLIT_MODES = ("auto", "bytes", "lines")
-
-
-def _resolve_cache(summary_cache):
-    """``summary_cache`` as a
-    :class:`~repro.store.summarycache.SummaryCache` (it may be a
-    directory path or one already constructed), or ``None``."""
-    if summary_cache is None:
-        return None
-    from repro.store.summarycache import SummaryCache
-
-    if isinstance(summary_cache, SummaryCache):
-        return summary_cache
-    return SummaryCache(summary_cache)
-
-
-def _digest_numbered_lines(part) -> str:
-    """Content digest of one lines-mode partition.
-
-    Lines-mode summaries bake *absolute* line numbers into their
-    quarantine records, so the digest covers each line's number as well
-    as its text — two partitions with identical texts at different file
-    positions must never share a cache entry.
-    """
-    digest = hashlib.sha256()
-    for number, text in part:
-        digest.update(str(number).encode("ascii"))
-        digest.update(b":")
-        digest.update(text.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
-def _text_bytes(part) -> int:
-    """Bytes of record text in one lines-mode partition."""
-    return sum(len(text) for _, text in part)
-
-
-def _describe(item) -> "list[int] | str":
-    """What the journal plan records of one work item: a split's
-    ``[offset, length]``, a line chunk's ``[first line, count]`` (``-1``
-    for an empty chunk), or ``"stream"`` for the sequential pass over
-    the whole file."""
-    if isinstance(item, FileSplit):
-        return [item.offset, item.length]
-    if isinstance(item, Sequence):
-        return [item[0][0] if item else -1, len(item)]
-    return "stream"
-
-
 def _arrived(result, adopt: PartitionAccumulator, stats,
              replayed: bool) -> PartitionSummary:
     """One partial summary arrived: a map task's result, a journal frame
@@ -418,7 +364,16 @@ def _validate_resume(state, plan_desc: dict, signature: str,
             f"current run reads {ours!r} — the input file changed (or a "
             f"different file was named); delete the journal to start over"
         )
-    for key in ("split_mode", "permissive", "stats"):
+    if header.get("split_mode") != plan_desc.get("split_mode"):
+        # A plan that read a regular file as lines is retired, and no
+        # flag reproduces one, so the message advises none.
+        raise JournalMismatchError(
+            f"journal {path!r} was written for a retired plan that read "
+            f"the file as lines (the one-task stream plan of a sequential "
+            f"run, or line chunks); a regular file is read as byte splits "
+            f"now, so delete the journal to start over"
+        )
+    for key in ("permissive", "stats"):
         if header.get(key) != plan_desc.get(key):
             raise JournalMismatchError(
                 f"journal {path!r} recorded {key}={header.get(key)!r}, "
@@ -490,38 +445,6 @@ def _dispatch(task, items: list, scheduler, stop_event, on_result) -> list:
     return results
 
 
-def _splittable(path: "str | Path | None") -> bool:
-    """Whether byte-range splits can be planned over ``path``: only a
-    regular file has a size to split (``None`` stands for one)."""
-    return path is None or stat.S_ISREG(os.stat(path).st_mode)
-
-
-def resolve_split_mode(
-    split_mode: str,
-    context: Context | None,
-    path: "str | Path | None" = None,
-) -> str:
-    """Resolve an ingestion ``split_mode`` to ``"bytes"`` or ``"lines"``.
-
-    ``"auto"`` picks byte-range splits whenever a :class:`Context` is
-    available and ``path`` is a regular file — the workers read their
-    own byte ranges, so the driver never materialises the file and ships
-    only descriptors — and the streaming line reader otherwise (the
-    sequential path is already zero-copy: it feeds the accumulator
-    straight off the file iterator).  A pipe or other non-regular
-    source reports no size to split, so it always takes lines.
-    """
-    if split_mode not in SPLIT_MODES:
-        raise ValueError(
-            f"unknown split_mode {split_mode!r}; expected one of "
-            f"{SPLIT_MODES}"
-        )
-    if split_mode == "auto":
-        splittable = context is not None and _splittable(path)
-        return "bytes" if splittable else "lines"
-    return split_mode
-
-
 def infer_ndjson_file(
     path: str | Path,
     context: Context | None = None,
@@ -530,7 +453,6 @@ def infer_ndjson_file(
     bad_records_path: str | Path | None = None,
     max_error_rate: float | None = None,
     collect_timings: bool = False,
-    split_mode: str = "auto",
     min_split_bytes: int = DEFAULT_MIN_SPLIT_BYTES,
     update_from: str | Path | None = None,
     checkpoint_to: str | Path | None = None,
@@ -553,26 +475,28 @@ def infer_ndjson_file(
     feed.  By associativity (Theorem 5.5) the update result is
     *identical* to recomputing over all the data from scratch.
 
-    ``split_mode`` picks the ingestion model (see
-    :func:`resolve_split_mode` for how ``"auto"`` chooses):
+    The input decides how it is read:
 
-    * ``"bytes"`` — the driver plans
-      :class:`~repro.jsonio.splits.FileSplit` byte ranges from the file
-      size alone and ships only those descriptors; each worker opens the
-      file itself and parses exactly the lines its range owns.  Driver
-      memory stays O(1) in the dataset and nothing but summaries crosses
-      the process boundary back.  ``min_split_bytes`` floors the split
-      size so tiny files do not shatter into per-task overhead.
-    * ``"lines"`` — the original model: the driver reads the file,
-      numbers every line, and distributes the line lists.  Kept as the
-      executable reference the byte-split differential tests compare
-      against, and the path for pipes and other non-regular sources,
-      which have no size to split (``"bytes"`` raises on them).
+    * a regular file is planned as
+      :class:`~repro.jsonio.splits.FileSplit` byte ranges from its size
+      alone, one per ``num_partitions`` (else the context's parallelism,
+      else one): the driver ships only those descriptors, and each task
+      opens the file itself and parses exactly the lines its range
+      owns, one 64 KiB block at a time.  Driver memory stays O(1) in the
+      dataset and nothing but summaries crosses the process boundary
+      back.  ``min_split_bytes`` floors the split size so tiny files do
+      not shatter into per-task overhead.  A sequential run maps its
+      one whole-file split in-line.
+    * a pipe or other non-regular source has no size to split: without
+      a context one task streams its lines; with one, the driver reads
+      and numbers every line and deals the line chunks out.  Such input
+      is never cached, and it cannot be journaled, because a resume
+      could not read it again.
 
-    Both modes produce identical results — schema, counts, error
-    diagnostics and quarantine sidecars, absolute line numbers included;
-    byte-split workers report split-local line numbers that the driver
-    re-bases with a prefix sum over the splits' line counts.
+    Both produce identical results — schema, counts, error diagnostics
+    and quarantine sidecars, absolute line numbers included; split tasks
+    report split-local line numbers that the driver re-bases with a
+    prefix sum over the splits' line counts.
 
     The map phase decodes each record with a guarded C decoder
     (:func:`repro.jsonio.typestream.guarded_decoder`) and re-parses
@@ -584,8 +508,10 @@ def infer_ndjson_file(
     journal entries carry none); the default skips the per-record clock
     reads and leaves ``phase_timings`` as ``None``.
 
-    Dispatch: every partition (split or line chunk) is one scheduler
-    task, :func:`repro.inference.kernel.accumulate_ndjson_item`.  On the
+    Dispatch: every work item (split or line chunk) is one scheduler
+    task, :func:`repro.inference.kernel.accumulate_ndjson_item`, or,
+    without a context, one in-line call of
+    :func:`~repro.inference.kernel.accumulate_ndjson_partition`.  On the
     process backend its summary returns in the compact flat-table wire
     format (:func:`repro.inference.kernel.encode_summary`), not as a
     pickled type-object graph; thread and in-line tasks share their
@@ -618,7 +544,9 @@ def infer_ndjson_file(
 
     Durability (see docs/FAULT_TOLERANCE.md, "Durability and resume"):
 
-    * ``journal_path`` — write-ahead run journal.  The task plan is
+    * ``journal_path`` — write-ahead run journal over a regular file (a
+      pipe is refused with :class:`~repro.store.journal.JournalError`
+      before it is read).  The task plan is
       recorded up front; each completed task's encoded summary is
       fsync'd to the journal *before* the run proceeds, so a crash —
       process kill, power loss, OOM — loses at most the tasks still in
@@ -652,8 +580,7 @@ def infer_ndjson_file(
       directory, a full disk, a held lock) is skipped, so a read-only
       cache still replays.  The cache is strictly best-effort and
       strictly transparent — corrupt or evicted entries recompute, and
-      results are byte-identical to an uncached run on every backend
-      and split mode.
+      results are byte-identical to an uncached run on every backend.
 
     ``stats_mode`` — ``"off"`` (default), ``"basic"`` or ``"sketches"``
     — enriches every partition summary with mergeable per-path
@@ -668,28 +595,26 @@ def infer_ndjson_file(
     # Resolve once at the driver (raising early on an unknown mode) so
     # every partition — local or on a worker process — runs alike.
     stats_mode = resolve_stats_mode(stats_mode)
-    mode = resolve_split_mode(split_mode, context, path)
-    cache = _resolve_cache(summary_cache)
-    if (cache is not None and split_mode == "auto" and context is None
-            and _splittable(path)):
-        # The sequential default is the streaming line path, which has no
-        # per-partition unit to key; byte splits give the cache one, at
-        # identical results (the split-equivalence guarantee).
-        mode = "bytes"
-    cache_signature = None
-    if cache is not None:
-        if mode == "lines" and context is None:
-            # Lines mode without a context streams the file as one
-            # journal task; there is nothing partition-shaped to cache,
-            # so the run is simply uncached.
-            cache = None
-        else:
-            from repro.store.summarycache import config_signature
+    # Only a regular file has a size to split (a pipe reports 0).
+    regular = stat.S_ISREG(os.stat(path).st_mode)
+    if journal_path is not None and not regular:
+        from repro.store.journal import JournalError
 
-            cache_signature = config_signature(
-                permissive=permissive, collect_timings=collect_timings,
-                split_mode=mode, stats=stats_mode,
-            )
+        raise JournalError(
+            f"cannot journal {source!r}: it is not a regular file, and a "
+            f"pipe cannot be read again on resume"
+        )
+    cache = cache_signature = None
+    if summary_cache is not None and regular:
+        # A pipe's summaries have no byte range to key: never cached.
+        from repro.store.summarycache import SummaryCache, config_signature
+
+        cache = summary_cache
+        if not isinstance(cache, SummaryCache):
+            cache = SummaryCache(cache)
+        cache_signature = config_signature(
+            permissive=permissive, stats=stats_mode
+        )
     # Encode task results where they cross a process boundary; thread
     # and in-line summaries are shared by reference.
     wire = context is not None and context.backend == "process"
@@ -714,37 +639,32 @@ def infer_ndjson_file(
         source=source, permissive=permissive,
         collect_timings=collect_timings, wire=wire, stats_mode=stats_mode,
     )
-    if mode == "lines" and context is None:
-        # Feed the accumulator straight off the file iterator: the
-        # sequential path never materialises the line list, keeping
-        # memory constant however massive the input.  As a single
-        # journal task: either it completed before the crash (and
-        # resume replays it without re-reading the file) or it runs
-        # from the start.
-        items = [iter_numbered_lines(path)]
-        task = partial(accumulate_ndjson_partition, **task_options)
-    else:
-        count = num_partitions or (
-            context.default_parallelism if context is not None else 1
+    count = num_partitions or (
+        context.default_parallelism if context is not None else 1
+    )
+    if regular:
+        items = plan_splits(
+            source, count, min_split_bytes, stable=cache is not None
         )
-        if mode == "bytes":
-            items = plan_splits(
-                source, count, min_split_bytes, stable=cache is not None
-            )
-        else:
-            items = split_evenly(list(iter_numbered_lines(path)), count)
-        # Not this module's ``accumulate_ndjson_partition``: the e2e
-        # tracer replaces that name with a closure, which the process
-        # backend cannot ship.
-        task = partial(accumulate_ndjson_item, **task_options)
+    elif context is None:
+        # Feed the accumulator straight off the pipe: the sequential
+        # path never materialises the line list.
+        items = [iter_numbered_lines(path)]
+    else:
+        items = split_evenly(list(iter_numbered_lines(path)), count)
+    # In-line, this module's ``accumulate_ndjson_partition``, the name
+    # the e2e tracer wraps; a scheduler gets ``accumulate_ndjson_item``,
+    # since the process backend cannot ship the tracer's closure.
+    task = partial(
+        accumulate_ndjson_item if context is not None
+        else accumulate_ndjson_partition,
+        **task_options,
+    )
     digests: "list[str] | None" = None
     if cache is not None and items:
         # One hash pass over the file (memory bandwidth, no typing) keys
         # every split.
-        digests = (
-            digest_splits(source, items) if mode == "bytes"
-            else [_digest_numbered_lines(part) for part in items]
-        )
+        digests = digest_splits(source, items)
 
     # Gather: one partial per work item, in plan order, from the cache,
     # the journal or a fresh map task.
@@ -766,12 +686,12 @@ def infer_ndjson_file(
     planned = [i for i, summary in enumerate(partials) if summary is None]
     if stats is not None:
         # Cache hits never ship.  Byte splits ship only their pickled
-        # descriptors (compare with input_bytes_read); line chunks ship
-        # the text of every record.
+        # descriptors (compare with input_bytes_read); a pipe's line
+        # chunks ship the text of every record.
         shipped = [items[i] for i in planned]
         stats.input_bytes_shipped += (
-            len(pickle.dumps(shipped)) if mode == "bytes"
-            else sum(map(_text_bytes, shipped))
+            len(pickle.dumps(shipped)) if regular
+            else sum(len(text) for part in shipped for _, text in part)
         )
     journal, completed = None, {}
     if journal_path is not None:
@@ -779,14 +699,18 @@ def infer_ndjson_file(
 
         plan_desc = {
             "source": fingerprint_source(source).to_dict(),
-            "split_mode": mode,
+            # The label earlier builds wrote for byte splits, kept so
+            # their journals still resume.
+            "split_mode": "bytes",
             "parse_lane": _lane_label(stats_mode),
             "permissive": bool(permissive),
             "update": str(update_from) if update_from is not None else None,
             # One list per task, the shape earlier releases wrote, so
             # their journals still resume.  A cached run plans only the
             # items the cache missed.
-            "tasks": [[_describe(items[i])] for i in planned],
+            "tasks": [
+                [[items[i].offset, items[i].length]] for i in planned
+            ],
         }
         if stats_mode != "off":
             # Only when enabled, so stats-off plans hash identically to
@@ -831,9 +755,7 @@ def infer_ndjson_file(
                 stats.cache_misses += len(planned)
                 stats.cache_stores += stored
                 stats.cache_bytes_skipped += sum(
-                    partials[i].bytes_read if mode == "bytes"
-                    else _text_bytes(items[i])
-                    for i in hits
+                    partials[i].bytes_read for i in hits
                 )
             stats.input_bytes_read += sum(
                 partials[planned[local]].bytes_read for local in todo
@@ -842,8 +764,8 @@ def infer_ndjson_file(
         # sum over the line counts re-anchors quarantined records to
         # their absolute file lines before anything downstream sees
         # them.  Cache entries store split-local numbers too, so hits and
-        # misses rebase uniformly; line chunks are numbered absolutely
-        # and count no lines.
+        # misses rebase uniformly; a pipe's lines are numbered absolutely
+        # and count none.
         base = 0
         for index, summary in enumerate(partials):
             if summary.skipped and base:

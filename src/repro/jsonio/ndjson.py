@@ -84,7 +84,7 @@ def iter_lines(path: str | Path) -> Iterator[str]:
         yield line
 
 
-def _record_parser(source: str) -> Callable[[str, int], Any]:
+def _record_parser(source: str | None) -> Callable[[str, int], Any]:
     """``parse(line, line_number)``: one record's value, as :func:`loads`
     gives it.
 

@@ -8,7 +8,9 @@ input-split model instead: the driver looks at *nothing but the file size*,
 computes ``FileSplit(path, offset, length)`` descriptors, and each worker
 opens the file itself, seeks to its offset and reads only its byte range.
 Nothing but ~100-byte descriptors crosses the process boundary on the way
-out, and only tiny partition summaries come back.
+out, and only tiny partition summaries come back.  Every regular file is
+read this way, a sequential run's as one whole-file split; only a pipe,
+which has no size to split, is read line by line at the driver.
 
 Record boundaries never align with byte boundaries, so ownership follows
 the classic rule (Hadoop's ``LineRecordReader``): **a line belongs to the
@@ -67,14 +69,12 @@ __all__ = [
 #: parallelism, so :func:`plan_splits` plans fewer, larger splits instead.
 DEFAULT_MIN_SPLIT_BYTES = 1 << 20
 
-#: Read granularity of the boundary-skipping scanner.
-_CHUNK = 1 << 16
-
-#: Read granularity of the line reader's bulk loop: large enough that
-#: ``bytes.splitlines`` (one C call per block) dominates per-line Python
-#: work, small enough that a worker never holds more than one block of a
-#: multi-gigabyte split in memory.
-_BLOCK = 1 << 22
+#: Read granularity of the line reader and of its boundary scan: large
+#: enough that ``bytes.splitlines`` (one C call per block) dominates
+#: per-line Python work, small enough that a reader holds one block (and
+#: the partial line it carries) however large its split: a sequential
+#: run reads the whole file as one split.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,7 @@ def plan_splits(
     if not stat.S_ISREG(st.st_mode):
         raise ValueError(
             f"cannot plan byte-range splits over {source!r}: not a regular "
-            f"file (a pipe or device has no size to split); read it with "
-            f"split_mode='lines'"
+            f"file (a pipe or device has no size to split)"
         )
     size = st.st_size
     if size == 0:
@@ -278,7 +277,7 @@ class SplitLineReader:
         handle.seek(offset)
         pos = offset
         while True:
-            chunk = handle.read(_CHUNK)
+            chunk = handle.read(_BLOCK)
             if not chunk:
                 return pos  # EOF: nothing left for this split
             newline = chunk.find(b"\n")

@@ -52,6 +52,7 @@ import hashlib
 import json
 import os
 import shutil
+import stat
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -213,10 +214,16 @@ def fingerprint_source(
     streams the whole file through the hash: O(size), and the resulting
     fingerprint distinguishes *any* content change, tail appends
     included.
+
+    A pipe or other non-regular file is never opened: reading it would
+    consume the data the run reads (and opening a FIFO whose writer is
+    gone blocks), so its fingerprint is size 0 and the empty digest.
     """
     p = Path(path)
-    size = p.stat().st_size
+    st = p.stat()
     digest = hashlib.sha256()
+    if not stat.S_ISREG(st.st_mode):
+        return SourceFingerprint(str(p), 0, digest.hexdigest())
     with open(p, "rb") as handle:
         if full_sha256:
             while True:
@@ -226,7 +233,7 @@ def fingerprint_source(
                 digest.update(chunk)
         else:
             digest.update(handle.read(_FINGERPRINT_BYTES))
-    return SourceFingerprint(str(p), size, digest.hexdigest())
+    return SourceFingerprint(str(p), st.st_size, digest.hexdigest())
 
 
 @dataclass(frozen=True)

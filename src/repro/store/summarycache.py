@@ -17,9 +17,9 @@ Entries store the wire-format payload of PR 6's :func:`encode_summary`
 with *split-local* quarantine line numbers, exactly as a worker would
 have returned it; the driver's existing prefix-sum rebase then treats
 hits and misses uniformly.  The config signature folds in everything
-that changes a summary for fixed bytes: permissive mode, timing
-collection, split mode, statistics mode, and the wire-format version
-itself.
+that changes a summary for fixed bytes: permissive mode, statistics
+mode, and the wire-format version itself.  Only byte splits of regular
+files are cached: a pipe has no byte range to key.
 
 Layout (content-addressed store, git-object style)::
 
@@ -90,26 +90,21 @@ _HEADER_BYTES = len(_MAGIC) + _LEN_BYTES + _CHECKSUM_BYTES
 _ENTRY_SUFFIX = ".sum"
 
 
-def config_signature(
-    *,
-    permissive: bool,
-    collect_timings: bool,
-    split_mode: str,
-    stats: str = "off",
-) -> str:
+def config_signature(*, permissive: bool, stats: str = "off") -> str:
     """Kernel-config half of a cache key (16 hex chars).
 
     Two runs share cache entries only when every input to the map phase
     other than the bytes themselves is identical: strict-vs-permissive
     error handling (changes both quarantine contents and which records
-    count), whether per-phase timings were collected (rides inside the
-    summary), the split mode (lines-mode summaries bake absolute line
-    numbers in), the statistics mode (an enriched summary carries a
-    stats bundle a plain one lacks), and the wire format plus cache
-    framing versions (an encoding change must not replay stale bytes).
-    The signed ``parse_lane`` is a compatibility label derived from the
-    statistics mode (``kernel._lane_label``): it keeps the signatures,
-    and so the entries, of builds that had two parse lanes.
+    count), the statistics mode (an enriched summary carries a stats
+    bundle a plain one lacks), and the wire format plus cache framing
+    versions (an encoding change must not replay stale bytes).  Timing
+    collection is not an input: a replayed summary drops its timings.
+    The signed ``parse_lane``, ``collect_timings`` and ``split_mode``
+    are compatibility labels — the lane derived from the statistics
+    mode (``kernel._lane_label``), the other two the constants of a
+    byte-split run without timings — that keep the signatures, and so
+    the entries, of builds that had those knobs.
     """
     from repro.inference.kernel import WIRE_FORMAT_VERSION, _lane_label
 
@@ -118,8 +113,8 @@ def config_signature(
         "wire_format": WIRE_FORMAT_VERSION,
         "parse_lane": _lane_label(stats),
         "permissive": bool(permissive),
-        "collect_timings": bool(collect_timings),
-        "split_mode": split_mode,
+        "collect_timings": False,
+        "split_mode": "bytes",
     }
     if stats != "off":
         # Folded in only when enabled, so the stats-off signature stays

@@ -1,5 +1,8 @@
 """Unit tests for the audit report builder (repro.analysis.report)."""
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.report import build_report
@@ -74,3 +77,34 @@ class TestReportEdgeCases:
         report = build_report(generate_list("github", 80), name="github")
         assert "pull_request" in report
         assert report.count("##") >= 3
+
+
+class TestDeterminism:
+    """A report is a function of its input: no wall-clock reading."""
+
+    @pytest.fixture(autouse=True)
+    def speeding_clock(self, monkeypatch):
+        """Each clock read of the inference pipeline moves 10 ms further
+        than the one before, so no two runs time the same and a timing
+        that reached the report would differ between them."""
+        from repro.inference import pipeline
+
+        ticks = itertools.accumulate(itertools.count(0.01, 0.01))
+        monkeypatch.setattr(pipeline, "time",
+                            SimpleNamespace(perf_counter=lambda: next(ticks)))
+
+    def test_same_values_same_report(self):
+        assert build_report(VALUES) == build_report(VALUES)
+
+    def test_cli_prints_the_same_stdout_twice(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.jsonio.ndjson import write_ndjson
+
+        path = tmp_path / "demo.ndjson"
+        write_ndjson(path, VALUES)
+        outputs = []
+        for _ in range(2):
+            assert main(["report", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "## Overview" in outputs[0]

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import os
+import threading
+from contextlib import contextmanager
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
@@ -194,3 +198,40 @@ def make_corpus(n: int, seed: int = 0) -> list:
             record["meta"] = {"flag": rng.random() < 0.5}
         corpus.append(record)
     return corpus
+
+
+@contextmanager
+def fifo_of(path):
+    """A FIFO next to ``path`` that a daemon thread fills with its bytes.
+
+    A pipe is the one input that is not read as byte splits: the run
+    streams its lines, or, under a context, the driver deals chunks of
+    them out.  Yields the FIFO's path as a string.
+    """
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("needs os.mkfifo")
+    path = Path(path)
+    fifo = path.with_suffix(".fifo")
+    os.mkfifo(fifo)
+    data = path.read_bytes()
+
+    def feed() -> None:
+        try:
+            with open(fifo, "wb") as sink:
+                sink.write(data)
+        except BrokenPipeError:  # the reader gave up early
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield str(fifo)
+    finally:
+        writer.join(timeout=30)
+        if writer.is_alive():
+            # Nothing opened the FIFO: open and drop a reader so the
+            # writer's open returns, then let the test fail.
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=30)
+        os.unlink(fifo)
+        assert not writer.is_alive(), "the FIFO writer never finished"

@@ -52,7 +52,7 @@ class TestWarmEquivalence:
             for _ in range(2):
                 run = infer_ndjson_file(
                     corpus_file, context=ctx, num_partitions=8,
-                    split_mode="lines",
+                    min_split_bytes=1,
                 )
                 assert run.schema == fuse_all(types)
                 assert run.record_count == len(types)
@@ -78,7 +78,7 @@ class TestCrashRecovery:
         with Context(parallelism=2, backend="process",
                      retry_policy=FAST_RETRY) as clean_ctx:
             clean = infer_ndjson_file(corpus_file, context=clean_ctx,
-                                      num_partitions=6, split_mode="lines")
+                                      num_partitions=6, min_split_bytes=1)
         plan = FaultPlan((
             Fault(1, 0, kind="kill"),
             Fault(4, 0, kind="fail"),
@@ -87,9 +87,9 @@ class TestCrashRecovery:
                      retry_policy=FAST_RETRY, fault_plan=plan) as ctx:
             # Start the pool with one job, then crash into the second.
             infer_ndjson_file(corpus_file, context=ctx, num_partitions=6,
-                              split_mode="lines")
+                              min_split_bytes=1)
             faulty = infer_ndjson_file(corpus_file, context=ctx,
-                                       num_partitions=6, split_mode="lines")
+                                       num_partitions=6, min_split_bytes=1)
             stats = ctx.scheduler.stats
             assert stats.pool_rebuilds >= 1
         assert faulty.schema == clean.schema

@@ -2,9 +2,10 @@
 
 Contracts pinned here:
 
-* **Strict-mode diagnostics** — the first malformed line fails a
-  partitioned strict run with the same absolute line number as
-  sequential.
+* **Strict-mode diagnostics** — the first malformed line fails the
+  stream pass at its absolute line number, and a partitioned strict
+  run, over byte splits or a pipe's line chunks, at the absolute line
+  number of one of the malformed lines.
 * **Dispatch pin** — the journal's task plan (one work item per task)
   and the scheduler counters of an uncached, a cold-cached and two
   warm-cached jobs, as literals.
@@ -17,10 +18,14 @@ from __future__ import annotations
 
 import pytest
 
+from contextlib import ExitStack
+
 from repro.engine import Context
+from repro.inference.kernel import accumulate_ndjson_partition
 from repro.inference.pipeline import infer_ndjson_file
 from repro.jsonio.errors import JsonSyntaxError
-from tests.conftest import make_corpus
+from repro.jsonio.ndjson import iter_numbered_lines
+from tests.conftest import fifo_of, make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -43,18 +48,25 @@ def dirty_file(tmp_path_factory):
 
 
 class TestStrictDiagnostics:
+    #: ``bytes`` reads the file as byte splits, ``lines`` reads it
+    #: through a pipe, whose line chunks the driver deals out.
     @pytest.mark.parametrize("split_mode", ["bytes", "lines"])
     def test_first_error_line_matches_sequential(
         self, split_mode, dirty_file
     ):
         path, bad = dirty_file
         with pytest.raises(JsonSyntaxError) as sequential:
-            infer_ndjson_file(path)
-        with Context(parallelism=2) as ctx:
+            accumulate_ndjson_partition(
+                iter_numbered_lines(path), source=str(path)
+            )
+        with Context(parallelism=2) as ctx, ExitStack() as stack:
+            source = path
+            if split_mode == "lines":
+                source = stack.enter_context(fifo_of(path))
             with pytest.raises(JsonSyntaxError) as partitioned:
                 infer_ndjson_file(
-                    path, context=ctx, num_partitions=12,
-                    split_mode=split_mode, min_split_bytes=1,
+                    source, context=ctx, num_partitions=12,
+                    min_split_bytes=1,
                 )
         assert sequential.value.line == bad[0]
         # Parallel strict runs surface *a* malformed line with its exact
@@ -66,13 +78,13 @@ class TestStrictDiagnostics:
 class TestDispatchPin:
     """What any refactor of the partitioned dispatch path must not move.
 
-    Each configuration runs four jobs over one fixed dirty file, each
-    in a fresh thread Context: uncached, then cold and warm against one
-    summary cache, each with its own journal; then warm again without a
-    journal.  Every task is one work item (the ``1`` of each
-    configuration), so the journal plan holds one ``[offset, length]``
-    (or ``[first line, count]``) list per task, the shape earlier
-    releases wrote.  The journal header's task plan (``None`` without a
+    Four jobs run over one fixed dirty file, each in a fresh thread
+    Context: uncached, then cold and warm against one summary cache,
+    each with its own journal; then warm again without a journal.  Every
+    task is one byte split (the ``1`` of the id), so the journal plan
+    holds one ``[offset, length]`` list per task, the shape earlier
+    releases wrote; the id's ``bytes`` is the ``split_mode`` label the
+    header records.  The journal header's task plan (``None`` without a
     journal) and the scheduler counters are pinned as literals: both
     warm jobs replay every partition from the cache, so their counters
     are equal.  Relative paths keep the pickled split descriptors, and
@@ -90,7 +102,6 @@ class TestDispatchPin:
         [[0, 186]], [[186, 186]], [[372, 186]],
         [[558, 186]], [[744, 186]], [[930, 185]],
     ]
-    LINES = [[[1, 8]], [[9, 7]], [[17, 7]], [[24, 8]], [[33, 8]], [[42, 7]]]
     #: (split_mode, items per task) -> per job: (header tasks, counters).
     EXPECTED = {
         ("bytes", 1): [
@@ -100,12 +111,6 @@ class TestDispatchPin:
             (BYTES_STABLE, [6, 248, 1156, 0, 6, 6, 0, 0]),
             ([], [0, 5, 0, 6, 0, 0, 1156, 1984]),
             (None, [0, 5, 0, 6, 0, 0, 1156, 1984]),
-        ],
-        ("lines", 1): [
-            (LINES, [6, 1067, 0, 0, 0, 0, 0, 0]),
-            (LINES, [6, 1067, 0, 0, 6, 6, 0, 0]),
-            ([], [0, 0, 0, 6, 0, 0, 1067, 1988]),
-            (None, [0, 0, 0, 6, 0, 0, 1067, 1988]),
         ],
     }
 
@@ -147,7 +152,7 @@ class TestDispatchPin:
             with Context(parallelism=2, backend="thread") as ctx:
                 run = infer_ndjson_file(
                     "dirty.ndjson", context=ctx, num_partitions=6,
-                    permissive=True, split_mode=split_mode,
+                    permissive=True,
                     min_split_bytes=1, journal_path=journal,
                     summary_cache=cache,
                 )

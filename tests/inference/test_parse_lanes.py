@@ -303,14 +303,13 @@ class TestLaneResolution:
         labels = {}
         for stats_mode in ("off", "basic"):
             journal = tmp_path / f"{stats_mode}.journal"
-            infer_ndjson_file(str(path), split_mode="bytes",
-                              journal_path=str(journal),
+            infer_ndjson_file(str(path), journal_path=str(journal),
                               stats_mode=stats_mode)
             labels[stats_mode] = read_journal(journal).header["parse_lane"]
         assert labels == {"off": "hooks", "basic": "strict"}
         with pytest.raises(JournalMismatchError, match="stats"):
             infer_ndjson_file(
-                str(path), split_mode="bytes", stats_mode="off",
+                str(path), stats_mode="off",
                 journal_path=str(tmp_path / "basic.journal"), resume=True,
             )
 

@@ -5,7 +5,7 @@ Each case launches a real subprocess with ``REPRO_CRASH_POINT`` set, so
 the "crash" is a genuine ``os._exit`` mid-run — no cooperative cleanup,
 no atexit, exactly what a power cut or OOM kill leaves behind.  The
 resumed run must then produce the same printed schema and record count
-as an uninterrupted run, on both backends and both split modes (fusion
+as an uninterrupted run, on both backends and in-line (fusion
 commutativity/associativity, Theorems 5.4-5.5, is what makes the replay
 exact).
 """
@@ -40,7 +40,6 @@ from repro.core.printer import print_type
 cfg = json.loads(sys.argv[1])
 kwargs = dict(
     num_partitions=4,
-    split_mode=cfg["mode"],
     min_split_bytes=2048,
     journal_path=cfg["journal"],
     resume=cfg["resume"],
@@ -82,14 +81,13 @@ def dataset(tmp_path_factory):
     return path
 
 
-def run_driver(dataset, journal, mode="bytes", backend="thread",
+def run_driver(dataset, journal, backend="thread",
                resume=False, checkpoint=None, crash_point=None, **extra):
     """Run :data:`DRIVER` in a subprocess; ``extra`` adds the optional
     config keys (``update``, ``cache``, ``permissive``, ``report``)."""
     cfg = {
         "file": str(dataset),
         "journal": str(journal),
-        "mode": mode,
         "backend": backend,
         "resume": resume,
         **extra,
@@ -140,15 +138,15 @@ def expected(dataset, tmp_path_factory):
     return proc.stdout
 
 
-def crash_then_resume(dataset, tmp_path, crash_point, mode="bytes",
-                      backend="thread", checkpoint=None):
+def crash_then_resume(dataset, tmp_path, crash_point, backend="thread",
+                      checkpoint=None):
     journal = tmp_path / "run.journal"
-    crashed = run_driver(dataset, journal, mode=mode, backend=backend,
+    crashed = run_driver(dataset, journal, backend=backend,
                          checkpoint=checkpoint, crash_point=crash_point)
     assert crashed.returncode == CRASH_EXIT_CODE, (
         f"crash point {crash_point!r} never fired:\n{crashed.stderr}"
     )
-    resumed = run_driver(dataset, journal, mode=mode, backend=backend,
+    resumed = run_driver(dataset, journal, backend=backend,
                          checkpoint=checkpoint, resume=True)
     assert resumed.returncode == 0, resumed.stderr
     return resumed.stdout
@@ -195,26 +193,19 @@ class TestCrashMatrixJournal:
 
 
 class TestCrashMatrixBackendsAndModes:
-    """One representative mid-run crash, across the full config grid."""
+    """One representative mid-run crash, across the full config grid.
+    The ids keep the split mode these cases ran: a journal needs a
+    regular file, which is always read as byte splits."""
 
     @pytest.mark.parametrize("backend,mode", [
         ("thread", "bytes"),
-        ("thread", "lines"),
         ("process", "bytes"),
-        ("process", "lines"),
         ("none", "bytes"),
-        ("none", "lines"),  # sequential streaming: a single journal task
     ])
     def test_resume_is_identical(self, dataset, tmp_path, expected,
                                  backend, mode):
-        crash_point = (
-            # The sequential lines run journals exactly one task, after
-            # which only the commit boundary remains.
-            "journal.commit.pre" if backend == "none" and mode == "lines"
-            else "journal.append.post:1"
-        )
         assert crash_then_resume(
-            dataset, tmp_path, crash_point, mode=mode, backend=backend
+            dataset, tmp_path, "journal.append.post:1", backend=backend
         ) == expected
 
 
@@ -308,7 +299,7 @@ class TestResumedTelemetry:
                        for payload in read_journal(journal).completed.values())
         with Context(parallelism=2, backend="thread") as ctx:
             run = infer_ndjson_file(
-                dataset, context=ctx, num_partitions=4, split_mode="bytes",
+                dataset, context=ctx, num_partitions=4,
                 min_split_bytes=2048, journal_path=journal, resume=True,
                 collect_timings=True,
             )

@@ -1,33 +1,36 @@
 """Differential tests: byte-range ingestion must be observationally
 identical to line-oriented ingestion.
 
-``split_mode="lines"`` (the driver reads the file and ships line text) is
-the reference; ``split_mode="bytes"`` (workers read their own byte ranges)
-must produce the same schema, the same record and skip counts, and
-byte-identical quarantine records — absolute line numbers and error
-strings included — on both scheduler backends.
+The stream pass (:func:`accumulate_ndjson_partition` over the file's
+numbered lines, what a pipe gets) is the reference; byte splits (tasks
+read their own byte ranges) must produce the same schema, the same
+record and skip counts, and byte-identical quarantine records —
+absolute line numbers and error strings included — on both scheduler
+backends and in-line.
 """
 
 import os
 import pickle
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.printer import print_type
 from repro.engine import Context
-from repro.inference.kernel import accumulate_ndjson_item
-from repro.inference.pipeline import (
-    SPLIT_MODES,
-    infer_ndjson_file,
-    resolve_split_mode,
+from repro.inference.kernel import (
+    accumulate_ndjson_item,
+    accumulate_ndjson_partition,
 )
+from repro.inference.pipeline import infer_ndjson_file
 from repro.jsonio.errors import (
     DuplicateKeyError,
     ErrorRateExceeded,
     JsonSyntaxError,
 )
-from repro.jsonio.splits import FileSplit
+from repro.jsonio.ndjson import iter_numbered_lines
+from repro.jsonio.splits import FileSplit, plan_splits
+from tests.conftest import fifo_of
 
 
 def messy_file(tmp_path, n=300, terminator="\r\n", trailing=False):
@@ -59,27 +62,41 @@ def observables(run):
     )
 
 
+def stream(path, permissive=False):
+    """The stream pass over ``path``: one task over its numbered lines.
+    Its summary has the observables of a run."""
+    summary = accumulate_ndjson_partition(
+        iter_numbered_lines(path), source=str(path), permissive=permissive,
+    )
+    return SimpleNamespace(
+        schema=summary.schema,
+        record_count=summary.record_count,
+        skipped_count=summary.skipped_count,
+        bad_records=summary.skipped,
+        distinct_type_count=summary.distinct_type_count,
+    )
+
+
 class TestPermissiveEquivalence:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("trailing", [True, False])
     def test_bytes_equals_lines(self, tmp_path, backend, trailing):
         path = messy_file(tmp_path, trailing=trailing)
-        ref = infer_ndjson_file(path, permissive=True, split_mode="lines")
+        ref = stream(path, permissive=True)
         with Context(parallelism=4, backend=backend) as ctx:
             run = infer_ndjson_file(
                 path,
                 context=ctx,
                 num_partitions=7,
                 permissive=True,
-                split_mode="bytes",
                 min_split_bytes=1,
             )
         assert observables(run) == observables(ref)
 
     def test_sequential_bytes_equals_lines(self, tmp_path):
         path = messy_file(tmp_path, terminator="\n")
-        ref = infer_ndjson_file(path, permissive=True, split_mode="lines")
-        run = infer_ndjson_file(path, permissive=True, split_mode="bytes")
+        ref = stream(path, permissive=True)
+        run = infer_ndjson_file(path, permissive=True)
         assert observables(run) == observables(ref)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -91,16 +108,13 @@ class TestPermissiveEquivalence:
         rows = ['{"a": 1}', '{"bad', "", '{"a": 2}', "{", '{"a": 3}']
         path = tmp_path / "edges.ndjson"
         path.write_bytes("\r\n".join(rows).encode("utf-8"))
-        ref = infer_ndjson_file(
-            str(path), permissive=True, split_mode="lines"
-        )
+        ref = stream(path, permissive=True)
         with Context(parallelism=4, backend=backend) as ctx:
             run = infer_ndjson_file(
                 str(path),
                 context=ctx,
                 num_partitions=12,
                 permissive=True,
-                split_mode="bytes",
                 min_split_bytes=1,
             )
         assert observables(run) == observables(ref)
@@ -111,14 +125,13 @@ class TestStrictEquivalence:
     def test_error_carries_absolute_line_number(self, tmp_path, backend):
         path = messy_file(tmp_path)
         with pytest.raises(JsonSyntaxError) as ref:
-            infer_ndjson_file(path, split_mode="lines")
+            stream(path)
         with Context(parallelism=4, backend=backend) as ctx:
             with pytest.raises(JsonSyntaxError) as got:
                 infer_ndjson_file(
                     path,
                     context=ctx,
                     num_partitions=6,
-                    split_mode="bytes",
                     min_split_bytes=1,
                 )
         # Different splits may surface *different* malformed records
@@ -126,10 +139,7 @@ class TestStrictEquivalence:
         # must be reported at its true absolute position.
         assert got.value.source == ref.value.source
         bad_lines = {
-            b.line_number
-            for b in infer_ndjson_file(
-                path, permissive=True, split_mode="lines"
-            ).bad_records
+            b.line_number for b in stream(path, permissive=True).bad_records
         }
         assert got.value.line in bad_lines
         assert f"line {got.value.line}," in str(got.value)
@@ -145,7 +155,6 @@ class TestZeroCopyShipping:
                 context=ctx,
                 num_partitions=8,
                 permissive=True,
-                split_mode="bytes",
                 min_split_bytes=1,
             )
             stats = ctx.scheduler.stats
@@ -155,17 +164,21 @@ class TestZeroCopyShipping:
         assert stats.input_bytes_read >= file_size
 
     def test_lines_mode_ships_the_data(self, tmp_path):
+        """A pipe has no byte ranges: the driver reads its lines and
+        ships their text."""
         path = messy_file(tmp_path, n=2000)
         file_size = len(open(path, "rb").read())
         with Context(parallelism=4, backend="thread") as ctx:
-            infer_ndjson_file(
-                path,
-                context=ctx,
-                num_partitions=8,
-                permissive=True,
-                split_mode="lines",
-            )
-            assert ctx.scheduler.stats.input_bytes_shipped > file_size / 2
+            with fifo_of(path) as fifo:
+                infer_ndjson_file(
+                    fifo,
+                    context=ctx,
+                    num_partitions=8,
+                    permissive=True,
+                )
+            stats = ctx.scheduler.stats
+            assert stats.input_bytes_shipped > file_size / 2
+            assert stats.input_bytes_read == 0
 
 
 class TestTreeMerge:
@@ -177,14 +190,13 @@ class TestTreeMerge:
         self, tmp_path, backend
     ):
         path = messy_file(tmp_path, n=600, terminator="\n")
-        ref = infer_ndjson_file(path, permissive=True, split_mode="lines")
+        ref = stream(path, permissive=True)
         with Context(parallelism=4, backend=backend) as ctx:
             run = infer_ndjson_file(
                 path,
                 context=ctx,
                 num_partitions=48,
                 permissive=True,
-                split_mode="bytes",
                 min_split_bytes=1,
             )
         assert observables(run) == observables(ref)
@@ -214,14 +226,7 @@ class TestSplitTask:
 
 
 class TestResolveSplitMode:
-    def test_modes(self):
-        assert SPLIT_MODES == ("auto", "bytes", "lines")
-        assert resolve_split_mode("auto", context=None) == "lines"
-        assert resolve_split_mode("auto", context=object()) == "bytes"
-        assert resolve_split_mode("lines", context=object()) == "lines"
-        assert resolve_split_mode("bytes", context=None) == "bytes"
-        with pytest.raises(ValueError):
-            resolve_split_mode("chunks", context=None)
+    """The input decides how it is read; a pipe is never split."""
 
     @pytest.mark.parametrize(
         "case", ["context-auto", "sequential-cache", "explicit-bytes"]
@@ -229,8 +234,8 @@ class TestResolveSplitMode:
     def test_pipe_never_takes_byte_splits(self, case, tmp_path):
         """A FIFO reports ``st_size`` 0, so a byte-split plan over it
         would be empty and the run would infer ``(empty)``.  Line chunks
-        (under a context) and the stream (without one) read it; an
-        explicit byte-split request is refused."""
+        (under a context) and the stream (without one, cache or not)
+        read it; planning byte splits over it is refused."""
         fifo = tmp_path / "in.ndjson"
         os.mkfifo(fifo)
 
@@ -242,10 +247,8 @@ class TestResolveSplitMode:
         writer.start()
         try:
             if case == "explicit-bytes":
-                with Context(parallelism=2) as ctx:
-                    with pytest.raises(ValueError, match="regular file"):
-                        infer_ndjson_file(fifo, context=ctx,
-                                          split_mode="bytes")
+                with pytest.raises(ValueError, match="regular file"):
+                    plan_splits(fifo, 2)
                 return
             if case == "context-auto":
                 with Context(parallelism=2) as ctx:

@@ -5,8 +5,7 @@ split between two runs and the warm re-run must (a) replay every other
 split from the cache — exactly ``n_splits - 1`` hits, one miss — and
 (b) produce observables byte-identical to a fresh uncached run over the
 mutated file: printed schema, record/skip counts, and quarantine records
-with absolute line numbers.  Holds across both scheduler backends and
-both split modes.
+with absolute line numbers.  Holds across both scheduler backends.
 
 Corruption must degrade to recomputation, never to wrong results: a
 truncated or bit-flipped entry is a miss, and the recomputed run is
@@ -79,14 +78,13 @@ def mutate_one_split(path, k):
     return len(splits)
 
 
-def cached_run(path, backend, split_mode, cache_dir, **kwargs):
+def cached_run(path, backend, cache_dir, **kwargs):
     with Context(parallelism=4, backend=backend) as ctx:
         run = infer_ndjson_file(
             path,
             context=ctx,
             num_partitions=N_PARTS,
             permissive=True,
-            split_mode=split_mode,
             min_split_bytes=MIN_SPLIT,
             summary_cache=cache_dir,
             **kwargs,
@@ -96,52 +94,45 @@ def cached_run(path, backend, split_mode, cache_dir, **kwargs):
     return run, counters
 
 
-def uncached_run(path, split_mode):
+def uncached_run(path):
     with Context(parallelism=4, backend="thread") as ctx:
         return infer_ndjson_file(
             path,
             context=ctx,
             num_partitions=N_PARTS,
             permissive=True,
-            split_mode=split_mode,
             min_split_bytes=MIN_SPLIT,
         )
 
 
 class TestSingleSplitMutation:
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("split_mode", ["bytes", "lines"])
     def test_one_miss_rest_hits_and_identical_output(
-        self, tmp_path, backend, split_mode
+        self, tmp_path, backend
     ):
         path = corpus(tmp_path)
         cache_dir = tmp_path / "cache"
 
-        _, (hits, cold_misses, stores) = cached_run(
-            path, backend, split_mode, cache_dir
-        )
+        _, (hits, cold_misses, stores) = cached_run(path, backend, cache_dir)
         # Every partition misses and is stored.
         assert hits == 0 and stores == cold_misses and cold_misses > 1
 
         n_splits = mutate_one_split(path, k=len(
             plan_splits(path, N_PARTS, min_split_bytes=MIN_SPLIT, stable=True)
         ) // 2)
-        if split_mode == "bytes":
-            assert cold_misses == n_splits
+        assert cold_misses == n_splits
 
-        warm, (hits, misses, stores) = cached_run(
-            path, backend, split_mode, cache_dir
-        )
+        warm, (hits, misses, stores) = cached_run(path, backend, cache_dir)
         assert misses == 1 and stores == 1
         assert hits == cold_misses - 1
-        assert observables(warm) == observables(uncached_run(path, split_mode))
+        assert observables(warm) == observables(uncached_run(path))
 
     def test_every_split_index(self, tmp_path):
         # Walk the mutation across every split, warming as we go: each
         # round must miss exactly the split mutated since the last run.
         path = corpus(tmp_path)
         cache_dir = tmp_path / "cache"
-        _, (_, total, _) = cached_run(path, "thread", "bytes", cache_dir)
+        _, (_, total, _) = cached_run(path, "thread", cache_dir)
         n_splits = len(
             plan_splits(path, N_PARTS, min_split_bytes=MIN_SPLIT, stable=True)
         )
@@ -149,19 +140,19 @@ class TestSingleSplitMutation:
         for k in range(n_splits):
             mutate_one_split(path, k)
             warm, (hits, misses, _) = cached_run(
-                path, "thread", "bytes", cache_dir
+                path, "thread", cache_dir
             )
             assert (hits, misses) == (n_splits - 1, 1), f"split {k}"
             assert observables(warm) == observables(
-                uncached_run(path, "bytes")
+                uncached_run(path)
             )
 
     def test_unchanged_rerun_is_all_hits(self, tmp_path):
         path = corpus(tmp_path)
         cache_dir = tmp_path / "cache"
-        cold, (_, total, _) = cached_run(path, "thread", "bytes", cache_dir)
+        cold, (_, total, _) = cached_run(path, "thread", cache_dir)
         warm, (hits, misses, stores) = cached_run(
-            path, "thread", "bytes", cache_dir
+            path, "thread", cache_dir
         )
         assert (hits, misses, stores) == (total, 0, 0)
         assert observables(warm) == observables(cold)
@@ -174,7 +165,7 @@ class TestCorruptionFallback:
     def test_bit_flipped_entry_recomputes(self, tmp_path):
         path = corpus(tmp_path)
         cache_dir = tmp_path / "cache"
-        cold, (_, total, _) = cached_run(path, "thread", "bytes", cache_dir)
+        cold, (_, total, _) = cached_run(path, "thread", cache_dir)
         # Flip a bit in one partition entry: it must classify as a
         # miss, and the run must recompute exactly the broken split.
         victim = self._partition_entries(cache_dir)[total // 2]
@@ -183,7 +174,7 @@ class TestCorruptionFallback:
         victim.write_bytes(bytes(blob))
 
         warm, (hits, misses, stores) = cached_run(
-            path, "thread", "bytes", cache_dir
+            path, "thread", cache_dir
         )
         assert (hits, misses, stores) == (total - 1, 1, 1)
         assert observables(warm) == observables(cold)
@@ -191,12 +182,12 @@ class TestCorruptionFallback:
     def test_truncated_entry_recomputes(self, tmp_path):
         path = corpus(tmp_path)
         cache_dir = tmp_path / "cache"
-        cold, (_, total, _) = cached_run(path, "thread", "bytes", cache_dir)
+        cold, (_, total, _) = cached_run(path, "thread", cache_dir)
         victim = self._partition_entries(cache_dir)[0]
         victim.write_bytes(victim.read_bytes()[:20])
 
         warm, (hits, misses, _) = cached_run(
-            path, "thread", "bytes", cache_dir
+            path, "thread", cache_dir
         )
         assert (hits, misses) == (total - 1, 1)
         assert observables(warm) == observables(cold)
@@ -204,12 +195,12 @@ class TestCorruptionFallback:
     def test_all_entries_garbage_recomputes_everything(self, tmp_path):
         path = corpus(tmp_path)
         cache_dir = tmp_path / "cache"
-        cold, (_, total, _) = cached_run(path, "thread", "bytes", cache_dir)
+        cold, (_, total, _) = cached_run(path, "thread", cache_dir)
         for entry in (cache_dir / "objects").glob("*/*.sum"):
             entry.write_bytes(b"not a cache entry")
 
         warm, (hits, misses, _) = cached_run(
-            path, "thread", "bytes", cache_dir
+            path, "thread", cache_dir
         )
         assert (hits, misses) == (0, total)
         assert observables(warm) == observables(cold)
@@ -225,7 +216,7 @@ class TestReadOnlyCache:
 
         path = corpus(tmp_path)
         cache_dir = tmp_path / "cache"
-        _, (_, total, _) = cached_run(path, "thread", "bytes", cache_dir)
+        _, (_, total, _) = cached_run(path, "thread", cache_dir)
         mutate_one_split(path, k=total // 2)
 
         def read_only(*args, **kwargs):
@@ -233,10 +224,10 @@ class TestReadOnlyCache:
 
         monkeypatch.setattr(summarycache, "_write_file", read_only)
         warm, (hits, misses, stores) = cached_run(
-            path, "thread", "bytes", cache_dir
+            path, "thread", cache_dir
         )
         assert (hits, misses, stores) == (total - 1, 1, 0)
-        assert observables(warm) == observables(uncached_run(path, "bytes"))
+        assert observables(warm) == observables(uncached_run(path))
 
 
 class TestReplayedTelemetry:
@@ -246,26 +237,40 @@ class TestReplayedTelemetry:
     def test_fully_cached_rerun_reports_no_phase_timings(self, tmp_path):
         path = corpus(tmp_path)
         cache = tmp_path / "cache"
-        cold, _ = cached_run(path, "thread", "bytes", cache,
+        cold, _ = cached_run(path, "thread", cache,
                              collect_timings=True)
         assert cold.phase_timings.records == cold.record_count
-        warm, (hits, misses, _) = cached_run(path, "thread", "bytes", cache,
+        warm, (hits, misses, _) = cached_run(path, "thread", cache,
                                              collect_timings=True)
         assert (hits, misses) == (N_PARTS, 0)
         assert observables(warm) == observables(cold)
         assert warm.phase_timings is None
+
+    def test_timed_run_replays_a_plain_runs_entries(self, tmp_path):
+        """Timing collection is not part of the cache key: a replayed
+        summary drops its timings anyway, so a ``--timings`` run hits
+        every entry a plain run stored, and stores nothing."""
+        path = corpus(tmp_path)
+        cache = tmp_path / "cache"
+        cold, (_, splits, _) = cached_run(path, "thread", cache)
+        assert splits == N_PARTS
+        timed, (hits, misses, stores) = cached_run(path, "thread", cache,
+                                                   collect_timings=True)
+        assert (hits, misses, stores) == (splits, 0, 0)
+        assert observables(timed) == observables(cold)
+        assert timed.phase_timings is None
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_partly_cached_run_times_only_what_it_mapped(self, tmp_path,
                                                          backend):
         path = corpus(tmp_path)
         cache = tmp_path / "cache"
-        cached_run(path, backend, "bytes", cache, collect_timings=True)
+        cached_run(path, backend, cache, collect_timings=True)
         mutate_one_split(path, 3)
         with Context(parallelism=4, backend=backend) as ctx:
             run = infer_ndjson_file(
                 path, context=ctx, num_partitions=N_PARTS, permissive=True,
-                split_mode="bytes", min_split_bytes=MIN_SPLIT,
+                min_split_bytes=MIN_SPLIT,
                 summary_cache=cache, collect_timings=True,
             )
             stats = ctx.scheduler.stats
@@ -277,4 +282,4 @@ class TestReplayedTelemetry:
             permissive=True,
         )
         assert run.phase_timings.records == mapped.record_count
-        assert observables(run) == observables(uncached_run(path, "bytes"))
+        assert observables(run) == observables(uncached_run(path))

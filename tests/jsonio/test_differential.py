@@ -327,3 +327,66 @@ class TestReaders:
         path = tmp_path / "all.ndjson"
         path.write_text("\n\n".join(self.LINES) + "\n", encoding="utf-8")
         self._compare(path, monkeypatch)
+
+
+class TestContextNdjsonFile:
+    """``Context.ndjson_file`` decodes each partition through a guarded
+    decoder of its own; its values, strict errors and permissive drop
+    count must be those of mapping ``loads`` over the lines."""
+
+    LINES = TestReaders.LINES
+
+    @staticmethod
+    def _loads(line):
+        """``(value, None)`` or ``(None, (class, message))``."""
+        try:
+            return loads(line), None
+        except JsonError as exc:
+            return None, (type(exc), str(exc))
+
+    @pytest.fixture()
+    def ctx(self):
+        from repro.engine import Context, RetryPolicy
+
+        with Context(parallelism=2, backend="thread",
+                     retry_policy=RetryPolicy(max_retries=0)) as ctx:
+            yield ctx
+
+    def test_accepted_lines_read_like_read_ndjson(self, ctx, tmp_path):
+        from repro.jsonio.ndjson import read_ndjson
+
+        path = tmp_path / "good.ndjson"
+        good = [line for line in self.LINES if self._loads(line)[1] is None]
+        path.write_text("\n".join(good) + "\n", encoding="utf-8")
+        got = ctx.ndjson_file(path, 3).collect()
+        want = list(read_ndjson(path))
+        assert len(got) == len(want) == len(good)
+        assert all(map(_same_value, got, want))
+
+    def test_strict_raises_what_loads_raises(self, ctx, tmp_path):
+        path = tmp_path / "bad.ndjson"
+        for line in self.LINES:
+            _, error = self._loads(line)
+            if error is None:
+                continue
+            path.write_text('{"first": [1]}\n' + line + "\n",
+                            encoding="utf-8")
+            with pytest.raises(JsonError) as info:
+                ctx.ndjson_file(path, 2).collect()
+            assert (type(info.value), str(info.value)) == error
+
+    def test_permissive_drops_what_loads_rejects(self, ctx, tmp_path):
+        from repro.engine.accumulators import CounterAccumulator
+
+        path = tmp_path / "all.ndjson"
+        path.write_text("\n\n".join(self.LINES) + "\n", encoding="utf-8")
+        outcomes = [self._loads(line) for line in self.LINES]
+        skipped = CounterAccumulator()
+        got = ctx.ndjson_file(path, 4, permissive=True,
+                              skipped=skipped).collect()
+        want = [value for value, error in outcomes if error is None]
+        assert skipped.value == sum(
+            error is not None for _, error in outcomes
+        ) > 0
+        assert len(got) == len(want)
+        assert all(map(_same_value, got, want))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.jsonio import splits
 from repro.jsonio.ndjson import BadRecord, iter_numbered_lines
 from repro.jsonio.splits import (
     DEFAULT_MIN_SPLIT_BYTES,
@@ -202,6 +203,20 @@ class TestSplitLineReader:
         got, readers = read_via_splits(path, num_splits)
         assert got == reference_lines(path)
         assert sum(r.line_count for r in readers) == physical_line_count(path)
+
+
+class TestSplitLineReaderAcrossBlocks(TestSplitLineReader):
+    """Every reader case again, with the read block shrunk to a few
+    bytes: a block boundary then falls inside nearly every line, so the
+    carried partial line, a ``\r`` ending one block before its ``\n``,
+    multibyte UTF-8 split over two blocks and lines longer than a block
+    all occur (a real file meets them once per 64 KiB)."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3, 7],
+                    ids=lambda size: f"block{size}")
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(splits, "_BLOCK", request.param)
+        return request.param
 
 
 class TestCountLinesBefore:

@@ -26,7 +26,13 @@ malformed lines, at lines 50 and 171), from inside that directory:
   ``collect_timings=True``, killed with
   ``REPRO_CRASH_POINT=journal.append.post:2``.  Its header signs the
   lane label ``"strict"``, and its frames' phase timings carry the
-  ``lane`` field that build had.
+  ``lane`` field that build had;
+* ``stream.journal`` — written by the last build that read a regular
+  file without a context as one stream of lines: a sequential
+  ``infer_ndjson_file("corpus.ndjson", permissive=True,
+  journal_path="stream.journal")``, killed with
+  ``REPRO_CRASH_POINT=journal.commit.pre`` after its one ``"stream"``
+  task.
 """
 
 from __future__ import annotations
@@ -68,10 +74,7 @@ COMPAT = GOLDEN / "compat"
 
 #: The journaled run ``run.journal`` recorded (source path relative to
 #: the directory it ran in).
-JOURNAL_RUN = dict(
-    split_mode="bytes", num_partitions=4, min_split_bytes=1024,
-    permissive=True,
-)
+JOURNAL_RUN = dict(num_partitions=4, min_split_bytes=1024, permissive=True)
 
 
 def fixture_corpus():
@@ -274,7 +277,29 @@ class TestParentJournal:
                                   journal_path="batched.journal")
         assert "--batch-size" not in str(info.value)
         assert main(["infer", "corpus.ndjson", "--workers", "2",
-                     "--split-mode", "bytes", "--min-split-mb",
+                     "--min-split-mb",
                      str(1024 / (1 << 20)), "--permissive",
                      "--journal", "batched.journal", "--resume"]) == 1
         assert refusal in capsys.readouterr().err
+
+    def test_stream_journal_is_refused(self, tmp_path, monkeypatch,
+                                       capsys):
+        """A sequential run reads its file as one byte split now, so the
+        one-task stream plan of a journal from before cannot resume; no
+        flag plans it, so the message names the plan, not the flags."""
+        for name in ("corpus.ndjson", "stream.journal"):
+            shutil.copy(COMPAT / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        before = read_journal("stream.journal")
+        assert before.header["tasks"] == [["stream"]]
+        assert sorted(before.completed) == [0]
+        refusal = "one-task stream plan of a sequential run"
+        with pytest.raises(JournalMismatchError, match=refusal) as info:
+            infer_ndjson_file("corpus.ndjson", permissive=True, resume=True,
+                              journal_path="stream.journal")
+        assert "original flags" not in str(info.value)
+        assert main(["infer", "corpus.ndjson", "--permissive",
+                     "--journal", "stream.journal", "--resume"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert refusal in captured.err

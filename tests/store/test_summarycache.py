@@ -195,24 +195,18 @@ class TestLocking:
 
 class TestConfigSignature:
     def test_every_knob_changes_the_signature(self):
-        base = dict(
-            permissive=False, collect_timings=False, split_mode="bytes",
-        )
+        base = dict(permissive=False)
         signatures = {config_signature(**base)}
         for knob, value in [
             ("permissive", True),
-            ("collect_timings", True),
-            ("split_mode", "lines"),
             ("stats", "basic"),
             ("stats", "sketches"),
         ]:
             signatures.add(config_signature(**{**base, knob: value}))
-        assert len(signatures) == 6
+        assert len(signatures) == 4
 
     def test_signature_is_deterministic(self):
-        kwargs = dict(
-            permissive=True, collect_timings=False, split_mode="bytes",
-        )
+        kwargs = dict(permissive=True)
         assert config_signature(**kwargs) == config_signature(**kwargs)
 
     @pytest.mark.parametrize("stats,signature", [
@@ -222,11 +216,10 @@ class TestConfigSignature:
     def test_signatures_of_the_two_lane_builds(self, stats, signature):
         """The signatures builds with two parse lanes computed, which
         signed ``parse_lane="hooks"`` for stats-off runs and ``"strict"``
-        for stats runs: their cache entries still hit."""
-        assert config_signature(
-            permissive=False, collect_timings=False, split_mode="bytes",
-            stats=stats,
-        ) == signature
+        for stats runs (with ``collect_timings=False`` and
+        ``split_mode="bytes"``, now constants): their cache entries
+        still hit."""
+        assert config_signature(permissive=False, stats=stats) == signature
 
 
 class TestFsck:

@@ -19,6 +19,7 @@ least two cached splits, and a ``wikidata`` schema past the kernel's
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import pytest
@@ -33,6 +34,7 @@ from repro.inference.infer import infer_type
 from repro.inference.kernel import _LOG_FOLD_THRESHOLD, PartitionAccumulator
 from repro.inference.pipeline import infer_ndjson_file
 from repro.jsonio.ndjson import write_ndjson
+from tests.conftest import fifo_of
 
 #: Records per corpus: small enough for the pure fold, large enough for
 #: every split and cache count asserted below.
@@ -130,8 +132,10 @@ class TestParseLanes:
 
 
 class TestSplitModes:
-    """Was the ``split-equivalence`` CI job: both split modes on both
-    backends."""
+    """Was the ``split-equivalence`` CI job: both ways of dealing the
+    input on both backends.  The input decides: a regular file is read
+    as byte splits (``bytes``), a pipe as line chunks the driver deals
+    out (``lines``)."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("split_mode", ["lines", "bytes"])
@@ -139,10 +143,13 @@ class TestSplitModes:
     def test_split_mode_matches_oracle(self, corpus, contexts, name,
                                        split_mode, backend):
         path, expected = corpus(name)
-        run, stats = run_on(
-            contexts[backend], path, num_partitions=8,
-            split_mode=split_mode, min_split_bytes=1,
-        )
+        with ExitStack() as stack:
+            if split_mode == "lines":
+                path = stack.enter_context(fifo_of(path))
+            run, stats = run_on(
+                contexts[backend], path, num_partitions=8,
+                min_split_bytes=1,
+            )
         assert stats.tasks_completed == 8
         assert outcome(run) == expected
 
@@ -159,7 +166,7 @@ class TestManySplits:
         for _ in range(2):
             run, stats = run_on(
                 contexts[backend], path, num_partitions=8 * WORKERS,
-                split_mode="bytes", min_split_bytes=1,
+                min_split_bytes=1,
             )
             assert stats.tasks_completed == 8 * WORKERS
             assert outcome(run) == expected
@@ -170,7 +177,7 @@ class TestManySplits:
         path, expected = corpus("github")
         run, stats = run_on(
             contexts["thread"], path, num_partitions=48,
-            split_mode="bytes", min_split_bytes=1,
+            min_split_bytes=1,
         )
         assert outcome(run) == expected
         assert (stats.jobs, stats.tasks_completed) == (1, 48)
@@ -238,7 +245,7 @@ class TestSummaryCache:
                                               tmp_path, name):
         path, expected = corpus(name)
         kwargs = dict(
-            num_partitions=4 * WORKERS, split_mode="bytes",
+            num_partitions=4 * WORKERS,
             min_split_bytes=1 << 14, summary_cache=tmp_path / "cache",
         )
         cold, stats = run_on(contexts["thread"], path, **kwargs)
