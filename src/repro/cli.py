@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -165,22 +166,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument(
         "--parallel", "--workers", type=_COUNT, metavar="N", default=None,
         dest="parallel",
-        help="run typing+fusion on the engine with N-way parallelism "
+        help="run typing+fusion in N worker processes over 2N splits "
              "(0 = one worker per available CPU; --workers is an alias)",
-    )
-    p_infer.add_argument(
-        "--backend", choices=["thread", "process"], default="thread",
-        help="engine worker pool for --parallel: threads share memory, "
-             "processes give CPU-bound work true parallelism (default: "
-             "thread)",
     )
     p_infer.add_argument(
         "--journal", metavar="PATH", default=None,
         help="write-ahead run journal: record the task plan up front and "
              "each completed partition summary durably, so a crashed or "
              "interrupted run can be finished with --resume (Ctrl-C "
-             "drains in-flight tasks and exits with code 75); FILE must "
-             "be a regular file, not a pipe",
+             "drains in-flight tasks and, if tasks remain, exits with "
+             "code 75); FILE must be a regular file, not a pipe",
     )
     p_infer.add_argument(
         "--resume", action="store_true",
@@ -235,11 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument(
         "--pretty", action="store_true",
         help="multi-line, indented schema output",
-    )
-    p_merge.add_argument(
-        "--parallel", type=_COUNT, metavar="N", default=None,
-        help="load and merge the checkpoints on the engine with N-way "
-             "parallelism (0 merges in-line)",
     )
 
     p_stats = sub.add_parser(
@@ -354,6 +344,10 @@ class _GracefulStop:
     scheduler's stop event (queued tasks are cancelled, in-flight tasks
     drain and journal); a second signal falls back to Python's default
     handling so a wedged run can still be killed interactively.
+
+    Forked workers inherit the handler, and a terminal's Ctrl-C reaches
+    them too: there a first signal only sets the worker's copy of the
+    event, so its in-flight task finishes, and only the driver prints.
     """
 
     def __init__(self) -> None:
@@ -361,6 +355,7 @@ class _GracefulStop:
 
         self.event = threading.Event()
         self._previous: dict[int, object] = {}
+        self._driver_pid = os.getpid()
 
     def _handle(self, signum, frame) -> None:
         if self.event.is_set():
@@ -368,10 +363,11 @@ class _GracefulStop:
             # the user can still force an exit out of a wedged drain.
             self.__exit__(None, None, None)
             raise KeyboardInterrupt
-        print(
-            "interrupted: draining in-flight tasks (press again to force)",
-            file=sys.stderr,
-        )
+        if os.getpid() == self._driver_pid:
+            print(
+                "interrupted: draining in-flight tasks (press again to force)",
+                file=sys.stderr,
+            )
         self.event.set()
 
     def __enter__(self) -> "_GracefulStop":
@@ -440,7 +436,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         if args.parallel is not None:
             # --parallel 0 means "size the pool to this machine".
             workers = args.parallel or available_parallelism()
-            with Context(parallelism=workers, backend=args.backend,
+            with Context(parallelism=workers, backend="process",
                          retry_policy=policy) as ctx:
                 stats = ctx.scheduler.stats
                 run = infer_ndjson_file(
@@ -509,13 +505,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 def _cmd_merge(args: argparse.Namespace) -> int:
     from repro.store import merge_checkpoints
 
-    if args.parallel:
-        from repro.engine import Context
-
-        with Context(parallelism=args.parallel) as ctx:
-            merged = ctx.merge_checkpoints(args.checkpoints, out=args.out)
-    else:
-        merged = merge_checkpoints(args.checkpoints, out=args.out)
+    merged = merge_checkpoints(args.checkpoints, out=args.out)
     if args.pretty:
         print(pretty_print(merged.schema))
     else:

@@ -229,33 +229,6 @@ class Context:
 
         return self.text_file(path, num_partitions).map_partitions(parse)
 
-    def merge_checkpoints(
-        self,
-        inputs: "Sequence[str | Path | Any]",
-        out: str | Path | None = None,
-    ) -> "Any":
-        """Union schema checkpoints on this context's scheduler.
-
-        The distributed face of :func:`repro.store.merge_checkpoints`:
-        checkpoint loads (parsing the stored type files) run as parallel
-        tasks, and the loaded summaries fold at the driver — safe in any
-        order by associativity and commutativity (Theorems 5.4-5.5).
-        Loads, saves and reused record counts are accounted in
-        :class:`~repro.engine.scheduler.SchedulerStats`.
-        With ``out``, the merged checkpoint is saved there.  Returns the
-        merged :class:`~repro.store.Checkpoint`.
-        """
-        # Imported lazily: the store imports the inference kernel, which
-        # sits above this module in the package layering.
-        from repro.store.checkpoint import merge_checkpoints
-
-        return merge_checkpoints(
-            inputs,
-            out=out,
-            scheduler=self.scheduler,
-            stats=self.scheduler.stats,
-        )
-
     def stop(self) -> None:
         """Shut the scheduler down; the context may be reused afterwards."""
         self.scheduler.shutdown()

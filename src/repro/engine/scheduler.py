@@ -21,9 +21,12 @@ layer's quarantine):
 * **Retries with exponential backoff.**  Errors are classified: transient
   ones (:exc:`~repro.engine.faults.TransientError`, a broken process pool,
   a task timeout) are retried up to :attr:`RetryPolicy.max_retries` times
-  with deterministic exponential backoff + jitter.  Any other exception is
-  presumed a deterministic user error: it gets exactly *one* retry (the
-  cheap way to prove determinism), then propagates.
+  with deterministic exponential backoff + jitter.  The errors the input
+  layer raises on purpose (:exc:`~repro.jsonio.errors.JsonError` and its
+  subclasses, :exc:`~repro.core.errors.InvalidValueError`) are facts
+  about the data and propagate on their first failure.  Any other
+  exception is presumed a deterministic user error: it gets exactly
+  *one* retry (the cheap way to prove determinism), then propagates.
 * **Worker-crash recovery.**  A crashed process-pool worker breaks the
   whole pool; the scheduler rebuilds the pool and transparently
   re-dispatches every partition that was in flight.  After
@@ -83,7 +86,9 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence, TypeVar
 from weakref import WeakKeyDictionary
 
+from repro.core.errors import InvalidValueError
 from repro.engine.faults import FaultInjected, FaultPlan, TransientError
+from repro.jsonio.errors import JsonError
 
 __all__ = [
     "JobCancelled",
@@ -162,6 +167,9 @@ class RetryPolicy:
       ``max_retries`` times per task, sleeping
       ``min(max_delay_s, base_delay_s * 2**(attempt-1))`` plus a
       deterministic jitter fraction between attempts;
+    * an input error (:exc:`~repro.jsonio.errors.JsonError`, such as a
+      malformed line, or :exc:`~repro.core.errors.InvalidValueError`)
+      propagates at once: the same input fails the same way every time;
     * any other exception is treated as a deterministic user error and
       gets exactly one retry — if it fails again, it propagates;
     * ``task_timeout_s`` (``None`` = unlimited) bounds each attempt's
@@ -528,7 +536,8 @@ class Scheduler:
         attempts are cancelled, already-executing tasks are allowed to
         finish (and are delivered through ``on_result``), and the job
         raises :exc:`JobCancelled` instead of returning — the
-        SIGINT/SIGTERM half of crash-safe runs.
+        SIGINT/SIGTERM half of crash-safe runs.  A drain that leaves no
+        partition unfinished returns the results as usual.
 
         Re-entrant calls (a task scheduling sub-tasks, as the shuffle
         does) run inline on the calling worker: handing them back to the
@@ -649,6 +658,8 @@ class Scheduler:
                 self.stats.retries += 1
                 return attempt + 1, deterministic_retry_used
             raise exc
+        if isinstance(exc, (JsonError, InvalidValueError)):
+            raise exc
         # Deterministic user error: one retry proves determinism, then
         # fail fast — no point burning the full transient budget.
         if not deterministic_retry_used and self.retry_policy.max_retries > 0:
@@ -675,7 +686,8 @@ class Scheduler:
         cancels attempts that have not started, waits for the executing
         ones, and their results still flow through ``on_result`` before
         :exc:`JobCancelled` is raised — nothing a worker finished is
-        ever thrown away.
+        ever thrown away.  When those were the last partitions, the job
+        returns instead.
         """
         policy = self.retry_policy
         results: dict[int, R] = {}
@@ -735,7 +747,8 @@ class Scheduler:
                 for future in futures.values():
                     future.cancel()
                 raise fatal
-            if stop_event is not None and stop_event.is_set():
+            if (stop_event is not None and stop_event.is_set()
+                    and len(results) < len(items)):
                 raise JobCancelled(len(results), len(items))
             if pool_broken and use_process:
                 self._rebuild_process_pool()

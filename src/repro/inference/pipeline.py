@@ -385,8 +385,7 @@ def _validate_resume(state, plan_desc: dict, signature: str,
         raise JournalMismatchError(
             f"journal {path!r} planned {header.get('task_count')} tasks, "
             f"but the current run planned {total} — partitioning flags "
-            f"(--partitions/--workers/--min-split-mb) must match the "
-            f"original run"
+            f"(--workers/--min-split-mb) must match the original run"
         )
     raise JournalMismatchError(
         f"journal {path!r} was written for a different task plan "

@@ -26,7 +26,6 @@ from repro.store.checkpoint import (
     fsck_checkpoint,
     load_checkpoint,
     load_manifest,
-    load_summary,
     merge_checkpoints,
     save_checkpoint,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "fsck_summary_cache",
     "load_checkpoint",
     "load_manifest",
-    "load_summary",
     "merge_checkpoints",
     "plan_signature",
     "read_journal",

@@ -89,7 +89,6 @@ __all__ = [
     "fsck_checkpoint",
     "load_checkpoint",
     "load_manifest",
-    "load_summary",
     "merge_checkpoints",
     "save_checkpoint",
 ]
@@ -122,9 +121,10 @@ class CheckpointError(Exception):
     """Base class for checkpoint store failures.
 
     Every class in the hierarchy reduces to ``(class, args)`` so an
-    instance raised inside a process-pool worker (``merge_checkpoints``
-    ships loads to workers) survives the pickled return path intact —
-    the same discipline as :mod:`repro.jsonio.errors`.
+    instance pickles back to an equal one (a caller may load checkpoints
+    in a process pool of its own) even where ``__init__`` takes other
+    arguments than the message — the same discipline as
+    :mod:`repro.jsonio.errors`.
     """
 
     def __reduce__(self):
@@ -804,28 +804,16 @@ def _load_format1_distinct(target: Path, pool: dict) -> "frozenset[bytes]":
     return frozenset(digest_types(types))
 
 
-def load_summary(directory: str | Path) -> PartitionSummary:
-    """Load just the partition summary of a checkpoint.
-
-    A module-level function over picklable data, so
-    :func:`merge_checkpoints` can ship the loads to scheduler workers —
-    the loads parallelise perfectly, and parsing a large format-1
-    distinct-types file is the expensive part of one.
-    """
-    return load_checkpoint(directory).summary
-
-
-def _load_merge_input(directory: str | Path) -> PartitionSummary:
-    """Worker task for merge loads: failures always name the shard.
+def _load_merge_input(directory: str | Path) -> Checkpoint:
+    """Load one merge input: failures always name the shard.
 
     A bare digest or version error from a 30-shard merge is useless
     without knowing *which* shard to quarantine; this wrapper re-raises
     every store error with the offending input path in front, preserving
-    the class (so retry/fsck classification still works) and pickling
-    cleanly back from process-pool workers.
+    the class (so fsck classification still works).
     """
     try:
-        return load_summary(directory)
+        return load_checkpoint(directory)
     except CheckpointCorruptError as exc:
         raise CheckpointCorruptError(
             exc.directory, f"cannot merge this shard: {exc.detail}"
@@ -843,8 +831,6 @@ def _load_merge_input(directory: str | Path) -> PartitionSummary:
 def merge_checkpoints(
     inputs: Sequence[str | Path | Checkpoint],
     out: str | Path | None = None,
-    scheduler: Any | None = None,
-    stats: Any | None = None,
 ) -> Checkpoint:
     """Union any number of checkpoints into one (cross-shard schema merge).
 
@@ -852,10 +838,9 @@ def merge_checkpoints(
     schemas fuse, record counts add, distinct sets union as digests —
     so shards (of either format) may be merged in any order or grouping
     and the result is the schema a single pass over all the shards'
-    data would have produced (Theorem 5.5).  The merge is the kernel's
-    one reduce (:func:`~repro.inference.kernel.merge_summaries_full`),
-    a fold at the driver; with a ``scheduler`` the checkpoint *loads*
-    run as parallel tasks first.
+    data would have produced (Theorem 5.5).  Each shard is loaded once,
+    in-line, and the loaded summaries enter the kernel's one reduce
+    (:func:`~repro.inference.kernel.merge_summaries_full`).
 
     With ``out``, the merged checkpoint is saved there (its manifest
     unions the inputs' source fingerprints) and the returned
@@ -871,41 +856,10 @@ def merge_checkpoints(
         # ignored — the swap left the directory consistent either way).
         if is_stale_lock(path) is False:
             raise LockHeldError(os.fspath(path))
-    if scheduler is not None and len(paths) > 1:
-        # Ship the loads (parsing and checking the data files) to
-        # workers; manifests are one small JSON each and stay at the
-        # driver.
-        loaded_by_path = dict(
-            zip(map(str, paths), scheduler.run(_load_merge_input, paths))
-        )
-        if stats is not None:
-            stats.checkpoints_loaded += len(paths)
-            stats.checkpoint_records_merged += sum(
-                s.record_count for s in loaded_by_path.values()
-            )
-        checkpoints = [
-            item if isinstance(item, Checkpoint) else Checkpoint(
-                manifest=load_manifest(item),
-                summary=loaded_by_path[str(item)],
-                path=str(item),
-            )
-            for item in inputs
-        ]
-    else:
-        checkpoints = []
-        for item in inputs:
-            if isinstance(item, Checkpoint):
-                checkpoints.append(item)
-                continue
-            summary = _load_merge_input(item)
-            checkpoints.append(Checkpoint(
-                manifest=load_manifest(item),
-                summary=summary,
-                path=str(item),
-            ))
-            if stats is not None:
-                stats.checkpoints_loaded += 1
-                stats.checkpoint_records_merged += summary.record_count
+    checkpoints = [
+        item if isinstance(item, Checkpoint) else _load_merge_input(item)
+        for item in inputs
+    ]
     sources = [s for c in checkpoints for s in c.manifest.sources]
     skipped = sum(c.manifest.skipped_count for c in checkpoints)
 
@@ -913,7 +867,7 @@ def merge_checkpoints(
 
     if out is not None:
         return save_checkpoint(
-            out, merged, sources=sources, skipped_count=skipped, stats=stats
+            out, merged, sources=sources, skipped_count=skipped
         )
     # Same coverage rule as the saved path: a bundle contributed by only
     # some shards must not describe the whole union.

@@ -131,6 +131,25 @@ class TestStopEvent:
         for index, result in delivered:
             assert result == index * 2
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_stop_at_the_last_result_returns_everything(self, backend):
+        """A drain that leaves no partition unfinished is a finished job:
+        it returns its results instead of raising JobCancelled."""
+        event = threading.Event()
+        delivered = []
+
+        def on_result(i, r):
+            delivered.append(i)
+            if len(delivered) == 4:
+                event.set()
+
+        with Scheduler(parallelism=2, backend=backend) as sched:
+            results = sched.run(_slow_double, list(range(4)),
+                                stop_event=event, on_result=on_result)
+        assert results == [0, 2, 4, 6]
+        assert sorted(delivered) == [0, 1, 2, 3]
+        assert event.is_set()
+
     def test_unset_event_changes_nothing(self):
         event = threading.Event()
         with Scheduler(parallelism=2) as sched:

@@ -21,13 +21,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import InvalidValueError
 from repro.core.printer import print_type
+from repro.datasets import generate_list
 from repro.engine import Context, FaultPlan, RetryPolicy
 from repro.engine.faults import Fault
 from repro.engine.scheduler import BACKENDS
 from repro.inference.pipeline import infer_ndjson_file, run_inference
-from repro.jsonio.errors import ErrorRateExceeded, JsonSyntaxError
-from repro.jsonio.ndjson import read_ndjson
+from repro.jsonio.errors import (
+    DuplicateKeyError,
+    ErrorRateExceeded,
+    JsonSyntaxError,
+)
+from repro.jsonio.ndjson import read_ndjson, write_ndjson
+from repro.jsonio.parser import loads
 from tests.conftest import json_values
 
 #: Nonzero in the CI fault-injection job (see .github/workflows/ci.yml).
@@ -98,6 +105,73 @@ class TestFaultTransparency:
         assert faulty.skipped_count == baseline.skipped_count == 6
         assert [b.line_number for b in faulty.bad_records] == \
             [b.line_number for b in baseline.bad_records]
+
+
+class TestInputErrorsFailOnce:
+    """A malformed line, a duplicate key or a value that is not JSON is a
+    fact about the input: its task fails on the first attempt, with the
+    message a run without a context gives, and is never read twice."""
+
+    @pytest.fixture()
+    def malformed(self, tmp_path):
+        path = tmp_path / "malformed.ndjson"
+        write_ndjson(path, generate_list("twitter", 400))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"id": 1, oops}\n')
+        return path
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_malformed_line(self, backend, malformed):
+        with pytest.raises(JsonSyntaxError) as alone:
+            infer_ndjson_file(malformed)
+        with Context(parallelism=2, backend=backend,
+                     retry_policy=FAST_RETRY) as ctx:
+            with pytest.raises(JsonSyntaxError) as parallel:
+                infer_ndjson_file(malformed, context=ctx, num_partitions=2,
+                                  min_split_bytes=1)
+            assert ctx.scheduler.stats.retries == 0
+        assert str(parallel.value) == str(alone.value)
+        assert "line 401, column 11" in str(parallel.value)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_value_that_is_not_json(self, backend):
+        values = [{"a": i} for i in range(10)] + [{"a": {1, 2}}]
+        with pytest.raises(InvalidValueError) as alone:
+            run_inference(values)
+        with Context(parallelism=2, backend=backend,
+                     retry_policy=FAST_RETRY) as ctx:
+            with pytest.raises(InvalidValueError) as parallel:
+                run_inference(values, context=ctx, num_partitions=2)
+            assert ctx.scheduler.stats.retries == 0
+        assert str(parallel.value) == str(alone.value)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_duplicate_key(self, backend, tmp_path):
+        line = '{"a": 3, "a": 4}'
+        path = tmp_path / "duplicate.ndjson"
+        path.write_text('{"a": 1}\n{"a": 2}\n' + line + "\n")
+        with pytest.raises(DuplicateKeyError) as alone:
+            loads(line)
+        with Context(parallelism=2, backend=backend,
+                     retry_policy=FAST_RETRY) as ctx:
+            with pytest.raises(DuplicateKeyError) as parallel:
+                ctx.ndjson_file(path, 2).collect()
+            assert ctx.scheduler.stats.retries == 0
+        assert str(parallel.value) == str(alone.value)
+
+    def test_injected_faults_are_the_only_retries(self, malformed):
+        plan = FaultPlan.random_plan(
+            SEED, num_partitions=4, rate=0.5, max_attempt=1
+        )
+        # Threads: a FaultInjected raised in a process worker does not
+        # unpickle, so there it breaks the pool instead of counting.
+        with Context(parallelism=2, retry_policy=FAST_RETRY,
+                     fault_plan=plan) as ctx:
+            with pytest.raises(JsonSyntaxError, match="line 401"):
+                infer_ndjson_file(malformed, context=ctx, num_partitions=4,
+                                  min_split_bytes=1)
+            stats = ctx.scheduler.stats
+        assert stats.retries == stats.faults_injected
 
 
 def _write_dirty(path, total, bad_every):

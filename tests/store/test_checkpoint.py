@@ -20,6 +20,8 @@ from repro.inference.kernel import (
     PartitionSummary,
     accumulate_partition,
 )
+from repro.inference.pipeline import infer_ndjson_file
+from repro.jsonio.ndjson import write_ndjson
 from repro.store.checkpoint import (
     DIGEST_FILE,
     FORMAT_VERSION,
@@ -34,7 +36,6 @@ from repro.store.checkpoint import (
     fingerprint_source,
     load_checkpoint,
     load_manifest,
-    load_summary,
     merge_checkpoints,
     save_checkpoint,
 )
@@ -78,11 +79,6 @@ class TestRoundTrip:
     def test_checkpoint_exists(self, saved, tmp_path):
         assert checkpoint_exists(saved)
         assert not checkpoint_exists(tmp_path / "nowhere")
-
-    def test_load_summary_is_plain_partition_summary(self, saved, summary):
-        loaded = load_summary(saved)
-        assert isinstance(loaded, PartitionSummary)
-        assert loaded.schema == summary.schema
 
     def test_path_recorded(self, saved):
         assert load_checkpoint(saved).path == str(saved)
@@ -386,49 +382,29 @@ class TestMergeCheckpoints:
         assert [s.path for s in merged.manifest.sources] == [str(src)]
 
 
-class TestContextMerge:
-    """The scheduler-parallel face: Context.merge_checkpoints."""
+class TestCheckpointCounters:
+    """``SchedulerStats`` counts the checkpoint loads and saves of the
+    runs on its context: what ``infer --update`` feeds them."""
 
-    def test_parallel_merge_matches_serial(self, tmp_path):
-        shards = []
-        for i in range(20):
-            p = tmp_path / f"s{i}"
-            save_checkpoint(
-                p, accumulate_partition([{"k": i}, {"k": str(i)}])
-            )
-            shards.append(p)
-        serial = merge_checkpoints(shards)
-        with Context(parallelism=4) as ctx:
-            parallel = ctx.merge_checkpoints(shards)
-            stats = ctx.scheduler.stats
-            assert stats.checkpoints_loaded == 20
-            assert stats.checkpoint_records_merged == 40
-        assert parallel.schema == serial.schema
-        assert parallel.record_count == serial.record_count
-        assert parallel.summary.distinct_digests == (
-            serial.summary.distinct_digests
-        )
-        assert serial.manifest.distinct_type_count == 2
-
-    def test_process_backend_merge(self, tmp_path):
-        shards = []
-        for i in range(3):
-            p = tmp_path / f"s{i}"
-            save_checkpoint(p, accumulate_partition([{"n": i}]))
-            shards.append(p)
-        with Context(parallelism=2, backend="process") as ctx:
-            merged = ctx.merge_checkpoints(shards, out=tmp_path / "out")
-        assert merged.record_count == 3
-        assert checkpoint_exists(tmp_path / "out")
-
-    def test_save_counts_in_stats(self, tmp_path, summary):
-        save_checkpoint(tmp_path / "a", summary)
-        save_checkpoint(tmp_path / "b", summary)
+    def test_update_run_counts_loads_and_saves(self, tmp_path):
+        data = tmp_path / "batch.ndjson"
+        write_ndjson(data, ({"k": i, "v": str(i)} for i in range(1500)))
+        ckpt = tmp_path / "ckpt"
         with Context(parallelism=2) as ctx:
-            ctx.merge_checkpoints(
-                [tmp_path / "a", tmp_path / "b"], out=tmp_path / "c"
-            )
-            assert ctx.scheduler.stats.checkpoints_saved == 1
+            stats = ctx.scheduler.stats
+
+            def counters():
+                return (stats.checkpoints_loaded,
+                        stats.checkpoint_records_merged,
+                        stats.checkpoints_saved)
+
+            infer_ndjson_file(data, context=ctx, checkpoint_to=ckpt)
+            assert counters() == (0, 0, 1)
+            run = infer_ndjson_file(data, context=ctx, update_from=ckpt,
+                                    checkpoint_to=ckpt)
+            assert counters() == (1, 1500, 2)
+        assert run.checkpoint_record_count == 1500
+        assert run.record_count == 3000
 
 
 class TestSchemaWithEscapedKeys:

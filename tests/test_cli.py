@@ -1,7 +1,14 @@
 """End-to-end tests for the command-line interface (repro.cli)."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,13 +16,15 @@ from repro.analysis.diff import diff_schemas
 from repro.analysis.paths import iter_schema_paths, resolve_path
 from repro.analysis.stats import SUCCINCTNESS_HEADERS, succinctness_row
 from repro.analysis.tables import render_table
-from repro.cli import main
+from repro.cli import EXIT_RESUMABLE, main
 from repro.core.printer import print_type
 from repro.datasets import write_dataset
 from repro.inference.pipeline import infer_schema
 from repro.jsonio.parser import loads
 from repro.jsonio.ndjson import read_ndjson, write_ndjson
 from tests.conftest import make_corpus
+
+REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -380,7 +389,6 @@ class TestParser:
         ("--task-timeout", ["infer", "{file}", "--task-timeout", "inf"]),
         ("--max-error-rate", ["infer", "{file}", "--max-error-rate", "1.5"]),
         ("--max-error-rate", ["infer", "{file}", "--max-error-rate", "-0.1"]),
-        ("--parallel", ["merge", "a", "b", "-o", "m", "--parallel", "-1"]),
         ("--max-paths", ["statistics", "{file}", "--max-paths", "-1"]),
     ])
     def test_out_of_range_numbers_are_usage_errors(
@@ -459,19 +467,6 @@ class TestMerge:
         assert "merged 2 checkpoints (2 records" in captured.err
         assert (out_dir / "MANIFEST.json").is_file()
 
-    def test_merge_parallel_matches_serial(self, tmp_path, capsys):
-        paths = [
-            self._checkpoint(tmp_path, f"s{i}", [{"k": i}, {"k": str(i)}])
-            for i in range(4)
-        ]
-        capsys.readouterr()
-        args = [str(p) for p in paths]
-        assert main(["merge", *args, "-o", str(tmp_path / "serial")]) == 0
-        serial = capsys.readouterr().out
-        assert main(["merge", *args, "-o", str(tmp_path / "par"),
-                     "--parallel", "2"]) == 0
-        assert capsys.readouterr().out == serial
-
     def test_merge_missing_checkpoint_fails(self, tmp_path, capsys):
         a = self._checkpoint(tmp_path, "a", [{"x": 1}])
         capsys.readouterr()
@@ -529,6 +524,24 @@ class TestJournalCli:
         assert main(["infer", sample_file, "--journal", str(journal),
                      "--resume", "--permissive"]) == 1
         assert "permissive" in capsys.readouterr().err
+
+    def test_resume_with_other_workers_names_the_flags(self, tmp_path,
+                                                       capsys):
+        data = tmp_path / "data.ndjson"
+        write_ndjson(data, [{"k": i, "v": str(i)} for i in range(400)])
+        journal = tmp_path / "run.journal"
+        argv = ["infer", str(data), "--journal", str(journal),
+                "--min-split-mb", "0.001"]
+        assert main(argv + ["--workers", "2"]) == 0
+        from repro.store.journal import read_journal
+
+        assert read_journal(journal).header["task_count"] == 4
+        capsys.readouterr()
+        assert main(argv + ["--workers", "1", "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert "planned 4 tasks, but the current run planned 2" in err
+        assert "--workers" in err
+        assert "--partitions" not in err
 
 
 class TestFsckCli:
@@ -679,8 +692,7 @@ class TestInputErrors:
 
     COMMANDS = {
         "infer": ["infer", "{file}"],
-        "infer-process": ["infer", "{file}", "--parallel", "2",
-                          "--backend", "process"],
+        "infer-process": ["infer", "{file}", "--parallel", "2"],
         "stats": ["stats", "{file}"],
         "statistics": ["statistics", "{file}"],
         "paths": ["paths", "{file}"],
@@ -809,3 +821,110 @@ class TestStatisticsCommand:
         bundle = load_checkpoint(ckpt).summary.stats
         assert bundle is not None
         assert bundle.record_count == 3
+
+
+def _run_repro(argv, signal_with=None, timeout=120):
+    """``python -m repro argv`` in a session of its own, with a deadline.
+
+    ``signal_with(proc)`` runs while the command does.  Output goes
+    through files, not pipes, so that a worker left behind cannot block
+    the capture; whatever is left of the process group is killed at the
+    end, and ``group_emptied`` says whether anything was.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [REPO_SRC, env.get("PYTHONPATH")])
+    )
+    with tempfile.TemporaryFile("w+") as out, \
+            tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, stdout=out, stderr=err, start_new_session=True,
+        )
+        group_emptied = False
+        try:
+            if signal_with is not None:
+                signal_with(proc)
+            proc.wait(timeout=timeout)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    group_emptied = True
+                    break
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        out.seek(0)
+        err.seek(0)
+        return SimpleNamespace(
+            returncode=proc.returncode, stdout=out.read(),
+            stderr=err.read(), group_emptied=group_emptied,
+        )
+
+
+class TestInterrupt:
+    """A terminal's Ctrl-C signals the whole process group, the forked
+    workers as well as the driver.  A journaled ``infer --workers 2``
+    drains, says so once and leaves nothing running; what it prints in
+    the end, at once or after ``--resume``, is the uninterrupted run's.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        # Key explosion: the run maps for far longer than a signal takes
+        # to arrive (each of its 4 tasks about 0.7 s on a 2-vCPU host).
+        path = tmp_path_factory.mktemp("interrupt") / "wikidata.ndjson"
+        write_dataset("wikidata", 6000, path)
+        return path
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, corpus):
+        done = _run_repro(["infer", str(corpus), "--workers", "2"])
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_group_signal_drains_once_and_resumes(
+        self, corpus, uninterrupted, tmp_path, signum
+    ):
+        journal = tmp_path / "run.journal"
+        argv = ["infer", str(corpus), "--workers", "2",
+                "--journal", str(journal)]
+
+        def interrupt(proc):
+            deadline = time.monotonic() + 60
+            while not journal.exists() or not journal.stat().st_size:
+                assert proc.poll() is None, "the run ended unsignalled"
+                assert time.monotonic() < deadline, "no journal header"
+                time.sleep(0.01)
+            # The driver forks its workers right after the header; wait
+            # the moment that takes, so that the signal reaches them.
+            time.sleep(0.2)
+            os.killpg(proc.pid, signum)
+
+        interrupted = _run_repro(argv, signal_with=interrupt)
+        assert interrupted.stderr.count("interrupted: draining") == 1, (
+            interrupted.stderr
+        )
+        assert interrupted.group_emptied
+        if interrupted.returncode == 0:
+            # The pool had already taken every task off its queue (it
+            # holds up to workers + 1 that cannot be cancelled), so the
+            # drain finished the run.
+            from repro.store.journal import read_journal
+
+            assert read_journal(journal).committed
+            assert interrupted.stdout == uninterrupted
+            return
+        assert interrupted.returncode == EXIT_RESUMABLE, interrupted.stderr
+        assert "rerun with --resume" in interrupted.stderr
+        resumed = _run_repro(argv + ["--resume"])
+        assert resumed.returncode == 0, resumed.stderr
+        assert resumed.stdout == uninterrupted

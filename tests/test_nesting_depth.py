@@ -149,7 +149,7 @@ class TestAtTheBound:
 
     @pytest.mark.parametrize("flags", [
         [],
-        ["--parallel", "2", "--backend", "process"],
+        ["--parallel", "2"],
         ["--stats", "basic"],
         ["--stats", "sketches", "--parallel", "2"],
         ["--pretty"],
@@ -161,7 +161,7 @@ class TestAtTheBound:
 
     @pytest.mark.parametrize("flags", [
         [],
-        ["--parallel", "2", "--backend", "process"],
+        ["--parallel", "2"],
         ["--stats", "sketches"],
     ], ids=" ".join)
     def test_checkpoint_update_journal_and_cache(self, at_bound, tmp_path,

@@ -34,6 +34,7 @@ from repro.inference.infer import infer_type
 from repro.inference.kernel import _LOG_FOLD_THRESHOLD, PartitionAccumulator
 from repro.inference.pipeline import infer_ndjson_file
 from repro.jsonio.ndjson import write_ndjson
+from repro.store import merge_checkpoints
 from tests.conftest import fifo_of
 
 #: Records per corpus: small enough for the pure fold, large enough for
@@ -231,7 +232,7 @@ class TestIncremental:
         for i, batch in enumerate(batches[name]):
             shards.append(tmp_path / f"shard{i}")
             run_on(ctx, batch, checkpoint_to=shards[-1])
-        merged = ctx.merge_checkpoints(shards)
+        merged = merge_checkpoints(shards)
         assert Outcome(print_type(merged.schema), merged.record_count,
                        merged.summary.distinct_type_count) == expected
 
