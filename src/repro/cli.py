@@ -341,7 +341,7 @@ class _GracefulStop:
     """SIGINT/SIGTERM → drain-and-journal instead of dying mid-write.
 
     Installed only around journaled runs: the first signal sets the
-    scheduler's stop event (queued tasks are cancelled, in-flight tasks
+    scheduler's stop event (no further task starts, in-flight tasks
     drain and journal); a second signal falls back to Python's default
     handling so a wedged run can still be killed interactively.
 

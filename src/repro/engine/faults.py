@@ -80,6 +80,12 @@ class FaultInjected(TransientError):
         )
         self.partition = partition
         self.attempt = attempt
+        self.message = message
+
+    def __reduce__(self):
+        # The default pickles ``(str(self),)``, which ``__init__`` cannot
+        # take: a process worker's fault would break the pool instead.
+        return (self.__class__, (self.partition, self.attempt, self.message))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,11 @@ Runs one task per partition on a worker pool.  Two backends:
 
 On top of dispatch, :meth:`Scheduler.run` provides the fault tolerance a
 massive-input job needs (malformed data aside — that is the ingestion
-layer's quarantine):
+layer's quarantine).  One loop runs every job, the way a cluster places
+tasks on free executor slots: at most ``parallelism`` attempts are in
+flight (one when they run in-line), a worker is handed the next attempt
+only when it is free, and a failed attempt rejoins the queue once its
+own backoff has passed while the other partitions keep running.
 
 * **Retries with exponential backoff.**  Errors are classified: transient
   ones (:exc:`~repro.engine.faults.TransientError`, a broken process pool,
@@ -28,19 +32,20 @@ layer's quarantine):
   exception is presumed a deterministic user error: it gets exactly
   *one* retry (the cheap way to prove determinism), then propagates.
 * **Worker-crash recovery.**  A crashed process-pool worker breaks the
-  whole pool; the scheduler rebuilds the pool and transparently
-  re-dispatches every partition that was in flight.  After
-  :attr:`RetryPolicy.max_pool_rebuilds` rebuilds it stops trusting the
-  process backend and falls back to the thread pool for the remainder of
-  the job — last resort, but the job finishes.
-* **Per-task timeouts.**  With :attr:`RetryPolicy.task_timeout_s` set, a
-  task that exceeds its budget is abandoned and retried.  The clock for
-  each task starts when a worker actually begins executing it — time
-  spent queued behind other partitions never counts against the budget.
-  An abandoned task cannot be interrupted and may still run to
+  whole pool; the scheduler rebuilds the pool and re-runs the attempts
+  that were in flight.  After :attr:`RetryPolicy.max_pool_rebuilds`
+  rebuilds it stops trusting the process backend and falls back to the
+  thread pool for the remainder of the job — last resort, but the job
+  finishes.
+* **Per-task timeouts.**  With :attr:`RetryPolicy.task_timeout_s` set, an
+  attempt that exceeds its budget is abandoned and retried.  Its clock
+  starts when a worker takes it, on threads and processes alike — an
+  attempt waits for a free worker before it is submitted, so time queued
+  behind other partitions never counts against the budget.  An
+  abandoned attempt cannot be interrupted and may still run to
   completion in the background — tasks must therefore be pure, which
-  every engine workload is.  An abandoned task also keeps occupying its
-  worker until it finishes; when genuinely hung tasks wedge *every*
+  every engine workload is.  An abandoned attempt also keeps occupying
+  its worker until it finishes; when genuinely hung tasks wedge *every*
   thread-pool worker this way, the scheduler walks away from that pool
   and starts a fresh one so queued retries keep moving (a hung
   *process* worker, by contrast, holds its slot until the pool crashes
@@ -48,6 +53,9 @@ layer's quarantine):
   ``max_retries`` for hang-prone process-backend workloads).  Nested
   (re-entrant) jobs run inline on the calling worker and therefore
   cannot enforce a timeout at all.
+* **Graceful drain.**  A set ``stop_event`` stops the loop from handing
+  out attempts: the ones in flight finish and reach ``on_result``, and
+  nothing else starts.
 * **Deterministic fault injection.**  A
   :class:`~repro.engine.faults.FaultPlan` threaded through the scheduler
   fires planned incidents per ``(partition, attempt)``, so all of the
@@ -69,13 +77,16 @@ remain inline and unbounded.
 from __future__ import annotations
 
 import gc
+import heapq
 import os
 import pickle
 import random
 import threading
 import time
 import warnings
+from collections import deque
 from concurrent.futures import (
+    FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -84,7 +95,6 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence, TypeVar
-from weakref import WeakKeyDictionary
 
 from repro.core.errors import InvalidValueError
 from repro.engine.faults import FaultInjected, FaultPlan, TransientError
@@ -129,15 +139,6 @@ class JobCancelled(Exception):
 
     def __reduce__(self):
         return (self.__class__, (self.completed, self.total))
-
-
-class _StopCancelled(Exception):
-    """Internal marker: a queued future was cancelled by the stop drain.
-
-    Never escapes the scheduler — the recovery loop drops these keys on
-    the floor (no retry, no failure) and raises :exc:`JobCancelled` for
-    the job as a whole.
-    """
 
 
 class TaskTimeoutError(TransientError):
@@ -403,10 +404,6 @@ class Scheduler:
         # Re-entrancy guard: per-thread nesting depth of `run` (set while a
         # task body executes, on whichever thread executes it).
         self._local = threading.local()
-        # Shippability verdicts, cached per task object.  Keyed weakly so
-        # the cache never pins user functions; unhashable/unweakrefable
-        # tasks simply skip the cache.
-        self._shippable_cache: WeakKeyDictionary = WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # pools
@@ -445,7 +442,7 @@ class Scheduler:
                 "all thread-pool workers are occupied by timed-out tasks; "
                 "replacing the pool so retries can proceed",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=5,
             )
             self._pool.shutdown(wait=False)
             self._pool = None
@@ -454,10 +451,10 @@ class Scheduler:
         return self._ensure_pool()
 
     def _rebuild_process_pool(self) -> None:
-        """Discard a broken process pool so the next round gets a fresh one.
+        """Discard a broken process pool; the next attempt starts a fresh one.
 
-        Workers keep no state between tasks, so the in-flight partitions
-        are simply re-dispatched to the fresh pool under the same
+        Workers keep no state between tasks, so the attempts that were in
+        flight simply run again on the fresh pool under the same
         :class:`RetryPolicy`.
         """
         if self._process_pool is not None:
@@ -465,48 +462,14 @@ class Scheduler:
             self._process_pool = None
         self.stats.pool_rebuilds += 1
 
-    # ------------------------------------------------------------------
-    # shippability
-
-    def _shippable(self, task: Callable) -> bool:
-        """Whether ``task`` can be sent to a worker process.
-
-        The pickling probe is not free for large closures, so the verdict
-        is cached per task object (weakly — the scheduler must not keep
-        user functions alive).  Stable module-level functions such as the
-        inference kernel's entry point hit the cache on every job.
-        """
-        try:
-            return self._shippable_cache[task]
-        except (KeyError, TypeError):
-            pass
-        try:
-            pickle.dumps(task)
-            verdict = True
-        except Exception:
-            verdict = False
-        try:
-            self._shippable_cache[task] = verdict
-        except TypeError:
-            pass  # unhashable or not weak-referenceable: just re-probe
-        return verdict
-
     @staticmethod
-    def _first_item_shippable(items: Sequence) -> bool:
-        """Probe whether partition *data* can cross a process boundary.
-
-        A picklable task over unpicklable items would die mid-dispatch
-        with an opaque pool error; probing one representative item up
-        front lets the scheduler fall back to threads with a clear
-        warning instead.
-        """
-        if not items:
-            return True
+    def _picklable(obj: object) -> bool:
+        """Whether ``obj`` can be sent to a worker process."""
         try:
-            pickle.dumps(items[0])
-            return True
+            pickle.dumps(obj)
         except Exception:
             return False
+        return True
 
     # ------------------------------------------------------------------
     # execution
@@ -530,14 +493,16 @@ class Scheduler:
         finishes — the seam the run journal hangs off: a summary is
         durable the moment its task succeeds, not when the job ends.  An
         exception from the callback fails the job (nothing swallows an
-        ``ENOSPC`` from a journal append).
+        ``ENOSPC`` from a journal append).  Under retries the indexes can
+        arrive out of order, in-line too: a retry waits out its backoff
+        while later items run.
 
-        ``stop_event`` requests a graceful drain: when it is set, queued
-        attempts are cancelled, already-executing tasks are allowed to
-        finish (and are delivered through ``on_result``), and the job
-        raises :exc:`JobCancelled` instead of returning — the
-        SIGINT/SIGTERM half of crash-safe runs.  A drain that leaves no
-        partition unfinished returns the results as usual.
+        ``stop_event`` requests a graceful drain: once it is set no
+        further attempt starts, the attempts in flight finish (and are
+        delivered through ``on_result``), and the job raises
+        :exc:`JobCancelled` instead of returning — the SIGINT/SIGTERM
+        half of crash-safe runs.  A drain that leaves no partition
+        unfinished returns the results as usual.
 
         Re-entrant calls (a task scheduling sub-tasks, as the shuffle
         does) run inline on the calling worker: handing them back to the
@@ -551,45 +516,38 @@ class Scheduler:
         """
         start = time.perf_counter()
         try:
-            results = self._dispatch(task, items, on_result, stop_event)
+            results = self._loop(task, items, self._dispatch(task, items),
+                                 on_result, stop_event)
         finally:
             self.stats.jobs += 1
             self.stats.job_time_s += time.perf_counter() - start
         self.stats.tasks_completed += len(results)
         return results
 
-    def _dispatch(
-        self,
-        task: Callable[[T], R],
-        items: Sequence[T],
-        on_result: Callable[[int, R], None] | None = None,
-        stop_event: threading.Event | None = None,
-    ) -> list[R]:
-        """Route a job to the inline, thread, or process execution path."""
-        if self._depth() > 0:
-            return self._run_inline(task, items, on_result, stop_event)
-        if self.parallelism == 1 or len(items) <= 1:
-            if self.retry_policy.task_timeout_s is None:
-                return self._run_inline(task, items, on_result, stop_event)
-            # Timeout enforcement needs a pool worker the driver can
-            # abandon; the thread pool is enough for a sequential job.
-            return self._run_with_recovery(
-                task, items, use_process=False,
-                on_result=on_result, stop_event=stop_event,
-            )
-        use_process = self.backend == "process" and self._shippable(task)
-        if use_process and not self._first_item_shippable(items):
+    def _dispatch(self, task: Callable[[T], R], items: Sequence[T]) -> str:
+        """Where the job's attempts run: ``"inline"``, ``"thread"`` or
+        ``"process"``."""
+        sequential = self.parallelism == 1 or len(items) <= 1
+        if self._depth() > 0 or (
+            sequential and self.retry_policy.task_timeout_s is None
+        ):
+            return "inline"
+        # A sequential job gets here only with a timeout, which needs a
+        # pool worker the driver can abandon; threads are enough.
+        if (sequential or self.backend != "process"
+                or not self._picklable(task)):
+            return "thread"
+        if not self._picklable(items[0]):
+            # Probed up front: a picklable task over unpicklable items
+            # would die mid-dispatch with an opaque pool error.
             warnings.warn(
                 "partition items are not picklable; running the job on the "
                 "thread pool instead of the process backend",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-            use_process = False
-        return self._run_with_recovery(
-            task, items, use_process,
-            on_result=on_result, stop_event=stop_event,
-        )
+            return "thread"
+        return "process"
 
     def _depth(self) -> int:
         return getattr(self._local, "depth", 0)
@@ -601,46 +559,6 @@ class Scheduler:
             return call()
         finally:
             self._local.depth -= 1
-
-    def _run_inline(
-        self,
-        task: Callable[[T], R],
-        items: Sequence[T],
-        on_result: Callable[[int, R], None] | None = None,
-        stop_event: threading.Event | None = None,
-    ) -> list[R]:
-        """Sequential execution with the same retry classification.
-
-        Used for re-entrant calls always, and for ``parallelism=1`` /
-        single-item jobs when no task timeout is configured (timeouts
-        need a pool worker to abandon, so :meth:`run` routes those to
-        the thread pool instead).  ``task_timeout_s`` is *not* enforced
-        here.  Worker kills are injected as transient failures (there is
-        no separate process to kill).  A ``stop_event`` is honoured
-        between items: the current item always runs to completion (and
-        reaches ``on_result``) before the drain raises.
-        """
-        results = []
-        for index, item in enumerate(items):
-            if stop_event is not None and stop_event.is_set():
-                raise JobCancelled(len(results), len(items))
-            attempt = 0
-            deterministic_retry_used = False
-            while True:
-                call = _Dispatch(task, item, index, attempt,
-                                 self.fault_plan, allow_kill=False)
-                try:
-                    result = self._enter_task(call)
-                    if on_result is not None:
-                        on_result(index, result)
-                    results.append(result)
-                    break
-                except Exception as exc:
-                    attempt, deterministic_retry_used = self._next_attempt(
-                        exc, index, attempt, deterministic_retry_used
-                    )
-                    time.sleep(self.retry_policy.backoff_s(index, attempt))
-        return results
 
     def _next_attempt(
         self,
@@ -667,243 +585,153 @@ class Scheduler:
             return attempt + 1, True
         raise exc
 
-    def _run_with_recovery(
+    def _loop(
         self,
         task: Callable[[T], R],
         items: Sequence[T],
-        use_process: bool,
-        on_result: Callable[[int, R], None] | None = None,
-        stop_event: threading.Event | None = None,
+        where: str,
+        on_result: Callable[[int, R], None] | None,
+        stop_event: threading.Event | None,
     ) -> list[R]:
-        """The retrying dispatch loop shared by both pool backends.
+        """Run every item to completion with at most ``parallelism``
+        attempts in flight (one in-line).
 
-        Proceeds in rounds: submit every pending ``(partition, attempt)``,
-        harvest results, classify failures, back off, repeat.  A broken
-        process pool fails the whole round; the pool is rebuilt and the
-        unfinished partitions are re-dispatched.
-
-        A set ``stop_event`` drains rather than aborts: the harvest
-        cancels attempts that have not started, waits for the executing
-        ones, and their results still flow through ``on_result`` before
-        :exc:`JobCancelled` is raised — nothing a worker finished is
-        ever thrown away.  When those were the last partitions, the job
-        returns instead.
+        An attempt's timeout clock starts when a worker is seen executing
+        it.  A failed attempt rejoins the queue once its backoff has
+        passed; an error the policy does not retry cancels the attempts
+        not yet started and propagates.  The first failure seen from a
+        broken process pool rebuilds it — the pool's other attempts in
+        flight fail the same way and are retried without another rebuild
+        — and past the job's rebuild budget the rest of the job runs on
+        threads.
         """
         policy = self.retry_policy
+        timeout = policy.task_timeout_s
+        slots = 1 if where == "inline" else self.parallelism
+        # Poll often enough that a timeout fires within ~10% of its
+        # budget and a stop request within 50 ms; otherwise block.
+        poll = None
+        if timeout is not None:
+            poll = max(0.001, min(0.05, timeout / 10.0))
+        elif stop_event is not None:
+            poll = 0.05
+        ready = deque((index, 0) for index in range(len(items)))
+        backoff: list[tuple[float, int, int]] = []  # (due, index, attempt)
+        running: dict[Future, tuple[int, int, object]] = {}
+        started: dict[Future, float] = {}
         results: dict[int, R] = {}
-        pending: list[tuple[int, int]] = [(i, 0) for i in range(len(items))]
         deterministic_retry_used: set[int] = set()
         # The rebuild budget is per job: a long-lived scheduler must not
         # carry one job's crash history into the next (stats.pool_rebuilds
         # keeps the lifetime total for observability).
         rebuilds_this_job = 0
-
-        while pending:
-            if stop_event is not None and stop_event.is_set():
-                raise JobCancelled(len(results), len(items))
-            futures = self._submit_round(task, items, pending, use_process)
-            outcomes = self._harvest_round(
-                futures, policy.task_timeout_s, use_process, stop_event,
-                on_result,
-            )
-            next_pending: list[tuple[int, int]] = []
-            max_backoff = 0.0
-            pool_broken = False
-            fatal: BaseException | None = None
-
-            for (index, attempt), future in futures.items():
-                exc = outcomes[(index, attempt)]
-                if exc is None:
-                    # on_result already fired inside the harvest, at the
-                    # moment the future resolved.
-                    results[index] = future.result()
-                    continue
-                if isinstance(exc, _StopCancelled):
-                    # Cancelled by the drain before it started: neither a
-                    # success nor a failure — the partition stays for the
-                    # resumed run.
-                    continue
-                if isinstance(exc, BrokenProcessPool):
-                    pool_broken = True
-                if isinstance(exc, TaskTimeoutError):
-                    self.stats.timeouts += 1
-                try:
-                    next_attempt, det_used = self._next_attempt(
+        try:
+            while len(results) < len(items):
+                while backoff and backoff[0][0] <= time.monotonic():
+                    ready.append(heapq.heappop(backoff)[1:])
+                if stop_event is not None and stop_event.is_set():
+                    if not running:
+                        raise JobCancelled(len(results), len(items))
+                else:
+                    while ready and len(running) < slots:
+                        index, attempt = ready.popleft()
+                        future, pool = self._submit(
+                            task, items[index], index, attempt, where
+                        )
+                        running[future] = (index, attempt, pool)
+                delay = poll
+                if backoff:
+                    due = max(0.0, backoff[0][0] - time.monotonic())
+                    delay = due if delay is None else min(delay, due)
+                if running:
+                    wait(running, timeout=delay, return_when=FIRST_COMPLETED)
+                elif delay:
+                    time.sleep(delay)
+                now = time.monotonic()
+                for future, (index, attempt, pool) in list(running.items()):
+                    if future.done():
+                        exc = future.exception()
+                    elif (timeout is not None and future.running()
+                          and now - started.setdefault(future, now)
+                          >= timeout):
+                        exc = TaskTimeoutError(index, attempt, timeout)
+                        self.stats.timeouts += 1
+                        if isinstance(pool, ThreadPoolExecutor):
+                            # Abandoned, still holding its worker.
+                            self._thread_zombies.append(future)
+                    else:
+                        continue
+                    del running[future]
+                    if exc is None:
+                        result = future.result()
+                        if on_result is not None:
+                            on_result(index, result)
+                        results[index] = result
+                        continue
+                    if (isinstance(exc, BrokenProcessPool)
+                            and pool is not None
+                            and pool is self._process_pool):
+                        self._rebuild_process_pool()
+                        rebuilds_this_job += 1
+                        if rebuilds_this_job > policy.max_pool_rebuilds:
+                            # Last resort: the process backend keeps
+                            # dying; finish the job on threads.
+                            warnings.warn(
+                                "process pool crashed more than "
+                                f"{policy.max_pool_rebuilds} times; falling "
+                                "back to the thread backend for the "
+                                "remaining partitions",
+                                RuntimeWarning,
+                                stacklevel=3,
+                            )
+                            self.stats.thread_fallbacks += 1
+                            where = "thread"
+                    attempt, det_used = self._next_attempt(
                         exc, index, attempt,
                         index in deterministic_retry_used,
                     )
-                except BaseException as final_exc:
-                    if fatal is None:
-                        fatal = final_exc
-                    continue
-                if det_used:
-                    deterministic_retry_used.add(index)
-                next_pending.append((index, next_attempt))
-                max_backoff = max(
-                    max_backoff, policy.backoff_s(index, next_attempt)
-                )
-
-            if fatal is not None:
-                for future in futures.values():
-                    future.cancel()
-                raise fatal
-            if (stop_event is not None and stop_event.is_set()
-                    and len(results) < len(items)):
-                raise JobCancelled(len(results), len(items))
-            if pool_broken and use_process:
-                self._rebuild_process_pool()
-                rebuilds_this_job += 1
-                if rebuilds_this_job > policy.max_pool_rebuilds:
-                    # Last resort: the process backend keeps dying; finish
-                    # the job on threads.
-                    warnings.warn(
-                        "process pool crashed more than "
-                        f"{policy.max_pool_rebuilds} times; falling back to "
-                        "the thread backend for the remaining partitions",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    self.stats.thread_fallbacks += 1
-                    use_process = False
-            pending = next_pending
-            if pending and max_backoff > 0:
-                time.sleep(max_backoff)
-
+                    if det_used:
+                        deterministic_retry_used.add(index)
+                    heapq.heappush(backoff, (
+                        time.monotonic() + policy.backoff_s(index, attempt),
+                        index, attempt,
+                    ))
+        except BaseException:
+            for future in running:
+                future.cancel()
+            raise
         return [results[i] for i in range(len(items))]
 
-    def _submit_round(
+    def _submit(
         self,
         task: Callable[[T], R],
-        items: Sequence[T],
-        pending: Sequence[tuple[int, int]],
-        use_process: bool,
-    ) -> dict[tuple[int, int], Future]:
-        """Submit one attempt per pending partition to the active pool."""
-        futures: dict[tuple[int, int], Future] = {}
-        if use_process:
-            pool: ProcessPoolExecutor | ThreadPoolExecutor = (
-                self._ensure_process_pool()
-            )
-        else:
+        item: T,
+        index: int,
+        attempt: int,
+        where: str,
+    ) -> tuple[Future, ThreadPoolExecutor | ProcessPoolExecutor | None]:
+        """Start one attempt: its future, and the pool it went to (``None``
+        in-line, where it has already run)."""
+        call = _Dispatch(task, item, index, attempt, self.fault_plan,
+                         allow_kill=where == "process")
+        if where == "thread":
             pool = self._ensure_live_thread_pool()
-        for index, attempt in pending:
-            call = _Dispatch(task, items[index], index, attempt,
-                             self.fault_plan, allow_kill=use_process)
+            return pool.submit(self._enter_task, call), pool
+        future: Future = Future()
+        if where == "process":
+            pool = self._ensure_process_pool()
             try:
-                if use_process:
-                    futures[(index, attempt)] = pool.submit(call)
-                else:
-                    futures[(index, attempt)] = pool.submit(
-                        self._enter_task, call
-                    )
+                return pool.submit(call), pool
             except BrokenProcessPool as exc:
-                # A worker died while this round was still being submitted;
-                # surface it as a pre-failed future so the harvest loop
-                # rebuilds the pool and re-dispatches as usual.
-                failed: Future = Future()
-                failed.set_exception(exc)
-                futures[(index, attempt)] = failed
-        return futures
-
-    def _harvest_round(
-        self,
-        futures: dict[tuple[int, int], Future],
-        timeout: float | None,
-        use_process: bool,
-        stop_event: threading.Event | None = None,
-        on_result: Callable[[int, R], None] | None = None,
-    ) -> dict[tuple[int, int], BaseException | None]:
-        """Collect every future of one round; per key, its exception or None.
-
-        With a ``timeout``, each task is timed *individually from the
-        moment the pool starts executing it* (observed via
-        :meth:`Future.running`), so time a task spends queued behind
-        other partitions never counts against its budget.  A task that
-        exceeds the budget is cancelled and reported as
-        :exc:`TaskTimeoutError`; one that is already running cannot be
-        interrupted and is abandoned — it may finish in the background
-        (harmless: tasks are pure) but keeps occupying its worker until
-        it does, see the module notes on hung tasks.
-
-        ``on_result`` is called here, the moment a future resolves
-        successfully — not after the round completes — so a journal
-        append hanging off it makes each summary durable while sibling
-        tasks are still running.  A callback exception cancels the rest
-        of the round and propagates.
-
-        When ``stop_event`` fires mid-harvest, futures that have not
-        started are cancelled (marked :exc:`_StopCancelled`) and the
-        already-executing remainder is drained normally, so completed
-        work still reaches the caller.
-        """
-        outcomes: dict[tuple[int, int], BaseException | None] = {}
-        remaining = dict(futures)
-        started: dict[tuple[int, int], float] = {}
-        stop_seen = False
-        # Poll granularity: fine enough that timeout detection lags the
-        # budget by at most ~10% (and a stop request by ~50ms), without
-        # busy-waiting.
-        poll_s = (
-            0.05 if timeout is None
-            else max(0.001, min(0.05, timeout / 10.0))
-        )
-        while remaining:
-            if timeout is None and (stop_event is None or stop_seen):
-                # Nothing to poll for: block until the next resolution
-                # (any resolution, so on_result fires promptly).
-                wait(
-                    remaining.values(),
-                    return_when=(
-                        "FIRST_COMPLETED" if on_result is not None
-                        else "ALL_COMPLETED"
-                    ),
-                )
-            else:
-                wait(remaining.values(), timeout=poll_s)
-            if (not stop_seen and stop_event is not None
-                    and stop_event.is_set()):
-                stop_seen = True
-                for key in list(remaining):
-                    if remaining[key].cancel():
-                        outcomes[key] = _StopCancelled()
-                        del remaining[key]
-            now = time.monotonic()
-            for key in list(remaining):
-                future = remaining[key]
-                if future.done():
-                    exc = self._exception_of(future)
-                    if exc is None and on_result is not None:
-                        try:
-                            on_result(key[0], future.result())
-                        except BaseException:
-                            for other in remaining.values():
-                                other.cancel()
-                            raise
-                    outcomes[key] = exc
-                    del remaining[key]
-                elif timeout is None:
-                    continue
-                elif key not in started:
-                    if future.running():
-                        started[key] = now
-                elif now - started[key] >= timeout:
-                    if not future.cancel() and not use_process:
-                        # Still running on a thread worker: abandoned,
-                        # and holding that worker until it finishes.
-                        self._thread_zombies.append(future)
-                    index, attempt = key
-                    outcomes[key] = TaskTimeoutError(index, attempt, timeout)
-                    del remaining[key]
-        return outcomes
-
-    @staticmethod
-    def _exception_of(future: Future) -> BaseException | None:
-        """Block until ``future`` resolves; its exception, or None."""
+                # A worker died since the last submit: fail this attempt
+                # like the ones in flight, so the pool is rebuilt.
+                future.set_exception(exc)
+                return future, pool
         try:
-            future.result()
-            return None
-        except BaseException as exc:
-            return exc
+            future.set_result(self._enter_task(call))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future, None
 
     def shutdown(self) -> None:
         """Release the worker pools.  The scheduler can be reused afterwards.

@@ -557,8 +557,8 @@ def infer_ndjson_file(
       is byte-identical to an uninterrupted run.  The journal must match
       the current plan (same source, flags and task count); a mismatch
       raises :class:`~repro.store.journal.JournalMismatchError`.
-    * ``stop_event`` — a ``threading.Event``; when set, queued tasks are
-      cancelled, in-flight tasks drain (and are journaled), and the run
+    * ``stop_event`` — a ``threading.Event``; when set, no further task
+      starts, in-flight tasks drain (and are journaled), and the run
       raises :class:`ResumableInterrupt` (with a journal) or
       :class:`~repro.engine.scheduler.JobCancelled` (without).
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.jsonio.errors import DuplicateKeyError, JsonSyntaxError
-from repro.jsonio.keycache import shared_key
 from repro.jsonio.tokenizer import Token, TokenType, tokenize
 
 __all__ = ["MAX_DEPTH", "loads"]
@@ -92,10 +91,7 @@ def _parse_object(stream: _TokenStream, depth: int) -> dict[str, Any]:
         return obj
     while True:
         key_token = stream.expect(TokenType.STRING)
-        # Shared here as well as in the tokenizer: the tokenizer's
-        # colon lookahead misses keys written with whitespace before the
-        # colon, and the parser knows for certain this string is a key.
-        key = shared_key(key_token.value)
+        key = key_token.value
         if key in obj:
             raise DuplicateKeyError(key, key_token.line, key_token.column)
         stream.expect(TokenType.COLON)

@@ -11,7 +11,6 @@ import sys
 from typing import Iterator, NamedTuple
 
 from repro.jsonio.errors import JsonSyntaxError
-from repro.jsonio.keycache import shared_key
 
 __all__ = ["Token", "TokenType", "tokenize"]
 
@@ -229,15 +228,7 @@ def tokenize(text: str) -> Iterator[Token]:
             cur.advance()
             yield Token(_PUNCT[c], c, line, col)
         elif c == '"':
-            value = _lex_string(cur)
-            # Object keys (a string immediately followed by ``:``) recur
-            # across every record of an NDJSON feed; deduplicating them
-            # through the bounded key cache makes repeated field names
-            # share storage (turning downstream key hashing into pointer
-            # comparisons) without sys.intern's process-lifetime pinning.
-            if cur.pos < len(text) and text[cur.pos] == ":":
-                value = shared_key(value)
-            yield Token(TokenType.STRING, value, line, col)
+            yield Token(TokenType.STRING, _lex_string(cur), line, col)
         elif c == "-" or c in _DIGITS:
             yield Token(TokenType.NUMBER, _lex_number(cur), line, col)
         elif c.isalpha():

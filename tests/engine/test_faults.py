@@ -40,6 +40,11 @@ def _reciprocal(x):
     return 1 // x
 
 
+def _sleep_300ms(x):
+    time.sleep(0.3)
+    return x
+
+
 class TestFaultPlan:
     def test_lookup_and_bool(self):
         plan = FaultPlan((Fault(2, 0), Fault(3, 1, kind="delay")))
@@ -96,6 +101,18 @@ class TestFaultPlan:
 
         plan = FaultPlan.random_plan(SEED, 8, rate=0.5, kinds=FAULT_KINDS)
         assert pickle.loads(pickle.dumps(plan)) == plan
+
+    def test_fault_injected_pickles(self):
+        # A process worker's fault crosses back to the driver pickled.
+        import pickle
+
+        fault = FaultInjected(3, 1, "seed 7")
+        clone = pickle.loads(pickle.dumps(fault))
+        assert type(clone) is FaultInjected
+        assert (clone.partition, clone.attempt, clone.message) == (
+            3, 1, "seed 7"
+        )
+        assert str(clone) == str(fault)
 
 
 class TestRetryPolicy:
@@ -249,6 +266,18 @@ class TestPerTaskTimeoutClock:
                              task_timeout_s=0.4)
         with Scheduler(parallelism=2, retry_policy=policy) as sched:
             assert sched.run(slow, list(range(8))) == list(range(8))
+            assert sched.stats.timeouts == 0
+            assert sched.stats.retries == 0
+
+    def test_queue_time_does_not_count_on_processes(self):
+        # 3 tasks of 0.3s on 2 warm workers: the third starts when a
+        # worker frees at 0.3s, and only then does its 0.5s clock start.
+        policy = RetryPolicy(max_retries=1, base_delay_s=0.001,
+                             task_timeout_s=0.5)
+        with Scheduler(parallelism=2, backend="process",
+                       retry_policy=policy) as sched:
+            assert sched.run(_double, [1, 2]) == [2, 4]
+            assert sched.run(_sleep_300ms, [0, 1, 2]) == [0, 1, 2]
             assert sched.stats.timeouts == 0
             assert sched.stats.retries == 0
 

@@ -1,12 +1,14 @@
 """Unit tests for the task scheduler (repro.engine.scheduler)."""
 
 import os
+import random
 import threading
 import time
 
 import pytest
 
-from repro.engine.scheduler import BACKENDS, Scheduler
+from repro.engine.faults import FaultPlan
+from repro.engine.scheduler import BACKENDS, RetryPolicy, Scheduler
 
 
 def _square(x):
@@ -171,19 +173,6 @@ class TestShippabilityProbes:
                 got = sched.run(_type_name, items)
         assert got == ["_Unpicklable"] * 4
 
-    def test_shippable_verdict_cached_per_task(self):
-        with Scheduler(parallelism=2, backend="process") as sched:
-            assert sched.run(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
-            assert sched._shippable_cache.get(_square) is True
-            assert sched.run(_square, [5, 6, 7, 8]) == [25, 36, 49, 64]
-
-    def test_unshippable_verdict_cached_too(self):
-        offset = 1
-        task = lambda x: x + offset  # noqa: E731 - closure, not shippable
-        with Scheduler(parallelism=2, backend="process") as sched:
-            assert sched.run(task, [1, 2, 3, 4]) == [2, 3, 4, 5]
-            assert sched._shippable_cache.get(task) is False
-
 
 class TestExplicitReentrancyGuard:
     def test_nested_run_inline_on_process_backend(self):
@@ -239,3 +228,57 @@ class TestThroughputStats:
             assert sched.stats.jobs == 0
             assert sched.stats.tasks_completed == 0
             assert sched.stats.job_time_s == 0.0
+
+
+def _generated_case(backend, seed):
+    """Items, parallelism and a fail-only plan drawn from ``seed``; a
+    process case is shaped so that the job reaches the pool."""
+    rng = random.Random(f"scheduler-case:{backend}:{seed}")
+    if backend == "process":
+        items, parallelism = rng.randint(2, 12), rng.randint(2, 4)
+    else:
+        items, parallelism = rng.randint(0, 12), rng.randint(1, 4)
+    plan = FaultPlan.random_plan(seed, items, rate=0.4,
+                                 max_attempt=rng.randint(0, 2))
+    return list(range(items)), parallelism, plan
+
+
+def _faults_that_fire(plan, items):
+    """Each partition fails at attempts 0, 1, ... up to its first
+    unplanned attempt, where it succeeds."""
+    fired = 0
+    for partition in items:
+        attempt = 0
+        while plan.lookup(partition, attempt) is not None:
+            attempt += 1
+        fired += attempt
+    return fired
+
+
+class TestGeneratedFaultPlans:
+    """Seeded fail-only plans over 0–12 items at parallelism 1–4 (threads,
+    and in-line where the job is sequential), plus a few on processes.
+    With a retry budget above the plan's highest attempt, every job is a
+    plain map: each index reaches ``on_result`` once, every retry is an
+    injected fault, and no pool breaks."""
+
+    @pytest.mark.parametrize(
+        "backend, seed",
+        [("thread", seed) for seed in range(36)]
+        + [("process", seed) for seed in range(4)],
+    )
+    def test_recovers_to_a_plain_map(self, backend, seed):
+        items, parallelism, plan = _generated_case(backend, seed)
+        policy = RetryPolicy(max_retries=plan.max_planned_attempt() + 1,
+                             base_delay_s=0.001, max_delay_s=0.01)
+        seen = []
+        with Scheduler(parallelism, backend=backend, retry_policy=policy,
+                       fault_plan=plan) as sched:
+            got = sched.run(_square, items,
+                            on_result=lambda i, r: seen.append(i))
+            stats = sched.stats
+        assert got == [x * x for x in items]
+        assert sorted(seen) == list(range(len(items)))
+        assert stats.retries == stats.faults_injected
+        assert stats.faults_injected == _faults_that_fire(plan, items)
+        assert stats.pool_rebuilds == 0

@@ -4,9 +4,10 @@ process-level crash points (repro.engine.scheduler + repro.engine.faults).
 ``on_result`` is the durability seam: the scheduler calls it on the
 driver thread at each task's *first* success, before the job completes,
 so a journal append there makes the result crash-proof the moment it
-exists.  ``stop_event`` is the graceful half of crash safety: queued
-tasks are cancelled, in-flight tasks drain (and hit ``on_result``), and
-the job raises :class:`JobCancelled` instead of returning.
+exists.  ``stop_event`` is the graceful half of crash safety: no
+further attempt starts, the attempts in flight drain (and hit
+``on_result``), and the job raises :class:`JobCancelled` instead of
+returning.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ def _double(x):
 def _slow_double(x):
     time.sleep(0.05)
     return x * 2
+
+
+def _sleep_300ms(x):
+    time.sleep(0.3)
+    return x
 
 
 class TestOnResult:
@@ -130,6 +136,24 @@ class TestStopEvent:
         assert len(delivered) == excinfo.value.completed
         for index, result in delivered:
             assert result == index * 2
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_drain_stops_at_the_attempts_in_flight(self, backend):
+        """Only ``parallelism`` attempts are ever handed out, so a stop
+        at the first result finishes exactly the one still running."""
+        event = threading.Event()
+        delivered = []
+
+        def on_result(i, r):
+            delivered.append(i)
+            event.set()
+
+        with Scheduler(parallelism=2, backend=backend) as sched:
+            with pytest.raises(JobCancelled) as excinfo:
+                sched.run(_sleep_300ms, list(range(8)), stop_event=event,
+                          on_result=on_result)
+        assert excinfo.value.completed == 2
+        assert sorted(delivered) == [0, 1]
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_stop_at_the_last_result_returns_everything(self, backend):

@@ -163,15 +163,15 @@ class TestInputErrorsFailOnce:
         plan = FaultPlan.random_plan(
             SEED, num_partitions=4, rate=0.5, max_attempt=1
         )
-        # Threads: a FaultInjected raised in a process worker does not
-        # unpickle, so there it breaks the pool instead of counting.
-        with Context(parallelism=2, retry_policy=FAST_RETRY,
-                     fault_plan=plan) as ctx:
-            with pytest.raises(JsonSyntaxError, match="line 401"):
-                infer_ndjson_file(malformed, context=ctx, num_partitions=4,
-                                  min_split_bytes=1)
-            stats = ctx.scheduler.stats
-        assert stats.retries == stats.faults_injected
+        for backend in BACKENDS:
+            with Context(parallelism=2, backend=backend,
+                         retry_policy=FAST_RETRY, fault_plan=plan) as ctx:
+                with pytest.raises(JsonSyntaxError, match="line 401"):
+                    infer_ndjson_file(malformed, context=ctx,
+                                      num_partitions=4, min_split_bytes=1)
+                stats = ctx.scheduler.stats
+            assert stats.retries == stats.faults_injected, backend
+            assert stats.pool_rebuilds == 0, backend
 
 
 def _write_dirty(path, total, bad_every):

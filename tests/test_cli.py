@@ -871,8 +871,9 @@ def _run_repro(argv, signal_with=None, timeout=120):
 class TestInterrupt:
     """A terminal's Ctrl-C signals the whole process group, the forked
     workers as well as the driver.  A journaled ``infer --workers 2``
-    drains, says so once and leaves nothing running; what it prints in
-    the end, at once or after ``--resume``, is the uninterrupted run's.
+    finishes the tasks in flight, says so once, leaves nothing running
+    and exits 75; ``--resume`` then prints the uninterrupted run's
+    output.
     """
 
     @pytest.fixture(scope="class")
@@ -914,17 +915,14 @@ class TestInterrupt:
             interrupted.stderr
         )
         assert interrupted.group_emptied
-        if interrupted.returncode == 0:
-            # The pool had already taken every task off its queue (it
-            # holds up to workers + 1 that cannot be cancelled), so the
-            # drain finished the run.
-            from repro.store.journal import read_journal
-
-            assert read_journal(journal).committed
-            assert interrupted.stdout == uninterrupted
-            return
         assert interrupted.returncode == EXIT_RESUMABLE, interrupted.stderr
         assert "rerun with --resume" in interrupted.stderr
+        # The drain finished the 2 tasks in flight and started no other.
+        from repro.store.journal import read_journal
+
+        state = read_journal(journal)
+        assert not state.committed
+        assert len(state.completed) == 2
         resumed = _run_repro(argv + ["--resume"])
         assert resumed.returncode == 0, resumed.stderr
         assert resumed.stdout == uninterrupted
