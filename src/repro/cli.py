@@ -171,18 +171,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_infer.add_argument(
         "--journal", metavar="PATH", default=None,
-        help="write-ahead run journal: record the task plan up front and "
-             "each completed partition summary durably, so a crashed or "
-             "interrupted run can be finished with --resume (Ctrl-C "
-             "drains in-flight tasks and, if tasks remain, exits with "
-             "code 75); FILE must be a regular file, not a pipe",
+        help="write-ahead run journal: record each completed partition "
+             "summary durably, so a crashed or interrupted run can be "
+             "finished with --resume (Ctrl-C drains in-flight tasks and, "
+             "if tasks remain, exits with code 75); FILE must be a "
+             "regular file, not a pipe",
     )
     p_infer.add_argument(
         "--resume", action="store_true",
-        help="with --journal: replay the journal's completed summaries "
-             "and execute only the remaining tasks; the result is "
-             "byte-identical to an uninterrupted run (requires the same "
-             "input file and flags as the original run)",
+        help="with --journal: replay the journal's summaries of every "
+             "split whose bytes and flags are unchanged and execute only "
+             "the rest; the result is byte-identical to an uninterrupted "
+             "run of this invocation",
     )
     p_infer.add_argument(
         "--summary-cache", metavar="DIR", default=None,

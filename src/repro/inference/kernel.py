@@ -331,10 +331,6 @@ class PhaseTimings:
       fusion of the record's type into the running schema;
     * ``stats_s`` — the statistics walk (:meth:`StatsBundle.observe`)
       and the final fold of its windows; 0.0 with statistics off.
-
-    Wire frames written by earlier builds pickled a ``lane`` field here
-    as well; it unpickles as a stray attribute that nothing reads.  Their
-    frames lack ``stats_s``, which then reads as its default.
     """
 
     parse_s: float = 0.0
@@ -437,7 +433,7 @@ class PartitionSummary:
     #: (:class:`repro.inference.statistics.StatsBundle`).  ``None`` when
     #: the run had ``stats="off"`` — the default, which keeps the hot
     #: path statistics-free.  Part of the result (compared), and rides
-    #: the wire format (v3) and checkpoints like every other component.
+    #: the wire format and checkpoints like every other component.
     stats: "StatsBundle | None" = field(default=None)
     #: The distinct set as digests (see the class docstring).
     distinct_digests: "frozenset[bytes]" = field(default=frozenset())
@@ -820,21 +816,11 @@ _SCALAR_TYPES: dict[type, Type] = {
 # below), which a worker computes in place of encoding the types.
 
 #: Version tag leading every encoded payload; bump on layout changes.
-#: v2 appended three telemetry slots, the counters of a duplicate-line
-#: type cache that has since been removed; v3 appended the optional
-#: statistics block (``None`` when stats are off).  v4 carries the
-#: distinct set as digests instead of ops and drops the three v2 slots.
-#: The slot after ``worker`` is reserved: earlier encoders of every
-#: version wrote a per-worker cache flag there, and the decoder skips it,
-#: so their frames decode like frames that carry ``None``.
+#: v4 carries the distinct set as digests instead of ops; frames of any
+#: other version do not decode.  The slot after ``worker`` is reserved:
+#: earlier encoders wrote a per-worker cache flag there, and the decoder
+#: skips it, so their frames decode like frames that carry ``None``.
 WIRE_FORMAT_VERSION = 4
-
-#: The versions :func:`decode_summary` reads, with their frame lengths.
-#: Journals written by earlier builds stay resumable: the distinct types
-#: of a v2/v3 frame are digested straight off the op-stream
-#: (:func:`_walk_wire_digests`), and v2 payloads — pre-stats journals —
-#: decode with ``stats=None``.
-_WIRE_FRAME_FIELDS = {2: 15, 3: 16, WIRE_FORMAT_VERSION: 13}
 
 #: Node-table indices 0-4 are pre-seeded with the leaf singletons — they
 #: never occupy ops in the payload.
@@ -1028,48 +1014,30 @@ def decode_summary(
     ``acc``'s interner, a fresh accumulator's when none is given.  Pass
     the driver's adoption accumulator to share it: summaries decoded
     through one accumulator share subtrees across partitions.  The
-    distinct set comes back as ``distinct_digests``.  v2 and v3 frames,
-    which carried distinct types as ops after the schema's, have those
-    digested off the op-stream without building a type.
+    distinct set comes back as ``distinct_digests``.
 
-    Raises :class:`ValueError` — "unsupported … version" for a foreign
-    version tag, "malformed …" for anything else that does not decode.
+    Raises :class:`ValueError` — "unsupported … version" for a frame of
+    another version (v2 and v3 frames of earlier builds included),
+    "malformed …" for anything else that does not decode.
     """
     try:
         frame = pickle.loads(payload)
-        if (not isinstance(frame, tuple)
-                or len(frame) not in _WIRE_FRAME_FIELDS.values()):
+        if not (isinstance(frame, tuple) and frame
+                and isinstance(frame[0], int)):
             raise ValueError("not a summary frame")
     except Exception as exc:
         raise ValueError(f"malformed summary wire payload: {exc}") from exc
     version = frame[0]
-    if version not in _WIRE_FRAME_FIELDS:
+    if version != WIRE_FORMAT_VERSION:
         raise ValueError(
             f"unsupported summary wire format version {version!r} "
             f"(expected {WIRE_FORMAT_VERSION})"
         )
     try:
-        if version == WIRE_FORMAT_VERSION:
-            (_, keys, ops, schema_i, packed, record_count, skipped,
-             timings, line_count, bytes_read, worker, _,
-             stats_wire) = frame
-            digests = unpack_digests(packed)
-        else:
-            if version == 2:
-                frame = (*frame, None)  # no stats block
-            (_, keys, ops, schema_i, distinct_i, record_count, skipped,
-             timings, line_count, bytes_read, worker, _,
-             _, _, _, stats_wire) = frame
-            node_digests, node_pos = _walk_wire_digests(keys, ops)
-            digests = frozenset(node_digests[i] for i in distinct_i)
-            # Those encoders wrote the schema first, so its subtree is
-            # the op-stream prefix that ends with node ``schema_i``
-            # (empty for a leaf).
-            after = schema_i + 1 - len(_WIRE_BASE)
-            if after <= 0:
-                ops = ()
-            elif after < len(node_pos):
-                ops = ops[:node_pos[after]]
+        (_, keys, ops, schema_i, packed, record_count, skipped,
+         timings, line_count, bytes_read, worker, _,
+         stats_wire) = frame
+        digests = unpack_digests(packed)
         stats = (None if stats_wire is None
                  else StatsBundle.from_wire(stats_wire))
         schema = _decode_types(
@@ -1245,69 +1213,6 @@ def unpack_digests(packed: bytes) -> "frozenset[bytes]":
     return frozenset(digests)
 
 
-_WIRE_BASE_DIGESTS = tuple(digest_types(_WIRE_BASE))
-
-
-def _walk_wire_digests(
-    keys: Sequence[str], ops: Sequence[int]
-) -> "tuple[list[bytes], list[int]]":
-    """One pass over a v2/v3 op-stream: a digest per node, no objects
-    built.
-
-    Returns ``(digests, node_pos)`` where ``digests[i]`` is node ``i``'s
-    :func:`type_digest` (indexed like the decode table, base leaves
-    first) and ``node_pos[j]`` is the op offset of composite node
-    ``len(_WIRE_BASE) + j`` — enough to find where a node's subtree
-    prefix ends, which is how :func:`decode_summary` decodes just the
-    schema of those frames.
-    """
-    digests = list(_WIRE_BASE_DIGESTS)
-    node_pos: list[int] = []
-    key_bytes = [k.encode("utf-8") for k in keys]
-    key_len = [len(kb).to_bytes(4, "big") for kb in key_bytes]
-    sha = _sha256
-    pos = 0
-    end = len(ops)
-    while pos < end:
-        node_pos.append(pos)
-        tag = ops[pos]
-        if tag == _WIRE_RECORD:
-            n = ops[pos + 1]
-            mask = ops[pos + 2]
-            pos += 3
-            h = sha(b"R")
-            for bit in range(n):
-                ki = ops[pos]
-                h.update(key_len[ki])
-                h.update(key_bytes[ki])
-                h.update(b"\x01" if mask >> bit & 1 else b"\x00")
-                h.update(digests[ops[pos + 1]])
-                pos += 2
-            digests.append(h.digest())
-        elif tag == _WIRE_ARRAY:
-            n = ops[pos + 1]
-            pos += 2
-            h = sha(b"A")
-            for j in range(n):
-                h.update(digests[ops[pos + j]])
-            pos += n
-            digests.append(h.digest())
-        elif tag == _WIRE_STAR:
-            digests.append(sha(b"S" + digests[ops[pos + 1]]).digest())
-            pos += 2
-        elif tag == _WIRE_UNION:
-            n = ops[pos + 1]
-            pos += 2
-            h = sha(b"U")
-            for j in range(n):
-                h.update(digests[ops[pos + j]])
-            pos += n
-            digests.append(h.digest())
-        else:
-            raise ValueError(f"unknown wire op tag {tag!r}")
-    return digests, node_pos
-
-
 def _worker_name() -> str:
     """Telemetry identity of the executing worker (pid + thread name)."""
     return f"pid{os.getpid()}/{threading.current_thread().name}"
@@ -1331,19 +1236,6 @@ def accumulate_partition(
     acc.add_many(values)
     summary = replace(acc.summary(), worker=_worker_name())
     return encode_summary(summary) if wire else summary
-
-
-def _lane_label(stats_mode: str) -> str:
-    """The ``parse_lane`` string journal headers and cache signatures
-    carry: the lane earlier builds ran for ``stats_mode``.
-
-    Those builds typed stats-off runs in decoder hooks (``"hooks"``)
-    and stats runs with the pure-Python parser (``"strict"``).  Every
-    run now takes the one decode lane, but the label keeps the strings
-    they signed, so their journals still resume and their cache entries
-    still hit.
-    """
-    return "hooks" if stats_mode == "off" else "strict"
 
 
 class _ItemPass:

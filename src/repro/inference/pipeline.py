@@ -49,7 +49,6 @@ from repro.inference.kernel import (
     PartitionAccumulator,
     PartitionSummary,
     PhaseTimings,
-    _lane_label,
     accumulate_ndjson_item,
     accumulate_ndjson_partition,
     accumulate_partition,
@@ -270,15 +269,22 @@ def run_inference(
 
     parts = split_evenly(_as_sequence(values),
                          num_partitions or context.default_parallelism)
+    stats = context.scheduler.stats
     start = time.perf_counter()
     # One task per partition over the *raw* values.  Shipped as a
     # partial of a module-level function so the process backend can
-    # serialize it.
-    summaries = context.scheduler.run(
-        partial(accumulate_partition, stats_mode=stats_mode), parts
+    # serialize it; process results return as wire frames.
+    results = context.scheduler.run(
+        partial(accumulate_partition, stats_mode=stats_mode,
+                wire=context.backend == "process"),
+        parts,
     )
+    adopt = PartitionAccumulator()
+    summaries = [
+        _arrived(result, adopt, stats, replayed=False) for result in results
+    ]
     map_seconds = time.perf_counter() - start
-    _note_summary_telemetry(context.scheduler.stats, summaries)
+    _note_summary_telemetry(stats, summaries)
 
     start = time.perf_counter()
     merged = merge_summaries_full(summaries)
@@ -318,111 +324,6 @@ def _arrived(result, adopt: PartitionAccumulator, stats,
     if replayed:
         summary = replace(summary, worker="", timings=None)
     return summary
-
-
-def _journal_header(plan_desc: dict, signature: str, total: int) -> dict:
-    """The run-journal header frame for this task plan.
-
-    Everything a resume needs to *validate* (did the flags or the file
-    change?) and everything fsck needs to *report*, without re-planning.
-    """
-    return {
-        "task_count": total,
-        "plan_sha256": signature,
-        "source": plan_desc.get("source"),
-        "split_mode": plan_desc.get("split_mode"),
-        # A compatibility label (see kernel._lane_label), kept so the
-        # header reads as earlier builds wrote it.
-        "parse_lane": plan_desc.get("parse_lane"),
-        "permissive": plan_desc.get("permissive"),
-        # Absent for stats-off runs, so pre-stats journals (no key at
-        # all) validate against them unchanged.
-        "stats": plan_desc.get("stats"),
-        "tasks": plan_desc.get("tasks"),
-    }
-
-
-def _validate_resume(state, plan_desc: dict, signature: str,
-                     total: int) -> None:
-    """Refuse to replay a journal that describes a different run.
-
-    Replaying summaries of other data (or of another split plan) would
-    silently fuse the wrong partitions into the schema; a mismatch is
-    therefore a hard error, with the first observed difference named so
-    the operator knows whether the file changed or the flags did.
-    """
-    from repro.store.journal import JournalMismatchError
-
-    header = state.header
-    if header.get("plan_sha256") == signature:
-        return
-    path = state.path
-    theirs, ours = header.get("source"), plan_desc.get("source")
-    if theirs != ours:
-        raise JournalMismatchError(
-            f"journal {path!r} was written for source {theirs!r}, but the "
-            f"current run reads {ours!r} — the input file changed (or a "
-            f"different file was named); delete the journal to start over"
-        )
-    if header.get("split_mode") != plan_desc.get("split_mode"):
-        # A plan that read a regular file as lines is retired, and no
-        # flag reproduces one, so the message advises none.
-        raise JournalMismatchError(
-            f"journal {path!r} was written for a retired plan that read "
-            f"the file as lines (the one-task stream plan of a sequential "
-            f"run, or line chunks); a regular file is read as byte splits "
-            f"now, so delete the journal to start over"
-        )
-    for key in ("permissive", "stats"):
-        if header.get(key) != plan_desc.get(key):
-            raise JournalMismatchError(
-                f"journal {path!r} recorded {key}={header.get(key)!r}, "
-                f"but the current run resolved {key}="
-                f"{plan_desc.get(key)!r}; rerun with the original flags "
-                f"(or delete the journal to start over)"
-            )
-    if header.get("task_count") != total:
-        raise JournalMismatchError(
-            f"journal {path!r} planned {header.get('task_count')} tasks, "
-            f"but the current run planned {total} — partitioning flags "
-            f"(--workers/--min-split-mb) must match the original run"
-        )
-    raise JournalMismatchError(
-        f"journal {path!r} was written for a different task plan "
-        f"(plan digest {str(header.get('plan_sha256'))[:12]} != "
-        f"{signature[:12]}); rerun with the original flags or delete the "
-        f"journal to start over"
-    )
-
-
-def _open_journal(journal_path, resume: bool, plan_desc: dict):
-    """The run journal for ``plan_desc`` and the wire payloads it already
-    holds, by task index: ``(journal, completed)``.
-
-    A fresh run creates the journal, recording the task plan up front.
-    A resume opens it, refuses a journal of another plan
-    (:func:`_validate_resume`) and returns the payloads of the tasks
-    that finished before the interruption.  The caller owns the open
-    journal: it appends each task as it completes, appends the commit
-    frame after the merge and closes it on every path.
-    """
-    from repro.store.journal import RunJournal, plan_signature
-
-    signature = plan_signature(plan_desc)
-    total = len(plan_desc["tasks"])
-    if not resume:
-        header = _journal_header(plan_desc, signature, total)
-        return RunJournal.create(journal_path, header), {}
-    journal, state = RunJournal.open_resume(journal_path)
-    try:
-        _validate_resume(state, plan_desc, signature, total)
-    except BaseException:
-        journal.close()
-        raise
-    return journal, {
-        i: payload for i, payload in state.completed.items()
-        if 0 <= i < total
-    }
 
 
 def _dispatch(task, items: list, scheduler, stop_event, on_result) -> list:
@@ -517,9 +418,11 @@ def infer_ndjson_file(
     summaries by reference.  Results are bit-identical either way.
     Every task types its records through a fresh accumulator.
 
-    A run has four stages.  *Plan* lists the work items.  *Gather*
-    fills one partial summary per item, in plan order: from a cache
-    hit, a journal frame or a fresh map task, each arriving through one
+    A run has four stages.  *Plan* lists the work items and, with a
+    cache or a journal, keys each split by its content digest and the
+    run's config signature.  *Gather* fills one partial summary per
+    item, in plan order: from a journal frame or a cache entry under
+    the item's key, or from a fresh map task, each arriving through one
     decode.  *Reduce* is one fold of those partials at the driver
     (:func:`repro.inference.kernel.merge_summaries_full`), with an
     update's stored summary as one more partial.  *Persist* writes the
@@ -545,18 +448,18 @@ def infer_ndjson_file(
 
     * ``journal_path`` — write-ahead run journal over a regular file (a
       pipe is refused with :class:`~repro.store.journal.JournalError`
-      before it is read).  The task plan is
-      recorded up front; each completed task's encoded summary is
-      fsync'd to the journal *before* the run proceeds, so a crash —
-      process kill, power loss, OOM — loses at most the tasks still in
-      flight.  A commit frame is appended after the merge (and
-      checkpoint, if any) succeeds.
-    * ``resume=True`` — replay the journal's completed summaries through
-      the fusion algebra and execute only the remaining tasks.  By
-      commutativity/associativity (Theorems 5.4-5.5) the resumed result
-      is byte-identical to an uninterrupted run.  The journal must match
-      the current plan (same source, flags and task count); a mismatch
-      raises :class:`~repro.store.journal.JournalMismatchError`.
+      before it is read).  Each completed task's encoded summary is
+      fsync'd to the journal under its split's key *before* the run
+      proceeds, so a crash — process kill, power loss, OOM — loses at
+      most the tasks still in flight.  A commit frame is appended after
+      the merge (and checkpoint, if any) succeeds.
+    * ``resume=True`` — plan again, replay the journal's summary of
+      every split whose key it holds through the fusion algebra, and
+      execute only the rest.  By commutativity/associativity (Theorems
+      5.4-5.5) the resumed result is byte-identical to an uninterrupted
+      run.  A resume with other flags or over a changed file recomputes
+      the splits whose key changed; a journal of another format raises
+      :class:`~repro.store.journal.JournalMismatchError`.
     * ``stop_event`` — a ``threading.Event``; when set, no further task
       starts, in-flight tasks drain (and are journaled), and the run
       raises :class:`ResumableInterrupt` (with a journal) or
@@ -603,17 +506,14 @@ def infer_ndjson_file(
             f"cannot journal {source!r}: it is not a regular file, and a "
             f"pipe cannot be read again on resume"
         )
-    cache = cache_signature = None
+    cache = None
     if summary_cache is not None and regular:
         # A pipe's summaries have no byte range to key: never cached.
-        from repro.store.summarycache import SummaryCache, config_signature
+        from repro.store.summarycache import SummaryCache
 
         cache = summary_cache
         if not isinstance(cache, SummaryCache):
             cache = SummaryCache(cache)
-        cache_signature = config_signature(
-            permissive=permissive, stats=stats_mode
-        )
     # Encode task results where they cross a process boundary; thread
     # and in-line summaries are shared by reference.
     wire = context is not None and context.backend == "process"
@@ -632,7 +532,8 @@ def infer_ndjson_file(
             "resume=True requires journal_path (nothing to resume from)"
         )
 
-    # Plan: the work items, one task each, and their content digests.
+    # Plan: the work items, one task each, and the key each item's
+    # summary is filed under in the cache and the journal alike.
     start = time.perf_counter()
     task_options = dict(
         source=source, permissive=permissive,
@@ -659,118 +560,121 @@ def infer_ndjson_file(
         else accumulate_ndjson_partition,
         **task_options,
     )
-    digests: "list[str] | None" = None
-    if cache is not None and items:
-        # One hash pass over the file (memory bandwidth, no typing) keys
-        # every split.
-        digests = digest_splits(source, items)
+    keys: list = []
+    if cache is not None or journal_path is not None:
+        from repro.store.summarycache import config_signature
 
-    # Gather: one partial per work item, in plan order, from the cache,
-    # the journal or a fresh map task.
-    #: Every wire payload of this run decodes through this accumulator.
-    adopt = PartitionAccumulator()
-    partials: list = [None] * len(items)
-    for index, digest in enumerate(digests or ()):
-        payload = cache.get(digest, cache_signature)
-        if payload is None:
-            continue
-        try:
-            partials[index] = _arrived(payload, adopt, stats, replayed=True)
-        except ValueError:
-            # Well framed but undecodable (another wire version, say): a
-            # miss, dropped so that the recomputed summary is stored in
-            # its place.
-            cache.discard(digest, cache_signature)
-    hits = [i for i, summary in enumerate(partials) if summary is not None]
-    planned = [i for i, summary in enumerate(partials) if summary is None]
-    if stats is not None:
-        # Cache hits never ship.  Byte splits ship only their pickled
-        # descriptors (compare with input_bytes_read); a pipe's line
-        # chunks ship the text of every record.
-        shipped = [items[i] for i in planned]
-        stats.input_bytes_shipped += (
-            len(pickle.dumps(shipped)) if regular
-            else sum(len(text) for part in shipped for _, text in part)
-        )
-    journal, completed = None, {}
+        # A summary is a function of the split's bytes and the run's
+        # configuration, so (content digest, config signature) keys it.
+        # One hash pass over the file (memory bandwidth, no typing)
+        # digests every split.
+        signature = config_signature(permissive=permissive, stats=stats_mode)
+        keys = [(digest, signature)
+                for digest in digest_splits(source, items)]
+
+    journal, frames = None, {}
     if journal_path is not None:
-        from repro.store.checkpoint import fingerprint_source
+        from repro.store.journal import RunJournal
 
-        plan_desc = {
-            "source": fingerprint_source(source).to_dict(),
-            # The label earlier builds wrote for byte splits, kept so
-            # their journals still resume.
-            "split_mode": "bytes",
-            "parse_lane": _lane_label(stats_mode),
-            "permissive": bool(permissive),
-            "update": str(update_from) if update_from is not None else None,
-            # One list per task, the shape earlier releases wrote, so
-            # their journals still resume.  A cached run plans only the
-            # items the cache missed.
-            "tasks": [
-                [[items[i].offset, items[i].length]] for i in planned
-            ],
-        }
-        if stats_mode != "off":
-            # Only when enabled, so stats-off plans hash identically to
-            # pre-stats journals and remain resumable by them.
-            plan_desc["stats"] = stats_mode
-        journal, completed = _open_journal(journal_path, resume, plan_desc)
+        if resume:
+            journal, state = RunJournal.open_resume(journal_path)
+            frames = state.completed
+        else:
+            journal = RunJournal.create(journal_path)
     try:
-        todo = [local for local in range(len(planned))
-                if local not in completed]
+        # Gather: one partial per work item, in plan order.  An item
+        # whose key names a journal frame, else a cache entry, replays
+        # it; the rest are mapped, and each is journaled as it finishes.
+        #: Every wire payload of this run decodes through this accumulator.
+        adopt = PartitionAccumulator()
+        partials: list = [None] * len(items)
+        #: Items read from the cache, and the results of the others
+        #: (journal frames, then mapped summaries) by item index.
+        hits, misses = [], {}
+        for index, key in enumerate(keys):
+            payload = frames.get("-".join(key))
+            cached = payload is None and cache is not None
+            if cached:
+                payload = cache.get(*key)
+            if payload is None:
+                continue
+            try:
+                partials[index] = _arrived(payload, adopt, stats,
+                                           replayed=True)
+            except ValueError:
+                # Well framed but undecodable: a miss.  A cache entry is
+                # dropped so that the recomputed summary replaces it.
+                if cached:
+                    cache.discard(*key)
+                continue
+            if cached:
+                hits.append(index)
+            else:
+                misses[index] = payload
+        todo = [i for i, summary in enumerate(partials) if summary is None]
+        if stats is not None:
+            # Replayed items never ship.  Byte splits ship only their
+            # pickled descriptors (compare with input_bytes_read); a
+            # pipe's line chunks ship the text of every record.
+            shipped = [items[i] for i in todo]
+            stats.input_bytes_shipped += (
+                len(pickle.dumps(shipped)) if regular
+                else sum(len(text) for part in shipped for _, text in part)
+            )
         on_result = None
         if journal is not None:
             def on_result(done: int, result) -> None:
-                journal.append_task(todo[done], as_wire_payload(result))
+                journal.append_task(
+                    "-".join(keys[todo[done]]), as_wire_payload(result)
+                )
 
         try:
             fresh = _dispatch(
-                task, [items[planned[local]] for local in todo],
-                scheduler, stop_event, on_result,
+                task, [items[i] for i in todo], scheduler, stop_event,
+                on_result,
             )
         except JobCancelled as exc:
             if journal is None:
                 raise
+            # ``misses`` holds the journal's replays so far.
             raise ResumableInterrupt(
-                str(journal_path), len(completed) + exc.completed,
-                len(planned),
+                str(journal_path), len(misses) + exc.completed,
+                len(misses) + len(todo),
             ) from exc
-        results = dict(completed)
-        results.update(zip(todo, fresh))
+        for index, result in zip(todo, fresh):
+            partials[index] = _arrived(result, adopt, stats, replayed=False)
+            misses[index] = result
         stored = 0
-        for local, index in enumerate(planned):
-            if digests is not None and cache.put(
-                digests[index], cache_signature,
-                as_wire_payload(results[local]),
-            ):
-                stored += 1
-            partials[index] = _arrived(
-                results[local], adopt, stats, replayed=local in completed
+        if cache is not None:
+            # Every miss is stored, journal replays included.
+            stored = sum(
+                cache.put(*keys[index], as_wire_payload(misses[index]))
+                for index in sorted(misses)
             )
         if stats is not None:
             if cache is not None:
                 stats.cache_hits += len(hits)
-                stats.cache_misses += len(planned)
+                stats.cache_misses += len(misses)
                 stats.cache_stores += stored
                 stats.cache_bytes_skipped += sum(
                     partials[i].bytes_read for i in hits
                 )
             stats.input_bytes_read += sum(
-                partials[planned[local]].bytes_read for local in todo
+                partials[i].bytes_read for i in todo
             )
         # Byte-split workers only know split-local line numbers; a prefix
         # sum over the line counts re-anchors quarantined records to
-        # their absolute file lines before anything downstream sees
-        # them.  Cache entries store split-local numbers too, so hits and
-        # misses rebase uniformly; a pipe's lines are numbered absolutely
-        # and count none.
+        # their absolute file lines, and to this run's source, before
+        # anything downstream sees them.  Replayed summaries hold
+        # split-local numbers too, and may name another file whose split
+        # had the same bytes, so hits and misses rebase uniformly; a
+        # pipe's lines are numbered absolutely and count none.
         base = 0
         for index, summary in enumerate(partials):
-            if summary.skipped and base:
+            if summary.skipped:
                 partials[index] = replace(
                     summary,
-                    skipped=rebase_bad_records(summary.skipped, base),
+                    skipped=rebase_bad_records(summary.skipped, base, source),
                 )
             base += summary.line_count
         map_seconds = time.perf_counter() - start

@@ -441,21 +441,22 @@ _LOCATION_SUFFIX = re.compile(
 
 
 def rebase_bad_records(
-    records: Iterable[BadRecord], base: int
+    records: Iterable[BadRecord], base: int, source: str
 ) -> tuple[BadRecord, ...]:
-    """Shift split-local quarantine entries to absolute file line numbers.
+    """Anchor split-local quarantine entries to ``source``'s lines.
 
     ``base`` is the number of physical lines owned by all earlier splits
-    (the prefix sum of their ``line_count`` values).  Both the structured
-    ``line_number`` and the human-readable location suffix inside the
-    error message are rewritten, so a sidecar produced from byte splits
-    is byte-identical to one produced by a line-oriented run.  The error
-    text's location suffix is the one ``JsonSyntaxError`` itself appends,
-    matched from the end of the message so raw record text quoted inside
-    the message can never be confused for it.
+    (the prefix sum of their ``line_count`` values), and ``source`` the
+    file the run reads: a summary replayed from the cache may have been
+    mapped from a byte-identical split of another file.  The structured
+    ``path`` and ``line_number`` and the human-readable location suffix
+    inside the error message are all rewritten, so a sidecar produced
+    from byte splits or cache hits is byte-identical to one produced by
+    a line-oriented run.  The error text's location suffix is the one
+    ``JsonSyntaxError`` itself appends, matched from the end of the
+    message so raw record text quoted inside the message can never be
+    confused for it.
     """
-    if base == 0:
-        return tuple(records)
     rebased = []
     for bad in records:
         absolute = bad.line_number + base
@@ -463,8 +464,8 @@ def rebase_bad_records(
         match = _LOCATION_SUFFIX.match(error)
         if match is not None and int(match.group("line")) == bad.line_number:
             error = (
-                f"{match.group('head')} ({match.group('source')}, "
+                f"{match.group('head')} ({source}, "
                 f"line {absolute}, column {match.group('column')})"
             )
-        rebased.append(BadRecord(bad.path, absolute, error, bad.text))
+        rebased.append(BadRecord(source, absolute, error, bad.text))
     return tuple(rebased)

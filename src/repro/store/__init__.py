@@ -37,7 +37,6 @@ from repro.store.journal import (
     JournalState,
     RunJournal,
     fsck_journal,
-    plan_signature,
     read_journal,
 )
 from repro.store.locks import FileLock, LockHeldError
@@ -79,7 +78,6 @@ __all__ = [
     "load_checkpoint",
     "load_manifest",
     "merge_checkpoints",
-    "plan_signature",
     "read_journal",
     "save_checkpoint",
 ]

@@ -4,28 +4,27 @@ The fusion algebra makes every completed partition summary a permanent,
 order-free unit of progress (Theorems 5.4-5.5): once a split's summary
 exists, no crash can invalidate it — it merges into the final schema
 whenever the run finishes.  The journal turns that mathematical fact
-into an operational one.  A journaled run writes, before doing any work,
-a **header frame** describing exactly what it planned (source file
-fingerprint, split mode, statistics mode, the task plan's digest), then
-appends one **task frame** per completed task — the task's encoded
-partition summary in the compact flat-table wire format
-(:func:`repro.inference.kernel.encode_summary`) — and finally a
-**commit frame** with the finished schema's digest.  ``infer --resume``
-replays the task frames through
-:meth:`~repro.inference.kernel.PartitionAccumulator.add_summary` and
-re-executes only the missing task indices; the algebra guarantees the
-result is byte-identical to the uninterrupted run.
+into an operational one.  A journaled run writes a **header frame**
+naming the journal format, then appends one **task frame** per
+completed task — the task's encoded partition summary in the compact
+flat-table wire format (:func:`repro.inference.kernel.encode_summary`),
+under the key the summary cache files it by (the split's content
+digest and the run's config signature) — and finally a **commit
+frame** with the finished schema's digest.  ``infer --resume`` plans
+the run again and replays every split whose key has a task frame; the
+algebra guarantees the result is byte-identical to the uninterrupted
+run.
 
 Frame format (little-endian)::
 
     magic   b"RJRNL1\\n"                      (once, at offset 0)
     frame   kind:u8  length:u32  crc32:u32   payload[length]
 
-``kind`` is ``H`` (header, JSON), ``T`` (task: ``index:u32`` + summary
-wire bytes) or ``C`` (commit, JSON).  Every append is
-write → flush → ``fsync`` — a frame either is fully durable or will
-fail its CRC.  On read, a frame that runs past EOF or fails its CRC *at
-the tail* is a torn append from the crash itself and is dropped
+``kind`` is ``H`` (header, JSON), ``T`` (task: ``key length:u16``, the
+UTF-8 key, then the summary wire bytes) or ``C`` (commit, JSON).  Every
+append is write → flush → ``fsync`` — a frame either is fully durable
+or will fail its CRC.  On read, a frame that runs past EOF or fails its
+CRC *at the tail* is a torn append from the crash itself and is dropped
 (:class:`JournalState.torn`); a CRC failure with valid bytes after it
 is real mid-file damage and raises :class:`JournalCorruptError` — the
 journal never silently skips interior frames.
@@ -38,7 +37,6 @@ automatically by the next one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -60,7 +58,6 @@ __all__ = [
     "JournalState",
     "RunJournal",
     "fsck_journal",
-    "plan_signature",
     "read_journal",
 ]
 
@@ -68,10 +65,10 @@ __all__ = [
 JOURNAL_MAGIC = b"RJRNL1\n"
 
 #: Bumped on any incompatible frame-layout change.
-JOURNAL_FORMAT_VERSION = 1
+JOURNAL_FORMAT_VERSION = 2
 
 _FRAME_HEADER = struct.Struct("<BII")  # kind, payload length, payload crc32
-_TASK_PREFIX = struct.Struct("<I")  # task index, before the wire payload
+_KEY_PREFIX = struct.Struct("<H")  # task key length, before the key
 
 KIND_HEADER = ord("H")
 KIND_TASK = ord("T")
@@ -112,11 +109,9 @@ class JournalCorruptError(JournalError):
 
 
 class JournalMismatchError(JournalError):
-    """The journal describes a different run than the one resuming.
+    """The journal was written in a format this build does not read.
 
-    Raised when ``--resume`` finds a journal whose source fingerprint or
-    task plan digest disagrees with the current invocation — replaying
-    summaries of *other* data would silently produce a wrong schema.
+    Its frames are intact, so it is not corrupt; delete it and rerun.
     """
 
 
@@ -144,19 +139,6 @@ def _frame(kind: int, payload: bytes) -> bytes:
     ) + payload
 
 
-def plan_signature(plan: Any) -> str:
-    """Deterministic digest of a task plan (any JSON-serialisable value).
-
-    The pipeline feeds it the full list of task descriptors — split
-    offsets and lengths (or line-partition bounds), batching, modes — so
-    two invocations agree on the signature iff they would dispatch the
-    identical task list, which is exactly the condition under which
-    journal task frames are replayable.
-    """
-    blob = json.dumps(plan, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 # ----------------------------------------------------------------------
 # reading
 
@@ -167,8 +149,8 @@ class JournalState:
 
     path: str
     header: dict[str, Any]
-    #: task index → encoded summary payload, first write wins.
-    completed: dict[int, bytes] = field(default_factory=dict)
+    #: task key → encoded summary payload, first write wins.
+    completed: dict[str, bytes] = field(default_factory=dict)
     #: commit-frame payload, when the run finished.
     commit: dict[str, Any] | None = None
     #: a torn tail was dropped (the crash interrupted an append).
@@ -181,14 +163,6 @@ class JournalState:
     @property
     def committed(self) -> bool:
         return self.commit is not None
-
-    def remaining(self, task_count: int | None = None) -> list[int]:
-        """Task indices the journal has no summary for, in order."""
-        total = (
-            self.header.get("task_count", 0)
-            if task_count is None else task_count
-        )
-        return [i for i in range(total) if i not in self.completed]
 
 
 def _iter_frames(
@@ -227,9 +201,10 @@ def _iter_frames(
 def read_journal(path: str | Path) -> JournalState:
     """Parse a journal, tolerating a torn tail, rejecting interior damage.
 
-    Raises :class:`JournalNotFoundError` when the file is missing and
-    :class:`JournalCorruptError` on bad magic, a damaged header frame,
-    or mid-file frame corruption.
+    Raises :class:`JournalNotFoundError` when the file is missing,
+    :class:`JournalMismatchError` when its header names another journal
+    format, and :class:`JournalCorruptError` on bad magic, a damaged
+    header frame, or mid-file frame corruption.
     """
     p = Path(path)
     try:
@@ -262,25 +237,26 @@ def read_journal(path: str | Path) -> JournalState:
                 raise JournalCorruptError(
                     str(p), f"unreadable header frame: {exc}", offset=offset
                 ) from exc
-            if header.get("journal_format") != JOURNAL_FORMAT_VERSION:
-                raise JournalCorruptError(
-                    str(p),
-                    f"journal format "
-                    f"{header.get('journal_format')!r}; this build reads "
-                    f"version {JOURNAL_FORMAT_VERSION}",
-                    offset=offset,
+            found = header.get("journal_format")
+            if found != JOURNAL_FORMAT_VERSION:
+                raise JournalMismatchError(
+                    f"run journal {str(p)!r} is in journal format "
+                    f"{found!r}, and this build reads only format "
+                    f"{JOURNAL_FORMAT_VERSION}; delete the journal and "
+                    f"rerun"
                 )
             state.header = header
         elif kind == KIND_TASK:
-            if len(payload) < _TASK_PREFIX.size:
+            key_end = _KEY_PREFIX.size
+            if len(payload) >= key_end:
+                key_end += _KEY_PREFIX.unpack_from(payload)[0]
+            if key_end > len(payload):
                 raise JournalCorruptError(
-                    str(p), "task frame shorter than its index prefix",
+                    str(p), "task frame shorter than its key",
                     offset=offset,
                 )
-            (index,) = _TASK_PREFIX.unpack_from(payload)
-            state.completed.setdefault(
-                index, payload[_TASK_PREFIX.size:]
-            )
+            key = payload[_KEY_PREFIX.size:key_end].decode("utf-8", "replace")
+            state.completed.setdefault(key, payload[key_end:])
         elif kind == KIND_COMMIT:
             try:
                 state.commit = json.loads(payload.decode("utf-8"))
@@ -331,7 +307,7 @@ class RunJournal:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def create(cls, path: str | Path, header: dict[str, Any]) -> "RunJournal":
+    def create(cls, path: str | Path) -> "RunJournal":
         """Start a fresh journal: magic + header frame, durably.
 
         Refuses to overwrite an existing journal file (that is what
@@ -347,10 +323,8 @@ class RunJournal:
                     f"journal {str(p)!r} already exists; pass --resume to "
                     f"continue it or delete it to start over"
                 )
-            header = dict(header)
-            header.setdefault("journal_format", JOURNAL_FORMAT_VERSION)
             payload = json.dumps(
-                header, sort_keys=True, separators=(",", ":")
+                {"journal_format": JOURNAL_FORMAT_VERSION}
             ).encode("utf-8")
             handle = open(p, "xb")
             try:
@@ -420,11 +394,13 @@ class RunJournal:
         os.fsync(self._handle.fileno())
         self.bytes_appended += len(frame)
 
-    def append_task(self, index: int, summary_wire: bytes) -> None:
-        """Durably record task ``index``'s encoded partition summary."""
+    def append_task(self, key: str, summary_wire: bytes) -> None:
+        """Durably record the encoded partition summary filed under
+        ``key``."""
+        raw = key.encode("utf-8")
         self._append(
             KIND_TASK,
-            _TASK_PREFIX.pack(index) + summary_wire,
+            _KEY_PREFIX.pack(len(raw)) + raw + summary_wire,
             torn_point="journal.append.torn",
         )
         self.tasks_appended += 1
@@ -460,8 +436,8 @@ def fsck_journal(path: str | Path) -> dict[str, Any]:
     """Classify the health of a run journal (``repro fsck``).
 
     Pure inspection.  ``status`` is ``ok`` / ``not-found`` /
-    ``corrupt``; an ``ok`` journal additionally reports whether it is
-    committed, how many of its planned tasks have durable summaries,
+    ``version-mismatch`` / ``corrupt``; an ``ok`` journal additionally
+    reports whether it is committed, how many task summaries it holds,
     whether a torn tail would be dropped on resume, and the advisory
     lock state.
     """
@@ -478,22 +454,21 @@ def fsck_journal(path: str | Path) -> dict[str, Any]:
     except JournalNotFoundError as exc:
         report["status"] = "not-found"
         report["detail"] = str(exc)
+    except JournalMismatchError as exc:
+        report["status"] = "version-mismatch"
+        report["detail"] = str(exc)
     except JournalCorruptError as exc:
         report["status"] = "corrupt"
         report["detail"] = exc.detail
         report["offset"] = exc.offset
     else:
-        task_count = state.header.get("task_count")
         report.update(
             committed=state.committed,
             tasks_recorded=len(state.completed),
-            task_count=task_count,
             torn=state.torn,
             torn_bytes=state.torn_bytes,
         )
-        done = len(state.completed)
-        total = task_count if task_count is not None else "?"
-        bits = [f"{done}/{total} task summaries durable"]
+        bits = [f"{len(state.completed)} task summaries durable"]
         if state.committed:
             digest = (state.commit or {}).get("schema_sha256", "")
             bits.append(f"committed schema {digest[:12]}")

@@ -13,13 +13,15 @@ numbers), and ships only changed or new splits to workers — an
 append-mostly re-run does map work proportional to the delta, not the
 file.
 
-Entries store the wire-format payload of PR 6's :func:`encode_summary`
-with *split-local* quarantine line numbers, exactly as a worker would
-have returned it; the driver's existing prefix-sum rebase then treats
-hits and misses uniformly.  The config signature folds in everything
-that changes a summary for fixed bytes: permissive mode, statistics
-mode, and the wire-format version itself.  Only byte splits of regular
-files are cached: a pipe has no byte range to key.
+Entries store the wire-format payload of :func:`encode_summary` with
+*split-local* quarantine line numbers, exactly as a worker would have
+returned it; the pipeline's rebase then treats hits and misses alike,
+shifting line numbers by a prefix sum and naming the run's own source
+in every quarantine entry (a hit may have been stored by a run over a
+byte-identical split of another file).  The config signature folds in
+everything that changes a summary for fixed bytes: permissive mode,
+statistics mode, and the wire-format version itself.  Only byte splits
+of regular files are cached: a pipe has no byte range to key.
 
 Layout (content-addressed store, git-object style)::
 
@@ -100,26 +102,15 @@ def config_signature(*, permissive: bool, stats: str = "off") -> str:
     bundle a plain one lacks), and the wire format plus cache framing
     versions (an encoding change must not replay stale bytes).  Timing
     collection is not an input: a replayed summary drops its timings.
-    The signed ``parse_lane``, ``collect_timings`` and ``split_mode``
-    are compatibility labels — the lane derived from the statistics
-    mode (``kernel._lane_label``), the other two the constants of a
-    byte-split run without timings — that keep the signatures, and so
-    the entries, of builds that had those knobs.
     """
-    from repro.inference.kernel import WIRE_FORMAT_VERSION, _lane_label
+    from repro.inference.kernel import WIRE_FORMAT_VERSION
 
     config = {
         "cache_format": CACHE_FORMAT_VERSION,
         "wire_format": WIRE_FORMAT_VERSION,
-        "parse_lane": _lane_label(stats),
         "permissive": bool(permissive),
-        "collect_timings": False,
-        "split_mode": "bytes",
+        "stats": stats,
     }
-    if stats != "off":
-        # Folded in only when enabled, so the stats-off signature stays
-        # a pure function of the pre-existing kernel knobs.
-        config["stats"] = stats
     blob = json.dumps(config, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

@@ -6,9 +6,9 @@ Contracts pinned here:
   stream pass at its absolute line number, and a partitioned strict
   run, over byte splits or a pipe's line chunks, at the absolute line
   number of one of the malformed lines.
-* **Dispatch pin** — the journal's task plan (one work item per task)
-  and the scheduler counters of an uncached, a cold-cached and two
-  warm-cached jobs, as literals.
+* **Dispatch pin** — the journal's task-frame count (one per mapped
+  work item) and the scheduler counters of an uncached, a cold-cached
+  and two warm-cached jobs, as literals.
 
 Results against the pure oracle, per configuration point, are checked
 in ``tests/test_oracle_gates.py``.
@@ -81,14 +81,14 @@ class TestDispatchPin:
     Four jobs run over one fixed dirty file, each in a fresh thread
     Context: uncached, then cold and warm against one summary cache,
     each with its own journal; then warm again without a journal.  Every
-    task is one byte split (the ``1`` of the id), so the journal plan
-    holds one ``[offset, length]`` list per task, the shape earlier
-    releases wrote; the id's ``bytes`` is the ``split_mode`` label the
-    header records.  The journal header's task plan (``None`` without a
-    journal) and the scheduler counters are pinned as literals: both
-    warm jobs replay every partition from the cache, so their counters
-    are equal.  Relative paths keep the pickled split descriptors, and
-    so ``input_bytes_shipped``, independent of the temporary directory.
+    task is one byte split (the ``1`` of the id; the id's ``bytes`` is
+    the split mode of earlier releases), so a journal holds one task
+    frame per split it mapped.  The journal's task-frame count
+    (``None`` without a journal) and the scheduler counters are pinned
+    as literals: both warm jobs replay every partition from the cache,
+    so their counters are equal and the warm journal maps nothing.
+    Relative paths keep the pickled split descriptors, and so
+    ``input_bytes_shipped``, independent of the temporary directory.
     The wire-byte counter is the size of the wire v4 frames, whose
     distinct sets are 32-byte digests.
     """
@@ -98,18 +98,12 @@ class TestDispatchPin:
         "cache_hits", "cache_misses", "cache_stores", "cache_bytes_skipped",
         "summary_wire_bytes_decoded",
     )
-    BYTES_STABLE = [
-        [[0, 186]], [[186, 186]], [[372, 186]],
-        [[558, 186]], [[744, 186]], [[930, 185]],
-    ]
-    #: (split_mode, items per task) -> per job: (header tasks, counters).
+    #: (split_mode, items per task) -> per job: (task frames, counters).
     EXPECTED = {
         ("bytes", 1): [
-            ([[[0, 186]], [[186, 186]], [[372, 186]], [[558, 185]],
-              [[743, 186]], [[929, 186]]],
-             [6, 248, 1158, 0, 0, 0, 0, 0]),
-            (BYTES_STABLE, [6, 248, 1156, 0, 6, 6, 0, 0]),
-            ([], [0, 5, 0, 6, 0, 0, 1156, 1984]),
+            (6, [6, 248, 1158, 0, 0, 0, 0, 0]),
+            (6, [6, 248, 1156, 0, 6, 6, 0, 0]),
+            (0, [0, 5, 0, 6, 0, 0, 1156, 1984]),
             (None, [0, 5, 0, 6, 0, 0, 1156, 1984]),
         ],
     }
@@ -158,10 +152,7 @@ class TestDispatchPin:
                 )
             tasks = None
             if journaled:
-                header = read_journal(journal).header
-                assert (header["split_mode"], header["parse_lane"],
-                        header["permissive"]) == (split_mode, "hooks", True)
-                tasks = header["tasks"]
+                tasks = len(read_journal(journal).completed)
             assert [b.line_number for b in run.bad_records] == [
                 11, 22, 33, 44,
             ]

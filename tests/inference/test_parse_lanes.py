@@ -36,7 +36,6 @@ from repro.inference.pipeline import infer_ndjson_file
 from repro.jsonio.typestream import guarded_decoder
 from repro.jsonio.errors import DuplicateKeyError, JsonError
 from repro.jsonio.parser import loads
-from repro.store.journal import JournalMismatchError, read_journal
 
 #: The values of the ``parse_lane`` knob of earlier releases, kept as
 #: case ids.
@@ -293,25 +292,6 @@ class TestLaneResolution:
             accumulate_ndjson_partition([(1, "{}")], parse_lane="fast")
         with pytest.raises(SystemExit):
             main(["infer", str(path), "--parse-lane", "strict"])
-
-    def test_journal_binds_parse_lane(self, tmp_path):
-        # The header keeps the lane label earlier builds signed, derived
-        # from the statistics mode; a resume under another mode is
-        # refused, naming the flag.
-        path = tmp_path / "data.ndjson"
-        path.write_bytes(b'{"a": 1}\n' * 50)
-        labels = {}
-        for stats_mode in ("off", "basic"):
-            journal = tmp_path / f"{stats_mode}.journal"
-            infer_ndjson_file(str(path), journal_path=str(journal),
-                              stats_mode=stats_mode)
-            labels[stats_mode] = read_journal(journal).header["parse_lane"]
-        assert labels == {"off": "hooks", "basic": "strict"}
-        with pytest.raises(JournalMismatchError, match="stats"):
-            infer_ndjson_file(
-                str(path), stats_mode="off",
-                journal_path=str(tmp_path / "basic.journal"), resume=True,
-            )
 
 
 class TestPhaseTimings:

@@ -7,7 +7,7 @@ no atexit, exactly what a power cut or OOM kill leaves behind.  The
 resumed run must then produce the same printed schema and record count
 as an uninterrupted run, on both backends and in-line (fusion
 commutativity/associativity, Theorems 5.4-5.5, is what makes the replay
-exact).
+exact), and must map no split the journal already holds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 
 from repro.engine.faults import CRASH_EXIT_CODE, CRASH_POINT_ENV
 from repro.store.checkpoint import load_checkpoint
-from repro.store.journal import read_journal
+from repro.store.journal import KIND_TASK, _iter_frames, read_journal
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -149,6 +149,11 @@ def crash_then_resume(dataset, tmp_path, crash_point, backend="thread",
     resumed = run_driver(dataset, journal, backend=backend,
                          checkpoint=checkpoint, resume=True)
     assert resumed.returncode == 0, resumed.stderr
+    # Every finished split was journaled once: the resume re-ran none.
+    frames = _iter_frames(journal.read_bytes(), str(journal))
+    assert sum(kind == KIND_TASK for _, kind, _ in frames) == len(
+        read_journal(journal).completed
+    )
     return resumed.stdout
 
 

@@ -13,6 +13,7 @@ byte-identical to uncached.
 """
 
 import errno
+import shutil
 
 import pytest
 
@@ -156,6 +157,37 @@ class TestSingleSplitMutation:
         )
         assert (hits, misses, stores) == (total, 0, 0)
         assert observables(warm) == observables(cold)
+
+
+class TestHitsFromAnotherFile:
+    """Entries are keyed by bytes, so a byte-identical copy of a file
+    replays the original's entries: the records those hits quarantined
+    must name the file the run reads, as an uncached run's do."""
+
+    def test_copy_equals_an_uncached_run(self, tmp_path):
+        original = corpus(tmp_path)
+        copy = tmp_path / "copy" / "renamed.ndjson"
+        copy.parent.mkdir()
+        shutil.copyfile(original, copy)
+        cache_dir = tmp_path / "cache"
+        _, (_, total, _) = cached_run(original, "thread", cache_dir)
+
+        warm, (hits, misses, _) = cached_run(
+            str(copy), "thread", cache_dir,
+            bad_records_path=tmp_path / "cached.bad",
+        )
+        assert (hits, misses) == (total, 0)
+        with Context(parallelism=4, backend="thread") as ctx:
+            plain = infer_ndjson_file(
+                str(copy), context=ctx, num_partitions=N_PARTS,
+                permissive=True, min_split_bytes=MIN_SPLIT,
+                bad_records_path=tmp_path / "plain.bad",
+            )
+        assert warm.bad_records == plain.bad_records
+        assert {b.path for b in warm.bad_records} == {str(copy)}
+        assert (tmp_path / "cached.bad").read_bytes() == (
+            tmp_path / "plain.bad"
+        ).read_bytes()
 
 
 class TestCorruptionFallback:

@@ -12,19 +12,19 @@ Contracts pinned here:
   the same merged result as adopting the un-encoded summary.
 * **Task equivalence** — every partition task returns the same result
   with ``wire=True``, up to the form of the distinct set, so the
-  scheduler seam can flip freely.
-* **Versioning** — payloads with a foreign version tag or mangled bytes
-  are rejected with ``ValueError``, never misdecoded.
+  scheduler seam can flip freely; process workers return wire frames
+  from :func:`run_inference` too.
+* **Versioning** — payloads with a foreign version tag (the retired
+  v2 and v3 included) or mangled bytes are rejected with
+  ``ValueError``, never misdecoded.
 * **Digests** — :func:`type_digest` is an on-disk format: fixed types
-  keep the digests an earlier build computed, and frames from that
-  build (wire v3) digest to the same values.
+  keep the digests an earlier build computed.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,11 +42,12 @@ from repro.core.types import (
     StarArrayType,
     make_union,
 )
+from repro.engine.context import Context
 from repro.inference.kernel import (
     WIRE_FORMAT_VERSION,
     PartitionAccumulator,
     PartitionSummary,
-    _walk_wire_digests,
+    _decode_types,
     accumulate_ndjson_item,
     accumulate_ndjson_partition,
     accumulate_partition,
@@ -57,14 +58,12 @@ from repro.inference.kernel import (
     merge_summaries_full,
     type_digest,
 )
+from repro.inference.pipeline import run_inference
 from repro.jsonio.splits import plan_splits
 from repro.jsonio.writer import dumps
 from tests.conftest import json_values, make_corpus, normal_types, write_corpus
 
 json_value_lists = st.lists(json_values(10), max_size=30)
-
-#: Frames written by the build before wire v4 (see tests/golden/compat).
-COMPAT = Path(__file__).resolve().parents[1] / "golden" / "compat"
 
 
 def digested(summary: PartitionSummary) -> PartitionSummary:
@@ -160,6 +159,19 @@ class TestTaskEquivalence:
         )
         assert wired == digested(accumulate_ndjson_partition(list(lines)))
 
+    def test_run_inference_process_results_are_wire_frames(self):
+        values = make_corpus(300, seed=5)
+        inline = run_inference(values, stats_mode="basic")
+        with Context(parallelism=2, backend="process") as ctx:
+            run = run_inference(values, context=ctx, num_partitions=4,
+                                stats_mode="basic")
+            assert ctx.scheduler.stats.summary_wire_bytes_decoded > 0
+        assert run.schema == inline.schema
+        assert (run.record_count, run.distinct_type_count) == (
+            inline.record_count, inline.distinct_type_count,
+        )
+        assert run.stats.to_bytes() == inline.stats.to_bytes()
+
 
 class TestVersioning:
     def test_foreign_version_rejected(self):
@@ -168,6 +180,16 @@ class TestVersioning:
         bumped = (WIRE_FORMAT_VERSION + 1,) + payload[1:]
         with pytest.raises(ValueError, match="version"):
             decode_summary(pickle.dumps(bumped))
+
+    @pytest.mark.parametrize("version,fields", [(2, 15), (3, 16)],
+                             ids=["v2", "v3"])
+    def test_retired_versions_rejected(self, version, fields):
+        """Frames of the layouts earlier builds wrote (v2: 15 slots, v3:
+        16) do not decode: the error names their version."""
+        frame = pickle.loads(encode_summary(accumulate_partition([{"a": 1}])))
+        retired = ((version,) + frame[1:] + (None,) * fields)[:fields]
+        with pytest.raises(ValueError, match=f"version {version} "):
+            decode_summary(pickle.dumps(retired))
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -251,8 +273,8 @@ class TestLightDecode:
         for values in self.EDGE_VALUES:
             frame = pickle.loads(encode_summary(accumulate_partition(values)))
             keys, ops, schema_i = frame[1], frame[2], frame[3]
-            digests, _ = _walk_wire_digests(keys, ops)
-            where.append((schema_i, len(digests) - 1))
+            nodes = _decode_types(keys, ops, PartitionAccumulator())
+            where.append((schema_i, len(nodes) - 1))
         (empty_i, _), (basic_i, _), (last_i, last_node) = where
         assert empty_i == 4  # the pre-seeded EMPTY slot
         assert basic_i < 4  # a pre-seeded basic-type slot
@@ -298,9 +320,7 @@ class TestLightDecode:
 _PINNED_KEY = 'q"uote\nnew\u2028line'
 _PINNED_RECORD = RecordType([Field(_PINNED_KEY, NUM, True), Field("b", STR)])
 
-#: Fixed types, in the order the v3 fixture frame lists them as its
-#: distinct types, and their digests as computed by the build that wrote
-#: that frame.
+#: Fixed types and the digests an earlier build computed for them.
 PINNED = {
     "null": (
         NULL,
@@ -349,17 +369,3 @@ class TestDigestPins:
             expected for _, expected in PINNED.values()
         ]
 
-    def test_v3_frame_walk_matches_the_pins(self):
-        frame = pickle.loads((COMPAT / "pinned_types.v3.frame").read_bytes())
-        assert frame[0] == 3
-        keys, ops, distinct_i = frame[1], frame[2], frame[4]
-        digests, _ = _walk_wire_digests(keys, ops)
-        assert [digests[i].hex() for i in distinct_i] == [
-            expected for _, expected in PINNED.values()
-        ]
-        decoded = decode_summary(
-            (COMPAT / "pinned_types.v3.frame").read_bytes()
-        )
-        assert decoded.distinct_digests == {
-            bytes.fromhex(expected) for _, expected in PINNED.values()
-        }

@@ -243,7 +243,7 @@ class TestRebaseBadRecords:
     )
 
     def test_shifts_line_number_and_error_text(self):
-        (out,) = rebase_bad_records([self.BAD], base=40)
+        (out,) = rebase_bad_records([self.BAD], base=40, source="f.ndjson")
         assert out.line_number == 43
         assert out.error == (
             "unexpected token 'eof' (f.ndjson, line 43, column 11)"
@@ -251,19 +251,31 @@ class TestRebaseBadRecords:
         assert (out.path, out.text) == (self.BAD.path, self.BAD.text)
 
     def test_base_zero_is_identity(self):
-        assert rebase_bad_records([self.BAD], base=0) == (self.BAD,)
+        assert rebase_bad_records(
+            [self.BAD], base=0, source="f.ndjson"
+        ) == (self.BAD,)
+
+    def test_reanchors_to_the_source(self):
+        # A cache hit stored by a run over another file names that file;
+        # the record and its error text must name this run's source.
+        (out,) = rebase_bad_records([self.BAD], base=2, source="g/b.ndjson")
+        assert out == BadRecord(
+            "g/b.ndjson", 5,
+            "unexpected token 'eof' (g/b.ndjson, line 5, column 11)",
+            self.BAD.text,
+        )
 
     def test_mismatched_location_left_alone(self):
         # A message whose embedded line number is not the record's local
         # line (e.g. quoted record text) must not be rewritten.
         bad = BadRecord("f", 2, "weird (f, line 9, column 1)", "x")
-        (out,) = rebase_bad_records([bad], base=10)
+        (out,) = rebase_bad_records([bad], base=10, source="f")
         assert out.line_number == 12
         assert out.error == "weird (f, line 9, column 1)"
 
     def test_error_without_location_suffix(self):
         bad = BadRecord("f", 1, "something else entirely", "x")
-        (out,) = rebase_bad_records([bad], base=5)
+        (out,) = rebase_bad_records([bad], base=5, source="f")
         assert out.line_number == 6
         assert out.error == "something else entirely"
 

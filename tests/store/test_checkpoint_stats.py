@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.inference.kernel import accumulate_partition, decode_summary
+from repro.inference.kernel import accumulate_partition
 from repro.inference.statistics import StatsBundle
 from repro.store.checkpoint import (
     DIGEST_FILE,
@@ -122,26 +122,6 @@ class TestBackwardCompat:
         data = json.loads((tmp_path / "g" / MANIFEST_FILE).read_text())
         assert "stats_mode" not in data
         assert not (tmp_path / "g" / STATS_FILE).exists()
-
-    def test_v2_wire_frame_decodes_with_stats_none(self):
-        # A 15-element v2 frame (pre-stats workers) must keep decoding;
-        # its summary simply carries no bundle.  It is built from a v3
-        # frame written before wire v4, by dropping the stats slot.
-        import pickle
-
-        frame = list(pickle.loads(
-            (GOLDEN_ROOT / "compat" / "pinned_types.v3.frame").read_bytes()
-        ))
-        assert frame[0] == 3 and frame[-1] is None  # v3 stats slot
-        v2_frame = [2] + frame[1:-1]
-        decoded = decode_summary(
-            pickle.dumps(tuple(v2_frame), pickle.HIGHEST_PROTOCOL)
-        )
-        v3 = decode_summary(pickle.dumps(tuple(frame)))
-        assert decoded.stats is None
-        assert decoded == v3
-        assert decoded.record_count == 9
-        assert decoded.distinct_type_count == 9
 
     def test_loading_then_resaving_preserves_stats_bytes(self, tmp_path):
         loaded = load_checkpoint(GOLDEN_STATS)

@@ -1,20 +1,19 @@
-"""What builds before checkpoint format 2 and wire v4 wrote still loads,
-merges, decodes and resumes here.
+"""What builds before checkpoint format 2 wrote still loads and merges
+here, and what earlier builds' journals get instead of a resume.
 
 ``tests/golden/checkpoint`` and ``tests/golden/checkpoint_stats`` are
 format-1 checkpoints (distinct set as printed types in
 ``distinct.types``) of ``make_corpus(64, seed=7)``, without and with
-``stats_mode="sketches"``.  ``tests/golden/compat`` holds what the last
-build with wire v3 wrote over its ``corpus.ndjson`` (240 records and two
-malformed lines, at lines 50 and 171), from inside that directory:
+``stats_mode="sketches"``.  ``tests/golden/compat`` holds journals in
+journal format 1 (task frames filed by their index in a task plan the
+header recorded), written over its ``corpus.ndjson`` (240 records and
+two malformed lines, at lines 50 and 171) from inside that directory.
+This build reads journal format 2 only, so a resume refuses each of
+them as another format's:
 
-* ``corpus_basic.v3.frame`` — :func:`encode_summary` of
-  :func:`accumulate_ndjson_partition` over every numbered line, with
-  ``source="corpus.ndjson"``, ``permissive=True`` and
-  ``stats_mode="basic"``;
-* ``pinned_types.v3.frame`` — a summary whose distinct types are the
-  fixed types ``test_wire_format.TestDigestPins`` pins;
-* ``run.journal`` — the journal of :data:`JOURNAL_RUN`, killed with
+* ``run.journal`` — written by the last build with wire v3: the
+  journal of ``num_partitions=4, min_split_bytes=1024,
+  permissive=True``, killed with
   ``REPRO_CRASH_POINT=journal.append.post:2`` after two of its four
   task appends;
 * ``batched.journal`` — written by the last build with batched dispatch
@@ -22,7 +21,7 @@ malformed lines, at lines 50 and 171), from inside that directory:
   (an option since removed), so two tasks of two splits each, killed
   with ``REPRO_CRASH_POINT=journal.append.post:1``;
 * ``stats.journal`` — written by the last build with two parse lanes
-  (wire v4): :data:`JOURNAL_RUN` with ``stats_mode="basic"`` and
+  (wire v4): the ``run.journal`` run with ``stats_mode="basic"`` and
   ``collect_timings=True``, killed with
   ``REPRO_CRASH_POINT=journal.append.post:2``.  Its header signs the
   lane label ``"strict"``, and its frames' phase timings carry the
@@ -39,21 +38,14 @@ from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.core.printer import print_type
-from repro.engine.context import Context
-from repro.inference.kernel import (
-    accumulate_ndjson_partition,
-    accumulate_partition,
-    decode_summary,
-)
+from repro.inference.kernel import accumulate_partition
 from repro.inference.pipeline import infer_ndjson_file
-from repro.jsonio.ndjson import iter_numbered_lines
 from repro.store.checkpoint import (
     DIGEST_FILE,
     DISTINCT_FILE,
@@ -65,16 +57,12 @@ from repro.store.checkpoint import (
     merge_checkpoints,
     save_checkpoint,
 )
-from repro.store.journal import JournalMismatchError, read_journal
+from repro.store.journal import fsck_journal
 from tests.conftest import make_corpus, write_corpus
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 FORMAT1 = {"off": GOLDEN / "checkpoint", "sketches": GOLDEN / "checkpoint_stats"}
 COMPAT = GOLDEN / "compat"
-
-#: The journaled run ``run.journal`` recorded (source path relative to
-#: the directory it ran in).
-JOURNAL_RUN = dict(num_partitions=4, min_split_bytes=1024, permissive=True)
 
 
 def fixture_corpus():
@@ -175,131 +163,29 @@ class TestFormat1Checkpoints:
         assert capsys.readouterr().out
 
 
-class TestWireV3Frames:
-    def test_v3_frame_decodes_to_the_same_summary(self, monkeypatch):
-        monkeypatch.chdir(COMPAT)
-        expected = accumulate_ndjson_partition(
-            list(iter_numbered_lines("corpus.ndjson")),
-            source="corpus.ndjson", permissive=True, stats_mode="basic",
-        )
-        decoded = decode_summary(
-            (COMPAT / "corpus_basic.v3.frame").read_bytes()
-        )
-        assert decoded == replace(
-            expected, distinct_types=(),
-            distinct_digests=expected.digest_set(),
-        )
-        assert decoded.record_count == 240
-        assert [b.line_number for b in decoded.skipped] == [50, 171]
-        assert decoded.stats.to_bytes() == expected.stats.to_bytes()
-
-
-class TestParentJournal:
-    @pytest.mark.parametrize("backend", [None, "thread"])
-    def test_resumes_to_the_uninterrupted_output(
-        self, tmp_path, monkeypatch, backend
+class TestFormat1Journals:
+    @pytest.mark.parametrize("name", ["run", "stats", "batched", "stream"])
+    def test_resume_is_refused_as_another_format(
+        self, tmp_path, monkeypatch, capsys, name
     ):
-        for name in ("corpus.ndjson", "run.journal"):
-            shutil.copy(COMPAT / name, tmp_path / name)
+        """The journal is intact, so it is refused as another format's
+        (not as corrupt) before any work, and left as it was."""
+        journal = f"{name}.journal"
+        for file in ("corpus.ndjson", journal):
+            shutil.copy(COMPAT / file, tmp_path / file)
         monkeypatch.chdir(tmp_path)
-        before = read_journal("run.journal")
-        assert sorted(before.completed) == [0, 1]
-        assert not before.committed
-
-        def run(**kwargs):
-            if backend is None:
-                return infer_ndjson_file("corpus.ndjson", **JOURNAL_RUN,
-                                         **kwargs)
-            with Context(parallelism=2, backend=backend) as ctx:
-                return infer_ndjson_file("corpus.ndjson", context=ctx,
-                                         **JOURNAL_RUN, **kwargs)
-
-        resumed = run(journal_path="run.journal", resume=True)
-        plain = run()
-        assert print_type(resumed.schema) == print_type(plain.schema)
-        assert (resumed.record_count, resumed.distinct_type_count) == (
-            plain.record_count, plain.distinct_type_count,
-        ) == (240, 24)
-        assert resumed.bad_records == plain.bad_records
-        assert [b.line_number for b in resumed.bad_records] == [50, 171]
-        after = read_journal("run.journal")
-        assert sorted(after.completed) == [0, 1, 2, 3]
-        assert after.committed
-
-    @pytest.mark.parametrize("backend", [None, "thread"])
-    def test_stats_journal_resumes_to_the_uninterrupted_output(
-        self, tmp_path, monkeypatch, backend
-    ):
-        for name in ("corpus.ndjson", "stats.journal"):
-            shutil.copy(COMPAT / name, tmp_path / name)
-        monkeypatch.chdir(tmp_path)
-        before = read_journal("stats.journal")
-        assert before.header["parse_lane"] == "strict"
-        assert before.header["stats"] == "basic"
-        assert sorted(before.completed) == [0, 1]
-        for payload in before.completed.values():
-            frame = decode_summary(payload)
-            assert frame.timings.lane == "strict"
-            assert frame.timings.records == frame.record_count
-
-        def run(**kwargs):
-            kwargs.update(JOURNAL_RUN, stats_mode="basic")
-            if backend is None:
-                return infer_ndjson_file("corpus.ndjson", **kwargs)
-            with Context(parallelism=2, backend=backend) as ctx:
-                return infer_ndjson_file("corpus.ndjson", context=ctx,
-                                         **kwargs)
-
-        resumed = run(journal_path="stats.journal", resume=True)
-        plain = run()
-        assert print_type(resumed.schema) == print_type(plain.schema)
-        assert (resumed.record_count, resumed.distinct_type_count) == (
-            plain.record_count, plain.distinct_type_count,
-        ) == (240, 24)
-        assert resumed.bad_records == plain.bad_records
-        assert resumed.stats.to_bytes() == plain.stats.to_bytes()
-        after = read_journal("stats.journal")
-        assert sorted(after.completed) == [0, 1, 2, 3]
-        assert after.committed
-
-    def test_batched_journal_is_refused(self, tmp_path, monkeypatch,
-                                        capsys):
-        """Every task is one split now, so a journal whose tasks held
-        two plans fewer tasks than the run resuming it."""
-        for name in ("corpus.ndjson", "batched.journal"):
-            shutil.copy(COMPAT / name, tmp_path / name)
-        monkeypatch.chdir(tmp_path)
-        refusal = "planned 2 tasks, but the current run planned 4"
-        with Context(parallelism=2, backend="thread") as ctx:
-            with pytest.raises(JournalMismatchError, match=refusal) as info:
-                infer_ndjson_file("corpus.ndjson", context=ctx,
-                                  **JOURNAL_RUN, resume=True,
-                                  journal_path="batched.journal")
-        assert "--batch-size" not in str(info.value)
-        assert main(["infer", "corpus.ndjson", "--workers", "2",
-                     "--min-split-mb",
-                     str(1024 / (1 << 20)), "--permissive",
-                     "--journal", "batched.journal", "--resume"]) == 1
-        assert refusal in capsys.readouterr().err
-
-    def test_stream_journal_is_refused(self, tmp_path, monkeypatch,
-                                       capsys):
-        """A sequential run reads its file as one byte split now, so the
-        one-task stream plan of a journal from before cannot resume; no
-        flag plans it, so the message names the plan, not the flags."""
-        for name in ("corpus.ndjson", "stream.journal"):
-            shutil.copy(COMPAT / name, tmp_path / name)
-        monkeypatch.chdir(tmp_path)
-        before = read_journal("stream.journal")
-        assert before.header["tasks"] == [["stream"]]
-        assert sorted(before.completed) == [0]
-        refusal = "one-task stream plan of a sequential run"
-        with pytest.raises(JournalMismatchError, match=refusal) as info:
-            infer_ndjson_file("corpus.ndjson", permissive=True, resume=True,
-                              journal_path="stream.journal")
-        assert "original flags" not in str(info.value)
+        before = (tmp_path / journal).read_bytes()
         assert main(["infer", "corpus.ndjson", "--permissive",
-                     "--journal", "stream.journal", "--resume"]) == 1
+                     "--journal", journal, "--resume"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert refusal in captured.err
+        assert captured.err == (
+            f"error: run journal {journal!r} is in journal format 1, and "
+            f"this build reads only format 2; delete the journal and "
+            f"rerun\n"
+        )
+        assert (tmp_path / journal).read_bytes() == before
+        report = fsck_journal(journal)
+        assert report["status"] == "version-mismatch"
+        assert main(["fsck", journal]) == 1
+        assert "version-mismatch" in capsys.readouterr().out

@@ -3,12 +3,15 @@
 The journal's contract is exact: an append that returned is durable, a
 torn tail (the crash's own half-written frame) is silently dropped, and
 any *interior* damage is a hard :class:`JournalCorruptError` — the
-reader never skips frames it cannot vouch for.
+reader never skips frames it cannot vouch for.  Task frames are filed
+under string keys (the pipeline's are content digests plus a config
+signature); the journal itself does not interpret them.
 """
 
 from __future__ import annotations
 
 import errno
+import json
 import os
 import pickle
 import struct
@@ -16,14 +19,16 @@ import struct
 import pytest
 
 from repro.store.journal import (
+    JOURNAL_FORMAT_VERSION,
     JOURNAL_MAGIC,
+    KIND_HEADER,
     JournalCorruptError,
     JournalError,
     JournalMismatchError,
     JournalNotFoundError,
     RunJournal,
+    _frame,
     fsck_journal,
-    plan_signature,
     read_journal,
 )
 from repro.store.locks import (
@@ -34,69 +39,65 @@ from repro.store.locks import (
     read_lock_owner,
 )
 
-HEADER = {"task_count": 4, "plan_sha256": "ab" * 32}
-
-
 @pytest.fixture
 def journal_path(tmp_path):
     return tmp_path / "run.journal"
 
 
-def write_journal(path, entries, header=HEADER, commit=None):
-    with RunJournal.create(path, header) as journal:
-        for index, payload in entries:
-            journal.append_task(index, payload)
+def write_journal(path, entries, commit=None):
+    with RunJournal.create(path) as journal:
+        for key, payload in entries:
+            journal.append_task(key, payload)
         if commit is not None:
             journal.append_commit(commit)
 
 
+def write_foreign_journal(path, journal_format):
+    """A journal whose header names another journal format."""
+    header = json.dumps({"journal_format": journal_format}).encode()
+    path.write_bytes(JOURNAL_MAGIC + _frame(KIND_HEADER, header))
+
+
 class TestRoundTrip:
     def test_create_and_read_back(self, journal_path):
-        write_journal(journal_path, [(0, b"alpha"), (2, b"gamma")])
+        write_journal(journal_path, [("a", b"alpha"), ("c-\u00e9", b"gamma")])
         state = read_journal(journal_path)
-        assert state.header["task_count"] == 4
-        assert state.header["plan_sha256"] == "ab" * 32
-        assert state.completed == {0: b"alpha", 2: b"gamma"}
+        assert state.header == {"journal_format": JOURNAL_FORMAT_VERSION}
+        assert state.completed == {"a": b"alpha", "c-\u00e9": b"gamma"}
         assert not state.committed
         assert not state.torn
 
     def test_commit_frame(self, journal_path):
         write_journal(
-            journal_path, [(0, b"x")], commit={"schema_sha256": "beef"}
+            journal_path, [("a", b"x")], commit={"schema_sha256": "beef"}
         )
         state = read_journal(journal_path)
         assert state.committed
         assert state.commit == {"schema_sha256": "beef"}
 
-    def test_remaining_indices(self, journal_path):
-        write_journal(journal_path, [(1, b"b"), (3, b"d")])
-        state = read_journal(journal_path)
-        assert state.remaining() == [0, 2]
-        assert state.remaining(task_count=6) == [0, 2, 4, 5]
-
     def test_first_write_wins_on_duplicate_index(self, journal_path):
-        write_journal(journal_path, [(1, b"first"), (1, b"second")])
-        assert read_journal(journal_path).completed[1] == b"first"
+        write_journal(journal_path, [("b", b"first"), ("b", b"second")])
+        assert read_journal(journal_path).completed == {"b": b"first"}
 
     def test_binary_payloads_survive(self, journal_path):
         payload = bytes(range(256)) * 3
-        write_journal(journal_path, [(0, payload)])
-        assert read_journal(journal_path).completed[0] == payload
+        write_journal(journal_path, [("", payload)])
+        assert read_journal(journal_path).completed[""] == payload
 
     def test_create_refuses_existing_file(self, journal_path):
         write_journal(journal_path, [])
         with pytest.raises(JournalError, match="already exists"):
-            RunJournal.create(journal_path, HEADER)
+            RunJournal.create(journal_path)
 
     def test_missing_file(self, journal_path):
         with pytest.raises(JournalNotFoundError):
             read_journal(journal_path)
 
     def test_closed_journal_rejects_appends(self, journal_path):
-        journal = RunJournal.create(journal_path, HEADER)
+        journal = RunJournal.create(journal_path)
         journal.close()
         with pytest.raises(JournalError, match="closed"):
-            journal.append_task(0, b"x")
+            journal.append_task("a", b"x")
 
 
 class TestTornTail:
@@ -108,33 +109,33 @@ class TestTornTail:
 
     @pytest.mark.parametrize("drop", [1, 3, 8, 12])
     def test_truncated_tail_is_dropped(self, journal_path, drop):
-        write_journal(journal_path, [(0, b"alpha"), (1, b"beta")])
+        write_journal(journal_path, [("a", b"alpha"), ("b", b"beta")])
         self.truncated(journal_path, drop)
         state = read_journal(journal_path)
         assert state.torn
         assert state.torn_bytes > 0
         # The earlier frame must survive intact.
-        assert state.completed[0] == b"alpha"
+        assert state.completed["a"] == b"alpha"
 
     def test_garbage_tail_bytes_are_torn(self, journal_path):
-        write_journal(journal_path, [(0, b"alpha")])
+        write_journal(journal_path, [("a", b"alpha")])
         with open(journal_path, "ab") as handle:
             handle.write(b"\x07")  # lone junk byte: incomplete header
         state = read_journal(journal_path)
         assert state.torn and state.torn_bytes == 1
-        assert state.completed == {0: b"alpha"}
+        assert state.completed == {"a": b"alpha"}
 
     def test_corrupt_final_payload_is_torn(self, journal_path):
-        write_journal(journal_path, [(0, b"alpha"), (1, b"beta")])
+        write_journal(journal_path, [("a", b"alpha"), ("b", b"beta")])
         data = bytearray(journal_path.read_bytes())
         data[-1] ^= 0xFF  # flip a byte inside the last frame's payload
         journal_path.write_bytes(bytes(data))
         state = read_journal(journal_path)
         assert state.torn
-        assert state.completed == {0: b"alpha"}
+        assert state.completed == {"a": b"alpha"}
 
     def test_open_resume_truncates_torn_tail(self, journal_path):
-        write_journal(journal_path, [(0, b"alpha")])
+        write_journal(journal_path, [("a", b"alpha")])
         good_size = journal_path.stat().st_size
         with open(journal_path, "ab") as handle:
             handle.write(b"torn!")
@@ -147,14 +148,14 @@ class TestTornTail:
         assert not read_journal(journal_path).torn
 
     def test_resume_appends_after_torn_truncation(self, journal_path):
-        write_journal(journal_path, [(0, b"alpha")])
+        write_journal(journal_path, [("a", b"alpha")])
         with open(journal_path, "ab") as handle:
             handle.write(b"\x00" * 5)
         journal, state = RunJournal.open_resume(journal_path)
         with journal:
-            journal.append_task(1, b"beta")
+            journal.append_task("b", b"beta")
         assert read_journal(journal_path).completed == {
-            0: b"alpha", 1: b"beta",
+            "a": b"alpha", "b": b"beta",
         }
 
 
@@ -162,7 +163,7 @@ class TestCorruption:
     """Damage with valid bytes after it is NOT a torn tail: hard error."""
 
     def test_midfile_payload_damage(self, journal_path):
-        write_journal(journal_path, [(0, b"alpha" * 10), (1, b"beta")])
+        write_journal(journal_path, [("a", b"alpha" * 10), ("b", b"beta")])
         data = bytearray(journal_path.read_bytes())
         # Flip a byte in the middle of the file (inside frame 0's payload,
         # well before the final frame).
@@ -198,12 +199,16 @@ class TestCorruption:
             read_journal(journal_path)
 
     def test_version_mismatch(self, journal_path):
-        write_journal(journal_path, [], header=dict(HEADER, journal_format=99))
-        with pytest.raises(JournalCorruptError, match="journal format"):
+        """Another build's journal is intact, not corrupt: refused as a
+        mismatch that names its format."""
+        write_foreign_journal(journal_path, 99)
+        with pytest.raises(JournalMismatchError,
+                           match="journal format 99") as info:
             read_journal(journal_path)
+        assert "delete the journal and rerun" in str(info.value)
 
     def test_corrupt_error_carries_offset(self, journal_path):
-        write_journal(journal_path, [(0, b"alpha" * 10), (1, b"beta")])
+        write_journal(journal_path, [("a", b"alpha" * 10), ("b", b"beta")])
         data = bytearray(journal_path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         journal_path.write_bytes(bytes(data))
@@ -213,19 +218,6 @@ class TestCorruption:
         assert excinfo.value.path == str(journal_path)
 
 
-class TestPlanSignature:
-    def test_deterministic_and_order_sensitive(self):
-        plan = {"tasks": [[0, 10], [10, 20]], "mode": "bytes"}
-        assert plan_signature(plan) == plan_signature(dict(plan))
-        other = {"tasks": [[10, 20], [0, 10]], "mode": "bytes"}
-        assert plan_signature(plan) != plan_signature(other)
-
-    def test_key_order_is_canonicalised(self):
-        assert plan_signature({"a": 1, "b": 2}) == plan_signature(
-            {"b": 2, "a": 1}
-        )
-
-
 class TestErrorPickling:
     """Journal errors cross process-pool boundaries intact (satellite 2)."""
 
@@ -233,7 +225,7 @@ class TestErrorPickling:
         JournalError("boom"),
         JournalNotFoundError("gone"),
         JournalCorruptError("/j", "bad crc", 42),
-        JournalMismatchError("plans differ"),
+        JournalMismatchError("another journal format"),
         LockHeldError("/some/path", owner_pid=123),
     ])
     def test_round_trip(self, exc):
@@ -275,7 +267,7 @@ class TestLocks:
             assert read_lock_owner(target) == os.getpid()
 
     def test_journal_writer_holds_lock(self, journal_path):
-        journal = RunJournal.create(journal_path, HEADER)
+        journal = RunJournal.create(journal_path)
         try:
             assert read_lock_owner(journal_path) == os.getpid()
             with pytest.raises(LockHeldError):
@@ -290,7 +282,7 @@ class TestLocks:
 class TestFsck:
     def test_ok_report(self, journal_path):
         write_journal(
-            journal_path, [(0, b"a"), (1, b"b")],
+            journal_path, [("a", b"a"), ("b", b"b")],
             commit={"schema_sha256": "deadbeef"},
         )
         report = fsck_journal(journal_path)
@@ -298,14 +290,13 @@ class TestFsck:
         assert report["kind"] == "journal"
         assert report["committed"] is True
         assert report["tasks_recorded"] == 2
-        assert report["task_count"] == 4
-        assert "2/4" in report["detail"]
+        assert "2 task summaries durable" in report["detail"]
 
     def test_not_found(self, journal_path):
         assert fsck_journal(journal_path)["status"] == "not-found"
 
     def test_corrupt_report_carries_offset(self, journal_path):
-        write_journal(journal_path, [(0, b"alpha" * 9), (1, b"beta")])
+        write_journal(journal_path, [("a", b"alpha" * 9), ("b", b"beta")])
         data = bytearray(journal_path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         journal_path.write_bytes(bytes(data))
@@ -314,7 +305,7 @@ class TestFsck:
         assert report["offset"] >= 0
 
     def test_torn_tail_reported_not_fatal(self, journal_path):
-        write_journal(journal_path, [(0, b"a")])
+        write_journal(journal_path, [("a", b"a")])
         with open(journal_path, "ab") as handle:
             handle.write(b"xx")
         report = fsck_journal(journal_path)
@@ -323,7 +314,7 @@ class TestFsck:
         assert "torn tail" in report["detail"]
 
     def test_held_lock_reported(self, journal_path):
-        journal = RunJournal.create(journal_path, HEADER)
+        journal = RunJournal.create(journal_path)
         try:
             assert fsck_journal(journal_path)["lock"] == "held"
         finally:
@@ -341,7 +332,7 @@ class TestWriteFaults:
     def test_failed_append_leaves_whole_frames(
         self, journal_path, monkeypatch, code
     ):
-        write_journal(journal_path, [(0, b"alpha")])
+        write_journal(journal_path, [("a", b"alpha")])
         journal, state = RunJournal.open_resume(journal_path)
 
         def exploding(handle, data):
@@ -352,19 +343,19 @@ class TestWriteFaults:
 
         monkeypatch.setattr("repro.store.journal._write_bytes", exploding)
         with pytest.raises(OSError) as excinfo:
-            journal.append_task(1, b"beta" * 20)
+            journal.append_task("b", b"beta" * 20)
         assert excinfo.value.errno == code
         monkeypatch.undo()
         journal.close()
         # The partial frame is a torn tail: dropped, frame 0 intact.
         state = read_journal(journal_path)
-        assert state.completed == {0: b"alpha"}
+        assert state.completed == {"a": b"alpha"}
         # And a resume truncates it and carries on.
         journal, _ = RunJournal.open_resume(journal_path)
         with journal:
-            journal.append_task(1, b"beta")
+            journal.append_task("b", b"beta")
         assert read_journal(journal_path).completed == {
-            0: b"alpha", 1: b"beta",
+            "a": b"alpha", "b": b"beta",
         }
 
     def test_failed_create_leaves_no_file(self, journal_path, monkeypatch):
@@ -373,6 +364,6 @@ class TestWriteFaults:
 
         monkeypatch.setattr("repro.store.journal._write_bytes", exploding)
         with pytest.raises(OSError):
-            RunJournal.create(journal_path, HEADER)
+            RunJournal.create(journal_path)
         assert not journal_path.exists()
         assert read_lock_owner(journal_path) is None

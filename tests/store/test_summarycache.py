@@ -210,15 +210,14 @@ class TestConfigSignature:
         assert config_signature(**kwargs) == config_signature(**kwargs)
 
     @pytest.mark.parametrize("stats,signature", [
-        ("off", "f5a302ec5b8c90d9"),
-        ("sketches", "4e311ac332be5871"),
+        ("off", "2a2f1f24cdeceb70"),
+        ("sketches", "bced18becaa11cf0"),
     ])
     def test_signatures_of_the_two_lane_builds(self, stats, signature):
-        """The signatures builds with two parse lanes computed, which
-        signed ``parse_lane="hooks"`` for stats-off runs and ``"strict"``
-        for stats runs (with ``collect_timings=False`` and
-        ``split_mode="bytes"``, now constants): their cache entries
-        still hit."""
+        """The signatures of a stats-off and a stats run, which builds
+        with two parse lanes ran on different lanes.  They sign only the
+        cache and wire formats, ``permissive`` and ``stats``: a change
+        here makes every cache entry miss once."""
         assert config_signature(permissive=False, stats=stats) == signature
 
 

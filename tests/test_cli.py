@@ -517,31 +517,52 @@ class TestJournalCli:
         assert main(["infer", sample_file, "--resume"]) == 2
         assert "--journal" in capsys.readouterr().err
 
-    def test_mismatched_resume_fails(self, sample_file, tmp_path, capsys):
-        journal = tmp_path / "run.journal"
-        assert main(["infer", sample_file, "--journal", str(journal)]) == 0
-        capsys.readouterr()
-        assert main(["infer", sample_file, "--journal", str(journal),
-                     "--resume", "--permissive"]) == 1
-        assert "permissive" in capsys.readouterr().err
+    #: How a resume differs from the journaled run
+    #: ``infer --workers 2 --min-split-mb 0.001`` over 400 records (4
+    #: splits): the flags it sets (``None`` for a switch), or a file
+    #: that grew meanwhile.
+    CHANGES = {
+        "workers": {"--workers": "1"},
+        "min-split-mb": {"--min-split-mb": "0.004"},
+        "permissive": {"--permissive": None},
+        "stats": {"--stats": "basic"},
+        "appended": {},
+    }
 
-    def test_resume_with_other_workers_names_the_flags(self, tmp_path,
-                                                       capsys):
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_resume_that_differs_recomputes(self, tmp_path, capsys,
+                                            change):
+        """The journal files each summary under its split's bytes and
+        the run's flags: a resume with other flags or over a changed
+        file maps the splits whose key changed, journals them too, and
+        prints what a fresh run of its own invocation prints."""
+        from repro.store.journal import read_journal
+
         data = tmp_path / "data.ndjson"
         write_ndjson(data, [{"k": i, "v": str(i)} for i in range(400)])
         journal = tmp_path / "run.journal"
-        argv = ["infer", str(data), "--journal", str(journal),
-                "--min-split-mb", "0.001"]
-        assert main(argv + ["--workers", "2"]) == 0
-        from repro.store.journal import read_journal
 
-        assert read_journal(journal).header["task_count"] == 4
+        def invocation(flags):
+            return ["infer", str(data)] + [
+                arg for flag, value in flags.items()
+                for arg in (flag, value) if arg is not None
+            ]
+
+        first = {"--workers": "2", "--min-split-mb": "0.001"}
+        assert main(invocation(first) + ["--journal", str(journal)]) == 0
+        assert len(read_journal(journal).completed) == 4
+        if change == "appended":
+            with open(data, "a", encoding="utf-8") as handle:
+                handle.write('{"k": "late", "w": null}\n')
+        argv = invocation({**first, **self.CHANGES[change]})
         capsys.readouterr()
-        assert main(argv + ["--workers", "1", "--resume"]) == 1
-        err = capsys.readouterr().err
-        assert "planned 4 tasks, but the current run planned 2" in err
-        assert "--workers" in err
-        assert "--partitions" not in err
+        assert main(argv + ["--journal", str(journal), "--resume"]) == 0
+        resumed = capsys.readouterr().out
+        assert main(argv) == 0
+        assert resumed == capsys.readouterr().out
+        state = read_journal(journal)
+        assert state.committed
+        assert len(state.completed) > 4
 
 
 class TestFsckCli:
