@@ -95,7 +95,7 @@ class TypeInterner:
     def intern_node(self, t: Type) -> Type:
         """Canonicalize one node whose children are *already* canonical.
 
-        The streaming kernel and the fusion memo build types bottom-up
+        The streaming kernel and its n-ary fuser build types bottom-up
         from pooled children, so the recursive rebuild of :meth:`intern`
         is pure overhead for them: one pool lookup decides canonicity of
         the whole node.  Callers must guarantee every child (field types,

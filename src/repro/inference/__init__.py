@@ -5,8 +5,8 @@
 * :mod:`repro.inference.pipeline` — end-to-end, incremental and
   partition-isolated pipelines, all on the kernel.
 * :mod:`repro.inference.kernel` — the single-pass streaming kernel the
-  pipelines run on: per-partition interning accumulator with memoized
-  fusion, merged at the driver by one reduce
+  pipelines run on: per-partition interning accumulator that fuses its
+  distinct types in one n-ary ``Fuse``, merged at the driver by one reduce
   (:func:`~repro.inference.kernel.merge_summaries_full`).
 * :mod:`repro.inference.statistics` — mergeable per-path statistics
   (counters, ranges, HyperLogLog / Bloom sketches) riding the summary
@@ -29,7 +29,6 @@ from repro.inference.fusion import (
 )
 from repro.inference.infer import infer_type
 from repro.inference.kernel import (
-    FusionMemo,
     PartitionAccumulator,
     PartitionSummary,
     PhaseTimings,
@@ -72,7 +71,7 @@ __all__ = [
     "infer_schema", "run_inference", "InferenceRun",
     "SchemaInferencer", "infer_partitioned", "PartitionReport",
     "PartitionedRun",
-    "PartitionAccumulator", "PartitionSummary", "FusionMemo",
+    "PartitionAccumulator", "PartitionSummary",
     "PhaseTimings", "merge_phase_timings",
     "accumulate_partition", "accumulate_ndjson_partition",
     "merge_summaries_full",

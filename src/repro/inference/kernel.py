@@ -14,27 +14,24 @@ this module computes all three in *one* pass per partition:
 * Distinct-type counting falls out of interning for free: a top-level type
   is new exactly when its canonical object has not been seen before, an
   ``id()`` set membership test instead of a structural-hash ``set`` pass.
-* Fusion is incremental and memoized through :class:`FusionMemo`: because
-  operands are canonical, ``fuse(a, b)`` can be cached under the pointer
-  pair ``(id(a), id(b))``.  On homogeneous or skewed data the running
-  schema stabilises after a handful of records and every further record
-  costs one dict lookup — near-zero fuse work.
-* The fold order adapts to the schema's width.  A left fold rebuilds the
-  running schema once per record, so once that schema reaches
-  :data:`_LOG_FOLD_THRESHOLD` nodes — the paper's key-explosion regime,
-  where ids are keys — the accumulator switches to a logarithmic fold:
-  a binary-counter stack of partial schemas, flushed when the schema is
-  read.  Fuse is commutative and associative (Theorems 5.4 and 5.5), so
-  both orders give the same schema.
+* A record costs no fusion: the paper's Map phase "yields a set of
+  distinct types to be fused" (Section 2), so each distinct type (a
+  positional one twice) waits as an operand, and reading the schema
+  fuses them in one n-ary ``Fuse`` (:class:`_Fuse`).  Fuse is
+  commutative and associative (Theorems 5.4 and 5.5), so that one
+  fusion gives the schema of any fold order.  It groups the operands'
+  addends by kind and record fields by name, and fuses each group once,
+  so a wide schema — the paper's key-explosion regime, where ids are
+  keys — is built once per read, not rebuilt per record.
 * :meth:`PartitionAccumulator.summary` emits a tiny, picklable
   :class:`PartitionSummary` (schema + counts + distinct types), which is
   what crosses a process boundary when the scheduler runs with
   ``backend="process"`` — wire-encoded, with the distinct types as
   32-byte digests (:func:`type_digest`).  :func:`merge_summaries_full`
-  recombines the partials at the driver through a fresh interner and
-  memo.  Any grouping of the merge yields the same schema — that is
-  exactly the associativity theorem (Theorem 5.5), the same property
-  that already licenses ``tree_reduce``.
+  recombines the partials at the driver in one n-ary ``Fuse`` through
+  a fresh interner.  Any grouping of the merge yields the same schema —
+  that is exactly the associativity theorem (Theorem 5.5), the same
+  property that already licenses ``tree_reduce``.
 
 Everything here is *exact*: the accumulator's schema, record count and
 distinct-type count are identical (plain ``==``) to the naive
@@ -49,11 +46,14 @@ import os
 import pickle
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from repro.core.errors import InvalidValueError
 from repro.core.interning import TypeInterner
+from repro.core.kinds import Kind
 from repro.core.types import (
     ArrayType,
     BasicType,
@@ -69,7 +69,6 @@ from repro.core.types import (
     Type,
     UnionType,
 )
-from repro.inference.fusion import _addends_by_kind, lfuse
 from repro.inference.statistics import (
     StatsBundle,
     create_stats_bundle,
@@ -82,7 +81,6 @@ from repro.jsonio.splits import FileSplit, SplitLineReader, count_lines_before
 from repro.jsonio.typestream import FastLaneMiss, guarded_decoder
 
 __all__ = [
-    "FusionMemo",
     "PartitionAccumulator",
     "PartitionSummary",
     "PhaseTimings",
@@ -98,222 +96,229 @@ __all__ = [
 ]
 
 
-class FusionMemo:
-    """Pointer-keyed memoizing re-implementation of ``Fuse`` (Fig. 6).
+#: Operand lists that hold, or keep once repeats are dropped, at most
+#: this many types fold through :meth:`_Fuse.pair`.  They are the array
+#: bodies and field types below a schema's top level, whose fusions
+#: recur: pairs of them keep hitting the memo where sets of them miss
+#: (see docs/PERFORMANCE.md).
+_PAIRWISE_MAX = 4
 
-    Operands must be canonical instances of one interner (or the
-    module-level singletons).  Two invariants make pointer keys sound:
+_RECORD = Kind.RECORD
+_ARRAY = Kind.ARRAY
 
-    * every subtree of a canonical type is canonical (the interner builds
-      bottom-up), so the *recursive* sub-fusions — matched record fields,
-      array bodies, ``collapse`` of a positional array — can be memoized
-      on ``(id(a), id(b))`` pairs too, not just the top-level call.  This
-      is where the big win is: fusing a stable schema against a stream of
-      record types repeats the same field-level sub-fusions over and over;
-    * the interner's pool keeps every canonical type alive for the memo's
-      lifetime, so an ``id()`` can never be reused by the allocator, and
-      within one interner structural equality coincides with object
-      identity — the ``t1 == t2`` fast path of the reference
-      :func:`repro.inference.fusion.fuse` becomes an ``is`` check.
 
-    Results are interned through the same pool, so a schema that has
-    converged keeps its identity and repeated fusions are O(1) dict hits.
-    The output is identical (plain ``==``) to the reference ``fuse``: the
-    recursion mirrors ``Fuse``/``LFuse``/``collapse`` rule for rule, and
-    memoization only short-circuits recomputation of a pure function.
+class _Fuse:
+    """The n-ary ``Fuse``: ``fuse(operands) == fuse_all(operands)`` for
+    operands canonical in one interner.
+
+    Fuse is commutative and associative (Theorems 5.4 and 5.5), so the
+    operands' addends group by kind, a record group's fields by name (a
+    field is optional when some record lacks it or has it optional) and
+    an array group's elements and star bodies into one body, and each
+    group fuses once, recursively.  A group of one comes back unchanged,
+    so a positional array seen once stays positional.  Repeats of a type
+    without positional arrays drop out; a positional type keeps a second
+    copy, since fusing it with itself collapses its arrays (a third
+    changes nothing).  Groups of at most :data:`_PAIRWISE_MAX` fold
+    through :meth:`pair`, a record walk memoized on the pointer pair: a
+    pairwise fold is ``fuse_all`` itself, repeats and all.
+
+    Results are memoized on operand ids and built through the interner
+    and the construction pools, so they are canonical; the interner
+    keeps every operand alive, so no id is reused.  The fuser holds no
+    reference to its accumulator: workers run with the cyclic GC off,
+    and a cycle would leak every task's accumulator.
     """
 
-    def __init__(self, interner: TypeInterner) -> None:
+    __slots__ = (
+        "_interner", "_record_pool", "_star_pool", "_union_pool", "_memo",
+    )
+
+    def __init__(self, interner: TypeInterner,
+                 record_pool: "dict[tuple[Field, ...], Type]") -> None:
         self._interner = interner
-        self._memo: dict[tuple[int, int], Type] = {}
-        self._collapse_memo: dict[int, Type] = {}
-        # Result pools, keyed on the children a miss is about to build a
-        # node from: when two *new* operand pairs fuse to a shape fused
-        # before (typically the converged schema itself), the canonical
-        # result is returned without node construction (sort, size, hash)
-        # or an interner round trip.
-        self._record_pool: dict[tuple[Field, ...], Type] = {}
-        self._union_pool: dict[tuple[Type, ...], Type] = {}
+        # Construction pools, as the accumulator's: a shape built before
+        # costs one lookup, not a node's construction and interning.
+        self._record_pool = record_pool
         self._star_pool: dict[Type, Type] = {}
-        self._collapse_pool: dict[tuple[Type, ...], Type] = {}
-        self.hits = 0
-        self.misses = 0
+        self._union_pool: dict[tuple[Type, ...], Type] = {}
+        self._memo: dict[tuple[int, ...], Type] = {}
 
-    def __len__(self) -> int:
-        """Number of distinct operand pairs fused so far."""
-        return len(self._memo)
+    def __call__(self, operands: Sequence[Type]) -> Type:
+        """Fuse a sequence of canonical types, repeats included."""
+        if len(operands) > _PAIRWISE_MAX:
+            ids = list(map(id, operands))
+            distinct = dict(zip(ids, operands))
+            if len(distinct) < len(operands):
+                operands = list(distinct.values())
+                positional = [t for t in operands if t._has_positional]
+                if positional:
+                    counts = Counter(ids)
+                    operands += [t for t in positional if counts[id(t)] > 1]
+                ids = list(map(id, operands))
+        if len(operands) <= _PAIRWISE_MAX:
+            return self._fold(operands) if operands else EMPTY
+        # Sorted, so that any order of one operand set hits the memo.
+        key = tuple(sorted(ids))
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = self._group(operands)
+        return found
 
-    def fuse(self, a: Type, b: Type) -> Type:
-        """Fuse two canonical types, serving repeats from the cache."""
-        # Same object and no positional arrays: fuse is the identity
-        # (the t1 == t2 fast path of fuse, by pointer; for canonical
-        # operands of one interner the two tests are equivalent).
+    def pair(self, a: Type, b: Type) -> Type:
+        """Fuse two canonical types (Fig. 6 line 1)."""
+        # One object without positional arrays: fuse is the identity.
         if a is b and not a._has_positional:
             return a
         key = (id(a), id(b))
         found = self._memo.get(key)
-        if found is not None:
-            self.hits += 1
-            return found
-        self.misses += 1
-        # _fuse composes canonical children through the result pools, so
-        # its output is already canonical — no interner round trip.
-        fused = self._fuse(a, b)
-        self._memo[key] = fused
-        return fused
+        if found is None:
+            ka, kb = a.kind, b.kind
+            if ka is None or kb is None:
+                found = self._group((a, b))  # a union or an empty type
+            elif ka is not kb:
+                found = self._union((a, b))
+            elif ka is _RECORD:
+                found = self._record_pair(a, b)
+            elif ka is _ARRAY:
+                found = self._star((a, b))
+            else:
+                found = a  # one basic kind (line 2)
+            self._memo[key] = found
+        return found
 
-    def _fuse(self, a: Type, b: Type) -> Type:
-        """Fig. 6 line 1, recursing through the memo."""
-        # Non-union, non-empty operands (by far the common case: a record
-        # schema against a record type) have exactly one addend each, so
-        # the kind indexes below collapse to one comparison.
-        ka, kb = a.kind, b.kind
-        if ka is not None and kb is not None:
-            if ka is kb:
-                return self._lfuse(a, b)
-            return self._union((a, b))
-        if a is EMPTY:
-            return b
-        if b is EMPTY:
-            return a
-        by_kind1 = _addends_by_kind(a)
-        by_kind2 = _addends_by_kind(b)
+    def _fold(self, operands: Sequence[Type]) -> Type:
+        pair = self.pair
+        t = operands[0]
+        for u in operands[1:]:
+            t = pair(t, u)
+        return t
+
+    def _group(self, operands: Sequence[Type]) -> Type:
+        """Group the operands' addends by kind and fuse each group."""
+        groups: dict[Kind, list[Type]] = {}
+        seen: set[int] = set()
+        for t in operands:
+            for addend in (t,) if t.kind is not None else t.addends():
+                i = id(addend)
+                if i not in seen:
+                    seen.add(i)
+                elif not addend._has_positional:
+                    continue
+                group = groups.get(addend.kind)
+                if group is None:
+                    groups[addend.kind] = [addend]
+                else:
+                    group.append(addend)
         fused = [
-            self._lfuse(u1, by_kind2[kind])
-            for kind, u1 in by_kind1.items()
-            if kind in by_kind2
+            self._records(group) if len(group) > 1 and kind is _RECORD
+            else self._star(group) if len(group) > 1 and kind is _ARRAY
+            else group[0]  # one member, or one basic kind
+            for kind, group in groups.items()
         ]
-        fused.extend(u for k, u in by_kind1.items() if k not in by_kind2)
-        fused.extend(u for k, u in by_kind2.items() if k not in by_kind1)
-        # make_union, unrolled: every entry is a non-union, non-empty
-        # addend and kinds are unique by construction, so no flattening or
-        # deduplication is needed.
-        if not fused:
-            return EMPTY
         if len(fused) == 1:
             return fused[0]
+        if not fused:
+            return operands[0]  # every operand is the empty type
         return self._union(tuple(fused))
 
     def _union(self, members: tuple[Type, ...]) -> Type:
-        """The canonical union of non-union, non-empty members."""
         found = self._union_pool.get(members)
         if found is None:
             found = self._interner.intern_node(UnionType(members))
             self._union_pool[members] = found
         return found
 
-    def _lfuse(self, t1: Type, t2: Type) -> Type:
-        """Fig. 6 lines 2-7 for two non-union addends of equal kind."""
-        if isinstance(t1, RecordType) and isinstance(t2, RecordType):
-            # FMatch/FUnmatch inlined (RecordType sorts its fields, so
-            # emission order is free): one walk over t1 resolving against
-            # t2's name index, then t2's leftovers.
-            field = self._interner.field
-            fuse = self.fuse
-            f2_of = t2.field
-            fields = []
-            matched = 0
-            for f1 in t1.fields:
-                f2 = f2_of(f1.name)
-                if f2 is None:
-                    # The optional-flipped field must come from the
-                    # interner too: intern_node requires every child to
-                    # be canonical for subtree sharing to hold.
-                    fields.append(f1 if f1.optional
-                                  else field(f1.name, f1.type, True))
-                    continue
-                matched += 1
-                ft = fuse(f1.type, f2.type)
-                opt = f1.optional or f2.optional
-                # Reuse the schema's own field node when fusion changed
-                # nothing (the common case once the schema converges).
-                if ft is f1.type and opt == f1.optional:
-                    fields.append(f1)
-                else:
-                    fields.append(field(f1.name, ft, opt))
-            if matched != len(t2.fields):
-                for f2 in t2.fields:
-                    if f2.name not in t1:
-                        fields.append(f2 if f2.optional
-                                      else field(f2.name, f2.type, True))
-            shape = tuple(fields)
-            found = self._record_pool.get(shape)
-            if found is None:
-                found = self._interner.intern_node(RecordType(shape))
-                self._record_pool[shape] = found
-            return found
-        if isinstance(t1, (ArrayType, StarArrayType)) and isinstance(
-            t2, (ArrayType, StarArrayType)
-        ):
-            # Fold a positional side's elements straight into the other
-            # side's star body: fuse(B, collapse(es)) equals folding fuse
-            # over {B} ∪ es in any grouping (associativity/commutativity,
-            # Theorem 5.5), and the direct fold skips materialising the
-            # intermediate collapsed union.  Once the schema side has
-            # gone star — after its first array fusion — every further
-            # record costs one memoized fuse per element, nearly all hits.
-            if isinstance(t1, StarArrayType):
-                body = t1.body
-                if isinstance(t2, StarArrayType):
-                    body = self.fuse(body, t2.body)
-                else:
-                    for element in t2.elements:
-                        body = self.fuse(body, element)
-            elif isinstance(t2, StarArrayType):
-                body = t2.body
-                for element in t1.elements:
-                    body = self.fuse(body, element)
+    def _record(self, shape: tuple[Field, ...]) -> Type:
+        found = self._record_pool.get(shape)
+        if found is None:
+            found = self._interner.intern_node(RecordType(shape))
+            self._record_pool[shape] = found
+        return found
+
+    def _records(self, records: list[Type]) -> Type:
+        """Fig. 6 line 3 over a group of records: fields group by name.
+
+        Records share their canonical fields, so the field objects are
+        counted in C and only the distinct ones are walked.
+        """
+        if len(records) <= _PAIRWISE_MAX:
+            return self._fold(records)
+        shapes = [r.fields for r in records]
+        # Both passes stream the fields through C: a list of every
+        # field's id would hold one int object per field occurrence.
+        counts = Counter(map(id, chain.from_iterable(shapes)))
+        distinct = dict(zip(map(id, chain.from_iterable(shapes)),
+                            chain.from_iterable(shapes)))
+        by_name: dict[str, list[Field]] = {}
+        for f in distinct.values():
+            group = by_name.get(f.name)
+            if group is None:
+                by_name[f.name] = [f]
             else:
-                body = self._star_body(t1)
-                for element in t2.elements:
-                    body = self.fuse(body, element)
-            found = self._star_pool.get(body)
-            if found is None:
-                found = self._interner.intern_node(StarArrayType(body))
-                self._star_pool[body] = found
-            return found
-        return lfuse(t1, t2)  # identical basic types (line 2), and errors
+                group.append(f)
+        field = self._interner.field
+        fields = []
+        for name, group in by_name.items():
+            present = 0
+            optional = False
+            types = []
+            for f in group:
+                times = counts[id(f)]
+                present += times
+                optional = optional or f.optional
+                types.append(f.type)
+                if times > 1 and f.type._has_positional:
+                    types.append(f.type)
+            fields.append(field(name, self(types),
+                                optional or present < len(records)))
+        return self._record(tuple(fields))
 
-    def _star_body(self, t: Type) -> Type:
-        """The star body of an array type; ``collapse`` memoized per
-        canonical positional array object (Fig. 6 lines 8-9)."""
-        if isinstance(t, StarArrayType):
-            return t.body
-        key = id(t)
-        found = self._collapse_memo.get(key)
-        if found is not None:
-            return found
-        # The collapse fold computes the join of the elements, and fuse
-        # is idempotent on types without positional content (the ``a is
-        # b`` fast path above), so repeated non-positional elements
-        # contribute nothing — drop them.  Positional duplicates must
-        # stay: fusing a positional array with itself collapses it.  The
-        # deduplicated signature then keys a pool shared across distinct
-        # arrays ([Num, Str] and [Num, Num, Str] collapse once).
-        seen: set[int] = set()
-        sig = []
-        for element in t.elements:
-            i = id(element)
-            if i not in seen:
-                seen.add(i)
-                sig.append(element)
-            elif element._has_positional:
-                sig.append(element)
-        signature = tuple(sig)
-        body = self._collapse_pool.get(signature)
-        if body is None:
-            body = EMPTY
-            for element in signature:
-                body = self.fuse(body, element)
-            self._collapse_pool[signature] = body
-        self._collapse_memo[key] = body
-        return body
+    def _record_pair(self, t1: RecordType, t2: RecordType) -> Type:
+        """Fig. 6 line 3 for two records: one walk over ``t1``'s fields
+        against ``t2``'s name index, then ``t2``'s leftovers."""
+        field = self._interner.field
+        fuse = self.pair
+        f2_of = t2.field
+        fields = []
+        matched = 0
+        for f1 in t1.fields:
+            f2 = f2_of(f1.name)
+            if f2 is None:
+                fields.append(f1 if f1.optional
+                              else field(f1.name, f1.type, True))
+                continue
+            matched += 1
+            ft = fuse(f1.type, f2.type)
+            opt = f1.optional or f2.optional
+            # Reuse the field node when fusion changed nothing (the
+            # common case once a schema converges).
+            if ft is f1.type and opt == f1.optional:
+                fields.append(f1)
+            else:
+                fields.append(field(f1.name, ft, opt))
+        if matched != len(t2.fields):
+            for f2 in t2.fields:
+                if f2.name not in t1:
+                    fields.append(f2 if f2.optional
+                                  else field(f2.name, f2.type, True))
+        return self._record(tuple(fields))
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of memoized fuse calls served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+    def _star(self, arrays: Sequence[Type]) -> Type:
+        """Fig. 6 lines 4-9 over a group of arrays: the positional
+        elements and the star bodies fuse into one body."""
+        body = []
+        for a in arrays:
+            if isinstance(a, StarArrayType):
+                body.append(a.body)
+            else:
+                body.extend(a.elements)
+        body = self(body)
+        found = self._star_pool.get(body)
+        if found is None:
+            found = self._interner.intern_node(StarArrayType(body))
+            self._star_pool[body] = found
+        return found
 
 
 @dataclass(frozen=True)
@@ -327,8 +332,9 @@ class PhaseTimings:
       (:func:`repro.jsonio.typestream.guarded_decoder`), plus the
       strict re-parse of any line it misses;
     * ``type_s`` — value to interned type (Fig. 4);
-    * ``fuse_s`` — distinct-type tracking plus the memoized incremental
-      fusion of the record's type into the running schema;
+    * ``fuse_s`` — distinct-type tracking per record, plus the one
+      n-ary ``Fuse`` of the partition's distinct types when its schema
+      is read;
     * ``stats_s`` — the statistics walk (:meth:`StatsBundle.observe`)
       and the final fold of its windows; 0.0 with statistics off.
     """
@@ -462,15 +468,6 @@ class PartitionSummary:
         return len(self.skipped)
 
 
-#: Schema size (:attr:`Type.size`, in AST nodes) from which
-#: :meth:`PartitionAccumulator.observe` stops left-folding.  Of the paper
-#: corpora only ``wikidata`` crosses it (after about 10 records);
-#: ``github``, ``twitter`` and ``nytimes`` converge below 300 nodes, where
-#: the memo-hit left fold is several times faster than the logarithmic
-#: one.
-_LOG_FOLD_THRESHOLD = 2_000
-
-
 def _deeper_than(t: Type, limit: int) -> bool:
     """Whether ``t`` nests more than ``limit`` arrays and records.
 
@@ -500,13 +497,12 @@ class PartitionAccumulator:
     >>> acc.record_count, acc.distinct_type_count
     (3, 2)
 
-    Every accumulator owns its interner, fusion memo and construction
+    Every accumulator owns its interner, its fuser and construction
     pools: a map task builds a fresh one and drops it with the task.
     """
 
     def __init__(self, stats_mode: str = "off") -> None:
         self.interner = TypeInterner()
-        self.memo = FusionMemo(self.interner)
         # Construction pools: map tuples of canonical children straight
         # to the canonical node, skipping node construction (sort, hash,
         # size) for shapes seen before.  Keyed on the *unsorted* child
@@ -519,15 +515,17 @@ class PartitionAccumulator:
         #: value is a JSON scalar: most of a record's fields cost
         #: :meth:`_infer` one lookup here.
         self._scalar_fields: dict[tuple[str, type], Field] = {}
+        self._fuse = _Fuse(self.interner, self._record_pool)
         self._schema: Type = EMPTY
-        #: ``None`` while :meth:`observe` left-folds; once the schema has
-        #: reached :data:`_LOG_FOLD_THRESHOLD` nodes, the binary-counter
-        #: stack of ``(rank, partial schema)`` pairs not yet fused into
-        #: ``_schema`` (a rank-``r`` partial covers ``2**r`` records).
-        self._pending: "list[tuple[int, Type]] | None" = None
+        #: Canonical types not yet fused into ``_schema``; reading
+        #: :attr:`schema` fuses them all at once.
+        self._operands: list[Type] = []
         self._count = 0
         self._distinct_ids: set[int] = set()
         self._distinct: list[Type] = []
+        #: ids of the distinct types with positional arrays that have
+        #: been seen at least twice.
+        self._twice: set[int] = set()
         #: Digests of distinct types that arrived as digests (through
         #: :meth:`add_summary`); possibly overlapping ``_distinct``.
         self._foreign: set[bytes] = set()
@@ -538,11 +536,13 @@ class PartitionAccumulator:
     def schema(self) -> Type:
         """The running fused schema (empty type before any record).
 
-        Reading it first flushes the partials a logarithmic fold holds
-        back (see :meth:`observe`), so it always covers every record.
+        Reading it fuses the pending operands (see :meth:`observe`) into
+        the schema in one n-ary ``Fuse``, so it covers every record.
         """
-        if self._pending:
-            self._flush()
+        if self._operands:
+            self._operands.append(self._schema)
+            self._schema = self._fuse(self._operands)
+            self._operands = []
         return self._schema
 
     @property
@@ -591,51 +591,28 @@ class PartitionAccumulator:
         return self._infer_interned(value)
 
     def observe(self, t: Type) -> None:
-        """Count and fuse one *canonical* type from this accumulator.
+        """Count one *canonical* type from this accumulator.
 
         ``t`` must be interned here — produced by :meth:`type_value` or
         the pool helpers — so the distinct test can be a pointer test.
 
-        The fold order depends on the schema's width.  While the running
-        schema is under :data:`_LOG_FOLD_THRESHOLD` nodes, ``t`` fuses
-        straight into it: a left fold, all memo hits once the schema
-        converges.  A left fold rebuilds the schema for every record,
-        though, which costs records × schema width once ids become keys.
-        So once the schema reaches that size, and for the rest of the
-        accumulator's life, ``t`` enters a binary counter: it fuses with
-        the pending partials of equal rank, so each record meets small
-        partials and the wide schema is rebuilt only when :attr:`schema`
-        is read.  Fuse is commutative and associative (Theorems 5.4 and
-        5.5), so the result is the same schema either way.
+        Nothing fuses here.  The paper's Map phase yields a set of
+        distinct types to be fused (Section 2), so ``t`` joins the
+        pending operands the first time it is seen, and a type with
+        positional arrays joins once more the second time: fusing it
+        with itself collapses its arrays, and by absorption
+        (``fuse(fuse(T, T), T) == fuse(T, T)``) further repeats change
+        nothing.  Reading :attr:`schema` fuses the operands.
         """
         self._count += 1
         key = id(t)  # canonical => identity test suffices
         if key not in self._distinct_ids:
             self._distinct_ids.add(key)
             self._distinct.append(t)
-        pending = self._pending
-        if pending is None:
-            schema = self._schema
-            if schema.size < _LOG_FOLD_THRESHOLD:
-                self._schema = self.memo.fuse(schema, t)
-                return
-            self._pending = pending = []
-        fuse = self.memo.fuse
-        rank = 0
-        while pending and pending[-1][0] == rank:
-            t = fuse(pending.pop()[1], t)
-            rank += 1
-        pending.append((rank, t))
-
-    def _flush(self) -> None:
-        """Fuse the logarithmic fold's pending partials into the schema,
-        smallest first."""
-        pending = self._pending
-        fuse = self.memo.fuse
-        t = pending.pop()[1]
-        while pending:
-            t = fuse(pending.pop()[1], t)
-        self._schema = fuse(self._schema, t)
+            self._operands.append(t)
+        elif t._has_positional and key not in self._twice:
+            self._twice.add(key)
+            self._operands.append(t)
 
     def add_many(self, values: Iterable[Any]) -> None:
         """Stream a batch of values."""
@@ -648,7 +625,7 @@ class PartitionAccumulator:
         Does not contribute to the distinct top-level *value* types — it is
         a schema, not a record observation.
         """
-        self._schema = self.memo.fuse(self.schema, self.interner.intern(t))
+        self._operands.append(self.interner.intern(t))
         self._count += records
 
     def add_summary(self, summary: PartitionSummary) -> None:
@@ -673,7 +650,7 @@ class PartitionAccumulator:
             if key not in self._distinct_ids:
                 self._distinct_ids.add(key)
                 self._distinct.append(canonical)
-        self._schema = self.memo.fuse(self.schema, intern(summary.schema))
+        self._operands.append(intern(summary.schema))
         self._count += summary.record_count
         # Statistics merge only when this accumulator collects them: a
         # stats-off accumulator produces stats-less summaries, and
@@ -706,11 +683,7 @@ class PartitionAccumulator:
         straight from a summary's op-stream.  ``shape`` keeps its given
         order; the pool maps it to the canonical (sorted) node.
         """
-        t = self._record_pool.get(shape)
-        if t is None:
-            t = self.interner.intern_node(RecordType(shape))
-            self._record_pool[shape] = t
-        return t
+        return self._fuse._record(shape)
 
     def array_type(self, elements: tuple[Type, ...]) -> Type:
         """The canonical array type for a tuple of canonical elements."""
@@ -1348,8 +1321,8 @@ class _ItemPass:
         if perf is None:
             summary = self.acc.summary()
         else:
-            # Reading the schema flushes a logarithmic fold's pending
-            # partials: fuse work, so it is timed as fuse.  The bundle's
+            # Reading the schema fuses the partition's distinct types:
+            # fuse work, so it is timed as fuse.  The bundle's
             # windows would fold at its first read; fold them here, as
             # statistics work.
             t0 = perf()
@@ -1487,9 +1460,10 @@ def merge_summaries_full(
     The one driver-side reduce: the run-time merge of every partition
     summary and the checkpoint-shard union
     (:func:`repro.store.checkpoint.merge_checkpoints`) both go through
-    it.  The partial schemas fold through a fresh :class:`TypeInterner`
-    and :class:`FusionMemo`, so a subtree the partials share is fused
-    once however often it recurs in the (tree-sized) schemas.  While
+    it.  The partial schemas are interned in a fresh
+    :class:`TypeInterner` and fused in one n-ary ``Fuse``, the one the
+    map phase runs, so a subtree the partials share is fused once
+    however often it recurs in the (tree-sized) schemas.  While
     every partial holds its distinct set as types, the types
     deduplicate structurally in first-seen order; once any partial
     holds digests, the union is taken over digests (digesting the other
@@ -1503,8 +1477,7 @@ def merge_summaries_full(
     to workers costs more than folding them here.
     """
     interner = TypeInterner()
-    memo = FusionMemo(interner)
-    schema: Type = EMPTY
+    schemas: list[Type] = []
     count = 0
     typed: list[tuple[Type, ...]] = []
     digests: "set[bytes] | None" = None
@@ -1514,7 +1487,7 @@ def merge_summaries_full(
     bytes_read = 0
     stats: "StatsBundle | None" = None
     for summary in summaries:
-        schema = memo.fuse(schema, interner.intern(summary.schema))
+        schemas.append(interner.intern(summary.schema))
         count += summary.record_count
         if summary.distinct_digests:
             if digests is None:
@@ -1535,7 +1508,7 @@ def merge_summaries_full(
     else:
         digests.update(digest_types(t for types in typed for t in types))
     return PartitionSummary(
-        schema=schema,
+        schema=_Fuse(interner, {})(schemas),
         record_count=count,
         distinct_types=distinct_types,
         skipped=tuple(skipped),

@@ -774,9 +774,8 @@ class SchemaInferencer:
 
     Internally backed by the streaming kernel's
     :class:`repro.inference.kernel.PartitionAccumulator`, so a long-lived
-    inferencer gets interning and memoized fusion: folding a stream of
-    homogeneous records costs one dict lookup each after the schema
-    stabilises.
+    inferencer gets interning and fuses each distinct type once: a
+    record whose type was seen before costs no fusion.
 
     >>> inf = SchemaInferencer()
     >>> inf.add({"a": 1})

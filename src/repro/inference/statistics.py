@@ -148,17 +148,19 @@ def _canonical_bound(value: Any) -> Any:
     """Normalise a numeric bound for deterministic min/max storage.
 
     Returns a float when the value is exactly representable (with
-    ``-0.0`` collapsed to ``0.0``), the original int when it is too
-    large for a float, and ``None`` for NaN (excluded from ranges).
+    ``-0.0`` collapsed to ``0.0``), the plain int when it is too large
+    for a float, and ``None`` for NaN (excluded from ranges).  An int
+    subclass (an ``IntEnum`` member) comes back as a plain ``int``, so
+    the bound does not depend on which class observed it first.
     """
     if isinstance(value, float) and value != value:  # NaN
         return None
     try:
         f = float(value)
     except OverflowError:
-        return value  # huge int: keep exact
+        return int(value)  # huge int: keep exact
     if isinstance(value, int) and f != value:
-        return value  # float would round: keep exact
+        return int(value)  # float would round: keep exact
     if f == 0.0:
         return 0.0  # collapse -0.0
     return f

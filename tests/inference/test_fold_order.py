@@ -1,19 +1,17 @@
 """Fold order and grouping invariance of the streaming kernel.
 
-:meth:`PartitionAccumulator.observe` left-folds while the running schema
-is narrow and switches to a logarithmic fold (a binary-counter stack of
-partial schemas) once it reaches ``kernel._LOG_FOLD_THRESHOLD`` nodes;
-:func:`merge_summaries_full` folds partial schemas through a fresh
-interner and fusion memo.  Fuse is commutative and associative
-(Theorems 5.4 and 5.5), so none of this may be observable: every order,
-grouping and threshold must print the schema of the reference
+:meth:`PartitionAccumulator.observe` only collects a partition's
+distinct types (a positional one twice), and reading the schema fuses
+them in one n-ary ``Fuse``; :func:`merge_summaries_full` fuses partial
+schemas the same way through a fresh interner.  Fuse is commutative and
+associative (Theorems 5.4 and 5.5), so none of this may be observable:
+every order, grouping and interleaving of reads, ``add_type`` and
+``add_summary`` must print the schema of the reference
 ``fuse_all(infer_type(v) for v in values)`` with the same record and
 distinct counts.
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -21,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core.printer import print_type
 from repro.datasets import generate_list
-from repro.inference import kernel
 from repro.inference.fusion import fuse_all
 from repro.inference.infer import infer_type
 from repro.inference.kernel import (
@@ -32,9 +29,10 @@ from repro.inference.kernel import (
 )
 from tests.conftest import json_records, wide_key_records
 
-#: 0 and 1 switch on the first record (the pure logarithmic fold), 16
-#: mid-stream, and the real threshold left-folds these small inputs.
-THRESHOLDS = (0, 1, 16, kernel._LOG_FOLD_THRESHOLD)
+#: Schema width (``Type.size``) the key-explosion corpus must pass: a
+#: schema this wide is where a record-at-a-time fold would rebuild a
+#: wide record per record.
+WIDE = 2_000
 
 record_lists = st.lists(
     st.one_of(json_records, wide_key_records), max_size=30
@@ -53,56 +51,74 @@ def observed(result):
             result.distinct_type_count)
 
 
-def threshold(value):
-    return mock.patch.object(kernel, "_LOG_FOLD_THRESHOLD", value)
-
-
 class TestOrderInvariance:
-    @pytest.mark.parametrize("switch_at", THRESHOLDS)
     @given(data=st.data(), values=record_lists)
-    def test_any_permutation_with_reads_matches_reference(
-        self, switch_at, data, values
-    ):
+    def test_any_permutation_with_reads_matches_reference(self, data, values):
         order = data.draw(st.permutations(values), label="order")
         reads = data.draw(
             st.sets(st.integers(0, max(len(order) - 1, 0))), label="reads"
         )
-        with threshold(switch_at):
-            acc = PartitionAccumulator()
-            for i, value in enumerate(order):
-                acc.add(value)
-                if i in reads:
-                    # A read mid-stream flushes the pending partials; it
-                    # must see exactly the prefix so far.
-                    prefix = order[:i + 1]
-                    read = acc.summary() if i % 2 else acc
-                    assert observed(read) == reference(prefix)
-            assert observed(acc) == reference(values)
-            assert observed(acc.summary()) == reference(values)
+        acc = PartitionAccumulator()
+        for i, value in enumerate(order):
+            acc.add(value)
+            if i in reads:
+                # A read mid-stream fuses the pending operands; it must
+                # see exactly the prefix so far.
+                prefix = order[:i + 1]
+                read = acc.summary() if i % 2 else acc
+                assert observed(read) == reference(prefix)
+        assert observed(acc) == reference(values)
+        assert observed(acc.summary()) == reference(values)
 
-    @pytest.mark.parametrize("switch_at", THRESHOLDS)
     @given(data=st.data(), values=record_lists)
     def test_any_grouping_merged_in_any_tree_matches_reference(
-        self, switch_at, data, values
+        self, data, values
     ):
         cuts = sorted(data.draw(
             st.sets(st.integers(1, max(len(values) - 1, 1))), label="cuts"
         ))
         bounds = [0, *[c for c in cuts if c < len(values)], len(values)]
-        with threshold(switch_at):
-            rows = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                acc = PartitionAccumulator()
-                acc.add_many(values[lo:hi])
-                rows.append(acc.summary())
-            # Merge adjacent runs of rows until one is left: a random
-            # tree over the consecutive groups.
-            while len(rows) > 1:
-                i = data.draw(st.integers(0, len(rows) - 2), label="at")
-                j = data.draw(st.integers(i + 2, len(rows)), label="to")
-                rows[i:j] = [merge_summaries_full(rows[i:j])]
-            merged = merge_summaries_full(rows)
+        rows = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            acc = PartitionAccumulator()
+            acc.add_many(values[lo:hi])
+            rows.append(acc.summary())
+        # Merge adjacent runs of rows until one is left: a random tree
+        # over the consecutive groups.
+        while len(rows) > 1:
+            i = data.draw(st.integers(0, len(rows) - 2), label="at")
+            j = data.draw(st.integers(i + 2, len(rows)), label="to")
+            rows[i:j] = [merge_summaries_full(rows[i:j])]
+        merged = merge_summaries_full(rows)
         assert observed(merged) == reference(values)
+
+    @given(data=st.data(), values=record_lists)
+    def test_reads_add_type_and_add_summary_leave_the_schema_unchanged(
+        self, data, values
+    ):
+        # Each value arrives one of four ways: streamed, streamed and
+        # read, folded in as a type, or folded in as another
+        # accumulator's summary.
+        ways = data.draw(st.lists(
+            st.sampled_from(["add", "read", "type", "summary"]),
+            min_size=len(values), max_size=len(values),
+        ), label="ways")
+        acc = PartitionAccumulator()
+        for value, way in zip(values, ways):
+            if way == "type":
+                acc.add_type(infer_type(value))
+            elif way == "summary":
+                other = PartitionAccumulator()
+                other.add(value)
+                acc.add_summary(other.summary())
+            else:
+                acc.add(value)
+                if way == "read":
+                    acc.schema
+        schema, records, _ = reference(values)
+        assert (print_type(acc.schema), acc.record_count) == (
+            schema, records,
+        )
 
 
 class TestKeyExplosionCorpus:
@@ -111,8 +127,8 @@ class TestKeyExplosionCorpus:
         values = generate_list("wikidata", 300, seed=seed)
         acc = PartitionAccumulator()
         acc.add_many(values)
-        # Fails if the corpus ever stops exercising the logarithmic fold.
-        assert acc.schema.size >= kernel._LOG_FOLD_THRESHOLD
+        # Fails if the corpus ever stops growing a wide schema.
+        assert acc.schema.size >= WIDE
         assert observed(acc) == reference(values)
 
 

@@ -18,7 +18,7 @@ from hypothesis import given
 from repro.core.normal_form import is_normal
 from repro.core.semantics import matches
 from repro.core.subtyping import is_subtype
-from repro.core.types import EMPTY
+from repro.core.types import EMPTY, ArrayType
 from hypothesis import strategies as st
 
 from repro.inference.fusion import (
@@ -149,26 +149,26 @@ class TestAbsorption:
 class TestMemoizedFusionMetamorphic:
     """Metamorphic laws through the kernel's pooled fast path.
 
-    The optimized path (interning + pointer-keyed memoized fusion) must
+    The optimized path (interning + the memoized n-ary ``Fuse``) must
     be *observationally identical* to the plain recursive ``fuse``: for
     any relation that holds of the reference implementation, the same
     relation must hold when every operand first travels through a
-    :class:`~repro.core.interning.TypeInterner` and the fusion runs in a
-    :class:`~repro.inference.kernel.FusionMemo`.
+    :class:`~repro.core.interning.TypeInterner` and the fusion runs in
+    the kernel's ``_Fuse``.
     """
 
     @staticmethod
     def _memo():
         from repro.core.interning import TypeInterner
-        from repro.inference.kernel import FusionMemo
+        from repro.inference.kernel import _Fuse
 
         interner = TypeInterner()
-        return interner, FusionMemo(interner)
+        return interner, _Fuse(interner, {})
 
     @given(normal_types(), normal_types())
     def test_memo_fuse_equals_plain_fuse(self, t1, t2):
         interner, memo = self._memo()
-        assert memo.fuse(interner.intern(t1), interner.intern(t2)) == fuse(
+        assert memo([interner.intern(t1), interner.intern(t2)]) == fuse(
             t1, t2
         )
 
@@ -185,41 +185,109 @@ class TestMemoizedFusionMetamorphic:
     def test_memo_commutes(self, t1, t2):
         interner, memo = self._memo()
         a, b = interner.intern(t1), interner.intern(t2)
-        assert memo.fuse(a, b) == memo.fuse(b, a)
+        assert memo([a, b]) == memo([b, a])
 
     @given(normal_types(), normal_types(), normal_types())
     def test_memo_associates(self, t1, t2, t3):
         interner, memo = self._memo()
         a, b, c = (interner.intern(t) for t in (t1, t2, t3))
-        assert memo.fuse(memo.fuse(a, b), c) == memo.fuse(a, memo.fuse(b, c))
+        assert memo([memo([a, b]), c]) == memo([a, memo([b, c])])
+        assert memo([a, b, c]) == memo([memo([a, b]), c])
 
     @given(normal_types(), normal_types())
     def test_memo_result_is_canonical_and_cached(self, t1, t2):
         interner, memo = self._memo()
         a, b = interner.intern(t1), interner.intern(t2)
-        first = memo.fuse(a, b)
+        first = memo([a, b])
         assert interner.intern(first) is first
         # Repeating the same pooled operands must hit the cache exactly.
-        assert memo.fuse(a, b) is first
+        assert memo([a, b]) is first
 
     @given(st.lists(json_values(), min_size=1, max_size=8))
     def test_memo_fold_equals_fuse_all(self, values):
-        from repro.core.types import EMPTY
-
         interner, memo = self._memo()
+        operands = [interner.intern(infer_type(v)) for v in values]
         schema = EMPTY
-        for v in values:
-            schema = memo.fuse(schema, interner.intern(infer_type(v)))
-        assert schema == fuse_all([infer_type(v) for v in values])
+        for t in operands:
+            schema = memo([schema, t])
+        expected = fuse_all([infer_type(v) for v in values])
+        assert schema == expected
+        assert memo(operands) == expected
 
     @given(normal_types(), normal_types())
     def test_separate_memos_agree(self, t1, t2):
         """Pooling is per-partition state; results must not depend on it."""
         i1, m1 = self._memo()
         i2, m2 = self._memo()
-        assert m1.fuse(i1.intern(t1), i1.intern(t2)) == m2.fuse(
-            i2.intern(t1), i2.intern(t2)
+        assert m1([i1.intern(t1), i1.intern(t2)]) == m2(
+            [i2.intern(t1), i2.intern(t2)]
         )
+
+
+@st.composite
+def repeated_types(draw, max_distinct=6):
+    """A shuffled list of normal types, each occurring one to three times;
+    positional arrays are among them whenever ``normal_types`` draws
+    one, and one in three draws adds a positional pair of a drawn type."""
+    distinct = draw(st.lists(normal_types(), max_size=max_distinct))
+    if distinct and draw(st.integers(0, 2)) == 0:
+        distinct.append(ArrayType([distinct[0], distinct[-1]]))
+    types = [t for t in distinct for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.permutations(types))
+
+
+class TestNaryFuse:
+    """The kernel's n-ary ``Fuse`` over many operands at once.
+
+    One call over a multiset of types must equal the left fold
+    ``fuse_all`` and the deduplicated ``fuse_multiset``, whatever the
+    order of the operands or how they are split and fused in parts, and
+    must come back canonical in the operands' interner.
+    """
+
+    @staticmethod
+    def _fuser():
+        from repro.core.interning import TypeInterner
+        from repro.inference.kernel import _Fuse
+
+        interner = TypeInterner()
+        return interner, _Fuse(interner, {})
+
+    @given(repeated_types())
+    def test_equals_fuse_all_and_fuse_multiset(self, types):
+        interner, fuser = self._fuser()
+        fused = fuser([interner.intern(t) for t in types])
+        assert fused == fuse_all(types) == fuse_multiset(types)
+
+    @given(st.data(), repeated_types())
+    def test_order_and_split_are_not_observable(self, data, types):
+        interner, fuser = self._fuser()
+        operands = [interner.intern(t) for t in types]
+        whole = fuser(operands)
+        shuffled = data.draw(st.permutations(operands), label="order")
+        assert fuser(shuffled) is whole
+        cut = data.draw(st.integers(0, len(operands)), label="cut")
+        parts = [fuser(operands[:cut]), fuser(operands[cut:])]
+        assert fuser(parts) is whole
+        # A fresh fuser, so that no memo entry answers for the split.
+        interner, fresh = self._fuser()
+        parts = [fresh([interner.intern(t) for t in types[:cut]]),
+                 fresh([interner.intern(t) for t in types[cut:]])]
+        assert fresh(parts) == whole
+
+    @given(repeated_types())
+    def test_results_are_canonical(self, types):
+        interner, fuser = self._fuser()
+        fused = fuser([interner.intern(t) for t in types])
+        assert interner.intern(fused) is fused
+        for sub in _subtrees(fused):
+            assert interner.intern(sub) is sub
+
+
+def _subtrees(t):
+    yield t
+    for child in t.children():
+        yield from _subtrees(child)
 
 
 class TestFuseAllProperties:

@@ -9,7 +9,9 @@ thread and process pools agree with the local path bit for bit.
 
 from __future__ import annotations
 
+import gc
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,6 @@ from repro.engine import Context
 from repro.inference.fusion import fuse, fuse_all
 from repro.inference.infer import infer_type
 from repro.inference.kernel import (
-    FusionMemo,
     PartitionAccumulator,
     PartitionSummary,
     accumulate_partition,
@@ -32,6 +33,7 @@ from repro.inference.kernel import (
     digest_types,
     encode_summary,
     merge_summaries_full,
+    _Fuse,
 )
 from repro.inference.pipeline import run_inference
 from tests.conftest import json_values, normal_types
@@ -146,31 +148,74 @@ class TestDigestBoundary:
 
 
 class TestFusionMemo:
+    """The kernel's n-ary ``Fuse`` and the memo of its sub-fusions."""
+
     @given(normal_types(), normal_types())
     def test_matches_reference_fuse(self, a, b):
         interner = TypeInterner()
-        memo = FusionMemo(interner)
-        assert memo.fuse(interner.intern(a), interner.intern(b)) == fuse(a, b)
+        fuser = _Fuse(interner, {})
+        assert fuser([interner.intern(a), interner.intern(b)]) == fuse(a, b)
 
     def test_repeat_fusions_hit_the_cache(self):
-        # Alternating shapes: the running schema stabilises after one of
-        # each, then every further record repeats the same (schema, type)
-        # pair.  (Fully homogeneous data never reaches the memo at all —
-        # the `a is b` identity fast path answers first.)
+        # Alternating shapes, then more of the same: a repeated record
+        # type is no new operand, so the second read fuses nothing and
+        # the memo does not grow.
+        def alternating(n):
+            return ({"a": [1, i]} if i % 2 else {"b": "x"} for i in range(n))
+
         acc = PartitionAccumulator()
-        acc.add_many(
-            {"a": 1} if i % 2 else {"b": "x"} for i in range(50)
-        )
-        assert acc.memo.hit_rate > 0.5
-        assert len(acc.memo) >= 1
+        acc.add_many(alternating(50))
+        schema = acc.schema
+        memo = dict(acc._fuse._memo)
+        acc.add_many(alternating(50))
+        assert acc.schema is schema
+        assert acc._fuse._memo == memo
+        assert len(memo) >= 1
 
     def test_positional_arrays_not_identity_fused(self):
         """fuse is not idempotent on positional arrays ([Num, Num] with
         itself gives [Num*]); the pointer fast path must not swallow it."""
         interner = TypeInterner()
-        memo = FusionMemo(interner)
+        fuser = _Fuse(interner, {})
         arr = interner.intern(infer_type([1, 2]))
-        assert memo.fuse(arr, arr) == fuse(arr, arr) != arr
+        assert fuser([arr, arr]) == fuse(arr, arr) != arr
+        acc = PartitionAccumulator()
+        acc.add_many([[1, 2], [1, 2], [1, 2]])
+        assert acc.schema == fuse(arr, arr)
+
+
+class TestNoReferenceCycle:
+    """Worker processes run with the cyclic GC off, so an accumulator
+    must be freed by reference counting alone once a task drops it."""
+
+    @pytest.fixture(autouse=True)
+    def gc_off(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    def test_freed_after_summary_and_encode(self):
+        acc = PartitionAccumulator()
+        acc.add_many(generate_list("wikidata", 60, seed=0))
+        encode_summary(acc.summary())
+        ref = weakref.ref(acc)
+        del acc
+        assert ref() is None
+
+    def test_freed_after_add_summary_and_merge(self):
+        values = generate_list("wikidata", 60, seed=1)
+        other = PartitionAccumulator()
+        other.add_many(values[30:])
+        acc = PartitionAccumulator()
+        acc.add_many(values[:30])
+        acc.add_summary(other.summary())
+        merged = merge_summaries_full([acc.summary(), other.summary()])
+        refs = [weakref.ref(acc), weakref.ref(other)]
+        del acc, other
+        assert [ref() for ref in refs] == [None, None]
+        assert merged.record_count == 90
 
 
 class TestBackendsAgree:

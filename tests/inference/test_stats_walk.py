@@ -186,6 +186,19 @@ class TestObservationMatchesTheOracleWalk:
         )
         assert summary.stats.to_bytes() == want.to_bytes()
 
+    @pytest.mark.parametrize("window", [1, 2, 3, 64])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_int_subclass_past_float_precision_bounds_as_int(
+        self, mode, window
+    ):
+        # 2**53 + 1 rounds as a float, so the range keeps it exact; the
+        # IntEnum member equal to it must bound as the same plain int,
+        # whichever of the two the window folds first.
+        stream = [("add", {"a": [], "b": [2**53 + 1]}),
+                  ("add", {"a": [], "b": [Level.HIGH]}),
+                  ("read", "eq")]
+        check_stream(stream, mode, window)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_windows_of_the_real_size_overflow(self, mode):
         # More distinct values per path than one window holds, with
