@@ -29,7 +29,7 @@ this module computes all three in *one* pass per partition:
   ``backend="process"`` — wire-encoded, with the distinct types as
   32-byte digests (:func:`type_digest`).  :func:`merge_summaries_full`
   recombines the partials at the driver in one n-ary ``Fuse`` through
-  a fresh interner.  Any grouping of the merge yields the same schema —
+  one interner.  Any grouping of the merge yields the same schema —
   that is exactly the associativity theorem (Theorem 5.5), the same
   property that already licenses ``tree_reduce``.
 
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Any, Iterable, Sequence
 
-from repro.core.errors import InvalidValueError
+from repro.core.errors import InvalidTypeError, InvalidValueError
 from repro.core.interning import TypeInterner
 from repro.core.kinds import Kind
 from repro.core.types import (
@@ -78,7 +78,7 @@ from repro.jsonio.errors import JsonError, JsonSyntaxError
 from repro.jsonio.ndjson import BadRecord
 from repro.jsonio.parser import MAX_DEPTH, loads
 from repro.jsonio.splits import FileSplit, SplitLineReader, count_lines_before
-from repro.jsonio.typestream import FastLaneMiss, guarded_decoder
+from repro.jsonio.typestream import FastLaneMiss, _Pairs, _pairs_decoder
 
 __all__ = [
     "PartitionAccumulator",
@@ -328,10 +328,12 @@ class PhaseTimings:
     The map phase of an NDJSON partition decomposes into three measurable
     stages, accumulated across the partition's records:
 
-    * ``parse_s`` — the guarded C decode of each line into a value
-      (:func:`repro.jsonio.typestream.guarded_decoder`), plus the
-      strict re-parse of any line it misses;
-    * ``type_s`` — value to interned type (Fig. 4);
+    * ``parse_s`` — the guarded C decode of each line into a value,
+      each object left as its key/value pairs
+      (:mod:`repro.jsonio.typestream`), plus the strict re-parse of any
+      line that misses;
+    * ``type_s`` — value to interned type (Fig. 4), with the
+      duplicate-key check of each record shape new to the partition;
     * ``fuse_s`` — distinct-type tracking per record, plus the one
       n-ary ``Fuse`` of the partition's distinct types when its schema
       is read;
@@ -710,16 +712,16 @@ class PartitionAccumulator:
         # builds each node from canonical children and pools it
         # immediately, so the tree is born interned.  Dispatches on the
         # exact class first — JSON decoding only ever yields the six
-        # builtin types — and falls back to the isinstance chain for
-        # subclasses, preserving infer_type's semantics (bool before
-        # int, etc.).
+        # builtin types, or _Pairs for an object — and falls back to the
+        # isinstance chain for subclasses, preserving infer_type's
+        # semantics (bool before int, etc.).
         cls = value.__class__
-        if cls is dict:
+        if cls is _Pairs or cls is dict:
             cached = self._scalar_fields
             field = self.interner.field
             fields = []
             append = fields.append
-            for key, sub in value.items():
+            for key, sub in value if cls is _Pairs else value.items():
                 f = cached.get((key, sub.__class__))
                 if f is None:
                     if key.__class__ is not str and not isinstance(key, str):
@@ -735,7 +737,13 @@ class PartitionAccumulator:
             shape = tuple(fields)
             t = self._record_pool.get(shape)
             if t is None:
-                t = self.interner.intern_node(RecordType(shape))
+                # Every pooled shape passed RecordType's unique-key
+                # check, so only a shape new to the pool can repeat a
+                # key: the pairs of an object whose text repeats one.
+                try:
+                    t = self.interner.intern_node(RecordType(shape))
+                except InvalidTypeError:
+                    raise FastLaneMiss("duplicate object key") from None
                 self._record_pool[shape] = t
             return t
         if cls is list:
@@ -1267,10 +1275,13 @@ class _ItemPass:
         than :data:`~repro.jsonio.parser.MAX_DEPTH` is a miss too, for
         the arbiter to reject with its position: every repeat of a type
         was checked when the type was new, so no record is walked for
-        its depth.
+        its depth.  Objects decode as their key/value pairs, and a
+        repeated key is a miss where the typer meets a record shape new
+        to its pool (:meth:`PartitionAccumulator._infer`): a pooled
+        shape has unique keys.
         """
         acc = self.acc
-        decode = guarded_decoder()
+        decode = _pairs_decoder()
         infer, observe, stats = acc._infer, acc.observe, acc.stats
         seen = acc._distinct_ids
         perf = self.perf
@@ -1417,14 +1428,15 @@ def accumulate_ndjson_partition(
     :func:`repro.inference.pipeline.infer_ndjson_file`, which hands it
     a sequential run's whole-file split or a pipe's line stream.
 
-    Each record is decoded by the guarded C decoder
-    (:func:`repro.jsonio.typestream.guarded_decoder`), typed, fused
-    and, with statistics on, observed.  Any record the decoder misses —
-    malformed text, duplicate keys, surrogate escapes, nesting past
-    :data:`repro.jsonio.parser.MAX_DEPTH` — is re-parsed by the strict
-    :func:`repro.jsonio.parser.loads`, so error diagnostics and
-    quarantine entries (absolute file line numbers included) are
-    byte-identical to a strict-only parse.
+    Each record is decoded by the guarded C decoder, with each object
+    left as its key/value pairs (:mod:`repro.jsonio.typestream`), then
+    typed, fused and, with statistics on, observed.  Any record that
+    misses — malformed text, surrogate escapes, a duplicate key (which
+    the typer finds where a record shape is new to the partition),
+    nesting past :data:`repro.jsonio.parser.MAX_DEPTH` — is re-parsed
+    by the strict :func:`repro.jsonio.parser.loads`, so error
+    diagnostics and quarantine entries (absolute file line numbers
+    included) are byte-identical to a strict-only parse.
 
     In strict mode (default) the first malformed line raises, failing the
     task; in permissive mode it is quarantined into the summary's
@@ -1454,16 +1466,21 @@ def accumulate_ndjson_partition(
 
 def merge_summaries_full(
     summaries: "Sequence[PartitionSummary]",
+    *,
+    interner: "TypeInterner | None" = None,
 ) -> PartitionSummary:
     """Merge partition summaries, in partition order, into one.
 
     The one driver-side reduce: the run-time merge of every partition
     summary and the checkpoint-shard union
     (:func:`repro.store.checkpoint.merge_checkpoints`) both go through
-    it.  The partial schemas are interned in a fresh
-    :class:`TypeInterner` and fused in one n-ary ``Fuse``, the one the
-    map phase runs, so a subtree the partials share is fused once
-    however often it recurs in the (tree-sized) schemas.  While
+    it.  The partial schemas are interned in ``interner`` (a fresh
+    :class:`TypeInterner` by default) and fused in one n-ary ``Fuse``,
+    the one the map phase runs, so a subtree the partials share is fused
+    once however often it recurs in the (tree-sized) schemas.  A partial
+    already canonical in ``interner`` — one the pipeline decoded through
+    its adoption accumulator's — costs one pool hit; any other is
+    interned structurally.  While
     every partial holds its distinct set as types, the types
     deduplicate structurally in first-seen order; once any partial
     holds digests, the union is taken over digests (digesting the other
@@ -1476,7 +1493,8 @@ def merge_summaries_full(
     each partial is small (Section 6.2), so shipping pairs of them back
     to workers costs more than folding them here.
     """
-    interner = TypeInterner()
+    if interner is None:
+        interner = TypeInterner()
     schemas: list[Type] = []
     count = 0
     typed: list[tuple[Type, ...]] = []

@@ -287,7 +287,7 @@ def run_inference(
     _note_summary_telemetry(stats, summaries)
 
     start = time.perf_counter()
-    merged = merge_summaries_full(summaries)
+    merged = merge_summaries_full(summaries, interner=adopt.interner)
     reduce_seconds = time.perf_counter() - start
     return InferenceRun(
         schema=merged.schema,
@@ -399,10 +399,11 @@ def infer_ndjson_file(
     prefix sum over the splits' line counts.
 
     The map phase decodes each record with a guarded C decoder
-    (:func:`repro.jsonio.typestream.guarded_decoder`) and re-parses
-    any record it misses with the strict parser, so results, error
-    diagnostics and quarantine behaviour are those of the strict parser
-    on every input.  With ``collect_timings=True`` (the CLI's
+    (:mod:`repro.jsonio.typestream`), whose objects the kernel's typer
+    checks for a repeated key, and re-parses any record that misses
+    with the strict parser, so results, error diagnostics and
+    quarantine behaviour are those of the strict parser on every
+    input.  With ``collect_timings=True`` (the CLI's
     ``--timings``) the run's ``phase_timings`` attribute the time this
     run spent mapping to parse/type/fuse stages (replayed cache and
     journal entries carry none); the default skips the per-record clock
@@ -692,7 +693,7 @@ def infer_ndjson_file(
         if loaded is not None:
             partials.append(loaded.summary)
             checkpoint_records = loaded.record_count
-        merged = merge_summaries_full(partials)
+        merged = merge_summaries_full(partials, interner=adopt.interner)
         reduce_seconds = time.perf_counter() - start
 
         # Persist.  The quarantine sidecar goes first: it is still

@@ -50,6 +50,7 @@ from hashlib import blake2b
 from typing import Any, Iterable, Protocol, runtime_checkable
 
 from repro.core.kinds import Kind
+from repro.jsonio.typestream import _Pairs
 
 __all__ = [
     "STATS_MODES",
@@ -838,7 +839,9 @@ class StatsBundle:
         """Walk one record down the observation trie.
 
         Each node's window collects the record's values at that path;
-        :meth:`flush` (which every reader runs first) folds them.
+        :meth:`flush` (which every reader runs first) folds them.  An
+        object may be a ``dict`` or the map loop's key/value pairs
+        (:mod:`repro.jsonio.typestream`): both walk alike.
         """
         self.record_count += 1
         self.type_sizes.update(type_size)
@@ -846,10 +849,12 @@ class StatsBundle:
         nodes = self._nodes
         root = nodes[0] if nodes else self._node("$")
         cls = value.__class__
-        if cls is dict:
+        if cls is _Pairs:
             self._record(root, value)
         elif cls is list:
             self._array(root, value)
+        elif cls is dict:
+            self._record(root, value.items())
         else:
             self._other(root, value)
 
@@ -871,16 +876,19 @@ class StatsBundle:
         return node
 
     # _record and _array inline the scalar step: most nodes are scalars.
+    # An object arrives as its key/value pairs: the map loop's _Pairs,
+    # or a dict's items().
 
-    def _record(self, node: _PathNode, record: dict) -> None:
+    def _record(self, node: _PathNode,
+                pairs: Iterable[tuple[str, Any]]) -> None:
         node.records += 1
         fields = node.fields
-        for key, value in record.items():
+        for key, value in pairs:
             child = fields.get(key)
             if child is None:
                 child = fields[key] = self._node(f"{node.path}.{key}")
             cls = value.__class__
-            if cls is dict:
+            if cls is _Pairs:
                 self._record(child, value)
             elif cls is list:
                 self._array(child, value)
@@ -890,6 +898,8 @@ class StatsBundle:
                 window[pair] = window.get(pair, 0) + 1
                 if len(window) >= WINDOW:
                     child.fold()
+            elif cls is dict:
+                self._record(child, value.items())
             else:
                 self._other(child, value)
 
@@ -907,7 +917,7 @@ class StatsBundle:
         window = child.window
         for value in array:
             cls = value.__class__
-            if cls is dict:
+            if cls is _Pairs:
                 self._record(child, value)
             elif cls is list:
                 self._array(child, value)
@@ -916,6 +926,8 @@ class StatsBundle:
                 window[pair] = window.get(pair, 0) + 1
                 if len(window) >= WINDOW:
                     child.fold()
+            elif cls is dict:
+                self._record(child, value.items())
             else:
                 self._other(child, value)
 
@@ -927,7 +939,7 @@ class StatsBundle:
         not hash, and a non-JSON value raises here, not at a read.
         """
         if isinstance(value, dict):
-            self._record(node, value)
+            self._record(node, value.items())
         elif isinstance(value, list):
             self._array(node, value)
         else:

@@ -4,7 +4,7 @@
 * :mod:`repro.jsonio.parser` — recursive-descent parser; rejects duplicate
   object keys, which the paper's data model forbids in records.
 * :mod:`repro.jsonio.writer` — compact serializer.
-* :mod:`repro.jsonio.typestream` — the record decoder: the C ``json``
+* :mod:`repro.jsonio.typestream` — the record decoders: the C ``json``
   scanner behind guards that leave every record it cannot vouch for to
   the strict parser.
 * :mod:`repro.jsonio.ndjson` — streaming line-delimited JSON files.

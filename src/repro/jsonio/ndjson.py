@@ -84,6 +84,24 @@ def iter_lines(path: str | Path) -> Iterator[str]:
         yield line
 
 
+def _nests_deeper(value: Any, limit: int) -> bool:
+    """Whether a decoded ``value`` nests more than ``limit`` arrays and
+    objects (``[]`` is one level): :data:`~repro.jsonio.parser.MAX_DEPTH`'s
+    boundary, drawn over values as the kernel's ``_deeper_than`` draws
+    it over types.  Walked a level at a time, to the limit at most."""
+    level = [value]
+    for _ in range(limit + 1):
+        containers = [v for v in level
+                      if v.__class__ is dict or v.__class__ is list]
+        if not containers:
+            return False
+        level = []
+        for container in containers:
+            level.extend(container.values() if container.__class__ is dict
+                         else container)
+    return True
+
+
 def _record_parser(source: str | None) -> Callable[[str, int], Any]:
     """``parse(line, line_number)``: one record's value, as :func:`loads`
     gives it.
@@ -91,18 +109,22 @@ def _record_parser(source: str | None) -> Callable[[str, int], Any]:
     Each line goes first to one guarded C decoder
     (:func:`repro.jsonio.typestream.guarded_decoder`); every line it
     misses is re-parsed by :func:`loads`, so values and errors are a
-    ``loads``-only read's.  So is every line with more than
-    :data:`~repro.jsonio.parser.MAX_DEPTH` ``{``/``[`` characters: the C
-    scanner accepts nesting past the strict limit.
+    ``loads``-only read's.  So is every decoded value that nests deeper
+    than :data:`~repro.jsonio.parser.MAX_DEPTH`, which the C scanner
+    accepts: only a line with more ``{``/``[`` characters than that can
+    hold one, so only such a line is walked for its depth.
     """
     decode = guarded_decoder()
 
     def parse(line: str, line_number: int) -> Any:
-        if line.count("{") + line.count("[") <= MAX_DEPTH:
-            try:
-                return decode(line)
-            except FastLaneMiss:
-                pass
+        try:
+            value = decode(line)
+        except FastLaneMiss:
+            pass
+        else:
+            if (line.count("{") + line.count("[") <= MAX_DEPTH
+                    or not _nests_deeper(value, MAX_DEPTH)):
+                return value
         return loads(line, source=source, first_line=line_number)
 
     return parse

@@ -2,19 +2,29 @@
 
 Each NDJSON record is decoded once, by one prebuilt
 :class:`json.JSONDecoder` (C-accelerated by ``_json``, which CPython
-ships; the stdlib's pure-Python scanner takes over where it is missing),
-into the same Python value the strict :func:`repro.jsonio.parser.loads`
-would build: equal content, the same ``int``/``float``/``bool`` classes
-and the same key order.  The inference kernel's map phase types that
-value (Fig. 4) and hands it to the statistics; the NDJSON readers of
-:mod:`repro.jsonio.ndjson` yield it.
+ships; the stdlib's pure-Python scanner takes over where it is missing).
+Two decoders share that scanner and its guards, and differ only in what
+an object becomes:
+
+* :func:`guarded_decoder` builds each object as a ``dict`` and checks
+  that no key repeats, so its value is the one the strict
+  :func:`repro.jsonio.parser.loads` would build: equal content, the same
+  ``int``/``float``/``bool`` classes and the same key order.  The
+  NDJSON readers of :mod:`repro.jsonio.ndjson` yield it.
+* :func:`_pairs_decoder` leaves each object as its ``(key, value)``
+  pairs (:class:`_Pairs`), built in C with no per-object Python call.
+  The inference kernel's map loop types them (Fig. 4) and hands them to
+  the statistics.  It checks no key: the kernel's typer does, where a
+  record shape is new to its pool (every pooled shape passed
+  :class:`~repro.core.types.RecordType`'s uniqueness check, so only a
+  new shape can repeat a key).
 
 The stdlib scanner is more lenient than the strict grammar, so the
-decoder is *guarded*: it raises :exc:`FastLaneMiss` wherever the two
+decoders are *guarded*: they raise :exc:`FastLaneMiss` wherever the two
 could disagree —
 
-* a duplicate object key (the ``object_pairs_hook`` builds each dict and
-  checks that no key was lost);
+* a duplicate object key (:func:`guarded_decoder`'s
+  ``object_pairs_hook``, or the kernel's typer over :class:`_Pairs`);
 * a non-standard ``NaN``, ``Infinity`` or ``-Infinity`` constant
   (``parse_constant``);
 * a ``\\u`` surrogate escape, which the scanner decodes even unpaired
@@ -30,7 +40,8 @@ message and :class:`~repro.jsonio.errors.DuplicateKeyError` semantics
 are therefore exactly a strict-only run's.  Malformed records pay a
 double parse; well-formed ones never do.  Nesting past
 :data:`repro.jsonio.parser.MAX_DEPTH` that still decodes is a miss the
-kernel raises, where a record's type is new to its partition.
+caller raises: the kernel where a record's type is new to its
+partition, the NDJSON readers after a decode.
 """
 
 from __future__ import annotations
@@ -87,6 +98,41 @@ def _no_constants(literal: str) -> Any:
     raise FastLaneMiss(f"non-standard JSON constant {literal!r}")
 
 
+class _Pairs(tuple):
+    """One JSON object as :func:`_pairs_decoder` leaves it: its
+    ``(key, value)`` pairs in text order, a repeated key included.
+
+    The ``object_pairs_hook`` itself: the C scanner hands it the pairs
+    list, and the tuple is built in C.  A class of its own, so that the
+    typer and the statistics tell an object from an array, and so that
+    a plain ``tuple`` stays what it was, not a JSON value.
+    """
+
+    __slots__ = ()
+
+
+def _decoder(object_pairs_hook: Callable[[list], Any]) -> Callable[[str], Any]:
+    """A ``decode(text)`` function over one prebuilt C decoder that
+    builds each object with ``object_pairs_hook``, behind the guards."""
+    scan = json.JSONDecoder(
+        object_pairs_hook=object_pairs_hook,
+        parse_constant=_no_constants,
+    ).decode
+    surrogate_escape = _SURROGATE_ESCAPE.search
+
+    def decode(text: str) -> Any:
+        if "\\u" in text and surrogate_escape(text) is not None:
+            raise FastLaneMiss("surrogate \\u escape")
+        try:
+            return scan(text)
+        except (ValueError, RecursionError) as exc:
+            # json.JSONDecodeError, the hooks' own misses, int()'s digit
+            # limit and a nesting that exhausts the stack: one miss.
+            raise FastLaneMiss(str(exc)) from exc
+
+    return decode
+
+
 def guarded_decoder() -> Callable[[str], Any]:
     """A ``decode(text)`` function over one prebuilt C decoder.
 
@@ -104,20 +150,16 @@ def guarded_decoder() -> Callable[[str], Any]:
         ...
     repro.jsonio.typestream.FastLaneMiss: duplicate object key
     """
-    scan = json.JSONDecoder(
-        object_pairs_hook=_unique_keys,
-        parse_constant=_no_constants,
-    ).decode
-    surrogate_escape = _SURROGATE_ESCAPE.search
+    return _decoder(_unique_keys)
 
-    def decode(text: str) -> Any:
-        if "\\u" in text and surrogate_escape(text) is not None:
-            raise FastLaneMiss("surrogate \\u escape")
-        try:
-            return scan(text)
-        except (ValueError, RecursionError) as exc:
-            # json.JSONDecodeError, the hooks' own misses, int()'s digit
-            # limit and a nesting that exhausts the stack: one miss.
-            raise FastLaneMiss(str(exc)) from exc
 
-    return decode
+def _pairs_decoder() -> Callable[[str], Any]:
+    """The map loop's ``decode(text)``: :func:`guarded_decoder`'s value
+    with every object left as its :class:`_Pairs`, *unchecked* for a
+    repeated key — the caller must check, as the kernel's typer does.
+
+    >>> decode = _pairs_decoder()
+    >>> decode('{"a": [1, {}], "a": 2}')
+    (('a', [1, ()]), ('a', 2))
+    """
+    return _decoder(_Pairs)

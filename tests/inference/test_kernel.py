@@ -266,6 +266,14 @@ class TestInvalidValues:
         with pytest.raises(InvalidValueError, match="not a JSON value"):
             acc.add({1, 2})
 
+    def test_plain_tuple_of_pairs_is_not_an_object(self):
+        # Only the map loop's decoder yields an object as its key/value
+        # pairs, in a tuple class of its own.
+        acc = PartitionAccumulator()
+        with pytest.raises(InvalidValueError,
+                           match="not a JSON value: tuple"):
+            acc.add((("a", 1),))
+
     def test_non_string_key(self):
         acc = PartitionAccumulator()
         with pytest.raises(InvalidValueError, match="non-string record key"):

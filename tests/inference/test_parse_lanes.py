@@ -35,6 +35,7 @@ from repro.inference.kernel import (
 from repro.inference.pipeline import infer_ndjson_file
 from repro.jsonio.typestream import guarded_decoder
 from repro.jsonio.errors import DuplicateKeyError, JsonError
+from repro.jsonio.ndjson import BadRecord
 from repro.jsonio.parser import loads
 
 #: The values of the ``parse_lane`` knob of earlier releases, kept as
@@ -279,6 +280,93 @@ class TestArbitratedStatistics:
         assert run.record_count == len(accepted) == 5
         assert run.skipped_count == 3
         assert run.stats.to_bytes() == oracle.stats.to_bytes()
+
+
+class TestDeferredDuplicateKeyCheck:
+    """Objects decode as key/value pairs, and a repeated key is found
+    where the typer meets a record shape new to its partition's pool:
+    no pooled shape repeats a key.  In each case the bad line follows,
+    in the same partition, a line whose shape is the bad line's without
+    the repeat, so the check must hold on a pool hit's neighbours and
+    inside nested records and arrays."""
+
+    #: Case -> (a line pooling the de-duplicated shape, the bad line).
+    CASES = {
+        "top-level": ('{"a": 1}', '{"a": 1, "a": 1}'),
+        "nested": ('{"x": {"b": 1}}', '{"x": {"b": 1, "b": 2}}'),
+        "in-array": ('[{"k": 1}]', '[{"k": 1}, {"k": 1, "k": 1}]'),
+        "other-classes": ('{"a": 1}', '{"a": 1, "a": "x"}'),
+    }
+
+    #: Records before the case's lines, enough for the case to fall in
+    #: the second of two byte splits.
+    FILLER = [f'{{"id": {n}, "s": "x"}}' for n in range(40)]
+
+    @pytest.fixture(scope="class")
+    def workers(self):
+        with Context(parallelism=2, backend="process") as ctx:
+            yield ctx
+
+    def corpus(self, tmp_path, case, with_bad=True):
+        primer, bad = self.CASES[case]
+        lines = [*self.FILLER, primer, bad, '{"a": 2}']
+        if not with_bad:
+            lines.remove(bad)
+        path = tmp_path / f"{case}-{'bad' if with_bad else 'clean'}.ndjson"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path, len(self.FILLER) + 2, bad
+
+    @staticmethod
+    def run(path, workers=None, **options):
+        if workers is None:
+            return infer_ndjson_file(path, **options)
+        return infer_ndjson_file(path, context=workers, num_partitions=2,
+                                 min_split_bytes=1, **options)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_strict_raises_what_loads_raises(self, case, tmp_path):
+        path, number, bad = self.corpus(tmp_path, case)
+        with pytest.raises(DuplicateKeyError) as strict:
+            loads(bad, source=str(path), first_line=number)
+        with pytest.raises(DuplicateKeyError) as info:
+            self.run(path)
+        got, want = info.value, strict.value
+        assert (str(got), got.line, got.column, got.source) == (
+            str(want), want.line, want.column, want.source,
+        )
+
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["one-process", "two-workers"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_permissive_quarantines_what_loads_rejects(
+        self, case, parallel, workers, tmp_path
+    ):
+        path, number, bad = self.corpus(tmp_path, case)
+        with pytest.raises(DuplicateKeyError) as strict:
+            loads(bad, source=str(path), first_line=number)
+        run = self.run(path, workers if parallel else None, permissive=True)
+        assert run.bad_records == (
+            BadRecord(str(path), number, str(strict.value), bad),
+        )
+        if parallel:
+            assert run.skipped_per_partition == {1: 1}
+        assert run.record_count == len(self.FILLER) + 2
+
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["one-process", "two-workers"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_sketches_are_those_without_the_line(
+        self, case, parallel, workers, tmp_path
+    ):
+        pool = workers if parallel else None
+        path, _, _ = self.corpus(tmp_path, case)
+        clean, _, _ = self.corpus(tmp_path, case, with_bad=False)
+        with_bad = self.run(path, pool, permissive=True,
+                            stats_mode="sketches")
+        without = self.run(clean, pool, permissive=True,
+                           stats_mode="sketches")
+        assert with_bad.skipped_count == 1
+        assert with_bad.stats.to_bytes() == without.stats.to_bytes()
 
 
 class TestLaneResolution:

@@ -5,8 +5,9 @@ On any input, the from-scratch parser must agree with ``json.loads`` about
 for the one *documented* divergence: duplicate object keys, which stdlib
 silently resolves and we reject (the paper's well-formedness condition).
 
-The map phase decodes with the stdlib scanner behind guards and lets the
-from-scratch parser arbitrate every record the guards catch;
+The map phase decodes with the stdlib scanner behind guards, objects as
+key/value pairs whose repeated keys the kernel's typer catches, and lets
+the from-scratch parser arbitrate every record that misses;
 :class:`TestDecoder` checks that pairing.
 """
 
@@ -171,6 +172,30 @@ def _nested(shape: str, depth: int) -> str:
     return '{"a": ' * depth + "1" + "}" * depth
 
 
+#: JSON texts whose objects draw their keys from three names, so that
+#: a key often repeats, at any depth: the typer's duplicate-key check
+#: must catch every repeat.
+json_texts = st.recursive(
+    st.one_of(
+        st.sampled_from(["null", "true", "false", "0", "-1.5", '""']),
+        st.integers().map(str),
+        st.text(max_size=4).map(stdlib_json.dumps),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4).map(
+            lambda items: "[" + ", ".join(items) + "]"
+        ),
+        st.lists(st.tuples(st.sampled_from(["a", "b", "k"]), children),
+                 max_size=4).map(
+            lambda pairs: "{" + ", ".join(
+                f'"{key}": {value}' for key, value in pairs
+            ) + "}"
+        ),
+    ),
+    max_leaves=12,
+)
+
+
 #: Texts the guarded decoder must miss, for :func:`loads` to decide.
 MUST_MISS = [
     pytest.param('{"k": 1, "k": 2}', id="duplicate-key"),
@@ -213,6 +238,53 @@ class TestDecoder:
         assert acc.type_value(decoded) is acc.interner.intern(
             infer_type(expected)
         )
+
+    @given(st.one_of(json_texts, json_values().map(dumps),
+                     st.text(max_size=25)))
+    @example('{"a": 1, "a": 1}')
+    @example('{"a": {"b": 1, "b": 2}}')
+    @example('[{"k": 1}, {"k": 1, "k": 1}]')
+    @example('{"a": 1, "a": "1"}')
+    def test_pairs_type_what_loads_types_or_miss(self, text):
+        """The map loop's decode: objects as key/value pairs, typed by
+        ``_infer``, which checks each record shape new to its pool for a
+        repeated key.  The node is the one ``loads`` plus ``_infer``
+        give, or the text misses; a repeated key always misses."""
+        from repro.inference.kernel import PartitionAccumulator
+        from repro.jsonio.typestream import FastLaneMiss, _pairs_decoder
+
+        acc = PartitionAccumulator()
+        try:
+            t = acc._infer(_pairs_decoder()(text))
+        except FastLaneMiss:
+            return
+        assert not _has_duplicate_keys(text)
+        assert t is acc._infer(loads(text))
+
+    @given(st.lists(json_values(), min_size=1, max_size=6),
+           st.sampled_from(["basic", "sketches"]))
+    def test_statistics_walk_pairs_as_dicts(self, values, mode):
+        """``StatsBundle.observe`` over the pairs decode gives the bytes
+        it gives over the dict decode of the same records."""
+        from repro.inference.kernel import PartitionAccumulator
+        from repro.inference.statistics import create_stats_bundle
+        from repro.jsonio.typestream import (
+            FastLaneMiss, _pairs_decoder, guarded_decoder,
+        )
+
+        acc = PartitionAccumulator()
+        over_pairs = create_stats_bundle(mode)
+        over_dicts = create_stats_bundle(mode)
+        for value in values:
+            text = dumps(value)
+            try:
+                pairs = _pairs_decoder()(text)
+                size = acc._infer(pairs).size
+            except FastLaneMiss:
+                continue
+            over_pairs.observe(pairs, size)
+            over_dicts.observe(guarded_decoder()(text), size)
+        assert over_pairs.to_bytes() == over_dicts.to_bytes()
 
     @pytest.mark.parametrize("text", MUST_MISS)
     def test_must_miss(self, text, monkeypatch):

@@ -35,6 +35,12 @@ def nested(shape: str, depth: int) -> str:
     return '{"a": ' * depth + "1" + "}" * depth
 
 
+def wide(depth: int) -> str:
+    """A ``depth``-deep array of 301 elements, 300 of them small
+    objects: far more ``{``/``[`` characters than levels."""
+    return "[" + nested("array", depth - 1) + ', {"k": 1}' * 300 + "]"
+
+
 def write_corpus(path, deep_lines: dict[int, str], total: int = 12):
     """``total`` flat records, with ``deep_lines[n]`` as line ``n``."""
     lines = [deep_lines.get(n) or json.dumps({"id": n, "a": "x"})
@@ -185,3 +191,60 @@ class TestAtTheBound:
             assert capsys.readouterr().out == want
         assert main(["statistics", ckpt] if flags[:1] == ["--stats"]
                     else ["fsck", ckpt]) == 0
+
+
+class TestWideShallowLines:
+    """The NDJSON readers decode a line with more ``{``/``[`` characters
+    than ``MAX_DEPTH`` and read it with ``loads`` only when its value
+    nests past the bound: a wide, shallow record never pays the strict
+    parser."""
+
+    #: 300 small objects and arrays: 601 brackets, three levels deep.
+    WIDE = json.dumps({"items": [{"k": n, "v": [n]} for n in range(300)]})
+
+    @staticmethod
+    def read(path):
+        """Every value ``read_ndjson`` yields, then the error's
+        ``(class, message)`` or ``None``."""
+        from repro.jsonio.ndjson import read_ndjson
+
+        values = []
+        try:
+            for value in read_ndjson(path):
+                values.append(value)
+        except JsonSyntaxError as exc:
+            return values, (type(exc), str(exc))
+        return values, None
+
+    @pytest.mark.parametrize("line", [
+        pytest.param(WIDE, id="wide"),
+        pytest.param(wide(MAX_DEPTH), id="wide-at-the-bound"),
+        pytest.param(nested("array", MAX_DEPTH), id="array-at-the-bound"),
+        pytest.param(nested("record", MAX_DEPTH), id="record-at-the-bound"),
+    ])
+    def test_decoded_without_loads(self, line, tmp_path, monkeypatch):
+        from repro.jsonio import ndjson
+
+        path = write_corpus(tmp_path / "wide.ndjson", {2: line}, total=3)
+
+        def no_loads(*args, **kwargs):
+            raise AssertionError("loads called")
+
+        monkeypatch.setattr(ndjson, "loads", no_loads)
+        values, error = self.read(path)
+        assert error is None
+        assert values[1] == loads(line)
+
+    @pytest.mark.parametrize("line", [
+        pytest.param(wide(MAX_DEPTH + 1), id="wide-past-the-bound"),
+        pytest.param(nested("array", MAX_DEPTH + 1), id="array-129"),
+        pytest.param(nested("record", MAX_DEPTH + 1), id="record-129"),
+        pytest.param(nested("array", 5000), id="array-5000"),
+    ])
+    def test_too_deep_is_the_error_loads_raises(self, line, tmp_path):
+        path = write_corpus(tmp_path / "deep.ndjson", {2: line}, total=3)
+        with pytest.raises(JsonSyntaxError) as strict:
+            loads(line, source=path, first_line=2)
+        values, error = self.read(path)
+        assert values == [loads(json.dumps({"id": 1, "a": "x"}))]
+        assert error == (JsonSyntaxError, str(strict.value))
